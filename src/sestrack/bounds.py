@@ -65,6 +65,9 @@ class BoundReport:
 def _weighted_tail_series(
     gamma: Autocovariance, beta: float, tol: float
 ) -> tuple[float, int, float]:
+    # |gamma(k)| <= gamma(0) bounds every dropped term, so stopping once the
+    # geometric remainder gamma(0) beta^(lag+1) / (1 - beta) falls below
+    # tol * gamma(0) never cuts off mass hidden behind a zero lag
     g0 = gamma(0)
     threshold = tol * g0
     total = 0.0
@@ -73,11 +76,10 @@ def _weighted_tail_series(
     while lag < SERIES_LAG_CAP:
         lag += 1
         power *= beta
-        term = gamma(lag) * power
-        total += term
-        if abs(term) <= threshold:
+        total += gamma(lag) * power
+        residual = g0 * power * beta / (1.0 - beta)
+        if residual <= threshold:
             break
-    residual = g0 * power * beta / (1.0 - beta)
     return total, lag, residual
 
 
@@ -94,8 +96,8 @@ def tracking_bound(
     ``method`` selects how the correlation tail sum_{k>=1} gamma(k) beta^k
     is computed: "auto" prefers the model's closed form when one exists,
     "closed" demands it, "series" forces truncated summation (terms are
-    accumulated until |gamma(k)| beta^k <= tol * gamma(0), capped at
-    10^6 lags).
+    accumulated until the remainder bound gamma(0) beta^(k+1) / (1 - beta)
+    is <= tol * gamma(0), capped at 10^6 lags).
     """
     alpha = check_alpha(alpha)
     lipschitz = float(lipschitz)

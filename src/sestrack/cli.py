@@ -14,13 +14,16 @@ import argparse
 import dataclasses
 import json
 import sys
+from dataclasses import MISSING
 
 import numpy as np
 
 from .bounds import exact_mse_sequence, optimize_alpha, tracking_bound
 from .dataio import (
+    SchemaError,
     format_csv,
     load_experiment_config,
+    model_from_dict,
     read_csv_column,
     write_csv,
     write_results,
@@ -33,20 +36,31 @@ from .experiments import (
     simulate_smoothed,
     verify_bound,
 )
-from .processes import AR1, MA1, MAq, Constant, Linear, Sinusoid, WhiteGaussian
+from .processes import NOISE_KINDS, TREND_KINDS, model_fields
 from .smoothing import ses_run
 
-SPEC_GRAMMAR = """\
-model specs are written name:key=value,key=value
-  noise: white:var=1
-         ma1:a=2,var=1
-         ar1:theta=0.2,var=1
-         maq:b1=0.5,b2=-0.3,var=1
-         (sigma=S gives the standard deviation instead of var=V)
-  trend: const:level=5
-         linear:start=2,slope=0.1
-         sin:amp=1,rate=0.0031415926,phase=0
-"""
+
+def _grammar() -> str:
+    """The spec grammar text, generated from the model registries."""
+    lines = ["model specs are written name:key=value,key=value"]
+    for label, kinds in (("noise:", NOISE_KINDS), ("trend:", TREND_KINDS)):
+        for cls in kinds.values():
+            parts = []
+            for _, key, default, is_list in model_fields(cls):
+                if is_list:
+                    parts.append(f"{key}1=<{key}1>,{key}2=<{key}2>,...")
+                elif default is MISSING:
+                    parts.append(f"{key}=<{key}>")
+                else:
+                    parts.append(f"{key}={default:g}")
+            lines.append(f"  {label:7}{cls.kind}:{','.join(parts)}")
+            label = ""
+    lines.append("keys shown with a value may be left out and default to it;")
+    lines.append("sigma=S may replace var=V to give the standard deviation")
+    return "\n".join(lines) + "\n"
+
+
+SPEC_GRAMMAR = _grammar()
 
 
 class UsageError(ValueError):
@@ -57,101 +71,49 @@ def _fmt(value: float) -> str:
     return f"{float(value):.10g}"
 
 
-def _parse_pairs(body: str, where: str) -> dict[str, str]:
-    pairs: dict[str, str] = {}
-    if not body:
-        return pairs
-    for item in body.split(","):
-        key, sep, value = item.partition("=")
-        key, value = key.strip(), value.strip()
+def parse_spec(text: str, kinds: dict[str, type], what: str):
+    """Parse a ``name:key=value,...`` model spec, e.g. ``ar1:theta=0.2,var=1``.
+
+    The spec is tokenized into the object a config file would hold, and
+    decoded by the same registry decoder.  Indexed keys ``b1..bq`` fill the
+    list field ``b``, and ``sigma=S`` stands for ``var=S*S``.  ``kinds`` is
+    NOISE_KINDS or TREND_KINDS; ``what`` names the spec in messages.
+    """
+    name, _, body = text.partition(":")
+    where = f"{what} spec {text!r}"
+    pairs: dict[str, object] = {}
+    for item in body.split(",") if body else ():
+        key, sep, value = (part.strip() for part in item.partition("="))
         if not sep or not key or not value:
             raise UsageError(f"{where}: expected key=value, got {item!r}")
         if key in pairs:
             raise UsageError(f"{where}: duplicate key {key!r}")
-        pairs[key] = value
-    return pairs
-
-
-def _pop_float(pairs: dict[str, str], key: str, where: str, default=None) -> float:
-    if key not in pairs:
-        if default is None:
-            raise UsageError(f"{where}: missing required key {key!r}")
-        return default
-    raw = pairs.pop(key)
-    try:
-        return float(raw)
-    except ValueError:
-        raise UsageError(f"{where}: {key}={raw!r} is not a number") from None
-
-
-def _pop_variance(pairs: dict[str, str], where: str) -> float:
-    if "var" in pairs and "sigma" in pairs:
-        raise UsageError(f"{where}: give either var or sigma, not both")
+        if key == "kind":
+            raise UsageError(f"{where}: unknown key 'kind'")
+        try:
+            pairs[key] = float(value)
+        except ValueError:
+            raise UsageError(f"{where}: {key}={value!r} is not a number") from None
     if "sigma" in pairs:
-        sigma = _pop_float(pairs, "sigma", where)
-        return sigma * sigma
-    return _pop_float(pairs, "var", where, default=1.0)
-
-
-def _reject_leftover(pairs: dict[str, str], where: str) -> None:
-    if pairs:
-        raise UsageError(f"{where}: unknown key(s) {sorted(pairs)}")
-
-
-def parse_noise_spec(text: str):
-    """Parse the noise mini-grammar, e.g. ``ar1:theta=0.2,var=1``."""
-    name, _, body = text.partition(":")
-    name = name.strip().lower()
-    where = f"noise spec {text!r}"
-    pairs = _parse_pairs(body, where)
-    if name == "white":
-        variance = _pop_variance(pairs, where)
-        _reject_leftover(pairs, where)
-        return WhiteGaussian(variance)
-    if name == "ma1":
-        a = _pop_float(pairs, "a", where)
-        variance = _pop_variance(pairs, where)
-        _reject_leftover(pairs, where)
-        return MA1(a, variance)
-    if name == "ar1":
-        theta = _pop_float(pairs, "theta", where)
-        variance = _pop_variance(pairs, where)
-        _reject_leftover(pairs, where)
-        return AR1(theta, variance)
-    if name == "maq":
-        coeffs = []
-        while f"b{len(coeffs) + 1}" in pairs:
-            coeffs.append(_pop_float(pairs, f"b{len(coeffs) + 1}", where))
-        if not coeffs:
-            raise UsageError(f"{where}: needs coefficients b1..bq")
-        variance = _pop_variance(pairs, where)
-        _reject_leftover(pairs, where)
-        return MAq(tuple(coeffs), variance)
-    raise UsageError(f"{where}: unknown noise kind {name!r}")
-
-
-def parse_trend_spec(text: str):
-    """Parse the trend mini-grammar, e.g. ``linear:start=2,slope=0.1``."""
-    name, _, body = text.partition(":")
-    name = name.strip().lower()
-    where = f"trend spec {text!r}"
-    pairs = _parse_pairs(body, where)
-    if name == "const":
-        level = _pop_float(pairs, "level", where)
-        _reject_leftover(pairs, where)
-        return Constant(level)
-    if name == "linear":
-        start = _pop_float(pairs, "start", where)
-        slope = _pop_float(pairs, "slope", where)
-        _reject_leftover(pairs, where)
-        return Linear(start, slope)
-    if name == "sin":
-        amp = _pop_float(pairs, "amp", where)
-        rate = _pop_float(pairs, "rate", where)
-        phase = _pop_float(pairs, "phase", where, default=0.0)
-        _reject_leftover(pairs, where)
-        return Sinusoid(amp, rate, phase)
-    raise UsageError(f"{where}: unknown trend kind {name!r}")
+        if "var" in pairs:
+            raise UsageError(f"{where}: give either var or sigma, not both")
+        sigma = pairs.pop("sigma")
+        pairs["var"] = sigma * sigma
+    kind = name.strip().lower()
+    cls = kinds.get(kind)
+    list_keys = [key for _, key, _, is_list in model_fields(cls) if is_list] if cls else []
+    for key in list_keys:
+        items = []
+        while f"{key}{len(items) + 1}" in pairs:
+            items.append(pairs.pop(f"{key}{len(items) + 1}"))
+        if items:
+            if key in pairs:
+                raise UsageError(f"{where}: give either {key} or {key}1.., not both")
+            pairs[key] = items
+    try:
+        return model_from_dict({"kind": kind, **pairs}, kinds, where)
+    except SchemaError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def parse_init(text: str):
@@ -198,8 +160,8 @@ def _cmd_smooth(args) -> int:
 
 def _cmd_simulate(args) -> int:
     smoothed = simulate_smoothed(
-        parse_noise_spec(args.noise),
-        parse_trend_spec(args.trend),
+        parse_spec(args.noise, NOISE_KINDS, "noise"),
+        parse_spec(args.trend, TREND_KINDS, "trend"),
         args.alpha,
         args.steps,
         args.seed,
@@ -220,7 +182,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_bound(args) -> int:
-    noise = parse_noise_spec(args.noise)
+    noise = parse_spec(args.noise, NOISE_KINDS, "noise")
     report = tracking_bound(args.alpha, noise.autocovariance_fn(), args.k, tol=args.tol)
     if args.json:
         print(json.dumps(dataclasses.asdict(report)))
@@ -230,7 +192,7 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_optimize_alpha(args) -> int:
-    noise = parse_noise_spec(args.noise)
+    noise = parse_spec(args.noise, NOISE_KINDS, "noise")
     result = optimize_alpha(noise.autocovariance_fn(), args.k, search_tol=args.tol)
     if args.json:
         payload = {
@@ -252,8 +214,8 @@ def _require(args, names: list[str], mode: str) -> None:
 
 
 def _cmd_mse(args) -> int:
-    noise = parse_noise_spec(args.noise)
-    trend = parse_trend_spec(args.trend)
+    noise = parse_spec(args.noise, NOISE_KINDS, "noise")
+    trend = parse_spec(args.trend, TREND_KINDS, "trend")
     if args.mode == "exact":
         _require(args, ["alpha", "steps"], "exact")
         sequence = exact_mse_sequence(

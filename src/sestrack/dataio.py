@@ -3,7 +3,8 @@
 CSV files are UTF-8 with a header row, comma separators, ``\\n`` newlines
 and floats printed at 17 significant digits, which round-trips IEEE
 doubles exactly.  SVG output is a self-contained 800x500 document.  Config
-documents are strict JSON (schema_version 1, unknown keys rejected).
+documents are strict JSON (schema_version 1, unknown keys and wrong JSON
+types rejected with the failing key path, such as ``config.noise.a``).
 """
 
 from __future__ import annotations
@@ -11,22 +12,12 @@ from __future__ import annotations
 import csv
 import json
 import math
+from dataclasses import MISSING
 from pathlib import Path
 
 import numpy as np
 
-from .processes import (
-    AR1,
-    MA1,
-    MAq,
-    Constant,
-    Linear,
-    NoiseModel,
-    Sinusoid,
-    Table,
-    TrendSpec,
-    WhiteGaussian,
-)
+from .processes import NOISE_KINDS, TREND_KINDS, model_fields
 
 CONFIG_SCHEMA_VERSION = 1
 
@@ -260,84 +251,85 @@ def write_results(result, path, fmt: str = "csv") -> Path:
 # JSON experiment configs
 # ---------------------------------------------------------------------------
 
-def _check_keys(mapping: dict, required: set[str], optional: set[str], where: str) -> None:
+class SchemaError(ValueError):
+    """A document whose keys or JSON types do not match the declared
+    fields; value ranges are checked by the constructors instead."""
+
+
+def _check_keys(mapping, required: set[str], optional: set[str], where: str) -> None:
     if not isinstance(mapping, dict):
-        raise ValueError(f"{where}: expected an object")
+        raise SchemaError(f"{where}: expected an object, got {mapping!r}")
     keys = set(mapping)
     unknown = keys - required - optional
     if unknown:
         allowed = ", ".join(sorted(required | optional))
-        raise ValueError(
+        raise SchemaError(
             f"{where}: unknown key(s) {sorted(unknown)}; allowed keys: {allowed}"
         )
     missing = required - keys
     if missing:
-        raise ValueError(f"{where}: missing required key(s) {sorted(missing)}")
+        raise SchemaError(f"{where}: missing required key(s) {sorted(missing)}")
 
 
-def noise_to_dict(noise: NoiseModel) -> dict:
-    if isinstance(noise, WhiteGaussian):
-        return {"kind": "white", "var": noise.variance}
-    if isinstance(noise, MA1):
-        return {"kind": "ma1", "a": noise.coefficient, "var": noise.innovation_variance}
-    if isinstance(noise, AR1):
-        return {"kind": "ar1", "theta": noise.theta, "var": noise.innovation_variance}
-    if isinstance(noise, MAq):
-        return {"kind": "maq", "b": list(noise.coefficients), "var": noise.innovation_variance}
-    raise TypeError(f"not a noise model: {type(noise).__name__}")
+def _number(value, where: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SchemaError(f"{where}: expected a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise SchemaError(f"{where}: {value} is out of range") from None
 
 
-def noise_from_dict(data: dict) -> NoiseModel:
+def _numbers(value, where: str) -> tuple[float, ...]:
+    if not isinstance(value, list):
+        raise SchemaError(f"{where}: expected a list of numbers, got {value!r}")
+    return tuple(_number(v, f"{where}[{i}]") for i, v in enumerate(value))
+
+
+def _integer(value, where: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SchemaError(f"{where}: expected an integer, got {value!r}")
+    return value
+
+
+def model_to_dict(model) -> dict:
+    """The JSON object of a registered noise or trend model."""
+    document = {"kind": model.kind}
+    for attr, key, _, _ in model_fields(type(model)):
+        value = getattr(model, attr)
+        document[key] = list(value) if isinstance(value, tuple) else value
+    return document
+
+
+def model_from_dict(data, kinds: dict[str, type], where: str):
+    """Build the model a ``{"kind": ..., key: value, ...}`` object describes.
+
+    ``kinds`` is NOISE_KINDS or TREND_KINDS.  Wrong keys and JSON types raise
+    SchemaError naming the failing path below ``where``.
+    """
+    if not isinstance(data, dict):
+        raise SchemaError(f"{where}: expected an object, got {data!r}")
     kind = data.get("kind")
-    if kind == "white":
-        _check_keys(data, {"kind"}, {"var"}, "noise")
-        return WhiteGaussian(float(data.get("var", 1.0)))
-    if kind == "ma1":
-        _check_keys(data, {"kind", "a"}, {"var"}, "noise")
-        return MA1(float(data["a"]), float(data.get("var", 1.0)))
-    if kind == "ar1":
-        _check_keys(data, {"kind", "theta"}, {"var"}, "noise")
-        return AR1(float(data["theta"]), float(data.get("var", 1.0)))
-    if kind == "maq":
-        _check_keys(data, {"kind", "b"}, {"var"}, "noise")
-        return MAq(tuple(float(b) for b in data["b"]), float(data.get("var", 1.0)))
-    raise ValueError(f"noise: unknown kind {kind!r}; expected white, ma1, ar1 or maq")
-
-
-def trend_to_dict(trend: TrendSpec) -> dict:
-    if isinstance(trend, Constant):
-        return {"kind": "const", "level": trend.level}
-    if isinstance(trend, Linear):
-        return {"kind": "linear", "start": trend.start, "slope": trend.slope}
-    if isinstance(trend, Sinusoid):
-        return {"kind": "sin", "amp": trend.amplitude, "rate": trend.rate, "phase": trend.phase}
-    if isinstance(trend, Table):
-        return {"kind": "table", "values": list(trend.values)}
-    raise TypeError(f"not a trend: {type(trend).__name__}")
-
-
-def trend_from_dict(data: dict) -> TrendSpec:
-    kind = data.get("kind")
-    if kind == "const":
-        _check_keys(data, {"kind", "level"}, set(), "trend")
-        return Constant(float(data["level"]))
-    if kind == "linear":
-        _check_keys(data, {"kind", "start", "slope"}, set(), "trend")
-        return Linear(float(data["start"]), float(data["slope"]))
-    if kind == "sin":
-        _check_keys(data, {"kind", "amp", "rate"}, {"phase"}, "trend")
-        return Sinusoid(float(data["amp"]), float(data["rate"]), float(data.get("phase", 0.0)))
-    if kind == "table":
-        _check_keys(data, {"kind", "values"}, set(), "trend")
-        return Table(tuple(float(v) for v in data["values"]))
-    raise ValueError(f"trend: unknown kind {kind!r}; expected const, linear, sin or table")
+    cls = kinds.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        *head, last = kinds
+        raise SchemaError(f"{where}: unknown kind {kind!r}; expected {', '.join(head)} or {last}")
+    declared = model_fields(cls)
+    required = {key for _, key, default, _ in declared if default is MISSING}
+    _check_keys(data, required | {"kind"}, {key for _, key, _, _ in declared}, where)
+    values = {
+        attr: (_numbers if is_list else _number)(data[key], f"{where}.{key}")
+        for attr, key, _, is_list in declared
+        if key in data
+    }
+    return cls(**values)
 
 
 def experiment_config_to_dict(config, output: dict | None = None) -> dict:
     document = {
         "schema_version": CONFIG_SCHEMA_VERSION,
-        "noise": noise_to_dict(config.noise),
-        "trend": trend_to_dict(config.trend),
+        "noise": model_to_dict(config.noise),
+        "trend": model_to_dict(config.trend),
         "alpha": config.alpha,
         "horizon": config.horizon,
         "replications": config.replications,
@@ -350,7 +342,10 @@ def experiment_config_to_dict(config, output: dict | None = None) -> dict:
     return document
 
 
-def experiment_config_from_dict(document: dict):
+def experiment_config_from_dict(document):
+    """Decode a schema-1 config document; returns (ExperimentConfig, output
+    options).  Every key and JSON type is checked: numbers must be JSON
+    numbers, counts and the seed JSON integers, never bools or strings."""
     from .experiments import ExperimentConfig
 
     _check_keys(
@@ -359,26 +354,30 @@ def experiment_config_from_dict(document: dict):
         {"init", "tail_fraction", "output"},
         "config",
     )
-    version = document["schema_version"]
+    version = _integer(document["schema_version"], "config.schema_version")
     if version != CONFIG_SCHEMA_VERSION:
-        raise ValueError(
+        raise SchemaError(
             f"config: schema_version {version!r} not supported; expected {CONFIG_SCHEMA_VERSION}"
         )
     init = document.get("init", "first")
-    if not isinstance(init, str):
-        init = float(init)
+    if isinstance(init, str) and init != "first":
+        raise SchemaError(f'config.init: expected "first" or a number, got {init!r}')
+    if init != "first":
+        init = _number(init, "config.init")
     output = document.get("output", {})
-    if output:
-        _check_keys(output, set(), {"csv", "svg"}, "config.output")
+    _check_keys(output, set(), {"csv", "svg"}, "config.output")
+    for key, value in output.items():
+        if not isinstance(value, str):
+            raise SchemaError(f"config.output.{key}: expected a path string, got {value!r}")
     config = ExperimentConfig(
-        noise=noise_from_dict(document["noise"]),
-        trend=trend_from_dict(document["trend"]),
-        alpha=float(document["alpha"]),
-        horizon=int(document["horizon"]),
-        replications=int(document["replications"]),
-        seed=int(document["seed"]),
+        noise=model_from_dict(document["noise"], NOISE_KINDS, "config.noise"),
+        trend=model_from_dict(document["trend"], TREND_KINDS, "config.trend"),
+        alpha=_number(document["alpha"], "config.alpha"),
+        horizon=_integer(document["horizon"], "config.horizon"),
+        replications=_integer(document["replications"], "config.replications"),
+        seed=_integer(document["seed"], "config.seed"),
         init=init,
-        tail_fraction=float(document.get("tail_fraction", 0.1)),
+        tail_fraction=_number(document.get("tail_fraction", 0.1), "config.tail_fraction"),
     )
     return config, dict(output)
 

@@ -28,13 +28,18 @@ stationary distribution.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Union
+import typing
+from dataclasses import MISSING, dataclass, field, fields
+from typing import Callable, ClassVar, Union
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .seeding import make_generator
+
+
+def _key(key: str, default=MISSING):
+    """Dataclass field named ``key`` in config files and CLI specs."""
+    return field(default=default, metadata={"key": key})
 
 
 def _check_variance(value: float) -> None:
@@ -68,7 +73,8 @@ class Autocovariance:
 class WhiteGaussian:
     """Independent Gaussian noise with the given variance."""
 
-    variance: float = 1.0
+    kind: ClassVar[str] = "white"
+    variance: float = _key("var", 1.0)
 
     def __post_init__(self) -> None:
         _check_variance(self.variance)
@@ -95,8 +101,9 @@ class MA1:
     stationary.
     """
 
-    coefficient: float
-    innovation_variance: float = 1.0
+    kind: ClassVar[str] = "ma1"
+    coefficient: float = _key("a")
+    innovation_variance: float = _key("var", 1.0)
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.coefficient):
@@ -131,11 +138,12 @@ class AR1:
     ``theta`` must lie strictly inside (0, 1).  gamma(0) =
     innovation_variance / (1 - theta^2) and gamma(k) = theta^|k| gamma(0).
     eps_1 is drawn from the exact stationary law, then the recursion runs
-    in a single C-level filter pass.
+    step by step on Python floats.
     """
 
-    theta: float
-    innovation_variance: float = 1.0
+    kind: ClassVar[str] = "ar1"
+    theta: float = _key("theta")
+    innovation_variance: float = _key("var", 1.0)
 
     def __post_init__(self) -> None:
         if not (0.0 < self.theta < 1.0):
@@ -154,12 +162,13 @@ class AR1:
         return Autocovariance(self.gamma, summable=True, weighted_tail=tail)
 
     def _draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        first = math.sqrt(self.gamma(0)) * rng.standard_normal()
-        if n == 1:
-            return np.array([first])
+        acc = math.sqrt(self.gamma(0)) * rng.standard_normal()
         eta = math.sqrt(self.innovation_variance) * rng.standard_normal(n - 1)
-        driven = np.concatenate(([first], eta))
-        return lfilter([1.0], [1.0, -self.theta], driven)
+        theta, out = self.theta, [acc]
+        for eta_i in eta.tolist():
+            acc = theta * acc + eta_i
+            out.append(acc)
+        return np.array(out)
 
 
 @dataclass(frozen=True)
@@ -172,8 +181,9 @@ class MAq:
     is not variance-normalized: gamma(0) = innovation_variance * sum b_j^2.
     """
 
-    coefficients: tuple[float, ...]
-    innovation_variance: float = 1.0
+    kind: ClassVar[str] = "maq"
+    coefficients: tuple[float, ...] = _key("b")
+    innovation_variance: float = _key("var", 1.0)
 
     def __post_init__(self) -> None:
         coeffs = tuple(float(b) for b in self.coefficients)
@@ -212,11 +222,6 @@ class MAq:
 NoiseModel = Union[WhiteGaussian, MA1, AR1, MAq]
 
 
-def autocovariance(noise: NoiseModel, lag: int) -> float:
-    """gamma(|lag|) of the noise model; total on all integer lags."""
-    return noise.gamma(abs(int(lag)))
-
-
 def _check_step(t: int) -> int:
     t = int(t)
     if t < 1:
@@ -228,7 +233,8 @@ def _check_step(t: int) -> int:
 class Constant:
     """Flat trend; one-step increments are all zero."""
 
-    level: float
+    kind: ClassVar[str] = "const"
+    level: float = _key("level")
 
     @property
     def lipschitz_constant(self) -> float:
@@ -246,8 +252,9 @@ class Constant:
 class Linear:
     """Ramp ``start + slope * (t - 1)``; the increment bound is |slope|."""
 
-    start: float
-    slope: float
+    kind: ClassVar[str] = "linear"
+    start: float = _key("start")
+    slope: float = _key("slope")
 
     @property
     def lipschitz_constant(self) -> float:
@@ -268,9 +275,10 @@ class Sinusoid:
     one-step increment bound.
     """
 
-    amplitude: float
-    rate: float
-    phase: float = 0.0
+    kind: ClassVar[str] = "sin"
+    amplitude: float = _key("amp")
+    rate: float = _key("rate")
+    phase: float = _key("phase", 0.0)
 
     @property
     def lipschitz_constant(self) -> float:
@@ -290,7 +298,8 @@ class Table:
     """Explicit 1-indexed trend values; the increment bound is the largest
     consecutive difference."""
 
-    values: tuple[float, ...]
+    kind: ClassVar[str] = "table"
+    values: tuple[float, ...] = _key("values")
 
     def __post_init__(self) -> None:
         vals = tuple(float(v) for v in self.values)
@@ -324,10 +333,24 @@ class Table:
 
 TrendSpec = Union[Constant, Linear, Sinusoid, Table]
 
+# Every model kind is declared once, on its class, which is listed in
+# NoiseModel or TrendSpec: ``kind`` names it, each field's metadata gives its
+# external key, its default makes it optional and its annotation gives its
+# type (a number, or a list of numbers for a tuple).  The config codec, the
+# CLI spec tokenizer and the spec grammar all read these registries.
+NOISE_KINDS: dict[str, type] = {c.kind: c for c in typing.get_args(NoiseModel)}
+TREND_KINDS: dict[str, type] = {c.kind: c for c in typing.get_args(TrendSpec)}
 
-def trend_value(trend: TrendSpec, t: int) -> float:
-    """Deterministic trend value m*_t (t >= 1)."""
-    return float(trend.value(t))
+
+def model_fields(cls: type) -> list[tuple[str, str, object, bool]]:
+    """``(attribute, key, default, is_list)`` for each declared field of a
+    registered model class; ``default`` is ``dataclasses.MISSING`` when the
+    field is required."""
+    hints = typing.get_type_hints(cls)
+    return [
+        (f.name, f.metadata["key"], f.default, typing.get_origin(hints[f.name]) is tuple)
+        for f in fields(cls)
+    ]
 
 
 def trend_sequence(trend: TrendSpec, horizon: int) -> np.ndarray:

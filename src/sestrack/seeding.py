@@ -11,6 +11,9 @@ properties are.
 Replicated experiments never use sequential seeds.  Child seeds are derived
 with the SplitMix64 avalanche finalizer, so that neighbouring replication
 indices map to unrelated points of the key space.
+
+User seeds must lie in [0, 2^64); anything else is rejected rather than
+wrapped, so two different seeds never name the same stream.
 """
 
 from __future__ import annotations
@@ -29,13 +32,19 @@ def splitmix64(value: int) -> int:
     return (z ^ (z >> 31)) & _MASK64
 
 
+def _check_seed(seed: int) -> int:
+    if not 0 <= seed <= _MASK64:
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
+    return seed
+
+
 def child_seed(master: int, index: int) -> int:
     """Seed for replication ``index`` of an experiment with seed ``master``."""
     if index < 0:
         raise ValueError(f"replication index must be >= 0, got {index}")
-    return splitmix64(splitmix64(master & _MASK64) ^ (index & _MASK64))
+    return splitmix64(splitmix64(_check_seed(master)) ^ (index & _MASK64))
 
 
 def make_generator(seed: int) -> np.random.Generator:
     """Philox generator keyed with ``seed`` (counter starting at zero)."""
-    return np.random.Generator(np.random.Philox(key=seed & _MASK64))
+    return np.random.Generator(np.random.Philox(key=_check_seed(seed)))

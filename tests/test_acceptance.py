@@ -16,7 +16,6 @@ from sestrack import (
     Constant,
     ExperimentConfig,
     WhiteGaussian,
-    autocovariance,
     compare_negative_vs_positive_ma,
     exact_mse_sequence,
     gaussian_model,
@@ -88,7 +87,7 @@ def test_criterion_03_monte_carlo_matches_exact_oracle():
 def test_criterion_04_theorem_holds_at_paper_configs():
     noise_1a, trend_1a = FIGURE_CONFIGS["1a"]
     assert trend_1a.lipschitz_constant == pytest.approx(0.1, abs=1e-15)
-    assert autocovariance(noise_1a, 1) == pytest.approx(0.4, abs=1e-15)
+    assert noise_1a.gamma(1) == pytest.approx(0.4, abs=1e-15)
     for figure, (noise, trend) in sorted(FIGURE_CONFIGS.items()):
         config = ExperimentConfig(
             noise,

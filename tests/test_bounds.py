@@ -7,6 +7,7 @@ import pytest
 from sestrack import (
     AR1,
     MA1,
+    MAq,
     Autocovariance,
     Constant,
     Linear,
@@ -75,6 +76,29 @@ def test_series_matches_closed_form():
     k = series.truncation_lag
     expected_residual = model.gamma(0) * beta ** (k + 1) / (1.0 - beta)
     assert series.truncation_residual_bound == pytest.approx(expected_residual, rel=1e-12)
+
+
+def test_series_tail_not_cut_at_a_zero_lag():
+    # gamma(1) = 0 sits between nonzero lags, as in a seasonal moving average
+    gamma = Autocovariance(lambda k: {0: 1.0, 2: 0.5}.get(k, 0.0))
+    report = tracking_bound(0.1, gamma, 0.0, method="series")
+    expected = 2.0 * 0.1 / 1.9 * 0.5 * 0.9**2
+    assert report.correlation_term == pytest.approx(expected, rel=1e-12)
+    assert report.truncation_residual_bound <= 1e-14
+
+
+@pytest.mark.parametrize("alpha", [0.02, 0.1, 0.37, 0.9])
+@pytest.mark.parametrize(
+    "noise",
+    [WhiteGaussian(1.3), MA1(2.0), MA1(-0.4, 0.7), AR1(0.2), AR1(0.85, 2.0), MAq((0.5, 0.0, -0.3), 1.2)],
+    ids=lambda n: n.kind,
+)
+def test_series_matches_closed_form_for_every_builtin(noise, alpha):
+    gamma = noise.autocovariance_fn()
+    closed = tracking_bound(alpha, gamma, 0.0, method="closed")
+    series = tracking_bound(alpha, gamma, 0.0, method="series")
+    assert series.correlation_term == pytest.approx(closed.correlation_term, rel=1e-12, abs=1e-14)
+    assert series.truncation_residual_bound <= 1e-14 * noise.gamma(0)
 
 
 def test_series_required_inputs():

@@ -75,6 +75,41 @@ def test_unknown_key_is_usage_error(capsys):
     assert "theta" in err
 
 
+def test_malformed_specs_exit_two_with_grammar(capsys):
+    for spec in ("ar1", "ar1:theta", "ar1:theta=x", "maq:var=1", "maq:b1=1,b3=2",
+                 "ar1:theta=0.2,sigma=1,var=1", "ma1:a=1,a=2"):
+        code, _, err = run(capsys, "bound", "--alpha", "0.1", "--k", "0", "--noise", spec)
+        assert code == 2, spec
+        assert "model specs are written" in err
+
+
+def test_spec_domain_error_exit_one(capsys):
+    code, _, err = run(capsys, "bound", "--alpha", "0.1", "--k", "0", "--noise", "ar1:theta=1.5")
+    assert code == 1
+    assert "(0, 1)" in err and "model specs are written" not in err
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64), str(2**70)])
+def test_out_of_range_seed_exit_one(capsys, seed):
+    code, _, err = run(
+        capsys, "simulate", "--trend", "const:level=0", "--noise", "white:var=1",
+        "--alpha", "0.1", "--steps", "5", "--seed", seed,
+    )
+    assert code == 1 and "seed must lie in [0, 2**64)" in err
+    code, _, err = run(
+        capsys, "mse", "--mode", "mc", "--alpha", "0.3", "--noise", "white:var=1",
+        "--trend", "const:level=0", "--steps", "5", "--reps", "3", "--seed", seed,
+    )
+    assert code == 1 and "seed must lie in [0, 2**64)" in err
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_out_of_range_config_seed_exit_one(tmp_path, capsys, seed):
+    config = _write_config(tmp_path / "seed.json", horizon=10, replications=3, seed=seed)
+    code, _, err = run(capsys, "verify", "--config", str(config))
+    assert code == 1 and "seed must lie in [0, 2**64)" in err
+
+
 def test_domain_error_exit_one(capsys):
     code, _, err = run(capsys, "bound", "--alpha", "1.5", "--k", "0", "--noise", "white:var=1")
     assert code == 1

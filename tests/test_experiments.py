@@ -17,7 +17,6 @@ from sestrack import (
     reproduce_figure,
     simulate_smoothed,
     tracking_bound,
-    trend_value,
     verify_bound,
     write_results,
 )
@@ -115,7 +114,7 @@ def test_exact_oracle_agreement_randomized():
             500,
             1000,
             seed=int(rng.integers(2**63)),
-            init=trend_value(trend, 1),  # deterministic init: exactness regime
+            init=trend.value(1),  # deterministic init: exactness regime
         )
         curve = monte_carlo_mse(config)
         exact = exact_mse_sequence(alpha, noise.autocovariance_fn(), trend, 500, "paper")
@@ -210,8 +209,8 @@ def test_zero_magnitude_arms_identical():
 
 def test_figure_3a_trend_convention():
     _, trend = FIGURE_CONFIGS["3a"]
-    assert trend_value(trend, 1) == pytest.approx(0.1)
-    assert trend_value(trend, 2) == pytest.approx(0.11)
+    assert trend.value(1) == pytest.approx(0.1)
+    assert trend.value(2) == pytest.approx(0.11)
 
 
 def test_reproduce_figure_outputs(tmp_path):

@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,10 +17,9 @@ from sestrack import (
     Sinusoid,
     Table,
     WhiteGaussian,
-    autocovariance,
+    make_generator,
     sample_path,
     trend_sequence,
-    trend_value,
 )
 
 MODELS = [
@@ -35,26 +38,26 @@ MODELS = [
 
 def test_ma1_lag_one_value():
     # a / (1 + a^2) at a = 2 is exactly 2/5
-    assert autocovariance(MA1(2.0), 1) == pytest.approx(0.4, abs=1e-15)
-    assert autocovariance(MA1(2.0), 0) == 1.0
-    assert autocovariance(MA1(2.0), 2) == 0.0
-    assert autocovariance(MA1(2.0), -1) == pytest.approx(0.4, abs=1e-15)
+    assert MA1(2.0).gamma(1) == pytest.approx(0.4, abs=1e-15)
+    assert MA1(2.0).gamma(0) == 1.0
+    assert MA1(2.0).gamma(2) == 0.0
+    assert MA1(2.0).gamma(-1) == pytest.approx(0.4, abs=1e-15)
 
 
 def test_white_noise_off_lag_zero():
-    assert autocovariance(WhiteGaussian(1.0), 3) == 0.0
-    assert autocovariance(WhiteGaussian(2.5), 0) == 2.5
+    assert WhiteGaussian(1.0).gamma(3) == 0.0
+    assert WhiteGaussian(2.5).gamma(0) == 2.5
 
 
 def test_ar1_stationary_variance():
     expected = float(Fraction(1, 1) / (1 - Fraction(1, 5) ** 2))  # 1 / (1 - 0.04)
-    assert autocovariance(AR1(0.2), 0) == pytest.approx(expected, abs=1e-12)
-    assert autocovariance(AR1(0.2), 3) == pytest.approx(expected * 0.2**3, rel=1e-12)
+    assert AR1(0.2).gamma(0) == pytest.approx(expected, abs=1e-12)
+    assert AR1(0.2).gamma(3) == pytest.approx(expected * 0.2**3, rel=1e-12)
 
 
 def test_ma1_negative_coefficient():
     expected = float(Fraction(-4, 10) / (1 + Fraction(4, 10) ** 2))  # -10/29
-    assert autocovariance(MA1(-0.4), 1) == pytest.approx(expected, abs=1e-12)
+    assert MA1(-0.4).gamma(1) == pytest.approx(expected, abs=1e-12)
 
 
 def test_maq_matches_brute_force():
@@ -79,8 +82,8 @@ def test_evenness_and_dominance(model):
     g0 = model.gamma(0)
     assert g0 >= 0.0
     for k in range(-10, 11):
-        assert autocovariance(model, k) == autocovariance(model, -k)
-        assert abs(autocovariance(model, k)) <= g0 + 1e-15
+        assert model.gamma(k) == model.gamma(-k)
+        assert abs(model.gamma(k)) <= g0 + 1e-15
 
 
 def test_validation():
@@ -99,26 +102,26 @@ def test_validation():
 # ---------------------------------------------------------------------------
 
 def test_linear_first_step_is_start():
-    assert trend_value(Linear(2.0, 0.1), 1) == 2.0
-    assert trend_value(Linear(2.0, 0.1), 11) == pytest.approx(3.0, rel=1e-12)
+    assert Linear(2.0, 0.1).value(1) == 2.0
+    assert Linear(2.0, 0.1).value(11) == pytest.approx(3.0, rel=1e-12)
 
 
 def test_sinusoid_starts_at_phase():
-    assert trend_value(Sinusoid(1.0, math.pi / 1000, 0.0), 1) == 0.0
+    assert Sinusoid(1.0, math.pi / 1000, 0.0).value(1) == 0.0
 
 
 def test_constant_everywhere():
-    assert trend_value(Constant(5.0), 1) == 5.0
-    assert trend_value(Constant(5.0), 12345) == 5.0
+    assert Constant(5.0).value(1) == 5.0
+    assert Constant(5.0).value(12345) == 5.0
 
 
 def test_table_lookup_and_errors():
     table = Table((1.0, 2.5, 2.0))
-    assert trend_value(table, 2) == 2.5
+    assert table.value(2) == 2.5
     with pytest.raises(IndexError):
-        trend_value(table, 4)
+        table.value(4)
     with pytest.raises(ValueError):
-        trend_value(table, 0)
+        table.value(0)
     with pytest.raises(IndexError):
         trend_sequence(table, 4)
 
@@ -134,7 +137,7 @@ def test_lipschitz_constants():
 def test_sequence_matches_pointwise():
     for trend in (Linear(2.0, 0.1), Sinusoid(1.5, 0.01, 0.4), Constant(-2.0)):
         seq = trend_sequence(trend, 50)
-        assert seq == pytest.approx([trend_value(trend, t) for t in range(1, 51)])
+        assert seq == pytest.approx([trend.value(t) for t in range(1, 51)])
 
 
 # ---------------------------------------------------------------------------
@@ -238,3 +241,32 @@ def test_sample_path_validation():
         sample_path(WhiteGaussian(1.0), Constant(0.0), 0, seed=1)
     with pytest.raises(ValueError):
         sample_path(WhiteGaussian(1.0), Constant(0.0), 10, seed=1, burn_in=-1)
+
+
+def test_ar1_draw_is_the_recurrence_on_the_philox_stream():
+    # rebuilds eps_1 ~ N(0, gamma(0)), eps_{t+1} = theta eps_t + eta_t from
+    # the same Philox draws, so the AR(1) bits are pinned independently of
+    # how the filter is implemented
+    noise = AR1(0.9, 1.3)
+    rng = make_generator(42)
+    eps = math.sqrt(noise.gamma(0)) * rng.standard_normal()
+    expected = [eps]
+    for eta in rng.standard_normal(499).tolist():
+        eps = 0.9 * eps + math.sqrt(1.3) * eta
+        expected.append(eps)
+    path = sample_path(noise, Constant(0.0), 500, seed=42)
+    assert np.array_equal(path.residuals(), expected)
+    one = sample_path(noise, Constant(0.0), 1, seed=42)
+    assert np.array_equal(one.residuals(), expected[:1])
+
+
+def test_import_loads_no_scipy():
+    import sestrack
+
+    src = str(Path(sestrack.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = "import sys, sestrack, sestrack.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "[]"

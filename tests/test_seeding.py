@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from sestrack.seeding import child_seed, make_generator, splitmix64
 
@@ -27,3 +28,17 @@ def test_generator_repeatable():
     assert np.array_equal(a, b)
     c = make_generator(100).standard_normal(16)
     assert not np.array_equal(a, c)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_out_of_range_seed_rejected(seed):
+    with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\*\*64\)"):
+        child_seed(seed, 0)
+    with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\*\*64\)"):
+        make_generator(seed)
+
+
+def test_seed_range_edges_accepted():
+    assert child_seed(0, 3) != child_seed(2**64 - 1, 3)
+    make_generator(0)
+    make_generator(2**64 - 1)
