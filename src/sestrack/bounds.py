@@ -119,10 +119,6 @@ def tracking_bound(
     elif method == "closed":
         raise ValueError("no closed-form correlation tail available for this autocovariance")
     else:
-        if not gamma.summable:
-            raise ValueError(
-                "correlation tail needs a summable autocovariance or a closed form"
-            )
         tail, lag, residual = _weighted_tail_series(gamma, beta, tol)
 
     front = alpha / (2.0 - alpha)
@@ -285,7 +281,6 @@ def optimize_alpha(
     lipschitz: float,
     *,
     search_tol: float = 1e-6,
-    tail_tol: float = 1e-14,
 ) -> AlphaSearchResult:
     """Minimize the bound total over alpha in (0, 1).
 
@@ -296,7 +291,7 @@ def optimize_alpha(
     """
 
     def objective(a: float) -> float:
-        return tracking_bound(a, gamma, lipschitz, tol=tail_tol).total
+        return tracking_bound(a, gamma, lipschitz).total
 
     grid = np.linspace(0.0, 1.0, GRID_POINTS + 2)[1:-1]
     values = np.array([objective(a) for a in grid])
@@ -305,12 +300,12 @@ def optimize_alpha(
     if gamma(0) == 0.0 and float(lipschitz) == 0.0:
         alpha_star = float(grid[0])
         return AlphaSearchResult(
-            alpha_star, tracking_bound(alpha_star, gamma, lipschitz, tol=tail_tol), True
+            alpha_star, tracking_bound(alpha_star, gamma, lipschitz), True
         )
 
     lo = float(grid[best - 1]) if best > 0 else float(grid[0])
     hi = float(grid[best + 1]) if best + 1 < len(grid) else float(grid[-1])
     alpha_star = float(_golden_section_min(objective, lo, hi, search_tol))
     return AlphaSearchResult(
-        alpha_star, tracking_bound(alpha_star, gamma, lipschitz, tol=tail_tol), False
+        alpha_star, tracking_bound(alpha_star, gamma, lipschitz), False
     )

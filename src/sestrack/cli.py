@@ -76,42 +76,49 @@ def parse_spec(text: str, kinds: dict[str, type], what: str):
 
     The spec is tokenized into the object a config file would hold, and
     decoded by the same registry decoder.  Indexed keys ``b1..bq`` fill the
-    list field ``b``, and ``sigma=S`` stands for ``var=S*S``.  ``kinds`` is
+    list field ``b``, and ``sigma=S`` stands for ``var=S*S``; any other key,
+    ``kind`` and a bare ``b`` included, is unknown.  ``kinds`` is
     NOISE_KINDS or TREND_KINDS; ``what`` names the spec in messages.
     """
     name, _, body = text.partition(":")
     where = f"{what} spec {text!r}"
-    pairs: dict[str, object] = {}
+    pairs: dict[str, float] = {}
     for item in body.split(",") if body else ():
         key, sep, value = (part.strip() for part in item.partition("="))
         if not sep or not key or not value:
             raise UsageError(f"{where}: expected key=value, got {item!r}")
         if key in pairs:
             raise UsageError(f"{where}: duplicate key {key!r}")
-        if key == "kind":
-            raise UsageError(f"{where}: unknown key 'kind'")
         try:
             pairs[key] = float(value)
         except ValueError:
             raise UsageError(f"{where}: {key}={value!r} is not a number") from None
-    if "sigma" in pairs:
-        if "var" in pairs:
-            raise UsageError(f"{where}: give either var or sigma, not both")
-        sigma = pairs.pop("sigma")
-        pairs["var"] = sigma * sigma
     kind = name.strip().lower()
     cls = kinds.get(kind)
-    list_keys = [key for _, key, _, is_list in model_fields(cls) if is_list] if cls else []
-    for key in list_keys:
-        items = []
-        while f"{key}{len(items) + 1}" in pairs:
-            items.append(pairs.pop(f"{key}{len(items) + 1}"))
-        if items:
-            if key in pairs:
-                raise UsageError(f"{where}: give either {key} or {key}1.., not both")
-            pairs[key] = items
+    values: dict[str, object] = {}
+    if cls is not None:  # an unknown kind is reported by the decoder
+        declared = model_fields(cls)
+        plain = [key for _, key, _, is_list in declared if not is_list]
+        if "var" in plain and "sigma" in pairs:
+            if "var" in pairs:
+                raise UsageError(f"{where}: give either var or sigma, not both")
+            sigma = pairs.pop("sigma")
+            pairs["var"] = sigma * sigma
+        values = {key: pairs.pop(key) for key in plain if key in pairs}
+        for _, key, _, is_list in declared:
+            items = []
+            while is_list and f"{key}{len(items) + 1}" in pairs:
+                items.append(pairs.pop(f"{key}{len(items) + 1}"))
+            if items:
+                values[key] = items
+        if pairs:
+            allowed = [f"{k}1, {k}2, ..." if is_list else k for _, k, _, is_list in declared]
+            allowed += ["sigma"] if "var" in plain else []
+            raise UsageError(
+                f"{where}: unknown key(s) {sorted(pairs)}; allowed keys: {', '.join(allowed)}"
+            )
     try:
-        return model_from_dict({"kind": kind, **pairs}, kinds, where)
+        return model_from_dict({"kind": kind, **values}, kinds, where)
     except SchemaError as exc:
         raise UsageError(str(exc)) from None
 
@@ -349,7 +356,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, help="master seed (mc mode)")
     p.add_argument("--init", default="first", help='initial estimate (mc mode)')
     p.add_argument("--workers", type=int,
-                   help="worker threads (mc mode; default: $SESTRACK_WORKERS or 1)")
+                   help="accepted for compatibility, an integer >= 1; blocks always "
+                   "run serially and the result is the same (mc mode)")
     p.add_argument("--out", help="output CSV path")
     p.add_argument("--json", action="store_true", help="machine-readable summary")
     p.set_defaults(handler=_cmd_mse)
@@ -358,7 +366,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True, help="JSON experiment config")
     p.add_argument("--reps", type=int, help="override the configured replications")
     p.add_argument("--workers", type=int,
-                   help="worker threads (default: $SESTRACK_WORKERS or 1)")
+                   help="accepted for compatibility, an integer >= 1; blocks always "
+                   "run serially and the result is the same")
     p.add_argument("--json", action="store_true", help="machine-readable output")
     p.set_defaults(handler=_cmd_verify)
 

@@ -2,17 +2,15 @@
 
 Replication ``r`` of an experiment with master seed ``s`` simulates its
 path from the child seed ``child_seed(s, r)``.  Replications are processed
-in fixed blocks of ``BLOCK_SIZE`` and block summaries are combined in index
-order, so every statistic (and any file written from it) is bitwise
-independent of the worker count.  Squared errors follow the delayed pairing
+serially in fixed blocks of ``BLOCK_SIZE`` and block summaries are combined
+in index order, so every statistic (and any file written from it) depends
+on the config alone.  Squared errors follow the delayed pairing
 of the tracking analysis: the error at step t is ``m_{t+1} - m*_t``.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -36,7 +34,6 @@ from .dataio import write_results
 
 BLOCK_SIZE = 1024
 MAX_CELLS = 10**8
-WORKER_ENV_VAR = "SESTRACK_WORKERS"
 
 DEFAULT_FIGURE_SEED = 1729
 FIGURE_ALPHA = 0.1
@@ -54,22 +51,6 @@ FIGURE_CONFIGS: dict[str, tuple[NoiseModel, TrendSpec]] = {
     "3a": (AR1(0.2), Linear(0.1, 0.01)),
     "3b": (AR1(0.2), _FIGURE_SINUSOID),
 }
-
-
-def default_workers() -> int:
-    """Worker count from the environment, defaulting to 1."""
-    raw = os.environ.get(WORKER_ENV_VAR, "")
-    try:
-        value = int(raw)
-    except ValueError:
-        return 1
-    return max(value, 1)
-
-
-def _resolve_workers(workers: int | None) -> int:
-    if workers is None:
-        return default_workers()
-    return max(int(workers), 1)
 
 
 @dataclass(frozen=True)
@@ -160,10 +141,15 @@ def monte_carlo_mse(
 ) -> MseCurve:
     """Estimate the per-step mean squared tracking error by replication.
 
-    Deterministic given (config, seed): block boundaries and the order in
-    which block summaries are folded are fixed by the replication count
-    alone, never by ``workers``.
+    Deterministic given the config: blocks run serially in index order and
+    their summaries are folded in that order.  ``workers`` must be None or
+    an integer >= 1 and selects nothing: the per-replication work holds the
+    GIL, so threads over blocks ran slower than this loop.
     """
+    if workers is not None and (
+        isinstance(workers, bool) or not isinstance(workers, (int, np.integer)) or workers < 1
+    ):
+        raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
     horizon, reps = config.horizon, config.replications
     if horizon * reps > max_cells:
         raise ValueError(
@@ -188,12 +174,7 @@ def monte_carlo_mse(
         )
 
     blocks = [range(s, min(s + BLOCK_SIZE, reps)) for s in range(0, reps, BLOCK_SIZE)]
-    n_workers = _resolve_workers(workers)
-    if n_workers <= 1 or len(blocks) == 1:
-        summaries = [run_block(b) for b in blocks]
-    else:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            summaries = list(pool.map(run_block, blocks))
+    summaries = [run_block(b) for b in blocks]
 
     total = summaries[0]
     for block in summaries[1:]:
@@ -238,22 +219,19 @@ def verify_bound(
     *,
     k_override: float | None = None,
     workers: int | None = None,
-    tail_tol: float = 1e-14,
-    max_cells: int = MAX_CELLS,
 ) -> BoundCheck:
     """Run the experiment and compare its tail MSE against the bound.
 
     ``k_override`` substitutes the trend-increment constant fed to the
     bound (the trend's certified constant is used by default); understating
-    it is the standard way to probe the check's sensitivity.
+    it is the standard way to probe the check's sensitivity.  ``workers``
+    is checked, and selects nothing, as in ``monte_carlo_mse``.
     """
-    curve = monte_carlo_mse(config, workers=workers, max_cells=max_cells)
+    curve = monte_carlo_mse(config, workers=workers)
     lipschitz = (
         config.trend.lipschitz_constant if k_override is None else float(k_override)
     )
-    report = tracking_bound(
-        config.alpha, config.noise.autocovariance_fn(), lipschitz, tol=tail_tol
-    )
+    report = tracking_bound(config.alpha, config.noise.autocovariance_fn(), lipschitz)
     margin = report.total + 3.0 * curve.tail_se - curve.tail_mean
     return BoundCheck(margin >= 0.0, curve.tail_mean, curve.tail_se, report, margin, curve)
 
@@ -279,13 +257,12 @@ def compare_negative_vs_positive_ma(
     seed: int,
     *,
     workers: int | None = None,
-    max_cells: int = MAX_CELLS,
 ) -> MaSignComparison:
     """Matched constant-trend experiments at MA(1) coefficients +/-magnitude.
 
     Both arms share the master seed, hence the same innovations, so the
     comparison isolates the covariance sign.  magnitude = 0 degenerates to
-    two identical arms.
+    two identical arms.  ``workers`` is passed to ``monte_carlo_mse``.
     """
     magnitude = abs(float(magnitude))
     tails = {}
@@ -296,7 +273,7 @@ def compare_negative_vs_positive_ma(
         config = ExperimentConfig(
             noise, Constant(0.0), alpha, horizon, replications, seed
         )
-        curve = monte_carlo_mse(config, workers=workers, max_cells=max_cells)
+        curve = monte_carlo_mse(config, workers=workers)
         tails[sign] = curve.tail_mean
         ses[sign] = curve.tail_se
         bounds[sign] = tracking_bound(alpha, noise.autocovariance_fn(), 0.0).total

@@ -51,14 +51,12 @@ def _check_variance(value: float) -> None:
 class Autocovariance:
     """Even autocovariance function, evaluated by integer lag.
 
-    ``summable`` is True when sum_k |gamma(k)| is finite by construction.
     ``weighted_tail``, when present, evaluates ``sum_{k>=1} gamma(k) *
     beta^k`` in closed form for beta in (0, 1); generic instances leave it
     None and consumers fall back to truncated summation.
     """
 
     fn: Callable[[int], float]
-    summable: bool = True
     weighted_tail: Callable[[float], float] | None = None
 
     def __call__(self, lag: int) -> float:
@@ -83,7 +81,7 @@ class WhiteGaussian:
         return self.variance if lag == 0 else 0.0
 
     def autocovariance_fn(self) -> Autocovariance:
-        return Autocovariance(self.gamma, summable=True, weighted_tail=lambda beta: 0.0)
+        return Autocovariance(self.gamma, weighted_tail=lambda beta: 0.0)
 
     def _draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return math.sqrt(self.variance) * rng.standard_normal(n)
@@ -120,9 +118,7 @@ class MA1:
         return 0.0
 
     def autocovariance_fn(self) -> Autocovariance:
-        return Autocovariance(
-            self.gamma, summable=True, weighted_tail=lambda beta: self.gamma(1) * beta
-        )
+        return Autocovariance(self.gamma, weighted_tail=lambda beta: self.gamma(1) * beta)
 
     def _draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
         eta = math.sqrt(self.innovation_variance) * rng.standard_normal(n + 1)
@@ -159,7 +155,7 @@ class AR1:
             x = self.theta * beta
             return self.gamma(0) * x / (1.0 - x)
 
-        return Autocovariance(self.gamma, summable=True, weighted_tail=tail)
+        return Autocovariance(self.gamma, weighted_tail=tail)
 
     def _draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
         acc = math.sqrt(self.gamma(0)) * rng.standard_normal()
@@ -211,7 +207,7 @@ class MAq:
         def tail(beta: float) -> float:
             return sum(self.gamma(k) * beta**k for k in range(1, self.order + 1))
 
-        return Autocovariance(self.gamma, summable=True, weighted_tail=tail)
+        return Autocovariance(self.gamma, weighted_tail=tail)
 
     def _draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
         eta = math.sqrt(self.innovation_variance) * rng.standard_normal(n + self.order)

@@ -102,14 +102,18 @@ def test_series_matches_closed_form_for_every_builtin(noise, alpha):
 
 
 def test_series_required_inputs():
-    no_tail = Autocovariance(AR1(0.5).gamma, summable=True)
+    no_tail = Autocovariance(AR1(0.5).gamma)
     report = tracking_bound(0.2, no_tail, 0.0)  # auto falls back to the series
     assert report.truncation_lag > 0
     with pytest.raises(ValueError):
         tracking_bound(0.2, no_tail, 0.0, method="closed")
-    unsummable = Autocovariance(lambda k: 1.0, summable=False)
-    with pytest.raises(ValueError):
-        tracking_bound(0.2, unsummable, 0.0)
+    # the residual stop gamma(0) beta^(lag+1) / (1 - beta) needs only
+    # |gamma(k)| <= gamma(0), so even a constant autocovariance sums right
+    alpha = 0.2
+    beta = 1.0 - alpha
+    constant = tracking_bound(alpha, Autocovariance(lambda k: 1.0), 0.0)
+    exact = 2.0 * alpha / (2.0 - alpha) * beta / (1.0 - beta)
+    assert constant.correlation_term == pytest.approx(exact, rel=1e-12)
 
 
 def test_bound_validation():

@@ -70,9 +70,15 @@ def test_unknown_spec_is_usage_error(capsys):
 
 
 def test_unknown_key_is_usage_error(capsys):
-    code, _, err = run(capsys, "bound", "--alpha", "0.1", "--k", "0", "--noise", "ar1:thetax=0.2")
-    assert code == 2
-    assert "theta" in err
+    # the allowed keys are the ones a spec takes: never kind, never a bare b
+    for spec, allowed in (("ar1:thetax=0.2", "allowed keys: theta, var, sigma"),
+                          ("maq:c1=0.2", "allowed keys: b1, b2, ..., var, sigma"),
+                          ("maq:b=0.2", "allowed keys: b1, b2, ..., var, sigma"),
+                          ("ar1:kind=1,theta=0.2", "allowed keys: theta, var, sigma")):
+        code, _, err = run(capsys, "bound", "--alpha", "0.1", "--k", "0", "--noise", spec)
+        assert code == 2, spec
+        message = err.splitlines()[0]
+        assert message.endswith(allowed), message
 
 
 def test_malformed_specs_exit_two_with_grammar(capsys):
@@ -87,6 +93,17 @@ def test_spec_domain_error_exit_one(capsys):
     code, _, err = run(capsys, "bound", "--alpha", "0.1", "--k", "0", "--noise", "ar1:theta=1.5")
     assert code == 1
     assert "(0, 1)" in err and "model specs are written" not in err
+
+
+@pytest.mark.parametrize("workers", ["0", "-5"])
+def test_workers_below_one_exit_one(capsys, workers):
+    code, _, err = run(
+        capsys, "mse", "--mode", "mc", "--alpha", "0.3", "--noise", "white:var=1",
+        "--trend", "const:level=0", "--steps", "5", "--reps", "3", "--seed", "1",
+        "--workers", workers,
+    )
+    assert code == 1
+    assert f"workers must be an integer >= 1, got {workers}" in err
 
 
 @pytest.mark.parametrize("seed", ["-1", str(2**64), str(2**70)])

@@ -41,6 +41,15 @@ def test_config_validation():
         ExperimentConfig(noise, trend, 1.2, 10, 10, seed=1)
 
 
+def test_workers_must_be_an_integer_at_least_one():
+    config = ExperimentConfig(WhiteGaussian(1.0), Constant(0.0), 0.1, 10, 10, seed=1)
+    for workers in (0, 2.5):
+        with pytest.raises(ValueError, match="workers must be an integer >= 1"):
+            monte_carlo_mse(config, workers=workers)
+        with pytest.raises(ValueError, match="workers must be an integer >= 1"):
+            verify_bound(config, workers=workers)
+
+
 def test_resource_cap():
     config = ExperimentConfig(WhiteGaussian(1.0), Constant(0.0), 0.1, 1000, 1000, seed=1)
     with pytest.raises(ValueError, match="cap"):

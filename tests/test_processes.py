@@ -260,12 +260,16 @@ def test_ar1_draw_is_the_recurrence_on_the_philox_stream():
     assert np.array_equal(one.residuals(), expected[:1])
 
 
-def test_import_loads_no_scipy():
+@pytest.mark.parametrize("package", ["scipy", "concurrent"])
+def test_import_loads_no_package(package):
     import sestrack
 
     src = str(Path(sestrack.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    probe = "import sys, sestrack, sestrack.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    probe = (
+        "import sys, sestrack, sestrack.cli; "
+        f"print(sorted(m for m in sys.modules if m.split('.')[0] == {package!r}))"
+    )
     done = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
