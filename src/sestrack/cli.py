@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 on success, 1 on domain or validation errors, 2 on usage
-errors (including malformed model specs, echoed with the grammar), and 3
-when ``verify`` finds the empirical tail above the bound.
+errors (including malformed model specs, echoed with the grammar), 3 when
+``verify`` finds the empirical tail above the bound, and 4 when ``verify``
+is inconclusive (three standard errors reach the bound itself).
 
 Numbers are printed with 10 significant digits in text mode; ``--json``
 output keeps full double precision.
@@ -190,7 +191,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_bound(args) -> int:
     noise = parse_spec(args.noise, NOISE_KINDS, "noise")
-    report = tracking_bound(args.alpha, noise.autocovariance_fn(), args.k, tol=args.tol)
+    report = tracking_bound(args.alpha, noise.autocovariance_fn(), args.k)
     if args.json:
         print(json.dumps(dataclasses.asdict(report)))
     else:
@@ -266,6 +267,9 @@ def _cmd_verify(args) -> int:
     if args.reps is not None:
         config = dataclasses.replace(config, replications=args.reps)
     check = verify_bound(config, workers=args.workers)
+    verdict, code = (
+        ("INCONCLUSIVE", 4) if check.inconclusive else ("PASS", 0) if check.passed else ("FAIL", 3)
+    )
     if output.get("csv"):
         write_results(check.curve, output["csv"], "csv")
     if output.get("svg"):
@@ -273,6 +277,7 @@ def _cmd_verify(args) -> int:
     if args.json:
         payload = {
             "passed": check.passed,
+            "inconclusive": check.inconclusive,
             "empirical_tail": check.empirical_tail,
             "tail_se": check.tail_se,
             "bound_total": check.bound.total,
@@ -287,10 +292,10 @@ def _cmd_verify(args) -> int:
                 ("tail_se", check.tail_se),
                 ("bound_total", check.bound.total),
                 ("margin", check.margin),
-                ("result", "PASS" if check.passed else "FAIL"),
+                ("result", verdict),
             ]
         )
-    return 0 if check.passed else 3
+    return code
 
 
 def _cmd_reproduce(args) -> int:
@@ -333,7 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, required=True, help="smoothing parameter in (0,1)")
     p.add_argument("--k", type=float, required=True, help="trend one-step increment bound")
     p.add_argument("--noise", required=True, help="noise spec (see grammar)")
-    p.add_argument("--tol", type=float, default=1e-14, help="series truncation tolerance")
     p.add_argument("--json", action="store_true", help="machine-readable output")
     p.set_defaults(handler=_cmd_bound)
 

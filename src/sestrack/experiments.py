@@ -2,10 +2,11 @@
 
 Replication ``r`` of an experiment with master seed ``s`` simulates its
 path from the child seed ``child_seed(s, r)``.  Replications are processed
-serially in fixed blocks of ``BLOCK_SIZE`` and block summaries are combined
-in index order, so every statistic (and any file written from it) depends
-on the config alone.  Squared errors follow the delayed pairing
-of the tracking analysis: the error at step t is ``m_{t+1} - m*_t``.
+serially in fixed blocks of ``BLOCK_SIZE``, each sampled and smoothed as one
+time-major array, and block summaries are combined in index order, so every
+statistic (and any file written from it) depends on the config alone.
+Squared errors follow the delayed pairing of the tracking analysis: the
+error at step t is ``m_{t+1} - m*_t``.
 """
 
 from __future__ import annotations
@@ -25,15 +26,17 @@ from .processes import (
     NoiseModel,
     Sinusoid,
     TrendSpec,
+    sample_block,
     sample_path,
     trend_sequence,
 )
-from .seeding import child_seed
-from .smoothing import InitPolicy, check_alpha, ses_run, ses_run_batch
+from .seeding import child_seeds
+from .smoothing import InitPolicy, check_alpha, ses_run, ses_run_inplace
 from .dataio import write_results
 
 BLOCK_SIZE = 1024
 MAX_CELLS = 10**8
+_TRANSPOSE_ROWS = 32  # time steps per cache-sized slab of the block transpose
 
 DEFAULT_FIGURE_SEED = 1729
 FIGURE_ALPHA = 0.1
@@ -117,9 +120,11 @@ class _BlockMoments:
 
 
 def _moments(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Column means and sums of squared deviations; overwrites ``values``."""
     mean = values.mean(axis=0)
-    m2 = np.square(values - mean).sum(axis=0)
-    return mean, m2
+    values -= mean
+    np.square(values, out=values)
+    return mean, values.sum(axis=0)
 
 
 def _combine(total: _BlockMoments, block: _BlockMoments) -> _BlockMoments:
@@ -141,10 +146,13 @@ def monte_carlo_mse(
 ) -> MseCurve:
     """Estimate the per-step mean squared tracking error by replication.
 
-    Deterministic given the config: blocks run serially in index order and
-    their summaries are folded in that order.  ``workers`` must be None or
-    an integer >= 1 and selects nothing: the per-replication work holds the
-    GIL, so threads over blocks ran slower than this loop.
+    Each block of up to ``BLOCK_SIZE`` replications is sampled into one
+    time-major (T + 1, B) buffer by ``sample_block`` (replication r still
+    draws from its own ``child_seed`` stream), smoothed there in place and
+    squared there in place; one transpose to (B, T) then feeds the per-step
+    moments and the tail means.  Deterministic given the config: blocks run
+    serially in index order and their summaries are folded in that order.
+    ``workers`` must be None or an integer >= 1 and selects nothing.
     """
     if workers is not None and (
         isinstance(workers, bool) or not isinstance(workers, (int, np.integer)) or workers < 1
@@ -155,20 +163,24 @@ def monte_carlo_mse(
         raise ValueError(
             f"experiment size {horizon} x {reps} exceeds the cap of {max_cells} cells"
         )
-    m_star = trend_sequence(config.trend, horizon)
+    m_star = trend_sequence(config.trend, horizon)[:, None]
     tail_len = max(1, math.ceil(config.tail_fraction * horizon))
     tail_idx = horizon - tail_len
 
     def run_block(block: range) -> _BlockMoments:
-        x = np.empty((len(block), horizon))
-        for i, r in enumerate(block):
-            x[i] = sample_path(
-                config.noise, config.trend, horizon, child_seed(config.seed, r)
-            ).observations
-        trajectories = ses_run_batch(x, config.alpha, config.init)
-        squared = np.square(trajectories[:, 1:] - m_star)
-        mean, m2 = _moments(squared)
+        buffer = np.empty((horizon + 1, len(block)))
+        seeds = child_seeds(config.seed, block)
+        sample_block(config.noise, config.trend, seeds, buffer[1:])
+        ses_run_inplace(buffer, config.alpha, config.init)
+        errors = buffer[1:]
+        errors -= m_star
+        np.square(errors, out=errors)
+        squared = np.empty((len(block), horizon))
+        for lo in range(0, horizon, _TRANSPOSE_ROWS):
+            squared[:, lo : lo + _TRANSPOSE_ROWS] = errors[lo : lo + _TRANSPOSE_ROWS].T
+        del buffer, errors
         tails = squared[:, tail_idx:].mean(axis=1)
+        mean, m2 = _moments(squared)
         return _BlockMoments(
             len(block), mean, m2, float(tails.mean()), float(np.square(tails - tails.mean()).sum())
         )
@@ -203,7 +215,12 @@ class BoundCheck:
     """Empirical tail estimate against the asymptotic bound.
 
     Passing means empirical_tail <= bound.total + 3 * tail_se, i.e.
-    ``margin`` >= 0.
+    ``margin`` >= 0, unless the check is ``inconclusive``: it would pass,
+    but 3 * tail_se >= bound.total with tail_se > 0, so that a tail of twice
+    the bound would have passed too.  An inconclusive check does not pass.
+    A tail above bound.total + 3 * tail_se is a violation however wide the
+    allowance, and a zero tail_se (every replication identical) leaves no
+    allowance, so neither is inconclusive.
     """
 
     passed: bool
@@ -212,6 +229,7 @@ class BoundCheck:
     bound: BoundReport
     margin: float
     curve: MseCurve
+    inconclusive: bool
 
 
 def verify_bound(
@@ -232,8 +250,18 @@ def verify_bound(
         config.trend.lipschitz_constant if k_override is None else float(k_override)
     )
     report = tracking_bound(config.alpha, config.noise.autocovariance_fn(), lipschitz)
-    margin = report.total + 3.0 * curve.tail_se - curve.tail_mean
-    return BoundCheck(margin >= 0.0, curve.tail_mean, curve.tail_se, report, margin, curve)
+    allowance = 3.0 * curve.tail_se
+    margin = report.total + allowance - curve.tail_mean
+    inconclusive = margin >= 0.0 and curve.tail_se > 0.0 and allowance >= report.total
+    return BoundCheck(
+        margin >= 0.0 and not inconclusive,
+        curve.tail_mean,
+        curve.tail_se,
+        report,
+        margin,
+        curve,
+        inconclusive,
+    )
 
 
 @dataclass(frozen=True)

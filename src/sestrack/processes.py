@@ -23,6 +23,14 @@ Zero innovation variance is accepted and produces deterministic paths,
 which the exact-recursion oracles rely on.  Every variant draws a fixed
 number of extra initial innovations so that ``eps_1`` already follows the
 stationary distribution.
+
+Each variant draws one path at a time (``_draw``, behind ``sample_path``)
+and also filters a whole block of paths at once (``_filter``, behind
+``sample_block``): ``_filter(z, out)`` turns time-major standard normals
+``z`` of shape (n + ``_extra_draws``, B), which it may overwrite, into the
+noise ``out`` of shape (n, B) with the floating-point operations of
+``_draw`` in the same order, so a block column is bitwise the path
+``sample_path`` draws from the same seed.
 """
 
 from __future__ import annotations
@@ -34,7 +42,7 @@ from typing import Callable, ClassVar, Union
 
 import numpy as np
 
-from .seeding import make_generator
+from .seeding import fill_standard_normals, make_generator
 
 
 def _key(key: str, default=MISSING):
@@ -72,6 +80,7 @@ class WhiteGaussian:
     """Independent Gaussian noise with the given variance."""
 
     kind: ClassVar[str] = "white"
+    _extra_draws: ClassVar[int] = 0
     variance: float = _key("var", 1.0)
 
     def __post_init__(self) -> None:
@@ -85,6 +94,9 @@ class WhiteGaussian:
 
     def _draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return math.sqrt(self.variance) * rng.standard_normal(n)
+
+    def _filter(self, z: np.ndarray, out: np.ndarray) -> None:
+        np.multiply(z, math.sqrt(self.variance), out=out)
 
 
 @dataclass(frozen=True)
@@ -100,6 +112,7 @@ class MA1:
     """
 
     kind: ClassVar[str] = "ma1"
+    _extra_draws: ClassVar[int] = 1
     coefficient: float = _key("a")
     innovation_variance: float = _key("var", 1.0)
 
@@ -126,6 +139,12 @@ class MA1:
             1.0 + self.coefficient**2
         )
 
+    def _filter(self, z: np.ndarray, out: np.ndarray) -> None:
+        np.multiply(z, math.sqrt(self.innovation_variance), out=z)
+        np.multiply(z[:-1], self.coefficient, out=out)
+        np.add(z[1:], out, out=out)
+        np.divide(out, math.sqrt(1.0 + self.coefficient**2), out=out)
+
 
 @dataclass(frozen=True)
 class AR1:
@@ -134,10 +153,12 @@ class AR1:
     ``theta`` must lie strictly inside (0, 1).  gamma(0) =
     innovation_variance / (1 - theta^2) and gamma(k) = theta^|k| gamma(0).
     eps_1 is drawn from the exact stationary law, then the recursion runs
-    step by step on Python floats.
+    step by step: on Python floats for one path, and as one in-place ufunc
+    step per time index over a block.
     """
 
     kind: ClassVar[str] = "ar1"
+    _extra_draws: ClassVar[int] = 0
     theta: float = _key("theta")
     innovation_variance: float = _key("var", 1.0)
 
@@ -165,6 +186,14 @@ class AR1:
             acc = theta * acc + eta_i
             out.append(acc)
         return np.array(out)
+
+    def _filter(self, z: np.ndarray, out: np.ndarray) -> None:
+        np.multiply(z[0], math.sqrt(self.gamma(0)), out=out[0])
+        np.multiply(z[1:], math.sqrt(self.innovation_variance), out=out[1:])
+        carried = np.empty_like(out[0])
+        for t in range(1, len(out)):
+            np.multiply(out[t - 1], self.theta, out=carried)
+            np.add(out[t], carried, out=out[t])
 
 
 @dataclass(frozen=True)
@@ -194,6 +223,10 @@ class MAq:
     def order(self) -> int:
         return len(self.coefficients)
 
+    @property
+    def _extra_draws(self) -> int:
+        return self.order
+
     def gamma(self, lag: int) -> float:
         lag = abs(lag)
         if lag > self.order:
@@ -213,6 +246,17 @@ class MAq:
         eta = math.sqrt(self.innovation_variance) * rng.standard_normal(n + self.order)
         kernel = np.array((1.0,) + self.coefficients)
         return np.convolve(eta, kernel, mode="valid")
+
+    def _filter(self, z: np.ndarray, out: np.ndarray) -> None:
+        # the oldest innovation first, the order np.convolve sums in
+        np.multiply(z, math.sqrt(self.innovation_variance), out=z)
+        n, q = len(out), self.order
+        np.multiply(z[:n], self.coefficients[q - 1], out=out)
+        term = np.empty_like(out)
+        for j in range(q - 1, 0, -1):
+            np.multiply(z[q - j : q - j + n], self.coefficients[j - 1], out=term)
+            np.add(out, term, out=out)
+        np.add(out, z[q:], out=out)
 
 
 NoiseModel = Union[WhiteGaussian, MA1, AR1, MAq]
@@ -404,3 +448,20 @@ def sample_path(
         eps = eps[burn_in:]
     m_star = trend_sequence(trend, horizon)
     return PathSample(m_star + eps, m_star, int(seed), noise, trend)
+
+
+def sample_block(noise: NoiseModel, trend: TrendSpec, seeds, out: np.ndarray) -> np.ndarray:
+    """Simulate one path per seed into the columns of a time-major block.
+
+    Column i of the (horizon, len(seeds)) array ``out`` becomes
+    ``sample_path(noise, trend, horizon, seeds[i]).observations``, bit for
+    bit.  Each column still draws from its own Philox stream; the noise
+    filter and the trend run once over the whole block.  Returns ``out``.
+    """
+    horizon = len(out)
+    if horizon < 1 or out.shape[1:] != (len(seeds),):
+        raise ValueError("out must be a (horizon >= 1, len(seeds)) array")
+    normals = np.empty((horizon + noise._extra_draws, len(seeds)))
+    noise._filter(fill_standard_normals(normals, seeds), out)
+    out += trend_sequence(trend, horizon)[:, None]
+    return out

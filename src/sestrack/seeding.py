@@ -12,6 +12,11 @@ Replicated experiments never use sequential seeds.  Child seeds are derived
 with the SplitMix64 avalanche finalizer, so that neighbouring replication
 indices map to unrelated points of the key space.
 
+A counter-based stream is nothing more than a key and a counter (Salmon et
+al., "Parallel Random Numbers: As Easy as 1, 2, 3", SC'11), so moving one
+generator to another stream is a re-key, not a construction;
+``fill_standard_normals`` draws a block of replications that way.
+
 User seeds must lie in [0, 2^64); anything else is rejected rather than
 wrapped, so two different seeds never name the same stream.
 """
@@ -22,10 +27,14 @@ import numpy as np
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _GOLDEN_GAMMA = 0x9E3779B97F4A7C15
+_FILL_CHUNK = 32  # streams drawn per scratch block in fill_standard_normals
 
 
-def splitmix64(value: int) -> int:
-    """One SplitMix64 step: add the golden-gamma increment, then finalize."""
+def splitmix64(value):
+    """One SplitMix64 step: add the golden-gamma increment, then finalize.
+
+    ``value`` is an int in [0, 2^64) or a uint64 array, which is mapped
+    elementwise (numpy's uint64 arithmetic wraps like the masks below)."""
     z = (value + _GOLDEN_GAMMA) & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
@@ -45,6 +54,61 @@ def child_seed(master: int, index: int) -> int:
     return splitmix64(splitmix64(_check_seed(master)) ^ (index & _MASK64))
 
 
+def child_seeds(master: int, indices: range) -> np.ndarray:
+    """``child_seed(master, r)`` for every r in ``indices``, as a uint64 array.
+
+    One array pass for a whole block of replications.
+    """
+    if indices.step != 1 or indices.start < 0 or indices.stop > _MASK64:
+        raise ValueError(f"indices must be a unit-step range in [0, 2**64 - 1), got {indices}")
+    index = np.arange(indices.start, max(indices.start, indices.stop), dtype=np.uint64)
+    return splitmix64(np.uint64(splitmix64(_check_seed(master))) ^ index)
+
+
 def make_generator(seed: int) -> np.random.Generator:
     """Philox generator keyed with ``seed`` (counter starting at zero)."""
     return np.random.Generator(np.random.Philox(key=_check_seed(seed)))
+
+
+def _stream_start(key: np.ndarray) -> dict:
+    """Philox state at counter zero under the (2,) uint64 ``key``, with
+    nothing buffered: assigning it to a generator's ``bit_generator.state``
+    puts the generator where ``make_generator(key[0])`` starts."""
+    zeros = np.zeros(4, dtype=np.uint64)
+    return {
+        "bit_generator": "Philox",
+        "state": {"counter": zeros, "key": key},
+        "buffer": zeros,
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+
+
+def fill_standard_normals(out: np.ndarray, seeds) -> np.ndarray:
+    """Fill column i of the time-major (n, B) array ``out`` with the first n
+    standard normals of the stream keyed ``seeds[i]``, bit for bit
+    ``make_generator(seeds[i]).standard_normal(n)``; returns ``out``.
+    ``seeds`` is a uint64 array (as ``child_seeds`` returns) or a sequence
+    of ints in [0, 2^64).
+
+    One generator is re-keyed for every column instead of B being built.
+    Streams are drawn row by row into a small scratch block whose transpose
+    is then copied in, which keeps both sides of the copy in cache.
+    """
+    if not (isinstance(seeds, np.ndarray) and seeds.dtype == np.uint64):
+        seeds = np.array([_check_seed(seed) for seed in seeds], dtype=np.uint64)
+    if out.ndim != 2 or out.shape[1] != len(seeds):
+        raise ValueError("out must be an (n, len(seeds)) array")
+    generator = make_generator(0)
+    key = np.zeros(2, dtype=np.uint64)
+    start = _stream_start(key)
+    scratch = np.empty((_FILL_CHUNK, len(out)))
+    for lo in range(0, len(seeds), _FILL_CHUNK):
+        rows = scratch[: len(seeds[lo : lo + _FILL_CHUNK])]
+        for row, seed in zip(rows, seeds[lo : lo + _FILL_CHUNK]):
+            key[0] = seed
+            generator.bit_generator.state = start
+            generator.standard_normal(out=row)
+        out[:, lo : lo + len(rows)] = rows.T
+    return out

@@ -96,24 +96,40 @@ def ses_run(observations, alpha: float, init: InitPolicy = "first") -> np.ndarra
     return out
 
 
+def ses_run_inplace(buffer: np.ndarray, alpha: float, init: InitPolicy = "first") -> np.ndarray:
+    """Smooth the columns of a time-major (T + 1, B) buffer in place.
+
+    On entry ``buffer[t]`` holds the observations x_t for t = 1..T (row 0 is
+    scratch); on return ``buffer[0]`` holds m_1 chosen by ``init`` and
+    ``buffer[t]`` holds m_{t+1}.  Each step applies ses_run's elementwise
+    arithmetic to a contiguous row, so every column is bitwise identical to
+    smoothing it alone.  Returns ``buffer``.
+    """
+    if buffer.ndim != 2 or len(buffer) < 2:
+        raise ValueError("buffer must be a (T + 1, replications) matrix with T >= 1")
+    alpha = check_alpha(alpha)
+    buffer[0] = _initial_estimates(init, buffer[1])
+    for t in range(1, len(buffer)):
+        row, previous = buffer[t], buffer[t - 1]
+        np.subtract(row, previous, out=row)
+        np.multiply(row, alpha, out=row)
+        np.add(row, previous, out=row)
+    return buffer
+
+
 def ses_run_batch(observations, alpha: float, init: InitPolicy = "first") -> np.ndarray:
     """Row-wise ses_run over a (replications, T) matrix.
 
-    The time loop applies the same elementwise arithmetic as ses_run, so
-    each row is bitwise identical to smoothing it alone.
+    The rows are transposed into a time-major buffer, smoothed there by
+    ``ses_run_inplace`` and transposed back, so each row of the
+    (replications, T + 1) result is bitwise identical to smoothing it alone.
     """
     x = np.asarray(observations, dtype=float)
     if x.ndim != 2 or x.shape[1] == 0:
         raise ValueError("batch observations must be a (replications, T) matrix")
-    alpha = check_alpha(alpha)
-    rows, horizon = x.shape
-    out = np.empty((rows, horizon + 1))
-    out[:, 0] = _initial_estimates(init, x[:, 0])
-    m = out[:, 0].copy()
-    for t in range(horizon):
-        m = m + alpha * (x[:, t] - m)
-        out[:, t + 1] = m
-    return out
+    buffer = np.empty((x.shape[1] + 1, x.shape[0]))
+    buffer[1:] = x.T
+    return np.ascontiguousarray(ses_run_inplace(buffer, alpha, init).T)
 
 
 def ses_closed_form(

@@ -37,6 +37,14 @@ def test_bound_text(capsys):
     assert lines["trend_term"].strip() == "0"
 
 
+def test_bound_has_no_tol_flag(capsys):
+    argv = ["bound", "--alpha", "0.1", "--k", "0", "--noise", "ar1:theta=0.9"]
+    assert run(capsys, *argv)[0] == 0
+    code, _, err = run(capsys, *argv, "--tol", "0.5")
+    assert code == 2
+    assert "--tol" in err
+
+
 def test_bound_json_matches_text(capsys):
     code, out_text, _ = run(
         capsys, "bound", "--alpha", "0.1", "--k", "0.1", "--noise", "ma1:a=2"
@@ -289,6 +297,18 @@ def test_verify_violation_exit_three(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["passed"] is False
     assert payload["empirical_tail"] > payload["bound_total"]
+
+
+def test_verify_inconclusive_exit_four(tmp_path, capsys):
+    config = _write_config(tmp_path / "weak.json", replications=2)
+    code, out, _ = run(capsys, "verify", "--config", str(config), "--json")
+    assert code == 4
+    payload = json.loads(out)
+    assert payload["inconclusive"] is True and payload["passed"] is False
+    assert 3.0 * payload["tail_se"] >= payload["bound_total"]
+    code, out, _ = run(capsys, "verify", "--config", str(config))
+    assert code == 4
+    assert "INCONCLUSIVE" in out
 
 
 def test_verify_reps_override_and_output(tmp_path, capsys):

@@ -1,4 +1,7 @@
+import dataclasses
+import hashlib
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -6,6 +9,7 @@ import pytest
 from sestrack import (
     AR1,
     MA1,
+    MAq,
     Constant,
     ExperimentConfig,
     Linear,
@@ -93,6 +97,32 @@ def test_worker_count_does_not_change_results(tmp_path):
     p1 = write_results(one, tmp_path / "one.csv")
     p2 = write_results(many, tmp_path / "many.csv")
     assert p1.read_bytes() == p2.read_bytes()
+
+
+# sha256 over mean and stderr bytes, then tail_mean and tail_se as
+# little-endian doubles; computed with the per-replication sample_path loop
+# the block sampler replaced
+PINNED_CURVES = {
+    "white": (WhiteGaussian(2.5), "8f3ab47042fe9158682fc7a79e096cea85e524e367a04cde20cee7785803bda1"),
+    "ma1": (MA1(-0.4, 1.7), "14d16e5d2ea747936a5c1f1522b9ab66c37a694f3cd74aef7304ce1cad952abf"),
+    "ar1": (AR1(0.9, 0.3), "1850592b090043cea0116c98bdef69ea1ca0935a333bf541f9397c7690114d6b"),
+    "maq": (
+        MAq((0.5, -0.3, 0.2), 1.3),
+        "f223ede52faf431c5a9fd4c43bb587d5d4076f1a97fa8d6e6cf119895c038b8b",
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PINNED_CURVES))
+def test_monte_carlo_bits_pinned(kind):
+    noise, expected = PINNED_CURVES[kind]
+    config = ExperimentConfig(
+        noise, Sinusoid(1.5, 0.1, 0.3), 0.2, 50, 2 * BLOCK_SIZE + 7, seed=2024
+    )
+    curve = monte_carlo_mse(config)
+    digest = hashlib.sha256(curve.mean.tobytes() + curve.stderr.tobytes())
+    digest.update(struct.pack("<dd", curve.tail_mean, curve.tail_se))
+    assert digest.hexdigest() == expected
 
 
 def test_exact_oracle_agreement_randomized():
@@ -183,6 +213,17 @@ def test_verify_fig1a_config_passes():
     check = verify_bound(config)
     assert check.passed
     assert check.bound.trend_term == pytest.approx(81.0 * 0.01, rel=1e-12)
+
+
+def test_verify_inconclusive_when_three_se_reach_the_bound():
+    # two replications: 3 * tail_se exceeds the bound, so a tail 25% above
+    # the bound would have passed
+    config = ExperimentConfig(WhiteGaussian(1.0), Constant(0.0), 0.1, 400, 2, seed=11)
+    check = verify_bound(config)
+    assert 3.0 * check.tail_se >= check.bound.total and check.margin >= 0.0
+    assert check.inconclusive and not check.passed
+    powered = verify_bound(dataclasses.replace(config, replications=400))
+    assert powered.passed and not powered.inconclusive
 
 
 def test_understated_k_fails():

@@ -21,6 +21,8 @@ from sestrack import (
     sample_path,
     trend_sequence,
 )
+from sestrack.processes import sample_block
+from sestrack.seeding import child_seed, child_seeds
 
 MODELS = [
     WhiteGaussian(1.3),
@@ -274,3 +276,44 @@ def test_import_loads_no_package(package):
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     assert done.stdout.strip() == "[]"
+
+
+BLOCK_NOISES = [
+    WhiteGaussian(2.5),
+    MA1(-0.4, 1.7),
+    AR1(0.9, 0.3),
+    MAq((0.5, -0.3, 0.2), 1.3),
+]
+
+
+@pytest.mark.parametrize("noise", BLOCK_NOISES, ids=lambda m: m.kind)
+@pytest.mark.parametrize(
+    "trend", [Linear(2.0, 0.1), Sinusoid(1.0, 0.05, 0.3)], ids=["linear", "sin"]
+)
+def test_sample_block_columns_are_sample_paths(noise, trend):
+    seed, start, width, horizon = 2024, 1029, 40, 57
+    out = sample_block(
+        noise, trend, child_seeds(seed, range(start, start + width)), np.empty((horizon, width))
+    )
+    for i, r in enumerate(range(start, start + width)):
+        path = sample_path(noise, trend, horizon, child_seed(seed, r))
+        assert out[:, i].tobytes() == path.observations.tobytes()
+
+
+@pytest.mark.parametrize("order", range(1, 9))
+def test_maq_block_filter_sums_like_convolve(order):
+    # the block filter sums the oldest innovation first; np.convolve must
+    # agree bit for bit, or the block path would drift from sample_path
+    rng = np.random.default_rng(order)
+    noise = MAq(tuple(rng.normal(scale=1.5, size=order)), 0.8)
+    seeds = [int(k) for k in rng.integers(0, 2**63, size=9)]
+    out = sample_block(noise, Constant(0.0), seeds, np.empty((120, 9)))
+    for i, seed in enumerate(seeds):
+        assert out[:, i].tobytes() == sample_path(noise, Constant(0.0), 120, seed).observations.tobytes()
+
+
+def test_sample_block_shape_checks():
+    with pytest.raises(ValueError, match="out must be"):
+        sample_block(WhiteGaussian(1.0), Constant(0.0), [1, 2], np.empty((5, 3)))
+    with pytest.raises(ValueError, match="out must be"):
+        sample_block(WhiteGaussian(1.0), Constant(0.0), [1, 2], np.empty((0, 2)))

@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
 
-from sestrack.seeding import child_seed, make_generator, splitmix64
+from sestrack.seeding import (
+    _stream_start,
+    child_seed,
+    child_seeds,
+    fill_standard_normals,
+    make_generator,
+    splitmix64,
+)
+
+EDGE_KEYS = [0, 1, 2**63, 2**64 - 1]
 
 
 def test_splitmix64_known_outputs():
@@ -42,3 +51,57 @@ def test_seed_range_edges_accepted():
     assert child_seed(0, 3) != child_seed(2**64 - 1, 3)
     make_generator(0)
     make_generator(2**64 - 1)
+
+
+@pytest.mark.parametrize("master", [0, 12345, 2**64 - 1])
+def test_child_seeds_equal_child_seed(master):
+    for indices in (range(0, 70), range(1029, 1100), range(2**63 - 3, 2**63 + 3)):
+        seeds = child_seeds(master, indices)
+        assert seeds.dtype == np.uint64
+        assert [int(k) for k in seeds] == [child_seed(master, r) for r in indices]
+    assert len(child_seeds(master, range(5, 5))) == 0
+
+
+def test_child_seeds_reject_bad_ranges():
+    for indices in (range(0, 10, 2), range(-1, 3)):
+        with pytest.raises(ValueError, match="unit-step range"):
+            child_seeds(1, indices)
+    with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\*\*64\)"):
+        child_seeds(-1, range(3))
+
+
+@pytest.mark.parametrize("key", EDGE_KEYS)
+def test_stream_start_rekeys_a_generator_that_has_drawn(key):
+    # the reused generator has a half-used uint32 and a partly consumed
+    # Philox buffer; the re-key must drop both
+    generator = make_generator(99)
+    generator.integers(0, 10, dtype=np.uint32)
+    generator.standard_normal(3)
+    generator.bit_generator.state = _stream_start(np.array([key, 0], dtype=np.uint64))
+    reference = make_generator(key)
+    assert generator.bit_generator.state.keys() == reference.bit_generator.state.keys()
+    for name, value in reference.bit_generator.state["state"].items():
+        assert np.array_equal(generator.bit_generator.state["state"][name], value)
+    assert np.array_equal(
+        generator.integers(0, 2**32, size=5, dtype=np.uint32),
+        reference.integers(0, 2**32, size=5, dtype=np.uint32),
+    )
+    assert np.array_equal(generator.standard_normal(9), reference.standard_normal(9))
+
+
+@pytest.mark.parametrize("n", [1, 13, 400])
+def test_fill_columns_equal_fresh_generators(n):
+    # 37 keys cross a scratch-block boundary; every column after the first
+    # is drawn by a generator that already drew an odd number of normals
+    keys = EDGE_KEYS + [int(k) for k in child_seeds(7, range(100, 133))]
+    for seeds in (keys, np.array(keys, dtype=np.uint64)):
+        out = fill_standard_normals(np.empty((n, len(keys))), seeds)
+        for i, key in enumerate(keys):
+            assert out[:, i].tobytes() == make_generator(key).standard_normal(n).tobytes()
+
+
+def test_fill_rejects_bad_input():
+    with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\*\*64\)"):
+        fill_standard_normals(np.empty((4, 2)), [1, 2**64])
+    with pytest.raises(ValueError, match="out must be"):
+        fill_standard_normals(np.empty((4, 3)), [1, 2])

@@ -14,7 +14,7 @@ from sestrack import (
     ses_step,
     sga_step,
 )
-from sestrack.smoothing import LogDensityModel
+from sestrack.smoothing import LogDensityModel, ses_run_inplace
 
 
 # ---------------------------------------------------------------------------
@@ -131,6 +131,16 @@ def test_batch_rows_match_scalar_runs():
     for i in range(8):
         assert np.array_equal(batch_first[i], ses_run(x[i], 0.23))
         assert np.array_equal(batch_fixed[i], ses_run(x[i], 0.23, init=1.5))
+
+
+def test_inplace_time_major_columns_match_scalar_runs():
+    x = np.random.default_rng(6).normal(size=(30, 5))
+    buffer = np.vstack([np.full(5, np.nan), x])
+    assert ses_run_inplace(buffer, 0.31, init=-2.0) is buffer
+    for j in range(5):
+        assert np.array_equal(buffer[:, j], ses_run(x[:, j], 0.31, init=-2.0))
+    with pytest.raises(ValueError):
+        ses_run_inplace(np.zeros((1, 5)), 0.31)
 
 
 def test_shift_equivariance():
