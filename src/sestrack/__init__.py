@@ -62,7 +62,6 @@ from .smoothing import (
     running_mean,
     ses_closed_form,
     ses_run,
-    ses_run_batch,
     ses_step,
     sga_step,
 )
@@ -112,7 +111,6 @@ __all__ = [
     "save_experiment_config",
     "ses_closed_form",
     "ses_run",
-    "ses_run_batch",
     "ses_step",
     "sga_step",
     "simulate_smoothed",

@@ -129,6 +129,21 @@ def tracking_bound(
     return BoundReport(alpha, variance_term, correlation_term, trend_term, total, lag, residual)
 
 
+def _mse_step(
+    a: float, variance: float, step: int, mse: float, mean_error: float,
+    weighted: float, k: float, gamma_next: float,
+) -> tuple[float, float, float]:
+    """One step t -> t+1 of the exact recursion on floats; returns the new
+    (mse, mean_error, weighted_gamma_sum).  See ``MseRecursionState``."""
+    b = 1.0 - a
+    mse = (
+        b * b * (mse + k * k - 2.0 * k * mean_error)
+        + 2.0 * a * a * weighted
+        - a * a * variance
+    )
+    return mse, b * (mean_error - k), weighted + b**step * gamma_next
+
+
 @dataclass(frozen=True)
 class MseRecursionState:
     """State of the exact second-moment recursion at step t.
@@ -150,17 +165,13 @@ class MseRecursionState:
     def advance(self, trend_increment: float, gamma_next: float) -> "MseRecursionState":
         """Step t -> t+1.  ``trend_increment`` is K_t = m*_t - m*_{t-1} and
         ``gamma_next`` is gamma(t), the lag entering the next weighted sum."""
-        a = self.alpha
-        b = 1.0 - a
-        k = trend_increment
-        mse = (
-            b * b * (self.mse + k * k - 2.0 * k * self.mean_error)
-            + 2.0 * a * a * self.weighted_gamma_sum
-            - a * a * self.variance
+        mse, mean_error, weighted = _mse_step(
+            self.alpha, self.variance, self.step, self.mse, self.mean_error,
+            self.weighted_gamma_sum, trend_increment, gamma_next,
         )
-        mean_error = b * (self.mean_error - k)
-        weighted = self.weighted_gamma_sum + b**self.step * gamma_next
-        return MseRecursionState(a, self.variance, self.step + 1, mse, mean_error, weighted)
+        return MseRecursionState(
+            self.alpha, self.variance, self.step + 1, mse, mean_error, weighted
+        )
 
 
 def initial_mse_state(
@@ -194,14 +205,16 @@ def exact_mse_sequence(
     horizon = int(horizon)
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-    levels = trend_sequence(trend, horizon)
+    increments = np.concatenate(([0.0], np.diff(trend_sequence(trend, horizon))))
     state = initial_mse_state(alpha, gamma, d1)
+    a, g0 = state.alpha, state.variance
+    mse, mean_error, weighted = state.mse, state.mean_error, state.weighted_gamma_sum
     out = np.empty(horizon + 1)
-    out[0] = state.mse
-    for t in range(1, horizon + 1):
-        k_t = levels[t - 1] - levels[t - 2] if t >= 2 else 0.0
-        state = state.advance(k_t, gamma(t))
-        out[t] = state.mse
+    out[0] = mse
+    # a memoryview yields Python floats without materializing them all
+    for t, k_t in enumerate(memoryview(increments), start=1):
+        mse, mean_error, weighted = _mse_step(a, g0, t, mse, mean_error, weighted, k_t, gamma(t))
+        out[t] = mse
     return out
 
 

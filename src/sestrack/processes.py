@@ -24,13 +24,11 @@ which the exact-recursion oracles rely on.  Every variant draws a fixed
 number of extra initial innovations so that ``eps_1`` already follows the
 stationary distribution.
 
-Each variant draws one path at a time (``_draw``, behind ``sample_path``)
-and also filters a whole block of paths at once (``_filter``, behind
-``sample_block``): ``_filter(z, out)`` turns time-major standard normals
-``z`` of shape (n + ``_extra_draws``, B), which it may overwrite, into the
-noise ``out`` of shape (n, B) with the floating-point operations of
-``_draw`` in the same order, so a block column is bitwise the path
-``sample_path`` draws from the same seed.
+Each variant states its law once, as a filter over a block of paths:
+``_filter(z, out)`` turns time-major standard normals ``z`` of shape
+(n + ``_extra_draws``, B), which it may overwrite, into the noise ``out`` of
+shape (n, B).  ``sample_block`` filters a Monte Carlo block that way, and
+``sample_path`` is the one-column case of the same call.
 """
 
 from __future__ import annotations
@@ -42,7 +40,7 @@ from typing import Callable, ClassVar, Union
 
 import numpy as np
 
-from .seeding import fill_standard_normals, make_generator
+from .seeding import fill_standard_normals
 
 
 def _key(key: str, default=MISSING):
@@ -92,9 +90,6 @@ class WhiteGaussian:
     def autocovariance_fn(self) -> Autocovariance:
         return Autocovariance(self.gamma, weighted_tail=lambda beta: 0.0)
 
-    def _draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return math.sqrt(self.variance) * rng.standard_normal(n)
-
     def _filter(self, z: np.ndarray, out: np.ndarray) -> None:
         np.multiply(z, math.sqrt(self.variance), out=out)
 
@@ -133,12 +128,6 @@ class MA1:
     def autocovariance_fn(self) -> Autocovariance:
         return Autocovariance(self.gamma, weighted_tail=lambda beta: self.gamma(1) * beta)
 
-    def _draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        eta = math.sqrt(self.innovation_variance) * rng.standard_normal(n + 1)
-        return (eta[1:] + self.coefficient * eta[:-1]) / math.sqrt(
-            1.0 + self.coefficient**2
-        )
-
     def _filter(self, z: np.ndarray, out: np.ndarray) -> None:
         np.multiply(z, math.sqrt(self.innovation_variance), out=z)
         np.multiply(z[:-1], self.coefficient, out=out)
@@ -153,8 +142,9 @@ class AR1:
     ``theta`` must lie strictly inside (0, 1).  gamma(0) =
     innovation_variance / (1 - theta^2) and gamma(k) = theta^|k| gamma(0).
     eps_1 is drawn from the exact stationary law, then the recursion runs
-    step by step: on Python floats for one path, and as one in-place ufunc
-    step per time index over a block.
+    step by step: on Python floats for a one-column block (``sample_path``;
+    at long horizons faster than a ufunc call per step), as one in-place
+    ufunc step per time index over a wider block, with the same bits.
     """
 
     kind: ClassVar[str] = "ar1"
@@ -178,21 +168,22 @@ class AR1:
 
         return Autocovariance(self.gamma, weighted_tail=tail)
 
-    def _draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        acc = math.sqrt(self.gamma(0)) * rng.standard_normal()
-        eta = math.sqrt(self.innovation_variance) * rng.standard_normal(n - 1)
-        theta, out = self.theta, [acc]
-        for eta_i in eta.tolist():
-            acc = theta * acc + eta_i
-            out.append(acc)
-        return np.array(out)
-
     def _filter(self, z: np.ndarray, out: np.ndarray) -> None:
         np.multiply(z[0], math.sqrt(self.gamma(0)), out=out[0])
         np.multiply(z[1:], math.sqrt(self.innovation_variance), out=out[1:])
+        theta = self.theta
+        if out.shape[1] == 1:
+            column = memoryview(out[:, 0])  # yields Python floats
+            acc = column[0]
+            eps = [acc]
+            for eta_t in column[1:]:
+                acc = theta * acc + eta_t
+                eps.append(acc)
+            out[:, 0] = eps
+            return
         carried = np.empty_like(out[0])
         for t in range(1, len(out)):
-            np.multiply(out[t - 1], self.theta, out=carried)
+            np.multiply(out[t - 1], theta, out=carried)
             np.add(out[t], carried, out=out[t])
 
 
@@ -242,13 +233,9 @@ class MAq:
 
         return Autocovariance(self.gamma, weighted_tail=tail)
 
-    def _draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        eta = math.sqrt(self.innovation_variance) * rng.standard_normal(n + self.order)
-        kernel = np.array((1.0,) + self.coefficients)
-        return np.convolve(eta, kernel, mode="valid")
-
     def _filter(self, z: np.ndarray, out: np.ndarray) -> None:
-        # the oldest innovation first, the order np.convolve sums in
+        # the oldest innovation first, the order np.convolve sums in, so a
+        # column is bitwise np.convolve(eta, (1, b_1..b_q), "valid")
         np.multiply(z, math.sqrt(self.innovation_variance), out=z)
         n, q = len(out), self.order
         np.multiply(z[:n], self.coefficients[q - 1], out=out)
@@ -424,6 +411,14 @@ class PathSample:
         return self.observations - self.trend
 
 
+def _fill_noise(noise: NoiseModel, seeds, out: np.ndarray) -> np.ndarray:
+    """Noise of the time-major (n, len(seeds)) array ``out``, column i
+    filtered from the standard normals of the stream keyed ``seeds[i]``."""
+    normals = np.empty((len(out) + noise._extra_draws, len(seeds)))
+    noise._filter(fill_standard_normals(normals, seeds), out)
+    return out
+
+
 def sample_path(
     noise: NoiseModel,
     trend: TrendSpec,
@@ -433,19 +428,18 @@ def sample_path(
 ) -> PathSample:
     """Simulate x_1..x_horizon = m*_t + eps_t, deterministically in ``seed``.
 
-    ``burn_in`` extra noise steps are generated and discarded before step 1.
-    Since every variant already starts stationary this does not change the
-    path law, only the draw layout; the default is 0.
+    The path is the one-column case of ``sample_block``: the noise is drawn
+    from the stream keyed ``seed`` by the same filter a Monte Carlo block
+    uses.  ``burn_in`` extra noise steps are generated and discarded before
+    step 1.  Since every variant already starts stationary this does not
+    change the path law, only the draw layout; the default is 0.
     """
     horizon = int(horizon)
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     if burn_in < 0:
         raise ValueError(f"burn_in must be >= 0, got {burn_in}")
-    rng = make_generator(seed)
-    eps = np.asarray(noise._draw(rng, horizon + burn_in), dtype=float)
-    if burn_in:
-        eps = eps[burn_in:]
+    eps = _fill_noise(noise, [seed], np.empty((horizon + burn_in, 1)))[burn_in:, 0]
     m_star = trend_sequence(trend, horizon)
     return PathSample(m_star + eps, m_star, int(seed), noise, trend)
 
@@ -455,13 +449,12 @@ def sample_block(noise: NoiseModel, trend: TrendSpec, seeds, out: np.ndarray) ->
 
     Column i of the (horizon, len(seeds)) array ``out`` becomes
     ``sample_path(noise, trend, horizon, seeds[i]).observations``, bit for
-    bit.  Each column still draws from its own Philox stream; the noise
-    filter and the trend run once over the whole block.  Returns ``out``.
+    bit.  Each column draws from its own Philox stream; the noise filter
+    and the trend run once over the whole block.  Returns ``out``.
     """
     horizon = len(out)
     if horizon < 1 or out.shape[1:] != (len(seeds),):
         raise ValueError("out must be a (horizon >= 1, len(seeds)) array")
-    normals = np.empty((horizon + noise._extra_draws, len(seeds)))
-    noise._filter(fill_standard_normals(normals, seeds), out)
+    _fill_noise(noise, seeds, out)
     out += trend_sequence(trend, horizon)[:, None]
     return out

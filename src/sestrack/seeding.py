@@ -17,8 +17,9 @@ al., "Parallel Random Numbers: As Easy as 1, 2, 3", SC'11), so moving one
 generator to another stream is a re-key, not a construction;
 ``fill_standard_normals`` draws a block of replications that way.
 
-User seeds must lie in [0, 2^64); anything else is rejected rather than
-wrapped, so two different seeds never name the same stream.
+User seeds must be integers (Python or numpy, never bools) in [0, 2^64);
+anything else is rejected rather than coerced or wrapped, so two different
+seeds never name the same stream.
 """
 
 from __future__ import annotations
@@ -42,9 +43,11 @@ def splitmix64(value):
 
 
 def _check_seed(seed: int) -> int:
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
     if not 0 <= seed <= _MASK64:
         raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
-    return seed
+    return int(seed)
 
 
 def child_seed(master: int, index: int) -> int:
@@ -103,7 +106,7 @@ def fill_standard_normals(out: np.ndarray, seeds) -> np.ndarray:
     generator = make_generator(0)
     key = np.zeros(2, dtype=np.uint64)
     start = _stream_start(key)
-    scratch = np.empty((_FILL_CHUNK, len(out)))
+    scratch = np.empty((min(_FILL_CHUNK, len(seeds)), len(out)))
     for lo in range(0, len(seeds), _FILL_CHUNK):
         rows = scratch[: len(seeds[lo : lo + _FILL_CHUNK])]
         for row, seed in zip(rows, seeds[lo : lo + _FILL_CHUNK]):

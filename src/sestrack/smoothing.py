@@ -117,21 +117,6 @@ def ses_run_inplace(buffer: np.ndarray, alpha: float, init: InitPolicy = "first"
     return buffer
 
 
-def ses_run_batch(observations, alpha: float, init: InitPolicy = "first") -> np.ndarray:
-    """Row-wise ses_run over a (replications, T) matrix.
-
-    The rows are transposed into a time-major buffer, smoothed there by
-    ``ses_run_inplace`` and transposed back, so each row of the
-    (replications, T + 1) result is bitwise identical to smoothing it alone.
-    """
-    x = np.asarray(observations, dtype=float)
-    if x.ndim != 2 or x.shape[1] == 0:
-        raise ValueError("batch observations must be a (replications, T) matrix")
-    buffer = np.empty((x.shape[1] + 1, x.shape[0]))
-    buffer[1:] = x.T
-    return np.ascontiguousarray(ses_run_inplace(buffer, alpha, init).T)
-
-
 def ses_closed_form(
     observations, alpha: float, initial_estimate: float, step: int
 ) -> float:

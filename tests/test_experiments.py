@@ -125,6 +125,26 @@ def test_monte_carlo_bits_pinned(kind):
     assert digest.hexdigest() == expected
 
 
+# the same recipe for AR(1) at 1 and BLOCK_SIZE + 1 replications, so blocks
+# of one column (AR(1)'s Python-float branch) run inside Monte Carlo
+@pytest.mark.parametrize(
+    "replications, expected",
+    [
+        (1, "53aa52be60120791aced832628e4a0425dd79e773ba6d7ae6f38da5e727a787d"),
+        (BLOCK_SIZE + 1, "384c35402e4a821b11c61029a6a9ffe27ec729058c8b1db1d025d58f11edeb93"),
+    ],
+    ids=["one", "block_plus_one"],
+)
+def test_ar1_one_column_blocks_pinned(replications, expected):
+    config = ExperimentConfig(
+        AR1(0.9, 0.3), Sinusoid(1.5, 0.1, 0.3), 0.2, 50, replications, seed=2024
+    )
+    curve = monte_carlo_mse(config)
+    digest = hashlib.sha256(curve.mean.tobytes() + curve.stderr.tobytes())
+    digest.update(struct.pack("<dd", curve.tail_mean, curve.tail_se))
+    assert digest.hexdigest() == expected
+
+
 def test_exact_oracle_agreement_randomized():
     rng = np.random.default_rng(20250809)
     checkpoints = (2, 10, 100, 500)

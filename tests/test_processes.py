@@ -245,21 +245,37 @@ def test_sample_path_validation():
         sample_path(WhiteGaussian(1.0), Constant(0.0), 10, seed=1, burn_in=-1)
 
 
-def test_ar1_draw_is_the_recurrence_on_the_philox_stream():
-    # rebuilds eps_1 ~ N(0, gamma(0)), eps_{t+1} = theta eps_t + eta_t from
-    # the same Philox draws, so the AR(1) bits are pinned independently of
-    # how the filter is implemented
-    noise = AR1(0.9, 1.3)
-    rng = make_generator(42)
+def _defining_formula(noise, seed, n):
+    # each kind's law written out on the Philox draws of ``seed``, so the
+    # sampled bits are pinned independently of how the filters compute them
+    rng = make_generator(seed)
+    if noise.kind == "white":
+        return math.sqrt(noise.variance) * rng.standard_normal(n)
+    if noise.kind == "ma1":
+        a = noise.coefficient
+        eta = math.sqrt(noise.innovation_variance) * rng.standard_normal(n + 1)
+        return (eta[1:] + a * eta[:-1]) / math.sqrt(1.0 + a**2)
+    if noise.kind == "maq":
+        eta = math.sqrt(noise.innovation_variance) * rng.standard_normal(n + noise.order)
+        return np.convolve(eta, (1.0,) + noise.coefficients, mode="valid")
+    # eps_1 ~ N(0, gamma(0)), eps_{t+1} = theta eps_t + eta_t
     eps = math.sqrt(noise.gamma(0)) * rng.standard_normal()
     expected = [eps]
-    for eta in rng.standard_normal(499).tolist():
-        eps = 0.9 * eps + math.sqrt(1.3) * eta
+    for eta in rng.standard_normal(n - 1).tolist():
+        eps = noise.theta * eps + math.sqrt(noise.innovation_variance) * eta
         expected.append(eps)
-    path = sample_path(noise, Constant(0.0), 500, seed=42)
-    assert np.array_equal(path.residuals(), expected)
-    one = sample_path(noise, Constant(0.0), 1, seed=42)
-    assert np.array_equal(one.residuals(), expected[:1])
+    return np.array(expected)
+
+
+@pytest.mark.parametrize("n", [1, 500])
+@pytest.mark.parametrize(
+    "noise",
+    [WhiteGaussian(2.5), MA1(-0.4, 1.7), AR1(0.9, 1.3), MAq((0.5, -0.3, 0.2), 1.3)],
+    ids=lambda m: m.kind,
+)
+def test_sample_path_is_the_defining_formula_on_the_philox_stream(noise, n):
+    path = sample_path(noise, Constant(0.0), n, seed=42)
+    assert path.residuals().tobytes() == _defining_formula(noise, 42, n).tobytes()
 
 
 @pytest.mark.parametrize("package", ["scipy", "concurrent"])
@@ -302,14 +318,16 @@ def test_sample_block_columns_are_sample_paths(noise, trend):
 
 @pytest.mark.parametrize("order", range(1, 9))
 def test_maq_block_filter_sums_like_convolve(order):
-    # the block filter sums the oldest innovation first; np.convolve must
-    # agree bit for bit, or the block path would drift from sample_path
+    # the block filter sums the oldest innovation first, the order
+    # np.convolve sums in, so the two agree bit for bit
     rng = np.random.default_rng(order)
     noise = MAq(tuple(rng.normal(scale=1.5, size=order)), 0.8)
     seeds = [int(k) for k in rng.integers(0, 2**63, size=9)]
     out = sample_block(noise, Constant(0.0), seeds, np.empty((120, 9)))
     for i, seed in enumerate(seeds):
-        assert out[:, i].tobytes() == sample_path(noise, Constant(0.0), 120, seed).observations.tobytes()
+        eta = math.sqrt(0.8) * make_generator(seed).standard_normal(120 + order)
+        expected = np.convolve(eta, (1.0,) + noise.coefficients, mode="valid")
+        assert out[:, i].tobytes() == expected.tobytes()
 
 
 def test_sample_block_shape_checks():

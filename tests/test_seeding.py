@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sestrack.processes import Constant, WhiteGaussian, sample_path
 from sestrack.seeding import (
     _stream_start,
     child_seed,
@@ -51,6 +52,33 @@ def test_seed_range_edges_accepted():
     assert child_seed(0, 3) != child_seed(2**64 - 1, 3)
     make_generator(0)
     make_generator(2**64 - 1)
+
+
+@pytest.mark.parametrize(
+    "seed", [1.5, 2.0, True, False, np.True_, np.float64(3.0), "3", None], ids=repr
+)
+def test_non_integer_seed_rejected(seed):
+    # never coerced: 1.5 and True would otherwise both name stream 1
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        child_seed(seed, 0)
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        make_generator(seed)
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        sample_path(WhiteGaussian(1.0), Constant(0.0), 5, seed)
+
+
+@pytest.mark.parametrize(
+    "seed", [np.int64(5), np.uint32(7), np.uint64(2**64 - 1)], ids=repr
+)
+def test_numpy_integer_seed_names_the_same_stream(seed):
+    assert child_seed(seed, 3) == child_seed(int(seed), 3)
+    draws = make_generator(seed).standard_normal(4)
+    assert draws.tobytes() == make_generator(int(seed)).standard_normal(4).tobytes()
+    path = sample_path(WhiteGaussian(1.0), Constant(0.0), 5, seed)
+    assert path.seed == int(seed)
+    assert path.observations.tobytes() == sample_path(
+        WhiteGaussian(1.0), Constant(0.0), 5, int(seed)
+    ).observations.tobytes()
 
 
 @pytest.mark.parametrize("master", [0, 12345, 2**64 - 1])

@@ -10,7 +10,6 @@ from sestrack import (
     running_mean,
     ses_closed_form,
     ses_run,
-    ses_run_batch,
     ses_step,
     sga_step,
 )
@@ -123,22 +122,13 @@ def test_run_input_validation():
         ses_run([1.0], 0.5, init="median")
 
 
-def test_batch_rows_match_scalar_runs():
-    rng = np.random.default_rng(5)
-    x = rng.normal(size=(8, 40))
-    batch_first = ses_run_batch(x, 0.23)
-    batch_fixed = ses_run_batch(x, 0.23, init=1.5)
-    for i in range(8):
-        assert np.array_equal(batch_first[i], ses_run(x[i], 0.23))
-        assert np.array_equal(batch_fixed[i], ses_run(x[i], 0.23, init=1.5))
-
-
-def test_inplace_time_major_columns_match_scalar_runs():
+@pytest.mark.parametrize("init", ["first", -2.0])
+def test_inplace_time_major_columns_match_scalar_runs(init):
     x = np.random.default_rng(6).normal(size=(30, 5))
     buffer = np.vstack([np.full(5, np.nan), x])
-    assert ses_run_inplace(buffer, 0.31, init=-2.0) is buffer
+    assert ses_run_inplace(buffer, 0.31, init=init) is buffer
     for j in range(5):
-        assert np.array_equal(buffer[:, j], ses_run(x[:, j], 0.31, init=-2.0))
+        assert np.array_equal(buffer[:, j], ses_run(x[:, j], 0.31, init=init))
     with pytest.raises(ValueError):
         ses_run_inplace(np.zeros((1, 5)), 0.31)
 
