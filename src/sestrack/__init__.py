@@ -9,16 +9,15 @@ Monte Carlo experiments that verify the bound empirically.
 from .bounds import (
     AlphaSearchResult,
     BoundReport,
-    MseRecursionState,
     closed_form_mse,
     exact_mse_sequence,
-    initial_mse_state,
     optimize_alpha,
     tracking_bound,
 )
 from .dataio import (
     load_experiment_config,
     read_csv_column,
+    reproduce_figure,
     save_experiment_config,
     write_csv,
     write_results,
@@ -33,7 +32,6 @@ from .experiments import (
     SmoothedPath,
     compare_negative_vs_positive_ma,
     monte_carlo_mse,
-    reproduce_figure,
     simulate_smoothed,
     verify_bound,
 )
@@ -84,7 +82,6 @@ __all__ = [
     "MAq",
     "MaSignComparison",
     "MseCurve",
-    "MseRecursionState",
     "NoiseModel",
     "PathSample",
     "Sinusoid",
@@ -98,7 +95,6 @@ __all__ = [
     "compare_negative_vs_positive_ma",
     "exact_mse_sequence",
     "gaussian_model",
-    "initial_mse_state",
     "load_experiment_config",
     "make_generator",
     "monte_carlo_mse",

@@ -97,7 +97,8 @@ def tracking_bound(
     is computed: "auto" prefers the model's closed form when one exists,
     "closed" demands it, "series" forces truncated summation (terms are
     accumulated until the remainder bound gamma(0) beta^(k+1) / (1 - beta)
-    is <= tol * gamma(0), capped at 10^6 lags).
+    is <= tol * gamma(0), capped at 10^6 lags).  A trend term that
+    overflows is +inf, as is then the total.
     """
     alpha = check_alpha(alpha)
     lipschitz = float(lipschitz)
@@ -124,7 +125,10 @@ def tracking_bound(
     front = alpha / (2.0 - alpha)
     variance_term = front * g0
     correlation_term = 2.0 * front * tail
-    trend_term = (beta / alpha) ** 2 * lipschitz**2
+    try:
+        trend_term = (beta / alpha) ** 2 * lipschitz**2
+    except OverflowError:  # a float power raises where a float product gives inf
+        trend_term = math.inf
     total = variance_term + correlation_term + trend_term
     return BoundReport(alpha, variance_term, correlation_term, trend_term, total, lag, residual)
 
@@ -133,8 +137,13 @@ def _mse_step(
     a: float, variance: float, step: int, mse: float, mean_error: float,
     weighted: float, k: float, gamma_next: float,
 ) -> tuple[float, float, float]:
-    """One step t -> t+1 of the exact recursion on floats; returns the new
-    (mse, mean_error, weighted_gamma_sum).  See ``MseRecursionState``."""
+    """One step t -> t+1 of the exact recursion on floats.
+
+    At step t, ``mse`` is D_t = E[(m_t - m*_{t-1})^2], ``mean_error`` is
+    v_t = E[m_t - m*_{t-1}] = -sum_{h<t} beta^(t-h) K_h and ``weighted`` is
+    sum_{k=0}^{t-1} beta^k gamma(k); ``k`` is K_t = m*_t - m*_{t-1} and
+    ``gamma_next`` is gamma(t).  Returns the three at step t + 1.
+    """
     b = 1.0 - a
     mse = (
         b * b * (mse + k * k - 2.0 * k * mean_error)
@@ -142,52 +151,6 @@ def _mse_step(
         - a * a * variance
     )
     return mse, b * (mean_error - k), weighted + b**step * gamma_next
-
-
-@dataclass(frozen=True)
-class MseRecursionState:
-    """State of the exact second-moment recursion at step t.
-
-    ``mse`` is D_t = E[(m_t - m*_{t-1})^2], ``mean_error`` is
-    v_t = E[m_t - m*_{t-1}] and ``weighted_gamma_sum`` is
-    sum_{k=0}^{t-1} beta^k gamma(k), the series the squared recursion
-    consumes.  The discounted trend-increment sum appears implicitly:
-    v_t = -sum_{h<t} beta^(t-h) K_h.
-    """
-
-    alpha: float
-    variance: float
-    step: int
-    mse: float
-    mean_error: float
-    weighted_gamma_sum: float
-
-    def advance(self, trend_increment: float, gamma_next: float) -> "MseRecursionState":
-        """Step t -> t+1.  ``trend_increment`` is K_t = m*_t - m*_{t-1} and
-        ``gamma_next`` is gamma(t), the lag entering the next weighted sum."""
-        mse, mean_error, weighted = _mse_step(
-            self.alpha, self.variance, self.step, self.mse, self.mean_error,
-            self.weighted_gamma_sum, trend_increment, gamma_next,
-        )
-        return MseRecursionState(
-            self.alpha, self.variance, self.step + 1, mse, mean_error, weighted
-        )
-
-
-def initial_mse_state(
-    alpha: float, gamma: Autocovariance, d1: str = "paper"
-) -> MseRecursionState:
-    """Starting state of the recursion; see the module docstring for the
-    two d1 modes."""
-    alpha = check_alpha(alpha)
-    g0 = gamma(0)
-    if d1 == "paper":
-        mse = 0.0
-    elif d1 == "variance":
-        mse = g0
-    else:
-        raise ValueError(f'd1 must be "paper" or "variance", got {d1!r}')
-    return MseRecursionState(alpha, g0, 1, mse, 0.0, g0)
 
 
 def exact_mse_sequence(
@@ -200,15 +163,18 @@ def exact_mse_sequence(
     """Evolve D_1 .. D_{horizon+1} exactly, in O(1) work per step.
 
     The trend enters through its one-step increments K_t, with the
-    convention m*_0 := m*_1 so that K_1 = 0.
+    convention m*_0 := m*_1 so that K_1 = 0.  The recursion starts from
+    v_1 = 0 and D_1 set by ``d1`` (see the module docstring).
     """
+    a = check_alpha(alpha)
+    if d1 not in ("paper", "variance"):
+        raise ValueError(f'd1 must be "paper" or "variance", got {d1!r}')
     horizon = int(horizon)
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     increments = np.concatenate(([0.0], np.diff(trend_sequence(trend, horizon))))
-    state = initial_mse_state(alpha, gamma, d1)
-    a, g0 = state.alpha, state.variance
-    mse, mean_error, weighted = state.mse, state.mean_error, state.weighted_gamma_sum
+    g0 = gamma(0)
+    mse, mean_error, weighted = (0.0 if d1 == "paper" else g0), 0.0, g0
     out = np.empty(horizon + 1)
     out[0] = mse
     # a memoryview yields Python floats without materializing them all
@@ -272,7 +238,8 @@ def _golden_section_min(f, lo: float, hi: float, tol: float) -> float:
     c = b - _INV_PHI * (b - a)
     d = a + _INV_PHI * (b - a)
     fc, fd = f(c), f(d)
-    while (b - a) > tol:
+    width = b - a
+    while width > tol:
         if fc <= fd:  # ties keep the lower interval
             b, d, fd = d, c, fc
             c = b - _INV_PHI * (b - a)
@@ -281,6 +248,9 @@ def _golden_section_min(f, lo: float, hi: float, tol: float) -> float:
             a, c, fc = c, d, fd
             d = a + _INV_PHI * (b - a)
             fd = f(d)
+        if b - a >= width:  # rounding: the bracket no longer shrinks
+            break
+        width = b - a
     mid = 0.5 * (a + b)
     # monotone objectives finish flush against a bracket edge; keep whichever
     # of the original endpoints and the interior candidate is best, the
@@ -301,7 +271,11 @@ def optimize_alpha(
     refines it to ``search_tol``; ties resolve toward smaller alpha.  With
     no noise and a static trend the objective is identically zero: the
     smallest grid point is returned with ``degenerate`` set.
+    ``search_tol`` must be finite and > 0; the search also ends once
+    rounding stops the bracket from shrinking.
     """
+    if not (math.isfinite(search_tol) and search_tol > 0.0):
+        raise ValueError(f"search tolerance must be finite and > 0, got {search_tol}")
 
     def objective(a: float) -> float:
         return tracking_bound(a, gamma, lipschitz).total

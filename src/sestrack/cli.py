@@ -6,7 +6,9 @@ errors (including malformed model specs, echoed with the grammar), 3 when
 is inconclusive (three standard errors reach the bound itself).
 
 Numbers are printed with 10 significant digits in text mode; ``--json``
-output keeps full double precision.
+output keeps full double precision.  A reported number that is not finite
+(an overflow in the model or the experiment) is an error naming it, exit 1,
+in place of numpy's warnings.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from dataclasses import MISSING
 
@@ -22,10 +25,10 @@ import numpy as np
 from .bounds import exact_mse_sequence, optimize_alpha, tracking_bound
 from .dataio import (
     SchemaError,
-    format_csv,
     load_experiment_config,
     model_from_dict,
     read_csv_column,
+    reproduce_figure,
     write_csv,
     write_results,
 )
@@ -33,7 +36,6 @@ from .experiments import (
     DEFAULT_FIGURE_SEED,
     ExperimentConfig,
     monte_carlo_mse,
-    reproduce_figure,
     simulate_smoothed,
     verify_bound,
 )
@@ -133,6 +135,17 @@ def parse_init(text: str):
         raise UsageError(f'init must be "first" or a number, got {text!r}') from None
 
 
+def _finite(payload: dict) -> dict:
+    """Return ``payload`` once every number in it, nested objects included,
+    is finite; a non-finite one is a ValueError naming its key."""
+    for key, value in payload.items():
+        if isinstance(value, dict):
+            _finite(value)
+        elif isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{key} is not finite ({value})")
+    return payload
+
+
 def _print_pairs(pairs: list[tuple[str, object]]) -> None:
     width = max(len(k) for k, _ in pairs)
     for key, value in pairs:
@@ -156,13 +169,9 @@ def _cmd_smooth(args) -> int:
     observations = read_csv_column(args.input, args.column)
     trajectory = ses_run(observations, args.alpha, parse_init(args.init))
     steps = np.arange(1, len(observations) + 1)
-    header = ["t", "x", "m_hat"]
-    columns = [steps, observations, trajectory[1:]]
+    write_csv(args.out or sys.stdout, ["t", "x", "m_hat"], [steps, observations, trajectory[1:]])
     if args.out:
-        write_csv(args.out, header, columns)
         print(args.out)
-    else:
-        print(format_csv(header, columns), end="")
     return 0
 
 
@@ -176,13 +185,9 @@ def _cmd_simulate(args) -> int:
         parse_init(args.init),
         args.burn_in,
     )
+    write_results(smoothed, args.out or sys.stdout, "csv")
     if args.out:
-        write_results(smoothed, args.out, "csv")
         print(args.out)
-    else:
-        header = ["t", "x", "m_star", "m_hat"]
-        columns = [smoothed.steps, smoothed.observations, smoothed.trend, smoothed.estimates]
-        print(format_csv(header, columns), end="")
     if args.svg:
         write_results(smoothed, args.svg, "svg")
         print(args.svg)
@@ -192,8 +197,9 @@ def _cmd_simulate(args) -> int:
 def _cmd_bound(args) -> int:
     noise = parse_spec(args.noise, NOISE_KINDS, "noise")
     report = tracking_bound(args.alpha, noise.autocovariance_fn(), args.k)
+    payload = _finite(dataclasses.asdict(report))
     if args.json:
-        print(json.dumps(dataclasses.asdict(report)))
+        print(json.dumps(payload))
     else:
         _print_pairs(_report_pairs(report))
     return 0
@@ -202,12 +208,12 @@ def _cmd_bound(args) -> int:
 def _cmd_optimize_alpha(args) -> int:
     noise = parse_spec(args.noise, NOISE_KINDS, "noise")
     result = optimize_alpha(noise.autocovariance_fn(), args.k, search_tol=args.tol)
+    payload = _finite({
+        "alpha": result.alpha,
+        "degenerate": result.degenerate,
+        "report": dataclasses.asdict(result.report),
+    })
     if args.json:
-        payload = {
-            "alpha": result.alpha,
-            "degenerate": result.degenerate,
-            "report": dataclasses.asdict(result.report),
-        }
         print(json.dumps(payload))
     else:
         _print_pairs([("alpha_star", result.alpha), ("degenerate", result.degenerate)])
@@ -229,10 +235,10 @@ def _cmd_mse(args) -> int:
         sequence = exact_mse_sequence(
             args.alpha, noise.autocovariance_fn(), trend, args.steps, args.d1
         )
+        summary = _finite({"final_mse": float(sequence[-1])})
         if args.out:
             write_csv(args.out, ["t", "mse"], [np.arange(1, len(sequence) + 1), sequence])
             print(args.out)
-        summary = {"final_mse": float(sequence[-1])}
     else:
         _require(args, ["alpha", "steps", "reps", "seed"], "mc")
         config = ExperimentConfig(
@@ -245,16 +251,16 @@ def _cmd_mse(args) -> int:
             parse_init(args.init),
         )
         curve = monte_carlo_mse(config, workers=args.workers)
-        if args.out:
-            write_results(curve, args.out, "csv")
-            print(args.out)
-        summary = {
+        summary = _finite({
             "tail_mean": curve.tail_mean,
             "tail_se": curve.tail_se,
             "tail_max": curve.tail_max,
             "tail_start": curve.tail_start,
             "replications": curve.replications,
-        }
+        })
+        if args.out:
+            write_results(curve, args.out, "csv")
+            print(args.out)
     if args.json:
         print(json.dumps(summary))
     else:
@@ -270,20 +276,20 @@ def _cmd_verify(args) -> int:
     verdict, code = (
         ("INCONCLUSIVE", 4) if check.inconclusive else ("PASS", 0) if check.passed else ("FAIL", 3)
     )
+    payload = _finite({
+        "passed": check.passed,
+        "inconclusive": check.inconclusive,
+        "empirical_tail": check.empirical_tail,
+        "tail_se": check.tail_se,
+        "bound_total": check.bound.total,
+        "margin": check.margin,
+        "bound": dataclasses.asdict(check.bound),
+    })
     if output.get("csv"):
         write_results(check.curve, output["csv"], "csv")
     if output.get("svg"):
         write_results(check.curve, output["svg"], "svg")
     if args.json:
-        payload = {
-            "passed": check.passed,
-            "inconclusive": check.inconclusive,
-            "empirical_tail": check.empirical_tail,
-            "tail_se": check.tail_se,
-            "bound_total": check.bound.total,
-            "margin": check.margin,
-            "bound": dataclasses.asdict(check.bound),
-        }
         print(json.dumps(payload))
     else:
         _print_pairs(
@@ -391,7 +397,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        return args.handler(args)
+        # overflow is reported by the finiteness check, not by numpy warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.handler(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         print(SPEC_GRAMMAR, file=sys.stderr, end="")

@@ -1,15 +1,24 @@
-"""CSV, SVG and JSON-config input/output.
+"""CSV, SVG and JSON-config input/output, and the figure reproduction
+that writes both.
 
 CSV files are UTF-8 with a header row, comma separators, ``\\n`` newlines
 and floats printed at 17 significant digits, which round-trips IEEE
-doubles exactly.  SVG output is a self-contained 800x500 document.  Config
-documents are strict JSON (schema_version 1, unknown keys and wrong JSON
-types rejected with the failing key path, such as ``config.noise.a``).
+doubles exactly; integer columns are printed as integers.  SVG output is a
+self-contained 800x500 document.  Both are formatted one column (or one
+coordinate array) at a time in chunks of ``_CHUNK_ROWS`` rows and streamed
+to a path or to an open text stream, so no whole document is held in
+memory.  Config documents are strict JSON (schema_version 1, unknown keys
+and wrong JSON types rejected with the failing key path, such as
+``config.noise.a``).
+
+This module sits above ``experiments``: it imports the result types it
+writes, and nothing in the numerical modules imports it.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 from dataclasses import MISSING
@@ -17,46 +26,64 @@ from pathlib import Path
 
 import numpy as np
 
+from .experiments import (
+    DEFAULT_FIGURE_SEED,
+    FIGURE_ALPHA,
+    FIGURE_CONFIGS,
+    FIGURE_HORIZON,
+    FIGURE_INIT,
+    ExperimentConfig,
+    MseCurve,
+    SmoothedPath,
+    simulate_smoothed,
+)
 from .processes import NOISE_KINDS, TREND_KINDS, model_fields
 
 CONFIG_SCHEMA_VERSION = 1
+
+_CHUNK_ROWS = 4096  # rows (or plotted points) formatted per write
 
 _SVG_WIDTH = 800
 _SVG_HEIGHT = 500
 _MARGIN_LEFT, _MARGIN_RIGHT, _MARGIN_TOP, _MARGIN_BOTTOM = 62, 18, 18, 42
 
 
+def _write(target, parts) -> Path | None:
+    """Write text parts to an open text stream, or to a new UTF-8 file at a
+    path, which is returned."""
+    if hasattr(target, "write"):
+        target.writelines(parts)
+        return None
+    path = Path(target)
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        handle.writelines(parts)
+    return path
+
+
 # ---------------------------------------------------------------------------
 # CSV
 # ---------------------------------------------------------------------------
 
-def format_float(value: float) -> str:
-    return f"{float(value):.17g}"
+def _csv_text(header: list[str], columns: list[np.ndarray]):
+    yield ",".join(header) + "\n"
+    for lo in range(0, len(columns[0]), _CHUNK_ROWS):
+        cells = [
+            map(str if col.dtype.kind in "iu" else "{:.17g}".format,
+                col[lo : lo + _CHUNK_ROWS].tolist())
+            for col in columns
+        ]
+        yield "\n".join(map(",".join, zip(*cells))) + "\n"
 
 
-def _format_cell(value) -> str:
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return format_float(value)
-
-
-def format_csv(header: list[str], columns: list[np.ndarray]) -> str:
-    """Render equal-length columns as CSV text."""
+def write_csv(path, header: list[str], columns: list[np.ndarray]) -> Path | None:
+    """Write equal-length columns as CSV to ``path``, a file path (returned
+    as a Path) or an open text stream (None is returned)."""
     if len(header) != len(columns):
         raise ValueError("header and column counts differ")
-    lengths = {len(c) for c in columns}
-    if len(lengths) != 1:
+    columns = [np.asarray(col) for col in columns]
+    if len({len(col) for col in columns}) != 1:
         raise ValueError("columns must have equal lengths")
-    lines = [",".join(header)]
-    for i in range(lengths.pop()):
-        lines.append(",".join(_format_cell(col[i]) for col in columns))
-    return "\n".join(lines) + "\n"
-
-
-def write_csv(path, header: list[str], columns: list[np.ndarray]) -> Path:
-    path = Path(path)
-    path.write_text(format_csv(header, columns), encoding="utf-8", newline="")
-    return path
+    return _write(path, _csv_text(header, columns))
 
 
 def read_csv_column(path, column: str) -> np.ndarray:
@@ -105,10 +132,11 @@ def _scales(xs: np.ndarray, ys: np.ndarray):
     plot_w = _SVG_WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
     plot_h = _SVG_HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
 
-    def px(x: float) -> float:
+    # applied to a float or elementwise to an array: the same IEEE operations
+    def px(x):
         return _MARGIN_LEFT + (x - x0) / xspan * plot_w
 
-    def py(y: float) -> float:
+    def py(y):
         return _SVG_HEIGHT - _MARGIN_BOTTOM - (y - y0) / (y1 - y0) * plot_h
 
     return px, py, (x0, x1, y0, y1)
@@ -145,11 +173,6 @@ def _axes(px, py, limits) -> list[str]:
     return parts
 
 
-def _polyline(px, py, xs, ys, color: str) -> str:
-    points = " ".join(f"{px(float(x)):.2f},{py(float(y)):.2f}" for x, y in zip(xs, ys))
-    return f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.6"/>'
-
-
 def _legend(entries: list[tuple[str, str]]) -> list[str]:
     parts = []
     x = _MARGIN_LEFT + 12
@@ -164,87 +187,101 @@ def _legend(entries: list[tuple[str, str]]) -> list[str]:
     return parts
 
 
-def _svg_document(body: list[str]) -> str:
-    head = (
+def _points(opening: str, template: str, xs: np.ndarray, ys: np.ndarray, closing: str):
+    """Yield one element whose body is ``template`` formatted at each
+    (x, y), space-separated, ``_CHUNK_ROWS`` points at a time."""
+    yield opening
+    separator = ""
+    for lo in range(0, len(xs), _CHUNK_ROWS):
+        hi = lo + _CHUNK_ROWS
+        yield separator + " ".join(map(template.format, xs[lo:hi].tolist(), ys[lo:hi].tolist()))
+        separator = " "
+    yield closing
+
+
+def _svg_text(steps, lines: list[tuple[str, np.ndarray, str]], dots=None):
+    """The plot document as an iterator of text parts: ``dots`` (if given)
+    as light points, then one polyline per (label, values, color) entry,
+    and a legend.  Scales and pixel coordinates are computed here, before
+    anything is written."""
+    xs = np.asarray(steps, dtype=float)
+    series = [np.asarray(ys, dtype=float) for _, ys, _ in lines]
+    legend = [(label, color) for label, _, color in lines]
+    if dots is not None:
+        dots = np.asarray(dots, dtype=float)
+        legend.insert(0, ("observations", "#9db8d9"))
+    px, py, limits = _scales(xs, np.concatenate(([] if dots is None else [dots]) + series))
+    x_px = px(xs)
+    head = [
         '<svg xmlns="http://www.w3.org/2000/svg" '
         f'viewBox="0 0 {_SVG_WIDTH} {_SVG_HEIGHT}" '
-        'font-family="sans-serif" font-size="12">'
-    )
-    background = f'<rect x="0" y="0" width="{_SVG_WIDTH}" height="{_SVG_HEIGHT}" fill="#ffffff"/>'
-    return "\n".join([head, background, *body, "</svg>"]) + "\n"
+        'font-family="sans-serif" font-size="12">',
+        f'<rect x="0" y="0" width="{_SVG_WIDTH}" height="{_SVG_HEIGHT}" fill="#ffffff"/>',
+        *_axes(px, py, limits),
+    ]
+    elements = [] if dots is None else [_points(
+        '<g fill="#9db8d9" fill-opacity="0.55" stroke="none">',
+        '<circle cx="{:.2f}" cy="{:.2f}" r="1.4"/>', x_px, py(dots), "</g>\n",
+    )]
+    elements += [
+        _points('<polyline points="', "{:.2f},{:.2f}", x_px, py(ys),
+                f'" fill="none" stroke="{color}" stroke-width="1.6"/>\n')
+        for ys, (_, _, color) in zip(series, lines)
+    ]
+    tail = "\n".join([*_legend(legend), "</svg>"]) + "\n"
+    return itertools.chain(["\n".join(head) + "\n"], *elements, [tail])
 
 
-def render_overlay_svg(
-    steps: np.ndarray,
-    observations: np.ndarray,
-    trend: np.ndarray,
-    estimates: np.ndarray,
-) -> str:
-    """Observations as light points, trend and estimate as polylines."""
-    xs = np.asarray(steps, dtype=float)
-    all_y = np.concatenate(
-        [np.asarray(observations, float), np.asarray(trend, float), np.asarray(estimates, float)]
-    )
-    px, py, limits = _scales(xs, all_y)
-    body = _axes(px, py, limits)
-    dots = " ".join(
-        f'<circle cx="{px(float(x)):.2f}" cy="{py(float(y)):.2f}" r="1.4"/>'
-        for x, y in zip(xs, observations)
-    )
-    body.append(f'<g fill="#9db8d9" fill-opacity="0.55" stroke="none">{dots}</g>')
-    body.append(_polyline(px, py, xs, trend, "#222222"))
-    body.append(_polyline(px, py, xs, estimates, "#d0442c"))
-    body.extend(
-        _legend(
-            [("observations", "#9db8d9"), ("trend", "#222222"), ("estimate", "#d0442c")]
-        )
-    )
-    return _svg_document(body)
+def write_results(result, path, fmt: str = "csv") -> Path | None:
+    """Persist a smoothed path, an MSE curve, or a bare trajectory array.
 
-
-def render_curve_svg(steps: np.ndarray, values: np.ndarray, label: str) -> str:
-    """Single polyline plot with a legend entry."""
-    xs = np.asarray(steps, dtype=float)
-    ys = np.asarray(values, dtype=float)
-    px, py, limits = _scales(xs, ys)
-    body = _axes(px, py, limits)
-    body.append(_polyline(px, py, xs, ys, "#d0442c"))
-    body.extend(_legend([(label, "#d0442c")]))
-    return _svg_document(body)
-
-
-def write_results(result, path, fmt: str = "csv") -> Path:
-    """Persist a smoothed path, an MSE curve, or a bare trajectory array."""
-    # imported here: experiments itself writes files through this function
-    from .experiments import MseCurve, SmoothedPath
-
+    ``path`` is a file path (returned as a Path) or an open text stream
+    (None is returned); ``fmt`` is "csv" or "svg".
+    """
     if fmt not in ("csv", "svg"):
         raise ValueError(f'format must be "csv" or "svg", got {fmt!r}')
-    path = Path(path)
+    dots = None
     if isinstance(result, SmoothedPath):
-        if fmt == "csv":
-            return write_csv(
-                path,
-                ["t", "x", "m_star", "m_hat"],
-                [result.steps, result.observations, result.trend, result.estimates],
-            )
-        text = render_overlay_svg(
-            result.steps, result.observations, result.trend, result.estimates
-        )
+        header = ["t", "x", "m_star", "m_hat"]
+        columns = [result.steps, result.observations, result.trend, result.estimates]
+        lines = [("trend", result.trend, "#222222"), ("estimate", result.estimates, "#d0442c")]
+        dots = result.observations
     elif isinstance(result, MseCurve):
-        steps = np.arange(1, len(result.mean) + 1)
-        if fmt == "csv":
-            return write_csv(path, ["t", "mse", "stderr"], [steps, result.mean, result.stderr])
-        text = render_curve_svg(steps, result.mean, "mean squared tracking error")
+        header = ["t", "mse", "stderr"]
+        columns = [np.arange(1, len(result.mean) + 1), result.mean, result.stderr]
+        lines = [("mean squared tracking error", result.mean, "#d0442c")]
     elif isinstance(result, np.ndarray) and result.ndim == 1:
-        steps = np.arange(1, len(result) + 1)
-        if fmt == "csv":
-            return write_csv(path, ["t", "value"], [steps, result])
-        text = render_curve_svg(steps, result, "value")
+        header, columns = ["t", "value"], [np.arange(1, len(result) + 1), result]
+        lines = [("value", result, "#d0442c")]
     else:
         raise TypeError(f"cannot write results of type {type(result).__name__}")
-    path.write_text(text, encoding="utf-8", newline="")
-    return path
+    if fmt == "csv":
+        return write_csv(path, header, columns)
+    return _write(path, _svg_text(columns[0], lines, dots))
+
+
+def reproduce_figure(
+    figure: str, outdir, seed: int = DEFAULT_FIGURE_SEED
+) -> list[Path]:
+    """Re-run one of the published single-trajectory configurations.
+
+    Writes ``fig<id>.csv`` (columns t, x, m_star, m_hat) and a matching
+    overlay plot ``fig<id>.svg`` into ``outdir``; returns both paths.  The
+    published plots carry no seed, so reproduction is qualitative: any seed
+    lands in the same tracking neighbourhood.
+    """
+    if figure not in FIGURE_CONFIGS:
+        valid = ", ".join(sorted(FIGURE_CONFIGS))
+        raise ValueError(f"unknown figure id {figure!r}; valid ids: {valid}")
+    noise, trend = FIGURE_CONFIGS[figure]
+    smoothed = simulate_smoothed(
+        noise, trend, FIGURE_ALPHA, FIGURE_HORIZON, seed, FIGURE_INIT
+    )
+    outdir = Path(outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    csv_path = write_results(smoothed, outdir / f"fig{figure}.csv", "csv")
+    svg_path = write_results(smoothed, outdir / f"fig{figure}.svg", "svg")
+    return [csv_path, svg_path]
 
 
 # ---------------------------------------------------------------------------
@@ -346,8 +383,6 @@ def experiment_config_from_dict(document):
     """Decode a schema-1 config document; returns (ExperimentConfig, output
     options).  Every key and JSON type is checked: numbers must be JSON
     numbers, counts and the seed JSON integers, never bools or strings."""
-    from .experiments import ExperimentConfig
-
     _check_keys(
         document,
         {"schema_version", "noise", "trend", "alpha", "horizon", "replications", "seed"},

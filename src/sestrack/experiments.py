@@ -4,16 +4,17 @@ Replication ``r`` of an experiment with master seed ``s`` simulates its
 path from the child seed ``child_seed(s, r)``.  Replications are processed
 serially in fixed blocks of ``BLOCK_SIZE``, each sampled and smoothed as one
 time-major array, and block summaries are combined in index order, so every
-statistic (and any file written from it) depends on the config alone.
-Squared errors follow the delayed pairing of the tracking analysis: the
-error at step t is ``m_{t+1} - m*_t``.
+statistic depends on the config alone.  Squared errors follow the delayed
+pairing of the tracking analysis: the error at step t is ``m_{t+1} - m*_t``.
+
+This module computes results and writes no files; ``dataio`` writes them
+(and holds ``reproduce_figure``), and nothing here imports it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -32,7 +33,6 @@ from .processes import (
 )
 from .seeding import child_seeds
 from .smoothing import InitPolicy, check_alpha, ses_run, ses_run_inplace
-from .dataio import write_results
 
 BLOCK_SIZE = 1024
 MAX_CELLS = 10**8
@@ -139,11 +139,7 @@ def _combine(total: _BlockMoments, block: _BlockMoments) -> _BlockMoments:
     return _BlockMoments(n, mean, m2, tail_mean, tail_m2)
 
 
-def monte_carlo_mse(
-    config: ExperimentConfig,
-    workers: int | None = None,
-    max_cells: int = MAX_CELLS,
-) -> MseCurve:
+def monte_carlo_mse(config: ExperimentConfig, workers: int | None = None) -> MseCurve:
     """Estimate the per-step mean squared tracking error by replication.
 
     Each block of up to ``BLOCK_SIZE`` replications is sampled into one
@@ -152,16 +148,18 @@ def monte_carlo_mse(
     squared there in place; one transpose to (B, T) then feeds the per-step
     moments and the tail means.  Deterministic given the config: blocks run
     serially in index order and their summaries are folded in that order.
-    ``workers`` must be None or an integer >= 1 and selects nothing.
+    ``workers`` must be None or an integer >= 1 and selects nothing.  A
+    horizon x replications above ``MAX_CELLS`` is rejected before anything
+    is allocated.
     """
     if workers is not None and (
         isinstance(workers, bool) or not isinstance(workers, (int, np.integer)) or workers < 1
     ):
         raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
     horizon, reps = config.horizon, config.replications
-    if horizon * reps > max_cells:
+    if horizon * reps > MAX_CELLS:
         raise ValueError(
-            f"experiment size {horizon} x {reps} exceeds the cap of {max_cells} cells"
+            f"experiment size {horizon} x {reps} exceeds the cap of {MAX_CELLS} cells"
         )
     m_star = trend_sequence(config.trend, horizon)[:, None]
     tail_len = max(1, math.ceil(config.tail_fraction * horizon))
@@ -345,26 +343,3 @@ def simulate_smoothed(
     trajectory = ses_run(path.observations, alpha, init)
     return SmoothedPath(path.observations.copy(), path.trend.copy(), trajectory[1:])
 
-
-def reproduce_figure(
-    figure: str, outdir, seed: int = DEFAULT_FIGURE_SEED
-) -> list[Path]:
-    """Re-run one of the published single-trajectory configurations.
-
-    Writes ``fig<id>.csv`` (columns t, x, m_star, m_hat) and a matching
-    overlay plot ``fig<id>.svg`` into ``outdir``; returns both paths.  The
-    published plots carry no seed, so reproduction is qualitative: any seed
-    lands in the same tracking neighbourhood.
-    """
-    if figure not in FIGURE_CONFIGS:
-        valid = ", ".join(sorted(FIGURE_CONFIGS))
-        raise ValueError(f"unknown figure id {figure!r}; valid ids: {valid}")
-    noise, trend = FIGURE_CONFIGS[figure]
-    smoothed = simulate_smoothed(
-        noise, trend, FIGURE_ALPHA, FIGURE_HORIZON, seed, FIGURE_INIT
-    )
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    csv_path = write_results(smoothed, outdir / f"fig{figure}.csv", "csv")
-    svg_path = write_results(smoothed, outdir / f"fig{figure}.svg", "svg")
-    return [csv_path, svg_path]

@@ -16,13 +16,12 @@ from sestrack import (
     WhiteGaussian,
     closed_form_mse,
     exact_mse_sequence,
-    initial_mse_state,
     optimize_alpha,
     ses_run,
     tracking_bound,
     trend_sequence,
 )
-from sestrack.bounds import GRID_POINTS
+from sestrack.bounds import GRID_POINTS, _golden_section_min
 
 WHITE = WhiteGaussian(1.0).autocovariance_fn()
 ZERO = WhiteGaussian(0.0).autocovariance_fn()
@@ -127,6 +126,19 @@ def test_bound_validation():
         tracking_bound(0.5, WHITE, 0.0, method="fancy")
 
 
+@pytest.mark.parametrize("alpha,k", [(0.1, 1e200), (0.001, 1e153), (1e-200, 1.0)])
+def test_overflowing_trend_term_is_infinite(alpha, k):
+    report = tracking_bound(alpha, WHITE, k)
+    assert report.trend_term == math.inf and report.total == math.inf
+
+
+def test_search_skips_alphas_whose_trend_term_overflows():
+    # (beta/alpha)^2 K^2 overflows on the small-alpha end of the grid only
+    result = optimize_alpha(WHITE, 1e153)
+    assert math.isfinite(result.report.total)
+    assert result.alpha == float(np.linspace(0.0, 1.0, GRID_POINTS + 2)[-2])
+
+
 def test_term_signs():
     for noise, k in ((MA1(0.9), 0.3), (MA1(-0.9), 0.0), (AR1(0.7), 1.0)):
         report = tracking_bound(0.25, noise.autocovariance_fn(), k)
@@ -187,14 +199,18 @@ def test_variance_init_mode():
 
 
 def test_recursion_state_jensen():
+    # D_t = E[e_t^2] >= (E[e_t])^2 = v_t^2, with the mean error written out
+    # from the trend increments: v_t = -sum_{h<t} beta^(t-h) K_h, K_1 = 0
+    alpha, horizon = 0.15, 299
+    beta = 1.0 - alpha
     gamma = AR1(0.4).autocovariance_fn()
     trend = Sinusoid(1.0, 0.02, 0.5)
-    levels = trend_sequence(trend, 300)
-    state = initial_mse_state(0.15, gamma)
-    for t in range(1, 300):
-        k_t = levels[t - 1] - levels[t - 2] if t >= 2 else 0.0
-        state = state.advance(k_t, gamma(t))
-        assert state.mse >= state.mean_error**2 - 1e-12
+    increments = np.concatenate(([0.0], np.diff(trend_sequence(trend, horizon))))
+    sequence = exact_mse_sequence(alpha, gamma, trend, horizon)
+    for t in range(1, horizon + 2):
+        h = np.arange(1, t)
+        mean_error = -float(np.sum(beta ** (t - h) * increments[h - 1]))
+        assert sequence[t - 1] >= mean_error**2 - 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -287,6 +303,29 @@ def test_matches_dense_grid():
     result = optimize_alpha(WHITE, k)
     assert abs(result.alpha - expected) <= 1e-4
     assert result.report.trend_term > 0.0
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+def test_search_tol_must_be_finite_and_positive(tol):
+    with pytest.raises(ValueError, match="search tolerance must be finite and > 0"):
+        optimize_alpha(WHITE, 0.1, search_tol=tol)
+
+
+def test_golden_section_stops_when_the_bracket_stops_shrinking():
+    calls = []
+
+    def objective(a):
+        calls.append(a)
+        if len(calls) > 10_000:
+            raise RuntimeError("the search did not terminate")
+        return (a - 0.3) ** 2
+
+    alpha = _golden_section_min(objective, 0.25, 0.35, 1e-300)
+    assert abs(alpha - 0.3) <= 1e-15
+    assert len(calls) < 200
+    assert optimize_alpha(WHITE, 0.1, search_tol=1e-300).alpha == pytest.approx(
+        optimize_alpha(WHITE, 0.1).alpha, abs=1e-6
+    )
 
 
 def test_scaling_leaves_argmin_unchanged():

@@ -241,6 +241,44 @@ def test_mse_mc_json(capsys):
     assert payload["tail_mean"] > 0.0
 
 
+@pytest.mark.parametrize("argv,quantity", [
+    (["--mode", "exact", "--trend", "linear:start=1e308,slope=1e308"], "final_mse"),
+    (["--mode", "exact", "--trend", "linear:start=0,slope=1e200"], "final_mse"),
+    # at 10 steps tail_mean is still finite and tail_se is not
+    (["--mode", "mc", "--noise", "white:var=1e308", "--steps", "10", "--reps", "5",
+      "--seed", "1"], "tail_se"),
+])
+def test_non_finite_result_exit_one(tmp_path, capsys, argv, quantity):
+    argv = ["mse", "--alpha", "0.1", "--steps", "5", "--noise", "white:var=1",
+            "--trend", "const:level=0", *argv, "--json", "--out", str(tmp_path / "o.csv")]
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert f"error: {quantity} is not finite" in err
+    assert not (tmp_path / "o.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["bound --alpha 0.1", "optimize-alpha"])
+def test_overflowing_k_exit_one(capsys, command):
+    code, out, err = run(capsys, *command.split(), "--k", "1e200", "--noise", "white:var=1")
+    assert code == 1 and out == ""
+    assert "trend_term" in err and "is not finite" in err
+
+
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+def test_optimize_alpha_bad_tol_exit_one(capsys, tol):
+    code, out, err = run(capsys, "optimize-alpha", "--k", "0.1", "--noise", "white:var=1",
+                         "--tol", tol)
+    assert code == 1 and out == ""
+    assert "search tolerance must be finite and > 0" in err
+
+
+def test_optimize_alpha_tiny_tol_returns(capsys):
+    code, out, _ = run(capsys, "optimize-alpha", "--k", "0.1", "--noise", "white:var=1",
+                       "--tol", "1e-300", "--json")
+    assert code == 0
+    assert json.loads(out)["alpha"] == pytest.approx(0.27774, abs=1e-4)
+
+
 def test_mse_mc_missing_flags_usage_error(capsys):
     code, _, err = run(
         capsys, "mse", "--mode", "mc", "--alpha", "0.3",

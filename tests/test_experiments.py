@@ -24,7 +24,7 @@ from sestrack import (
     verify_bound,
     write_results,
 )
-from sestrack.experiments import BLOCK_SIZE, FIGURE_CONFIGS
+from sestrack.experiments import BLOCK_SIZE, FIGURE_CONFIGS, MAX_CELLS
 
 
 # ---------------------------------------------------------------------------
@@ -55,9 +55,12 @@ def test_workers_must_be_an_integer_at_least_one():
 
 
 def test_resource_cap():
-    config = ExperimentConfig(WhiteGaussian(1.0), Constant(0.0), 0.1, 1000, 1000, seed=1)
+    # 10^4 x (10^4 + 1) cells is over MAX_CELLS and rejected before any block
+    # (about 80 MB) is allocated
+    config = ExperimentConfig(WhiteGaussian(1.0), Constant(0.0), 0.1, 10**4, 10**4 + 1, seed=1)
+    assert config.horizon * config.replications > MAX_CELLS
     with pytest.raises(ValueError, match="cap"):
-        monte_carlo_mse(config, max_cells=10**5)
+        monte_carlo_mse(config)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ from sestrack import (
 from sestrack.dataio import (
     experiment_config_from_dict,
     experiment_config_to_dict,
-    format_csv,
 )
 from sestrack.processes import WhiteGaussian, Constant
 
@@ -76,11 +75,12 @@ def test_round_trip_exact(tmp_path):
     assert np.array_equal(back, values)
 
 
-def test_format_csv_shape_checks():
+def test_write_csv_shape_checks(tmp_path):
     with pytest.raises(ValueError):
-        format_csv(["a", "b"], [np.arange(3)])
+        write_csv(tmp_path / "a.csv", ["a", "b"], [np.arange(3)])
     with pytest.raises(ValueError):
-        format_csv(["a", "b"], [np.arange(3), np.arange(4)])
+        write_csv(tmp_path / "b.csv", ["a", "b"], [np.arange(3), np.arange(4)])
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_write_trajectory(tmp_path):

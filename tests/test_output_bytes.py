@@ -1,0 +1,175 @@
+"""Byte-for-byte pins of the CSV, SVG and stdout outputs.
+
+Every digest below was recorded before the writers became one columnar,
+chunked path, so these tests hold the files to the bytes the per-cell
+writers produced.  The lengths cover one row, fewer rows than one chunk,
+and more than two chunks with a partial last chunk; the bare-array values
+include -0.0, subnormals and magnitudes near 1e-300 and 1e300.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+
+import numpy as np
+import pytest
+
+from sestrack import read_csv_column, write_csv, write_results
+from sestrack.cli import main
+
+LENGTHS = (1, 100, 10_000)
+TREND = "linear:start=1,slope=0.05"
+
+DIGESTS = {
+    "array.csv[10000]": "c16cc3f6ab2c002f0f00a42940542c034f02762c4331df94eaf72bb12977bdda",
+    "array.csv[100]": "1c38934ddcb5f948d5bd7dff1f8384d78238d1d347eec2b0feceb5e4f41f6661",
+    "array.csv[1]": "ef905e49f58cfa0b43f6a1328f2a93000c72da435d71c564f8b728279ccc635b",
+    "array.svg[10000]": "5b5f1fb65cc89ce1458ff865461f2f5abb8f7f13ec61791fb1017affdea22920",
+    "array.svg[100]": "6ad9e16568a7b92f7a892b63589b33ede59d32dc8cf9daf5525e2ddb5ae19997",
+    "array.svg[1]": "11b3d9637666b4d202bfd3f8313da07d3a55f79315d1b43c7c5497e56bdc2d1c",
+    "exact.csv[10000]": "48c2da93bc43350cf965a93e54eef457a871220b921927f4375206990532a841",
+    "exact.csv[100]": "7f6aeeaa0dcc74866769d78897815450bfc976cc20211a403403ee7a8d132fd9",
+    "exact.csv[1]": "421add8273de4200234ee5d0ea54437b80d3f04ddb6cd50957d75ed63887a62c",
+    "reproduce.csv": "b057657989d61ffb7d3e03e9581dabb5b351ebc21b64eed673defe1308a0738f",
+    "reproduce.svg": "359a3fa06d9058738117d47ae635705d0a7ab66703762d46ce4bbd93eacbeea3",
+    "simulate.csv[10000]": "add9dadd866dcbd0e23e79814307055c0e22f51732b36abcd797c47296d525c3",
+    "simulate.csv[100]": "5d7ccdccf13692826eb351fd76839a0a27aa98ad1851a999fe0292169ff59964",
+    "simulate.csv[1]": "71cae3f6b6fbd15ed4e8e2d6a63f0c7a55ca3f2f3619f55ee940f9adbeaaaec4",
+    "simulate.stdout[10000]": "add9dadd866dcbd0e23e79814307055c0e22f51732b36abcd797c47296d525c3",
+    "simulate.stdout[100]": "5d7ccdccf13692826eb351fd76839a0a27aa98ad1851a999fe0292169ff59964",
+    "simulate.stdout[1]": "71cae3f6b6fbd15ed4e8e2d6a63f0c7a55ca3f2f3619f55ee940f9adbeaaaec4",
+    "simulate.svg[10000]": "50c41b3deeace0e5be37de70cc1f31ceedf8cc8679afb9e5d6668a58e5ea3b51",
+    "simulate.svg[100]": "78f56f6b237b092051318532ac5ec01f9b62c4d65de6150732cbc954d0a2922f",
+    "simulate.svg[1]": "174723bb77e1de85da4c7e8e8569f8fde336a44c443b6231a61d731a9625702f",
+    "smooth.csv[10000]": "3ee60fcd222d7438ee1182148cec9035e0fec9d6b4e354ba226fda76aa83e804",
+    "smooth.csv[100]": "fdc1880ae2f3b5a92035a3b718a93f470c0ca88b2a023e12e17699d1be9f783f",
+    "smooth.csv[1]": "7b1d70a5f192a5c5e3b778853cfcddda115730be4e71c6490fd353bb4016d07b",
+    "smooth.stdout[10000]": "3ee60fcd222d7438ee1182148cec9035e0fec9d6b4e354ba226fda76aa83e804",
+    "smooth.stdout[100]": "fdc1880ae2f3b5a92035a3b718a93f470c0ca88b2a023e12e17699d1be9f783f",
+    "smooth.stdout[1]": "7b1d70a5f192a5c5e3b778853cfcddda115730be4e71c6490fd353bb4016d07b",
+    "verify.csv": "847d305a4baa0cb2107c8f66ae3c7250aacb0e15679e7a7844e342718fa74b16",
+    "verify.svg": "c70a3bcc243c03159a1fce6a1a1f183e1872ece302fe2f06d01418851b681b4e",
+}
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _stdout(argv: list[str]) -> bytes:
+    buffer = io.StringIO()
+    with contextlib.redirect_stdout(buffer):
+        assert main(argv) == 0
+    return buffer.getvalue().encode("utf-8")
+
+
+def _edge_values(n: int) -> np.ndarray:
+    rng = np.random.default_rng(11)
+    # ldexp scales exactly, so the values do not depend on a libm
+    values = np.ldexp(rng.standard_normal(n), rng.integers(-990, 990, n))
+    values[:6] = [-0.0, 1e-300, -1e300, 5e-324, 0.0, 1e300][:n]
+    return values
+
+
+def _command_outputs(n: int, tmp_path) -> dict[str, bytes]:
+    sim_csv, sim_svg = tmp_path / "sim.csv", tmp_path / "sim.svg"
+    simulate = ["simulate", "--trend", TREND, "--noise", "ar1:theta=0.3",
+                "--alpha", "0.1", "--steps", str(n), "--seed", "7"]
+    _stdout(simulate + ["--out", str(sim_csv), "--svg", str(sim_svg)])
+    smooth = ["smooth", "--input", str(sim_csv), "--column", "x", "--alpha", "0.2"]
+    _stdout(smooth + ["--out", str(tmp_path / "smooth.csv")])
+    _stdout(["mse", "--mode", "exact", "--alpha", "0.1", "--noise", "ma1:a=2",
+             "--trend", TREND, "--steps", str(n), "--out", str(tmp_path / "exact.csv")])
+    return {
+        "simulate.csv": sim_csv.read_bytes(),
+        "simulate.svg": sim_svg.read_bytes(),
+        "simulate.stdout": _stdout(simulate),
+        "smooth.csv": (tmp_path / "smooth.csv").read_bytes(),
+        "smooth.stdout": _stdout(smooth),
+        "exact.csv": (tmp_path / "exact.csv").read_bytes(),
+    }
+
+
+def _array_outputs(n: int, tmp_path) -> dict[str, bytes]:
+    values = _edge_values(n)
+    return {
+        f"array.{fmt}": write_results(values, tmp_path / f"a.{fmt}", fmt).read_bytes()
+        for fmt in ("csv", "svg")
+    }
+
+
+def _verify_outputs(tmp_path) -> dict[str, bytes]:
+    config = json.loads(
+        '{"schema_version": 1, "noise": {"kind": "ma1", "a": 2.0, "var": 1.0},'
+        ' "trend": {"kind": "linear", "start": 2.0, "slope": 0.1}, "alpha": 0.1,'
+        ' "horizon": 300, "replications": 64, "seed": 2024, "init": 8.0}'
+    )
+    config["output"] = {"csv": str(tmp_path / "v.csv"), "svg": str(tmp_path / "v.svg")}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    with contextlib.redirect_stdout(io.StringIO()):
+        main(["verify", "--config", str(path)])
+    return {"verify.csv": (tmp_path / "v.csv").read_bytes(),
+            "verify.svg": (tmp_path / "v.svg").read_bytes()}
+
+
+def _reproduce_outputs(tmp_path) -> dict[str, bytes]:
+    _stdout(["reproduce", "--figure", "1a", "--outdir", str(tmp_path)])
+    return {"reproduce.csv": (tmp_path / "fig1a.csv").read_bytes(),
+            "reproduce.svg": (tmp_path / "fig1a.svg").read_bytes()}
+
+
+def all_outputs(tmp_path) -> dict[str, bytes]:
+    """Every pinned output, keyed as in DIGESTS."""
+    outputs = {}
+    for n in LENGTHS:
+        for producer in (_command_outputs, _array_outputs):
+            work = tmp_path / f"{producer.__name__}{n}"
+            work.mkdir()
+            outputs.update({f"{k}[{n}]": v for k, v in producer(n, work).items()})
+    outputs.update(_verify_outputs(tmp_path))
+    outputs.update(_reproduce_outputs(tmp_path))
+    return outputs
+
+
+def test_outputs_match_pinned_digests(tmp_path):
+    outputs = all_outputs(tmp_path)
+    assert sorted(outputs) == sorted(DIGESTS)
+    assert {k: _sha(v) for k, v in outputs.items()} == DIGESTS
+
+
+def _reference_csv(header, columns) -> str:
+    """The per-cell formatting the CSV format is defined by."""
+    rows = [",".join(header)]
+    for i in range(len(columns[0])):
+        rows.append(",".join(
+            str(int(col[i])) if isinstance(col[i], (int, np.integer)) else f"{float(col[i]):.17g}"
+            for col in columns
+        ))
+    return "\n".join(rows) + "\n"
+
+
+@pytest.mark.parametrize("n", LENGTHS)
+def test_csv_matches_the_per_cell_reference(tmp_path, n):
+    values = _edge_values(n)
+    header = ["t", "x", "neg", "count", "big"]
+    columns = [np.arange(1, n + 1), values, -values, np.arange(n, dtype=np.int32) - 5,
+               np.arange(n, dtype=np.int64) * 10**14 + 1]  # past 17 digits at n = 10^4
+    path = write_csv(tmp_path / "e.csv", header, columns)
+    # compared outside the assert: pytest's diff of two large texts is very slow
+    same = path.read_text(encoding="utf-8") == _reference_csv(header, columns)
+    assert same
+    assert np.array_equal(read_csv_column(path, "x"), values)
+    assert np.array_equal(np.signbit(read_csv_column(path, "x")), np.signbit(values))
+
+
+@pytest.mark.parametrize("n", LENGTHS)
+def test_stream_target_gets_the_file_bytes(tmp_path, n):
+    values = _edge_values(n)
+    for fmt in ("csv", "svg"):
+        stream = io.StringIO()
+        write_results(values, stream, fmt)
+        path = write_results(values, tmp_path / f"a.{fmt}", fmt)
+        same = stream.getvalue().encode("utf-8") == path.read_bytes()
+        assert same, fmt
