@@ -366,8 +366,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, help="master seed (mc mode)")
     p.add_argument("--init", default="first", help='initial estimate (mc mode)')
     p.add_argument("--workers", type=int,
-                   help="accepted for compatibility, an integer >= 1; blocks always "
-                   "run serially and the result is the same (mc mode)")
+                   help="processes sharing the replication blocks, an integer >= 1, "
+                   "capped at the blocks and usable CPUs; every count gives "
+                   "bitwise the same result (mc mode)")
     p.add_argument("--out", help="output CSV path")
     p.add_argument("--json", action="store_true", help="machine-readable summary")
     p.set_defaults(handler=_cmd_mse)
@@ -376,8 +377,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True, help="JSON experiment config")
     p.add_argument("--reps", type=int, help="override the configured replications")
     p.add_argument("--workers", type=int,
-                   help="accepted for compatibility, an integer >= 1; blocks always "
-                   "run serially and the result is the same")
+                   help="processes sharing the replication blocks, an integer >= 1, "
+                   "capped at the blocks and usable CPUs; every count gives "
+                   "bitwise the same result")
     p.add_argument("--json", action="store_true", help="machine-readable output")
     p.set_defaults(handler=_cmd_verify)
 

@@ -2,9 +2,11 @@
 
 Replication ``r`` of an experiment with master seed ``s`` simulates its
 path from the child seed ``child_seed(s, r)``.  Replications are processed
-serially in fixed blocks of ``BLOCK_SIZE``, each sampled and smoothed as one
-time-major array, and block summaries are combined in index order, so every
-statistic depends on the config alone.  Squared errors follow the delayed
+in fixed blocks of ``BLOCK_SIZE``, each sampled and smoothed as one
+time-major array.  Blocks share nothing, so ``monte_carlo_mse`` may fork
+worker processes that each run every n-th block; block summaries are
+always combined in index order, so every statistic depends on the config
+alone, never on the worker count.  Squared errors follow the delayed
 pairing of the tracking analysis: the error at step t is ``m_{t+1} - m*_t``.
 
 This module computes results and writes no files; ``dataio`` writes them
@@ -14,6 +16,9 @@ This module computes results and writes no files; ``dataio`` writes them
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +42,7 @@ from .smoothing import InitPolicy, check_alpha, ses_run, ses_run_inplace
 BLOCK_SIZE = 1024
 MAX_CELLS = 10**8
 _TRANSPOSE_ROWS = 32  # time steps per cache-sized slab of the block transpose
+_SIGKILL = 9  # fixed by POSIX; spares importing the signal module
 
 DEFAULT_FIGURE_SEED = 1729
 FIGURE_ALPHA = 0.1
@@ -139,6 +145,96 @@ def _combine(total: _BlockMoments, block: _BlockMoments) -> _BlockMoments:
     return _BlockMoments(n, mean, m2, tail_mean, tail_m2)
 
 
+def _tail_index(config: ExperimentConfig) -> int:
+    """Index of the first step of the tail window in a per-step array."""
+    return config.horizon - max(1, math.ceil(config.tail_fraction * config.horizon))
+
+
+def _run_block(config: ExperimentConfig, block: range) -> _BlockMoments:
+    """Moments of the squared tracking errors of the replications in ``block``."""
+    horizon = config.horizon
+    buffer = np.empty((horizon + 1, len(block)))
+    seeds = child_seeds(config.seed, block)
+    sample_block(config.noise, config.trend, seeds, buffer[1:])
+    ses_run_inplace(buffer, config.alpha, config.init)
+    errors = buffer[1:]
+    errors -= trend_sequence(config.trend, horizon)[:, None]
+    np.square(errors, out=errors)
+    squared = np.empty((len(block), horizon))
+    for lo in range(0, horizon, _TRANSPOSE_ROWS):
+        squared[:, lo : lo + _TRANSPOSE_ROWS] = errors[lo : lo + _TRANSPOSE_ROWS].T
+    del buffer, errors
+    tails = squared[:, _tail_index(config) :].mean(axis=1)
+    mean, m2 = _moments(squared)
+    return _BlockMoments(
+        len(block), mean, m2, float(tails.mean()), float(np.square(tails - tails.mean()).sum())
+    )
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _child_worker(config: ExperimentConfig, blocks: list[range], read: int, write: int):
+    """Body of a forked worker: pickle the summaries of ``blocks`` into the
+    pipe's ``write`` end and leave without returning to the caller's code
+    (exit 0 on success, 1 after printing the error to stderr)."""
+    status = 1
+    try:
+        os.close(read)
+        share = [_run_block(config, block) for block in blocks]
+        with open(write, "wb") as pipe:
+            pickle.dump(share, pipe, pickle.HIGHEST_PROTOCOL)
+        status = 0
+    except BaseException as exc:
+        os.write(2, f"Monte Carlo worker (pid {os.getpid()}) failed: {exc!r}\n".encode())
+    finally:
+        os._exit(status)
+
+
+def _fork_join(
+    config: ExperimentConfig, blocks: list[range], workers: int
+) -> list[_BlockMoments]:
+    """Summaries of ``blocks`` in block order, computed by ``workers``
+    processes.  Worker i runs blocks i, i + workers, ...; worker 0 is this
+    process and the others are forked children, each returning its list of
+    summaries through a pipe.  A child that fails raises ChildProcessError;
+    on any error every child still running is killed and all are reaped.
+    """
+    children = []  # (pid, read end) of each child not yet reaped, in worker order
+    try:
+        for worker in range(1, workers):
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _child_worker(config, blocks[worker::workers], read, write)
+            os.close(write)
+            children.append((pid, open(read, "rb")))
+        shares = [[_run_block(config, block) for block in blocks[::workers]]]
+        while children:
+            pid, pipe = children[0]
+            with pipe:
+                data = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            children.pop(0)
+            code = os.waitstatus_to_exitcode(status)
+            if code:
+                how = f"was killed by signal {-code}" if code < 0 else f"exited with code {code}"
+                raise ChildProcessError(
+                    f"Monte Carlo worker {len(shares)} (pid {pid}) {how}; wait status {status}"
+                )
+            shares.append(pickle.loads(data))
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            os.kill(pid, _SIGKILL)
+            os.waitpid(pid, 0)
+    return [shares[i % workers][i // workers] for i in range(len(blocks))]
+
+
 def monte_carlo_mse(config: ExperimentConfig, workers: int | None = None) -> MseCurve:
     """Estimate the per-step mean squared tracking error by replication.
 
@@ -146,11 +242,17 @@ def monte_carlo_mse(config: ExperimentConfig, workers: int | None = None) -> Mse
     time-major (T + 1, B) buffer by ``sample_block`` (replication r still
     draws from its own ``child_seed`` stream), smoothed there in place and
     squared there in place; one transpose to (B, T) then feeds the per-step
-    moments and the tail means.  Deterministic given the config: blocks run
-    serially in index order and their summaries are folded in that order.
-    ``workers`` must be None or an integer >= 1 and selects nothing.  A
-    horizon x replications above ``MAX_CELLS`` is rejected before anything
-    is allocated.
+    moments and the tail means.
+
+    ``workers`` must be None or an integer >= 1.  The blocks are split over
+    n = min(workers, blocks, usable CPUs) processes: this one and n - 1
+    children made with ``os.fork``, worker i taking blocks i, i + n, ...
+    With n = 1, on a platform without ``os.fork`` or in a process already
+    running other threads, the blocks run serially here.  Either way the
+    block summaries are folded in index order, so the result is bitwise the
+    same for every worker count.  A failed worker raises ChildProcessError.
+    A horizon x replications above ``MAX_CELLS`` is rejected before
+    anything is allocated.
     """
     if workers is not None and (
         isinstance(workers, bool) or not isinstance(workers, (int, np.integer)) or workers < 1
@@ -161,35 +263,18 @@ def monte_carlo_mse(config: ExperimentConfig, workers: int | None = None) -> Mse
         raise ValueError(
             f"experiment size {horizon} x {reps} exceeds the cap of {MAX_CELLS} cells"
         )
-    m_star = trend_sequence(config.trend, horizon)[:, None]
-    tail_len = max(1, math.ceil(config.tail_fraction * horizon))
-    tail_idx = horizon - tail_len
-
-    def run_block(block: range) -> _BlockMoments:
-        buffer = np.empty((horizon + 1, len(block)))
-        seeds = child_seeds(config.seed, block)
-        sample_block(config.noise, config.trend, seeds, buffer[1:])
-        ses_run_inplace(buffer, config.alpha, config.init)
-        errors = buffer[1:]
-        errors -= m_star
-        np.square(errors, out=errors)
-        squared = np.empty((len(block), horizon))
-        for lo in range(0, horizon, _TRANSPOSE_ROWS):
-            squared[:, lo : lo + _TRANSPOSE_ROWS] = errors[lo : lo + _TRANSPOSE_ROWS].T
-        del buffer, errors
-        tails = squared[:, tail_idx:].mean(axis=1)
-        mean, m2 = _moments(squared)
-        return _BlockMoments(
-            len(block), mean, m2, float(tails.mean()), float(np.square(tails - tails.mean()).sum())
-        )
-
     blocks = [range(s, min(s + BLOCK_SIZE, reps)) for s in range(0, reps, BLOCK_SIZE)]
-    summaries = [run_block(b) for b in blocks]
+    workers = min(workers or 1, len(blocks), _usable_cpus())
+    if workers > 1 and hasattr(os, "fork") and threading.active_count() == 1:
+        summaries = _fork_join(config, blocks, workers)
+    else:
+        summaries = [_run_block(config, block) for block in blocks]
 
     total = summaries[0]
     for block in summaries[1:]:
         total = _combine(total, block)
 
+    tail_idx = _tail_index(config)
     if reps > 1:
         variance = np.maximum(total.m2 / (reps - 1), 0.0)
         stderr = np.sqrt(variance / reps)
@@ -241,7 +326,7 @@ def verify_bound(
     ``k_override`` substitutes the trend-increment constant fed to the
     bound (the trend's certified constant is used by default); understating
     it is the standard way to probe the check's sensitivity.  ``workers``
-    is checked, and selects nothing, as in ``monte_carlo_mse``.
+    is passed to ``monte_carlo_mse``.
     """
     curve = monte_carlo_mse(config, workers=workers)
     lipschitz = (

@@ -249,6 +249,16 @@ class MAq:
 NoiseModel = Union[WhiteGaussian, MA1, AR1, MAq]
 
 
+def _check_finite(trend) -> None:
+    """Reject a non-finite trend parameter, naming it by its spec key."""
+    for f in fields(trend):
+        values = getattr(trend, f.name)
+        for value in values if isinstance(values, tuple) else (values,):
+            if not math.isfinite(value):
+                key = f.metadata["key"]
+                raise ValueError(f"{trend.kind} trend {key} must be finite, got {value}")
+
+
 def _check_step(t: int) -> int:
     t = int(t)
     if t < 1:
@@ -262,6 +272,9 @@ class Constant:
 
     kind: ClassVar[str] = "const"
     level: float = _key("level")
+
+    def __post_init__(self) -> None:
+        _check_finite(self)
 
     @property
     def lipschitz_constant(self) -> float:
@@ -282,6 +295,9 @@ class Linear:
     kind: ClassVar[str] = "linear"
     start: float = _key("start")
     slope: float = _key("slope")
+
+    def __post_init__(self) -> None:
+        _check_finite(self)
 
     @property
     def lipschitz_constant(self) -> float:
@@ -306,6 +322,9 @@ class Sinusoid:
     amplitude: float = _key("amp")
     rate: float = _key("rate")
     phase: float = _key("phase", 0.0)
+
+    def __post_init__(self) -> None:
+        _check_finite(self)
 
     @property
     def lipschitz_constant(self) -> float:
@@ -332,9 +351,8 @@ class Table:
         vals = tuple(float(v) for v in self.values)
         if not vals:
             raise ValueError("Table trend needs at least one value")
-        if not all(math.isfinite(v) for v in vals):
-            raise ValueError("Table trend values must be finite")
         object.__setattr__(self, "values", vals)
+        _check_finite(self)
 
     @property
     def lipschitz_constant(self) -> float:

@@ -73,15 +73,16 @@ def make_generator(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=_check_seed(seed)))
 
 
-def _stream_start(key: np.ndarray) -> dict:
-    """Philox state at counter zero under the (2,) uint64 ``key``, with
-    nothing buffered: assigning it to a generator's ``bit_generator.state``
-    puts the generator where ``make_generator(key[0])`` starts."""
-    zeros = np.zeros(4, dtype=np.uint64)
+def _stream_start(key: list) -> dict:
+    """Philox state at counter zero under the two-word ``key``, with nothing
+    buffered: assigning it to a generator's ``bit_generator.state`` puts the
+    generator where ``make_generator(key[0])`` starts.  The fields are
+    Python lists, which the state setter indexes much faster than uint64
+    arrays."""
     return {
         "bit_generator": "Philox",
-        "state": {"counter": zeros, "key": key},
-        "buffer": zeros,
+        "state": {"counter": [0, 0, 0, 0], "key": key},
+        "buffer": [0, 0, 0, 0],
         "buffer_pos": 4,
         "has_uint32": 0,
         "uinteger": 0,
@@ -104,9 +105,10 @@ def fill_standard_normals(out: np.ndarray, seeds) -> np.ndarray:
     if out.ndim != 2 or out.shape[1] != len(seeds):
         raise ValueError("out must be an (n, len(seeds)) array")
     generator = make_generator(0)
-    key = np.zeros(2, dtype=np.uint64)
+    key = [0, 0]
     start = _stream_start(key)
     scratch = np.empty((min(_FILL_CHUNK, len(seeds)), len(out)))
+    seeds = seeds.tolist()
     for lo in range(0, len(seeds), _FILL_CHUNK):
         rows = scratch[: len(seeds[lo : lo + _FILL_CHUNK])]
         for row, seed in zip(rows, seeds[lo : lo + _FILL_CHUNK]):

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -8,6 +9,7 @@ import pytest
 from sestrack import (
     Constant,
     ExperimentConfig,
+    Linear,
     WhiteGaussian,
     exact_mse_sequence,
     read_csv_column,
@@ -101,6 +103,22 @@ def test_spec_domain_error_exit_one(capsys):
     code, _, err = run(capsys, "bound", "--alpha", "0.1", "--k", "0", "--noise", "ar1:theta=1.5")
     assert code == 1
     assert "(0, 1)" in err and "model specs are written" not in err
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("linear:start=inf,slope=1", "linear trend start must be finite, got inf"),
+        ("sin:amp=1,rate=nan", "sin trend rate must be finite, got nan"),
+    ],
+)
+def test_non_finite_trend_spec_exit_one(capsys, spec, message):
+    code, _, err = run(
+        capsys, "mse", "--mode", "exact", "--noise", "white:var=1", "--trend", spec,
+        "--alpha", "0.1", "--steps", "10",
+    )
+    assert code == 1
+    assert message in err and "model specs are written" not in err
 
 
 @pytest.mark.parametrize("workers", ["0", "-5"])
@@ -366,6 +384,16 @@ def test_verify_bad_config_exit_one(tmp_path, capsys):
     path.write_text('{"schema_version": 1, "bogus": true}')
     code, _, err = run(capsys, "verify", "--config", str(path))
     assert code == 1
+
+
+def test_verify_non_finite_trend_config_exit_one(tmp_path, capsys):
+    path = _write_config(tmp_path / "trend.json", trend=Linear(2.0, 0.1), horizon=10, replications=3)
+    document = json.loads(path.read_text())
+    document["trend"]["slope"] = math.inf
+    path.write_text(json.dumps(document))  # written as the JSON extension Infinity
+    code, _, err = run(capsys, "verify", "--config", str(path))
+    assert code == 1
+    assert "linear trend slope must be finite, got inf" in err
 
 
 def test_reproduce(tmp_path, capsys):

@@ -1,7 +1,11 @@
 import dataclasses
 import hashlib
 import math
+import os
+import signal
 import struct
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -24,6 +28,8 @@ from sestrack import (
     verify_bound,
     write_results,
 )
+from sestrack import experiments
+from sestrack.cli import main
 from sestrack.experiments import BLOCK_SIZE, FIGURE_CONFIGS, MAX_CELLS
 
 
@@ -116,16 +122,39 @@ PINNED_CURVES = {
 }
 
 
+def _digest(curve) -> str:
+    digest = hashlib.sha256(curve.mean.tobytes() + curve.stderr.tobytes())
+    digest.update(struct.pack("<dd", curve.tail_mean, curve.tail_se))
+    return digest.hexdigest()
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids ``monte_carlo_mse`` forks, with as many workers granted as
+    it asks for whatever the CPU count of the machine running the test."""
+    pids = []
+    fork = os.fork
+
+    def counting_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 8)
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return pids
+
+
 @pytest.mark.parametrize("kind", sorted(PINNED_CURVES))
-def test_monte_carlo_bits_pinned(kind):
+def test_monte_carlo_bits_pinned(forks, kind):
     noise, expected = PINNED_CURVES[kind]
     config = ExperimentConfig(
         noise, Sinusoid(1.5, 0.1, 0.3), 0.2, 50, 2 * BLOCK_SIZE + 7, seed=2024
     )
-    curve = monte_carlo_mse(config)
-    digest = hashlib.sha256(curve.mean.tobytes() + curve.stderr.tobytes())
-    digest.update(struct.pack("<dd", curve.tail_mean, curve.tail_se))
-    assert digest.hexdigest() == expected
+    assert _digest(monte_carlo_mse(config)) == expected
+    assert _digest(monte_carlo_mse(config, workers=2)) == expected
+    assert len(forks) == 1
 
 
 # the same recipe for AR(1) at 1 and BLOCK_SIZE + 1 replications, so blocks
@@ -138,14 +167,104 @@ def test_monte_carlo_bits_pinned(kind):
     ],
     ids=["one", "block_plus_one"],
 )
-def test_ar1_one_column_blocks_pinned(replications, expected):
+def test_ar1_one_column_blocks_pinned(forks, replications, expected):
     config = ExperimentConfig(
         AR1(0.9, 0.3), Sinusoid(1.5, 0.1, 0.3), 0.2, 50, replications, seed=2024
     )
-    curve = monte_carlo_mse(config)
-    digest = hashlib.sha256(curve.mean.tobytes() + curve.stderr.tobytes())
-    digest.update(struct.pack("<dd", curve.tail_mean, curve.tail_se))
-    assert digest.hexdigest() == expected
+    assert _digest(monte_carlo_mse(config)) == expected
+    assert _digest(monte_carlo_mse(config, workers=2)) == expected
+
+
+# ---------------------------------------------------------------------------
+# worker processes
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("reps", [1, BLOCK_SIZE, BLOCK_SIZE + 1, 3 * BLOCK_SIZE + 5])
+def test_worker_counts_give_identical_bits(forks, reps):
+    config = ExperimentConfig(MA1(0.6), Linear(1.0, 0.05), 0.2, 16, reps, seed=77, init=1.0)
+    blocks = -(-reps // BLOCK_SIZE)
+    serial = monte_carlo_mse(config, workers=1)
+    for workers in (2, 3):
+        before = len(forks)
+        curve = monte_carlo_mse(config, workers=workers)
+        assert len(forks) - before == min(workers, blocks) - 1
+        assert curve.mean.tobytes() == serial.mean.tobytes()
+        assert curve.stderr.tobytes() == serial.stderr.tobytes()
+        assert (curve.tail_mean, curve.tail_se) == (serial.tail_mean, serial.tail_se)
+
+
+def test_workers_run_serially_beside_another_thread(forks):
+    config = ExperimentConfig(AR1(0.3), Constant(0.0), 0.2, 16, 3 * BLOCK_SIZE, seed=8)
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        threaded = monte_carlo_mse(config, workers=2)
+    finally:
+        release.set()
+        thread.join(timeout=10.0)
+    assert not thread.is_alive()
+    assert forks == []
+    assert _digest(threaded) == _digest(monte_carlo_mse(config))
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+TWO_BLOCKS = ExperimentConfig(WhiteGaussian(1.0), Constant(0.0), 0.2, 8, 2 * BLOCK_SIZE, seed=3)
+
+
+@pytest.mark.parametrize(
+    "how, status",
+    [("signal", "was killed by signal 9"), ("exception", "exited with code 1")],
+)
+def test_failed_worker_raises_and_leaves_no_child(forks, monkeypatch, capfd, how, status):
+    parent, run_block = os.getpid(), experiments._run_block
+
+    def run_block_failing_in_child(config, block):
+        if os.getpid() != parent:
+            if how == "signal":
+                os.kill(os.getpid(), signal.SIGKILL)
+            raise RuntimeError("block failed")
+        return run_block(config, block)
+
+    monkeypatch.setattr(experiments, "_run_block", run_block_failing_in_child)
+    with pytest.raises(ChildProcessError, match=rf"worker 1 \(pid \d+\) {status}; wait status"):
+        monte_carlo_mse(TWO_BLOCKS, workers=2)
+    _assert_no_child_left()
+    code = main([
+        "mse", "--mode", "mc", "--noise", "white:var=1", "--trend", "const:level=0",
+        "--alpha", "0.2", "--steps", "8", "--reps", str(2 * BLOCK_SIZE), "--seed", "3",
+        "--workers", "2",
+    ])
+    err = capfd.readouterr().err
+    assert code == 1
+    assert "error: Monte Carlo worker 1 (pid " in err and status in err
+    assert ("RuntimeError('block failed')" in err) == (how == "exception")
+    _assert_no_child_left()
+    assert len(forks) == 2
+
+
+@pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+def test_failure_in_own_share_kills_and_reaps_every_child(forks, monkeypatch, error):
+    parent, run_block = os.getpid(), experiments._run_block
+
+    def run_block_failing_in_parent(config, block):
+        if os.getpid() == parent:
+            raise error("own share failed")
+        time.sleep(60)  # still running when the parent fails: only a kill ends it
+        return run_block(config, block)
+
+    monkeypatch.setattr(experiments, "_run_block", run_block_failing_in_parent)
+    config = dataclasses.replace(TWO_BLOCKS, replications=3 * BLOCK_SIZE)
+    start = time.monotonic()
+    with pytest.raises(error, match="own share failed"):
+        monte_carlo_mse(config, workers=3)
+    assert time.monotonic() - start < 30.0
+    assert len(forks) == 2
+    _assert_no_child_left()
 
 
 def test_exact_oracle_agreement_randomized():

@@ -128,6 +128,24 @@ def test_table_lookup_and_errors():
         trend_sequence(table, 4)
 
 
+NON_FINITE_TRENDS = {
+    "level": lambda v: Constant(v),
+    "start": lambda v: Linear(v, 1.0),
+    "slope": lambda v: Linear(0.0, v),
+    "amp": lambda v: Sinusoid(v, 0.1),
+    "rate": lambda v: Sinusoid(1.0, v),
+    "phase": lambda v: Sinusoid(1.0, 0.1, v),
+    "values": lambda v: Table((1.0, v)),
+}
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("key", sorted(NON_FINITE_TRENDS))
+def test_trends_reject_non_finite_parameters(key, value):
+    with pytest.raises(ValueError, match=rf"trend {key} must be finite, got {value}"):
+        NON_FINITE_TRENDS[key](value)
+
+
 def test_lipschitz_constants():
     assert Constant(9.0).lipschitz_constant == 0.0
     assert Linear(0.0, -0.25).lipschitz_constant == 0.25
