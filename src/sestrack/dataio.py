@@ -4,12 +4,14 @@ that writes both.
 CSV files are UTF-8 with a header row, comma separators, ``\\n`` newlines
 and floats printed at 17 significant digits, which round-trips IEEE
 doubles exactly; integer columns are printed as integers.  SVG output is a
-self-contained 800x500 document.  Both are formatted one column (or one
-coordinate array) at a time in chunks of ``_CHUNK_ROWS`` rows and streamed
-to a path or to an open text stream, so no whole document is held in
-memory.  Config documents are strict JSON (schema_version 1, unknown keys
-and wrong JSON types rejected with the failing key path, such as
-``config.noise.a``).
+self-contained 800x500 document.  Both are formatted in chunks of
+``_CHUNK_ROWS`` rows (or points), each by one ``%`` operation on a repeated
+row template over the chunk's interleaved cells, and streamed to a path or
+to an open text stream, so no whole document is held in memory.  A column
+that is not real-valued or holds a non-finite float is rejected, naming
+the column and row, before anything is written.  Config documents are
+strict JSON (schema_version 1, unknown keys and wrong JSON types rejected
+with the failing key path, such as ``config.noise.a``).
 
 This module sits above ``experiments``: it imports the result types it
 writes, and nothing in the numerical modules imports it.
@@ -66,56 +68,95 @@ def _write(target, parts) -> Path | None:
 
 def _csv_text(header: list[str], columns: list[np.ndarray]):
     yield ",".join(header) + "\n"
+    width = len(columns)
+    template = ",".join("%d" if col.dtype.kind in "iu" else "%.17g" for col in columns) + "\n"
     for lo in range(0, len(columns[0]), _CHUNK_ROWS):
-        cells = [
-            map(str if col.dtype.kind in "iu" else "{:.17g}".format,
-                col[lo : lo + _CHUNK_ROWS].tolist())
-            for col in columns
-        ]
-        yield "\n".join(map(",".join, zip(*cells))) + "\n"
+        chunk = [col[lo : lo + _CHUNK_ROWS].tolist() for col in columns]
+        rows = len(chunk[0])
+        cells = [None] * (width * rows)
+        for j, values in enumerate(chunk):
+            cells[j::width] = values
+        yield template * rows % tuple(cells)
 
 
-def write_csv(path, header: list[str], columns: list[np.ndarray]) -> Path | None:
-    """Write equal-length columns as CSV to ``path``, a file path (returned
-    as a Path) or an open text stream (None is returned)."""
+def _checked(header: list[str], columns) -> list[np.ndarray]:
+    """The columns as arrays, once they are known to be writable: as many
+    as the header names, of equal length, real-valued and finite.  Runs
+    before any output is opened, so a rejected table writes nothing."""
     if len(header) != len(columns):
         raise ValueError("header and column counts differ")
     columns = [np.asarray(col) for col in columns]
     if len({len(col) for col in columns}) != 1:
         raise ValueError("columns must have equal lengths")
-    return _write(path, _csv_text(header, columns))
+    for name, col in zip(header, columns):
+        if col.dtype.kind not in "buif":
+            raise ValueError(f"column {name!r} is not real-valued (dtype {col.dtype})")
+        if col.dtype.kind == "f" and not np.isfinite(col).all():
+            row = int(np.argmin(np.isfinite(col)))
+            raise ValueError(f"column {name!r} row {row + 1} is not finite ({col[row]})")
+    return columns
+
+
+def write_csv(path, header: list[str], columns: list[np.ndarray]) -> Path | None:
+    """Write equal-length columns as CSV to ``path``, a file path (returned
+    as a Path) or an open text stream (None is returned)."""
+    return _write(path, _csv_text(header, _checked(header, columns)))
+
+
+def _row_name(row_number: int) -> str:
+    return f"row {row_number}" if row_number else "header"
+
+
+def _undecodable(path: Path) -> str:
+    """Where and why ``path`` is not UTF-8.  The text reader decodes in
+    blocks, so the offending line is found again from the raw bytes."""
+    data = path.read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start)
+        return f"{_row_name(line)}: not UTF-8 text ({exc})"
+    return "not UTF-8 text"
 
 
 def read_csv_column(path, column: str) -> np.ndarray:
-    """Read one numeric column; any unparsable or non-finite entry is an
-    error citing its data row (row 1 is the first row after the header)."""
+    """Read one numeric column; any unparsable or non-finite entry, malformed
+    CSV line or non-UTF-8 byte is an error citing its data row (row 1 is the
+    first row after the header)."""
     path = Path(path)
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None:
-            raise ValueError(f"{path}: file is empty")
-        if column not in header:
-            raise ValueError(
-                f"{path}: no column {column!r}; available columns: {', '.join(header)}"
-            )
-        index = header.index(column)
-        values = []
-        for row_number, row in enumerate(reader, start=1):
-            if index >= len(row):
-                raise ValueError(f"{path}: row {row_number}: missing field {column!r}")
-            text = row[index]
-            try:
-                value = float(text)
-            except ValueError:
+    header, row_number = None, 0
+    try:
+        with open(path, newline="", encoding="utf-8") as handle:
+            reader = csv.reader(handle)
+            header = next(reader, None)
+            if header is None:
+                raise ValueError(f"{path}: file is empty")
+            if column not in header:
                 raise ValueError(
-                    f"{path}: row {row_number}: cannot parse {text!r} in column {column!r}"
-                ) from None
-            if not math.isfinite(value):
-                raise ValueError(
-                    f"{path}: row {row_number}: non-finite value {text!r} in column {column!r}"
+                    f"{path}: no column {column!r}; available columns: {', '.join(header)}"
                 )
-            values.append(value)
+            index = header.index(column)
+            values = []
+            for row_number, row in enumerate(reader, start=1):
+                if index >= len(row):
+                    raise ValueError(f"{path}: row {row_number}: missing field {column!r}")
+                text = row[index]
+                try:
+                    value = float(text)
+                except ValueError:
+                    raise ValueError(
+                        f"{path}: row {row_number}: cannot parse {text!r} in column {column!r}"
+                    ) from None
+                if not math.isfinite(value):
+                    raise ValueError(
+                        f"{path}: row {row_number}: non-finite value {text!r} in column {column!r}"
+                    )
+                values.append(value)
+    except csv.Error as exc:  # raised while reading the row after the last one parsed
+        failed = row_number + 1 if header is not None else 0
+        raise ValueError(f"{path}: {_row_name(failed)}: {exc}") from None
+    except UnicodeDecodeError:
+        raise ValueError(f"{path}: {_undecodable(path)}") from None
     return np.array(values)
 
 
@@ -193,8 +234,10 @@ def _points(opening: str, template: str, xs: np.ndarray, ys: np.ndarray, closing
     yield opening
     separator = ""
     for lo in range(0, len(xs), _CHUNK_ROWS):
-        hi = lo + _CHUNK_ROWS
-        yield separator + " ".join(map(template.format, xs[lo:hi].tolist(), ys[lo:hi].tolist()))
+        x, y = xs[lo : lo + _CHUNK_ROWS].tolist(), ys[lo : lo + _CHUNK_ROWS].tolist()
+        cells = x + y
+        cells[::2], cells[1::2] = x, y
+        yield separator + " ".join([template] * len(x)) % tuple(cells)
         separator = " "
     yield closing
 
@@ -221,10 +264,10 @@ def _svg_text(steps, lines: list[tuple[str, np.ndarray, str]], dots=None):
     ]
     elements = [] if dots is None else [_points(
         '<g fill="#9db8d9" fill-opacity="0.55" stroke="none">',
-        '<circle cx="{:.2f}" cy="{:.2f}" r="1.4"/>', x_px, py(dots), "</g>\n",
+        '<circle cx="%.2f" cy="%.2f" r="1.4"/>', x_px, py(dots), "</g>\n",
     )]
     elements += [
-        _points('<polyline points="', "{:.2f},{:.2f}", x_px, py(ys),
+        _points('<polyline points="', "%.2f,%.2f", x_px, py(ys),
                 f'" fill="none" stroke="{color}" stroke-width="1.6"/>\n')
         for ys, (_, _, color) in zip(series, lines)
     ]
@@ -257,7 +300,7 @@ def write_results(result, path, fmt: str = "csv") -> Path | None:
         raise TypeError(f"cannot write results of type {type(result).__name__}")
     if fmt == "csv":
         return write_csv(path, header, columns)
-    return _write(path, _svg_text(columns[0], lines, dots))
+    return _write(path, _svg_text(_checked(header, columns)[0], lines, dots))
 
 
 def reproduce_figure(

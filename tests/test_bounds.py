@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sestrack import (
     AR1,
@@ -231,6 +233,33 @@ def test_closed_form_matches_recursion(alpha, gamma, trend):
     for t in list(range(1, 20)) + [100, 500, 1000, 1500, 2000, 2001]:
         direct = closed_form_mse(alpha, gamma, trend, t)
         assert direct == pytest.approx(sequence[t - 1], rel=1e-9, abs=1e-12)
+
+
+# Both sides are sums of nonnegative parts whose noise terms can cancel down
+# to a fraction of gamma(0), so the tolerance is relative to D_t + gamma(0).
+EXACT_MSE_REL = 1e-9
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    alpha=st.floats(1e-2, 0.99),
+    noise=st.one_of(
+        st.builds(WhiteGaussian, st.floats(0.0, 100.0)),
+        st.builds(MA1, st.floats(-5.0, 5.0), st.floats(0.01, 100.0)),
+        st.builds(AR1, st.floats(0.01, 0.9), st.floats(0.01, 100.0)),
+    ),
+    trend=st.one_of(
+        st.builds(Constant, st.floats(-1e3, 1e3)),
+        st.builds(Linear, st.floats(-1e3, 1e3), st.floats(-10.0, 10.0)),
+    ),
+    horizon=st.integers(1, 400),
+)
+def test_exact_recursion_matches_closed_form(alpha, noise, trend, horizon):
+    gamma = noise.autocovariance_fn()
+    sequence = exact_mse_sequence(alpha, gamma, trend, horizon)
+    for t in sorted({1, min(3, horizon + 1), horizon // 2 + 1, horizon + 1}):
+        direct = closed_form_mse(alpha, gamma, trend, t)
+        assert abs(sequence[t - 1] - direct) <= EXACT_MSE_REL * (abs(direct) + gamma(0))
 
 
 def test_closed_form_first_step_is_zero():

@@ -216,6 +216,40 @@ def test_simulate_zero_noise(tmp_path, capsys):
     assert svg.read_text().startswith("<svg")
 
 
+def test_smooth_overflow_exit_one_writes_nothing(tmp_path, capsys):
+    data = tmp_path / "hi.csv"
+    data.write_text("t,x\n1,1e308\n2,1e308\n")
+    smooth = ["smooth", "--input", str(data), "--column", "x", "--alpha", "0.9", "--init=-1e308"]
+    for extra in ([], ["--out", str(tmp_path / "out.csv")]):
+        code, out, err = run(capsys, *smooth, *extra)
+        assert code == 1 and out == ""
+        assert "column 'm_hat' row 1 is not finite (inf)" in err
+    assert list(tmp_path.iterdir()) == [data]
+
+
+def test_simulate_overflow_exit_one_writes_nothing(tmp_path, capsys):
+    simulate = ["simulate", "--alpha", "0.9", "--steps", "4", "--seed", "1",
+                "--noise", "white:var=1e300", "--trend", "const:level=1e308", "--init=-1e308"]
+    for extra in (["--svg", str(tmp_path / "o.svg")],
+                  ["--out", str(tmp_path / "o.csv"), "--svg", str(tmp_path / "o.svg")]):
+        code, out, err = run(capsys, *simulate, *extra)
+        assert code == 1 and out == ""
+        assert "column 'm_hat' row 1 is not finite" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_smooth_malformed_input_exit_one(tmp_path, capsys):
+    data = tmp_path / "in.csv"
+    data.write_text("t,x\n1," + "1" * 200_000 + "\n")
+    code, out, err = run(capsys, "smooth", "--input", str(data), "--column", "x", "--alpha", "0.2")
+    assert code == 1 and out == ""
+    assert "in.csv: row 1: field larger than field limit" in err
+    data.write_bytes(b"t,x\n1,\xff\n")
+    code, out, err = run(capsys, "smooth", "--input", str(data), "--column", "x", "--alpha", "0.2")
+    assert code == 1 and out == ""
+    assert "in.csv: row 1: not UTF-8 text" in err
+
+
 def test_simulate_deterministic(tmp_path, capsys):
     args = [
         "simulate", "--trend", "sin:amp=1,rate=0.01", "--noise", "ar1:theta=0.2",

@@ -1,3 +1,4 @@
+import io
 import json
 import xml.etree.ElementTree as ET
 
@@ -61,6 +62,27 @@ def test_missing_file():
         read_csv_column("/nonexistent/nope.csv", "x")
 
 
+def test_oversized_field_cites_row(tmp_path):
+    p = tmp_path / "data.csv"
+    p.write_text("t,x\n1,2\n2," + "1" * 200_000 + "\n")
+    with pytest.raises(ValueError, match=r"data.csv: row 2: field larger than field limit"):
+        read_csv_column(p, "x")
+    p.write_text("t," + "x" * 200_000 + "\n1,2\n")
+    with pytest.raises(ValueError, match=r"data.csv: header: field larger"):
+        read_csv_column(p, "x")
+
+
+def test_non_utf8_byte_cites_row(tmp_path):
+    p = tmp_path / "data.csv"
+    # past the text reader's first decoded block, so the row is found from the bytes
+    p.write_bytes(b"t,x\n" + b"1,2\n" * 5000 + b"5001,3\xff\n5002,4\n")
+    with pytest.raises(ValueError, match=r"data.csv: row 5001: not UTF-8 text .*0xff"):
+        read_csv_column(p, "x")
+    p.write_bytes(b"t,\xffx\n1,2\n")
+    with pytest.raises(ValueError, match=r"data.csv: header: not UTF-8 text"):
+        read_csv_column(p, "x")
+
+
 # ---------------------------------------------------------------------------
 # CSV writing
 # ---------------------------------------------------------------------------
@@ -80,6 +102,31 @@ def test_write_csv_shape_checks(tmp_path):
         write_csv(tmp_path / "a.csv", ["a", "b"], [np.arange(3)])
     with pytest.raises(ValueError):
         write_csv(tmp_path / "b.csv", ["a", "b"], [np.arange(3), np.arange(4)])
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("bad,shown", [(np.inf, "inf"), (-np.inf, "-inf"), (np.nan, "nan")])
+def test_writers_reject_non_finite_cells(tmp_path, bad, shown):
+    values = np.array([1.0, 2.0, bad, 4.0])
+    message = rf"column 'v' row 3 is not finite \({shown}\)"
+    with pytest.raises(ValueError, match=message):
+        write_csv(tmp_path / "a.csv", ["t", "v"], [np.arange(1, 5), values])
+    stream = io.StringIO()
+    with pytest.raises(ValueError, match=message):
+        write_csv(stream, ["t", "v"], [np.arange(1, 5), values.astype(np.float32)])
+    for fmt in ("csv", "svg"):
+        with pytest.raises(ValueError, match="column 'value' row 3 is not finite"):
+            write_results(values, tmp_path / f"b.{fmt}", fmt)
+    assert stream.getvalue() == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_writers_reject_non_real_columns(tmp_path):
+    for column in (np.array([1 + 2j]), np.array([1.0], dtype=object), np.array(["1"])):
+        with pytest.raises(ValueError, match=rf"column 'c' is not real-valued \(dtype {column.dtype}\)"):
+            write_csv(tmp_path / "a.csv", ["t", "c"], [np.arange(1, 2), column])
+    with pytest.raises(ValueError, match="column 'value' is not real-valued"):
+        write_results(np.array([1j, 2j]), tmp_path / "b.svg", "svg")
     assert list(tmp_path.iterdir()) == []
 
 

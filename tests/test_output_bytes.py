@@ -17,8 +17,10 @@ import pytest
 
 from sestrack import read_csv_column, write_csv, write_results
 from sestrack.cli import main
+from sestrack.dataio import _CHUNK_ROWS, _points
 
 LENGTHS = (1, 100, 10_000)
+CHUNK_LENGTHS = LENGTHS + (_CHUNK_ROWS, _CHUNK_ROWS + 1)  # one full chunk, one row past it
 TREND = "linear:start=1,slope=0.05"
 
 DIGESTS = {
@@ -139,6 +141,20 @@ def test_outputs_match_pinned_digests(tmp_path):
     assert {k: _sha(v) for k, v in outputs.items()} == DIGESTS
 
 
+def _u64_values(n: int) -> np.ndarray:
+    # wraps modulo 2**64, so the values spread over the whole uint64 range
+    values = np.arange(n, dtype=np.uint64) * np.uint64(3**38)
+    values[-1] = 2**64 - 1
+    return values
+
+
+def _f32_values(n: int) -> np.ndarray:
+    # not exactly representable in decimal, so all 17 digits show
+    values = (np.arange(n, dtype=np.float32) - 2.5) / np.float32(3)
+    values[:2] = [np.finfo(np.float32).smallest_subnormal, np.finfo(np.float32).max][:n]
+    return values
+
+
 def _reference_csv(header, columns) -> str:
     """The per-cell formatting the CSV format is defined by."""
     rows = [",".join(header)]
@@ -150,12 +166,13 @@ def _reference_csv(header, columns) -> str:
     return "\n".join(rows) + "\n"
 
 
-@pytest.mark.parametrize("n", LENGTHS)
+@pytest.mark.parametrize("n", CHUNK_LENGTHS)
 def test_csv_matches_the_per_cell_reference(tmp_path, n):
     values = _edge_values(n)
-    header = ["t", "x", "neg", "count", "big"]
+    header = ["t", "x", "neg", "count", "big", "flag", "u64", "f32"]
     columns = [np.arange(1, n + 1), values, -values, np.arange(n, dtype=np.int32) - 5,
-               np.arange(n, dtype=np.int64) * 10**14 + 1]  # past 17 digits at n = 10^4
+               np.arange(n, dtype=np.int64) * 10**14 + 1,  # past 17 digits at n = 10^4
+               np.arange(n) % 3 == 0, _u64_values(n), _f32_values(n)]
     path = write_csv(tmp_path / "e.csv", header, columns)
     # compared outside the assert: pytest's diff of two large texts is very slow
     same = path.read_text(encoding="utf-8") == _reference_csv(header, columns)
@@ -173,3 +190,14 @@ def test_stream_target_gets_the_file_bytes(tmp_path, n):
         path = write_results(values, tmp_path / f"a.{fmt}", fmt)
         same = stream.getvalue().encode("utf-8") == path.read_bytes()
         assert same, fmt
+
+
+@pytest.mark.parametrize("template", ["{:.2f},{:.2f}", '<circle cx="{:.2f}" cy="{:.2f}" r="1.4"/>'])
+@pytest.mark.parametrize("n", CHUNK_LENGTHS)
+def test_svg_points_match_the_per_point_reference(n, template):
+    xs = np.linspace(62.0, 782.0, n) + 0.005  # near the rounding boundary of %.2f
+    ys = _edge_values(n)
+    text = "".join(_points("<", template.replace("{:.2f}", "%.2f"), xs, ys, ">"))
+    reference = "<" + " ".join(map(template.format, xs.tolist(), ys.tolist())) + ">"
+    same = text == reference
+    assert same

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sestrack import (
     SmootherState,
@@ -101,6 +103,29 @@ def test_run_matches_closed_form():
         assert trajectory[t - 1] == pytest.approx(
             ses_closed_form(x, 0.1, x[0], t), abs=1e-10
         )
+
+
+# ses_run and ses_closed_form round differently, and a value near zero can be
+# the difference of large terms, so the tolerance is relative to the largest
+# magnitude in the data (observations and initial estimate).
+CLOSED_FORM_REL = 1e-10
+_moderate = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    x=st.lists(_moderate, min_size=1, max_size=300),
+    alpha=st.floats(1e-3, 0.999),
+    init=st.one_of(st.just("first"), _moderate),
+)
+def test_run_matches_closed_form_at_every_step(x, alpha, init):
+    x = np.array(x)
+    start = x[0] if init == "first" else init
+    trajectory = ses_run(x, alpha, init)
+    scale = max(float(np.max(np.abs(x))), abs(start), 1e-300)
+    for t in range(1, len(x) + 2):
+        direct = ses_closed_form(x, alpha, start, t)
+        assert abs(trajectory[t - 1] - direct) <= CLOSED_FORM_REL * scale
 
 
 def test_closed_form_boundaries():
