@@ -9,11 +9,13 @@ tracking error E[(m_{t+1} - m*_t)^2] is asymptotically at most
   + (beta/alpha)^2 * K^2                              dynamics of the trend
 
 with beta = 1 - alpha.  ``tracking_bound`` evaluates the three terms,
-``optimize_alpha`` minimizes their total over alpha, and
-``exact_mse_sequence`` / ``closed_form_mse`` provide the exact finite-time
-second moments D_t = E[(m_t - m*_{t-1})^2] whose limit the bound caps.  For
-trends with constant one-step increment the bound is attained in the limit,
-which the test suite exploits.
+taking the correlation sum in closed form exactly when the autocovariance
+carries one (``weighted_tail``) and otherwise as a series truncated at
+``SERIES_TOL`` relative to gamma(0).  ``optimize_alpha`` minimizes their
+total over alpha, and ``exact_mse_sequence`` / ``closed_form_mse`` provide
+the exact finite-time second moments D_t = E[(m_t - m*_{t-1})^2] whose
+limit the bound caps.  For trends with constant one-step increment the
+bound is attained in the limit, which the test suite exploits.
 
 Initial-condition modes for the recursion: "paper" starts from D_1 = 0,
 modelling a deterministic first estimate equal to the initial trend value;
@@ -38,6 +40,7 @@ from .processes import Autocovariance, TrendSpec, trend_sequence
 from .smoothing import check_alpha
 
 SERIES_LAG_CAP = 10**6
+SERIES_TOL = 1e-14  # relative to gamma(0), where the series tail stops
 GRID_POINTS = 1024
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -62,14 +65,12 @@ class BoundReport:
     truncation_residual_bound: float
 
 
-def _weighted_tail_series(
-    gamma: Autocovariance, beta: float, tol: float
-) -> tuple[float, int, float]:
+def _weighted_tail_series(gamma: Autocovariance, beta: float) -> tuple[float, int, float]:
     # |gamma(k)| <= gamma(0) bounds every dropped term, so stopping once the
     # geometric remainder gamma(0) beta^(lag+1) / (1 - beta) falls below
-    # tol * gamma(0) never cuts off mass hidden behind a zero lag
+    # SERIES_TOL * gamma(0) never cuts off mass hidden behind a zero lag
     g0 = gamma(0)
-    threshold = tol * g0
+    threshold = SERIES_TOL * g0
     total = 0.0
     power = 1.0
     lag = 0
@@ -83,44 +84,32 @@ def _weighted_tail_series(
     return total, lag, residual
 
 
-def tracking_bound(
-    alpha: float,
-    gamma: Autocovariance,
-    lipschitz: float,
-    *,
-    tol: float = 1e-14,
-    method: str = "auto",
-) -> BoundReport:
+def tracking_bound(alpha: float, gamma: Autocovariance, lipschitz: float) -> BoundReport:
     """Evaluate the asymptotic tracking bound for the given configuration.
 
-    ``method`` selects how the correlation tail sum_{k>=1} gamma(k) beta^k
-    is computed: "auto" prefers the model's closed form when one exists,
-    "closed" demands it, "series" forces truncated summation (terms are
-    accumulated until the remainder bound gamma(0) beta^(k+1) / (1 - beta)
-    is <= tol * gamma(0), capped at 10^6 lags).  A trend term that
-    overflows is +inf, as is then the total.
+    The correlation tail sum_{k>=1} gamma(k) beta^k is the closed form
+    ``gamma.weighted_tail`` when that is set, and otherwise a truncated
+    series: terms are accumulated until the remainder bound
+    gamma(0) beta^(k+1) / (1 - beta) is <= SERIES_TOL * gamma(0), capped at
+    SERIES_LAG_CAP lags.  ``Autocovariance(model.gamma)`` therefore sums any
+    model's series.  A trend term that overflows is +inf, as is then the
+    total.
     """
     alpha = check_alpha(alpha)
     lipschitz = float(lipschitz)
     if not (math.isfinite(lipschitz) and lipschitz >= 0.0):
         raise ValueError(f"trend increment bound must be finite and >= 0, got {lipschitz}")
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"truncation tolerance must be > 0, got {tol}")
-    if method not in ("auto", "closed", "series"):
-        raise ValueError(f'method must be "auto", "closed" or "series", got {method!r}')
 
     beta = 1.0 - alpha
     g0 = gamma(0)
     if not (math.isfinite(g0) and g0 >= 0.0):
         raise ValueError(f"gamma(0) must be finite and >= 0, got {g0}")
 
-    if method != "series" and gamma.weighted_tail is not None:
+    if gamma.weighted_tail is not None:
         tail = float(gamma.weighted_tail(beta))
         lag, residual = 0, 0.0
-    elif method == "closed":
-        raise ValueError("no closed-form correlation tail available for this autocovariance")
     else:
-        tail, lag, residual = _weighted_tail_series(gamma, beta, tol)
+        tail, lag, residual = _weighted_tail_series(gamma, beta)
 
     front = alpha / (2.0 - alpha)
     variance_term = front * g0
@@ -253,9 +242,10 @@ def _golden_section_min(f, lo: float, hi: float, tol: float) -> float:
         width = b - a
     mid = 0.5 * (a + b)
     # monotone objectives finish flush against a bracket edge; keep whichever
-    # of the original endpoints and the interior candidate is best, the
-    # smaller alpha winning ties
-    best = min(((f(x), x) for x in (lo, mid, hi)), key=lambda p: (p[0], p[1]))
+    # of the original endpoints inside (0, 1) and the interior candidate is
+    # best, the smaller alpha winning ties
+    candidates = [x for x in (lo, mid, hi) if 0.0 < x < 1.0]
+    best = min(((f(x), x) for x in candidates), key=lambda p: (p[0], p[1]))
     return best[1]
 
 
@@ -268,9 +258,12 @@ def optimize_alpha(
     """Minimize the bound total over alpha in (0, 1).
 
     A 1024-point coarse grid locates the best bracket, golden-section search
-    refines it to ``search_tol``; ties resolve toward smaller alpha.  With
-    no noise and a static trend the objective is identically zero: the
-    smallest grid point is returned with ``degenerate`` set.
+    refines it to ``search_tol``; ties resolve toward smaller alpha.  For
+    lipschitz > 0 a best grid point at either end opens its bracket to that
+    end of (0, 1), never evaluated itself; with lipschitz = 0 it stays on
+    the grid.  With no noise and a static trend the objective is
+    identically zero: the smallest grid point is returned with
+    ``degenerate`` set.
     ``search_tol`` must be finite and > 0; the search also ends once
     rounding stops the bracket from shrinking.
     """
@@ -290,8 +283,9 @@ def optimize_alpha(
             alpha_star, tracking_bound(alpha_star, gamma, lipschitz), True
         )
 
-    lo = float(grid[best - 1]) if best > 0 else float(grid[0])
-    hi = float(grid[best + 1]) if best + 1 < len(grid) else float(grid[-1])
+    open_ends = float(lipschitz) > 0.0
+    lo = float(grid[best - 1]) if best > 0 else 0.0 if open_ends else float(grid[0])
+    hi = float(grid[best + 1]) if best + 1 < len(grid) else 1.0 if open_ends else float(grid[-1])
     alpha_star = float(_golden_section_min(objective, lo, hi, search_tol))
     return AlphaSearchResult(
         alpha_star, tracking_bound(alpha_star, gamma, lipschitz), False

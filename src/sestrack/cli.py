@@ -153,18 +153,6 @@ def _print_pairs(pairs: list[tuple[str, object]]) -> None:
         print(f"{key.ljust(width)}  {rendered}")
 
 
-def _report_pairs(report) -> list[tuple[str, object]]:
-    return [
-        ("alpha", report.alpha),
-        ("variance_term", report.variance_term),
-        ("correlation_term", report.correlation_term),
-        ("trend_term", report.trend_term),
-        ("total", report.total),
-        ("truncation_lag", report.truncation_lag),
-        ("truncation_residual_bound", report.truncation_residual_bound),
-    ]
-
-
 def _cmd_smooth(args) -> int:
     observations = read_csv_column(args.input, args.column)
     trajectory = ses_run(observations, args.alpha, parse_init(args.init))
@@ -201,7 +189,7 @@ def _cmd_bound(args) -> int:
     if args.json:
         print(json.dumps(payload))
     else:
-        _print_pairs(_report_pairs(report))
+        _print_pairs(list(payload.items()))
     return 0
 
 
@@ -217,7 +205,7 @@ def _cmd_optimize_alpha(args) -> int:
         print(json.dumps(payload))
     else:
         _print_pairs([("alpha_star", result.alpha), ("degenerate", result.degenerate)])
-        _print_pairs(_report_pairs(result.report))
+        _print_pairs(list(payload["report"].items()))
     return 0
 
 
@@ -310,6 +298,12 @@ def _cmd_reproduce(args) -> int:
     return 0
 
 
+_WORKERS_HELP = (
+    "processes sharing the replication blocks, an integer >= 1, capped at the "
+    "blocks and usable CPUs; every count gives bitwise the same result"
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sestrack",
@@ -365,10 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reps", type=int, help="replications (mc mode)")
     p.add_argument("--seed", type=int, help="master seed (mc mode)")
     p.add_argument("--init", default="first", help='initial estimate (mc mode)')
-    p.add_argument("--workers", type=int,
-                   help="processes sharing the replication blocks, an integer >= 1, "
-                   "capped at the blocks and usable CPUs; every count gives "
-                   "bitwise the same result (mc mode)")
+    p.add_argument("--workers", type=int, help=f"{_WORKERS_HELP} (mc mode)")
     p.add_argument("--out", help="output CSV path")
     p.add_argument("--json", action="store_true", help="machine-readable summary")
     p.set_defaults(handler=_cmd_mse)
@@ -376,10 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check the bound against an experiment config")
     p.add_argument("--config", required=True, help="JSON experiment config")
     p.add_argument("--reps", type=int, help="override the configured replications")
-    p.add_argument("--workers", type=int,
-                   help="processes sharing the replication blocks, an integer >= 1, "
-                   "capped at the blocks and usable CPUs; every count gives "
-                   "bitwise the same result")
+    p.add_argument("--workers", type=int, help=_WORKERS_HELP)
     p.add_argument("--json", action="store_true", help="machine-readable output")
     p.set_defaults(handler=_cmd_verify)
 

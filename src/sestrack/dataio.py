@@ -66,17 +66,23 @@ def _write(target, parts) -> Path | None:
 # CSV
 # ---------------------------------------------------------------------------
 
-def _csv_text(header: list[str], columns: list[np.ndarray]):
-    yield ",".join(header) + "\n"
+def _chunks(template: str, separator: str, columns: list[np.ndarray]):
+    """Yield the rows of ``columns`` formatted by ``template`` and joined by
+    ``separator``, each chunk of ``_CHUNK_ROWS`` rows by one ``%``."""
     width = len(columns)
-    template = ",".join("%d" if col.dtype.kind in "iu" else "%.17g" for col in columns) + "\n"
     for lo in range(0, len(columns[0]), _CHUNK_ROWS):
         chunk = [col[lo : lo + _CHUNK_ROWS].tolist() for col in columns]
         rows = len(chunk[0])
         cells = [None] * (width * rows)
         for j, values in enumerate(chunk):
             cells[j::width] = values
-        yield template * rows % tuple(cells)
+        yield (separator if lo else "") + separator.join([template] * rows) % tuple(cells)
+
+
+def _csv_text(header: list[str], columns: list[np.ndarray]):
+    yield ",".join(header) + "\n"
+    template = ",".join("%d" if col.dtype.kind in "iu" else "%.17g" for col in columns) + "\n"
+    yield from _chunks(template, "", columns)
 
 
 def _checked(header: list[str], columns) -> list[np.ndarray]:
@@ -230,16 +236,8 @@ def _legend(entries: list[tuple[str, str]]) -> list[str]:
 
 def _points(opening: str, template: str, xs: np.ndarray, ys: np.ndarray, closing: str):
     """Yield one element whose body is ``template`` formatted at each
-    (x, y), space-separated, ``_CHUNK_ROWS`` points at a time."""
-    yield opening
-    separator = ""
-    for lo in range(0, len(xs), _CHUNK_ROWS):
-        x, y = xs[lo : lo + _CHUNK_ROWS].tolist(), ys[lo : lo + _CHUNK_ROWS].tolist()
-        cells = x + y
-        cells[::2], cells[1::2] = x, y
-        yield separator + " ".join([template] * len(x)) % tuple(cells)
-        separator = " "
-    yield closing
+    (x, y), space-separated."""
+    return itertools.chain([opening], _chunks(template, " ", [xs, ys]), [closing])
 
 
 def _svg_text(steps, lines: list[tuple[str, np.ndarray, str]], dots=None):

@@ -37,7 +37,7 @@ from .processes import (
     trend_sequence,
 )
 from .seeding import child_seeds
-from .smoothing import InitPolicy, check_alpha, ses_run, ses_run_inplace
+from .smoothing import InitPolicy, check_alpha, check_init, ses_run, ses_run_inplace
 
 BLOCK_SIZE = 1024
 MAX_CELLS = 10**8
@@ -85,11 +85,7 @@ class ExperimentConfig:
             raise ValueError(
                 f"tail fraction must lie in (0, 1], got {self.tail_fraction}"
             )
-        if isinstance(self.init, str):
-            if self.init != "first":
-                raise ValueError(f'init must be "first" or a number, got {self.init!r}')
-        elif not math.isfinite(float(self.init)):
-            raise ValueError(f"init must be finite, got {self.init}")
+        check_init(self.init)
 
 
 @dataclass(frozen=True)
@@ -201,8 +197,9 @@ def _fork_join(
     """Summaries of ``blocks`` in block order, computed by ``workers``
     processes.  Worker i runs blocks i, i + workers, ...; worker 0 is this
     process and the others are forked children, each returning its list of
-    summaries through a pipe.  A child that fails raises ChildProcessError;
-    on any error every child still running is killed and all are reaped.
+    summaries through a pipe; with one worker nothing is forked.  A child
+    that fails raises ChildProcessError; on any error every child still
+    running is killed and all are reaped.
     """
     children = []  # (pid, read end) of each child not yet reaped, in worker order
     try:
@@ -247,10 +244,10 @@ def monte_carlo_mse(config: ExperimentConfig, workers: int | None = None) -> Mse
     ``workers`` must be None or an integer >= 1.  The blocks are split over
     n = min(workers, blocks, usable CPUs) processes: this one and n - 1
     children made with ``os.fork``, worker i taking blocks i, i + n, ...
-    With n = 1, on a platform without ``os.fork`` or in a process already
-    running other threads, the blocks run serially here.  Either way the
-    block summaries are folded in index order, so the result is bitwise the
-    same for every worker count.  A failed worker raises ChildProcessError.
+    On a platform without ``os.fork`` or in a process already running other
+    threads n is 1, and with n = 1 the blocks run serially here.  Either way
+    the block summaries are folded in index order, so the result is bitwise
+    the same for every worker count.  A failed worker raises ChildProcessError.
     A horizon x replications above ``MAX_CELLS`` is rejected before
     anything is allocated.
     """
@@ -264,11 +261,9 @@ def monte_carlo_mse(config: ExperimentConfig, workers: int | None = None) -> Mse
             f"experiment size {horizon} x {reps} exceeds the cap of {MAX_CELLS} cells"
         )
     blocks = [range(s, min(s + BLOCK_SIZE, reps)) for s in range(0, reps, BLOCK_SIZE)]
-    workers = min(workers or 1, len(blocks), _usable_cpus())
-    if workers > 1 and hasattr(os, "fork") and threading.active_count() == 1:
-        summaries = _fork_join(config, blocks, workers)
-    else:
-        summaries = [_run_block(config, block) for block in blocks]
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        workers = 1
+    summaries = _fork_join(config, blocks, min(workers or 1, len(blocks), _usable_cpus()))
 
     total = summaries[0]
     for block in summaries[1:]:
@@ -426,5 +421,5 @@ def simulate_smoothed(
     """Simulate one path and smooth it, returning the aligned view."""
     path = sample_path(noise, trend, horizon, seed, burn_in)
     trajectory = ses_run(path.observations, alpha, init)
-    return SmoothedPath(path.observations.copy(), path.trend.copy(), trajectory[1:])
+    return SmoothedPath(path.observations, path.trend, trajectory[1:])
 

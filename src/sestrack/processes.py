@@ -28,7 +28,9 @@ Each variant states its law once, as a filter over a block of paths:
 ``_filter(z, out)`` turns time-major standard normals ``z`` of shape
 (n + ``_extra_draws``, B), which it may overwrite, into the noise ``out`` of
 shape (n, B).  ``sample_block`` filters a Monte Carlo block that way, and
-``sample_path`` is the one-column case of the same call.
+``sample_path`` is the one-column case of the same call.  Each trend
+states its law once too, as ``sequence(horizon)``, the vector of m*_1 ..
+m*_horizon that ``trend_sequence`` checks and returns.
 """
 
 from __future__ import annotations
@@ -67,10 +69,6 @@ class Autocovariance:
 
     def __call__(self, lag: int) -> float:
         return float(self.fn(abs(int(lag))))
-
-    @property
-    def variance(self) -> float:
-        return float(self.fn(0))
 
 
 @dataclass(frozen=True)
@@ -112,8 +110,9 @@ class MA1:
     innovation_variance: float = _key("var", 1.0)
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.coefficient):
-            raise ValueError("MA1 coefficient must be finite")
+        a = self.coefficient
+        if not math.isfinite(a * a):  # the filter's normalization squares it
+            raise ValueError(f"MA1 coefficient must be finite, with a finite square, got {a}")
         _check_variance(self.innovation_variance)
 
     def gamma(self, lag: int) -> float:
@@ -259,13 +258,6 @@ def _check_finite(trend) -> None:
                 raise ValueError(f"{trend.kind} trend {key} must be finite, got {value}")
 
 
-def _check_step(t: int) -> int:
-    t = int(t)
-    if t < 1:
-        raise ValueError(f"step index must be >= 1, got {t}")
-    return t
-
-
 @dataclass(frozen=True)
 class Constant:
     """Flat trend; one-step increments are all zero."""
@@ -279,10 +271,6 @@ class Constant:
     @property
     def lipschitz_constant(self) -> float:
         return 0.0
-
-    def value(self, t: int) -> float:
-        _check_step(t)
-        return self.level
 
     def sequence(self, horizon: int) -> np.ndarray:
         return np.full(horizon, float(self.level))
@@ -302,9 +290,6 @@ class Linear:
     @property
     def lipschitz_constant(self) -> float:
         return abs(self.slope)
-
-    def value(self, t: int) -> float:
-        return self.start + self.slope * (_check_step(t) - 1)
 
     def sequence(self, horizon: int) -> np.ndarray:
         return self.start + self.slope * np.arange(horizon, dtype=float)
@@ -329,9 +314,6 @@ class Sinusoid:
     @property
     def lipschitz_constant(self) -> float:
         return abs(self.amplitude * self.rate)
-
-    def value(self, t: int) -> float:
-        return self.amplitude * math.sin(self.rate * (_check_step(t) - 1) + self.phase)
 
     def sequence(self, horizon: int) -> np.ndarray:
         return self.amplitude * np.sin(
@@ -359,14 +341,6 @@ class Table:
         if len(self.values) == 1:
             return 0.0
         return max(abs(b - a) for a, b in zip(self.values, self.values[1:]))
-
-    def value(self, t: int) -> float:
-        t = _check_step(t)
-        if t > len(self.values):
-            raise IndexError(
-                f"table trend has {len(self.values)} entries, step {t} requested"
-            )
-        return self.values[t - 1]
 
     def sequence(self, horizon: int) -> np.ndarray:
         if horizon > len(self.values):

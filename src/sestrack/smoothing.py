@@ -33,6 +33,19 @@ def check_alpha(alpha: float) -> float:
     return alpha
 
 
+def check_init(init: InitPolicy) -> InitPolicy:
+    """Validate an initial-estimate policy: the string "first" or a finite
+    number (a bool is not one), returned as "first" or a float."""
+    if isinstance(init, (str, bool, np.bool_)):
+        if init != "first":
+            raise ValueError(f'init must be "first" or a number, got {init!r}')
+        return init
+    value = float(init)
+    if not math.isfinite(value):
+        raise ValueError(f"init must be finite, got {value}")
+    return value
+
+
 @dataclass(frozen=True)
 class SmootherState:
     """Current estimate m_t together with its smoothing parameter and step."""
@@ -58,15 +71,9 @@ def ses_step(state: SmootherState, x: float) -> SmootherState:
     return SmootherState(new, state.alpha, state.step + 1)
 
 
-def _initial_estimates(init: InitPolicy, first_observations: np.ndarray) -> np.ndarray:
-    if isinstance(init, str):
-        if init != "first":
-            raise ValueError(f'init must be "first" or a number, got {init!r}')
-        return first_observations.copy()
-    value = float(init)
-    if not math.isfinite(value):
-        raise ValueError(f"fixed initial estimate must be finite, got {value}")
-    return np.full_like(first_observations, value)
+def _initial_estimates(init: InitPolicy, first: np.ndarray) -> np.ndarray:
+    init = check_init(init)
+    return first.copy() if init == "first" else np.full_like(first, init)
 
 
 def _check_observations(observations) -> np.ndarray:

@@ -13,6 +13,7 @@ import pytest
 from sestrack import (
     AR1,
     MA1,
+    Autocovariance,
     Constant,
     ExperimentConfig,
     WhiteGaussian,
@@ -120,9 +121,9 @@ def test_criterion_05_negative_covariance_improves_tracking():
 @pytest.mark.parametrize("theta", [0.1, 0.2, 0.5, 0.9])
 @pytest.mark.parametrize("alpha", [0.05, 0.1, 0.5])
 def test_criterion_06_ar1_closed_form_vs_truncated_series(theta, alpha):
-    gamma = AR1(theta).autocovariance_fn()
-    closed = tracking_bound(alpha, gamma, 0.0, method="closed")
-    series = tracking_bound(alpha, gamma, 0.0, method="series", tol=1e-14)
+    closed = tracking_bound(alpha, AR1(theta).autocovariance_fn(), 0.0)
+    series = tracking_bound(alpha, Autocovariance(AR1(theta).gamma), 0.0)
+    assert closed.truncation_lag == 0 and series.truncation_lag > 0
     assert abs(closed.correlation_term - series.correlation_term) <= 1e-12
     assert abs(closed.total - series.total) <= 1e-12
 

@@ -69,7 +69,7 @@ def test_negative_ma_correlation_shrinks_bound():
 def test_series_matches_closed_form():
     model = AR1(0.2)
     closed = tracking_bound(0.1, model.autocovariance_fn(), 0.0)
-    series = tracking_bound(0.1, model.autocovariance_fn(), 0.0, method="series")
+    series = tracking_bound(0.1, Autocovariance(model.gamma), 0.0)
     assert series.truncation_lag > 0
     assert abs(series.correlation_term - closed.correlation_term) <= 1e-12
     # the reported residual is the worst-case envelope gamma(0) beta^(k+1)/(1-beta)
@@ -82,7 +82,7 @@ def test_series_matches_closed_form():
 def test_series_tail_not_cut_at_a_zero_lag():
     # gamma(1) = 0 sits between nonzero lags, as in a seasonal moving average
     gamma = Autocovariance(lambda k: {0: 1.0, 2: 0.5}.get(k, 0.0))
-    report = tracking_bound(0.1, gamma, 0.0, method="series")
+    report = tracking_bound(0.1, gamma, 0.0)
     expected = 2.0 * 0.1 / 1.9 * 0.5 * 0.9**2
     assert report.correlation_term == pytest.approx(expected, rel=1e-12)
     assert report.truncation_residual_bound <= 1e-14
@@ -95,19 +95,17 @@ def test_series_tail_not_cut_at_a_zero_lag():
     ids=lambda n: n.kind,
 )
 def test_series_matches_closed_form_for_every_builtin(noise, alpha):
-    gamma = noise.autocovariance_fn()
-    closed = tracking_bound(alpha, gamma, 0.0, method="closed")
-    series = tracking_bound(alpha, gamma, 0.0, method="series")
+    closed = tracking_bound(alpha, noise.autocovariance_fn(), 0.0)
+    series = tracking_bound(alpha, Autocovariance(noise.gamma), 0.0)
+    assert closed.truncation_lag == 0
     assert series.correlation_term == pytest.approx(closed.correlation_term, rel=1e-12, abs=1e-14)
     assert series.truncation_residual_bound <= 1e-14 * noise.gamma(0)
 
 
 def test_series_required_inputs():
     no_tail = Autocovariance(AR1(0.5).gamma)
-    report = tracking_bound(0.2, no_tail, 0.0)  # auto falls back to the series
+    report = tracking_bound(0.2, no_tail, 0.0)  # no closed form: the series runs
     assert report.truncation_lag > 0
-    with pytest.raises(ValueError):
-        tracking_bound(0.2, no_tail, 0.0, method="closed")
     # the residual stop gamma(0) beta^(lag+1) / (1 - beta) needs only
     # |gamma(k)| <= gamma(0), so even a constant autocovariance sums right
     alpha = 0.2
@@ -124,8 +122,6 @@ def test_bound_validation():
         tracking_bound(1.0, WHITE, 0.0)
     with pytest.raises(ValueError):
         tracking_bound(0.5, WHITE, -0.1)
-    with pytest.raises(ValueError):
-        tracking_bound(0.5, WHITE, 0.0, method="fancy")
 
 
 @pytest.mark.parametrize("alpha,k", [(0.1, 1e200), (0.001, 1e153), (1e-200, 1.0)])
@@ -138,7 +134,10 @@ def test_search_skips_alphas_whose_trend_term_overflows():
     # (beta/alpha)^2 K^2 overflows on the small-alpha end of the grid only
     result = optimize_alpha(WHITE, 1e153)
     assert math.isfinite(result.report.total)
-    assert result.alpha == float(np.linspace(0.0, 1.0, GRID_POINTS + 2)[-2])
+    # the bound falls all the way to alpha = 1, so the search leaves the grid
+    last = float(np.linspace(0.0, 1.0, GRID_POINTS + 2)[-2])
+    assert last < result.alpha < 1.0
+    assert result.report.total < tracking_bound(last, WHITE, 1e153).total
 
 
 def test_term_signs():
@@ -332,6 +331,28 @@ def test_matches_dense_grid():
     result = optimize_alpha(WHITE, k)
     assert abs(result.alpha - expected) <= 1e-4
     assert result.report.trend_term > 0.0
+
+
+def _dense_log_grid_min(gamma, k: float) -> float:
+    # log-spaced in alpha near 0 and in 1 - alpha near 1
+    half = np.geomspace(1e-9, 0.5, 2000)
+    alphas = np.concatenate((half, 1.0 - half[::-1]))
+    return min(tracking_bound(float(a), gamma, k).total for a in alphas if 0.0 < a < 1.0)
+
+
+@pytest.mark.parametrize(
+    "noise,k",
+    [(WhiteGaussian(1.0), 1e-6), (AR1(0.2), 1e-6), (MA1(2.0), 3e-6), (WhiteGaussian(1.0), 100.0)],
+    ids=["white-small-k", "ar1-small-k", "ma1-small-k", "white-large-k"],
+)
+def test_search_leaves_the_grid_at_either_end(noise, k):
+    # the minimizer lies below the first or above the last grid point
+    gamma = noise.autocovariance_fn()
+    result = optimize_alpha(gamma, k)
+    grid = np.linspace(0.0, 1.0, GRID_POINTS + 2)[1:-1]
+    assert not grid[0] <= result.alpha <= grid[-1]
+    expected = _dense_log_grid_min(gamma, k)
+    assert result.report.total == pytest.approx(expected, rel=1e-3)
 
 
 @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])

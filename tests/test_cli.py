@@ -2,9 +2,12 @@ import json
 import math
 import subprocess
 import sys
+from datetime import timedelta
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sestrack import (
     Constant,
@@ -454,3 +457,70 @@ def test_module_entrypoint_subprocess():
     )
     assert result.returncode == 0
     assert "0.05263157895" in result.stdout
+
+
+# ---------------------------------------------------------------------------
+# fuzzed argv
+# ---------------------------------------------------------------------------
+
+EXTREME_NUMBERS = [
+    "0", "1e-320", "-1e-320", "1e-300", "-1e-300", "1e154", "-1e154",
+    "1e200", "-1e200", "1e308", "-1e308", "inf", "-inf", "nan",
+]
+# half of the draws are ordinary, so an extreme value usually meets valid
+# companions and reaches the numerical code behind the checks
+_number = st.one_of(st.sampled_from(["0.5", "2", "-0.4", "0.1"]), st.sampled_from(EXTREME_NUMBERS))
+_alpha = st.one_of(st.sampled_from(["0.05", "0.3", "0.9"]), _number)
+_noise = st.one_of(
+    st.builds("white:var={}".format, _number),
+    st.builds("ma1:a={},var={}".format, _number, _number),
+    st.builds("ar1:theta={},var={}".format, _number, _number),
+    st.builds("maq:b1={},b2={},var={}".format, _number, _number, _number),
+    st.builds("ma1:a={},sigma={}".format, _number, _number),
+)
+_trend = st.one_of(
+    st.builds("const:level={}".format, _number),
+    st.builds("linear:start={},slope={}".format, _number, _number),
+    st.builds("sin:amp={},rate={},phase={}".format, _number, _number, _number),
+    st.builds("table:values1={},values2={}".format, _number, _number),
+)
+_steps = st.sampled_from(["1", "2", "17", "50"])
+_seed = st.sampled_from(["0", "1", str(2**64 - 1)])
+_init = st.one_of(st.just("first"), _number)
+
+
+def _flags(**values):
+    return st.fixed_dictionaries(values).map(
+        lambda drawn: [f"--{k}={v}" for k, v in drawn.items()]
+    )
+
+
+_argv = st.one_of(
+    st.tuples(st.just(["bound"]), _flags(alpha=_alpha, k=_number, noise=_noise)),
+    st.tuples(st.just(["optimize-alpha"]), _flags(k=_number, noise=_noise, tol=_number)),
+    st.tuples(st.just(["mse", "--mode=exact"]), _flags(
+        alpha=_alpha, noise=_noise, trend=_trend, steps=_steps,
+        d1=st.sampled_from(["paper", "variance"]))),
+    st.tuples(st.just(["mse", "--mode=mc"]), _flags(
+        alpha=_alpha, noise=_noise, trend=_trend, steps=_steps, seed=_seed, init=_init,
+        reps=st.sampled_from(["1", "2", "64"]), workers=st.sampled_from(["1", "2"]))),
+    st.tuples(st.just(["simulate"]), _flags(
+        alpha=_alpha, noise=_noise, trend=_trend, steps=_steps, seed=_seed, init=_init)),
+).map(lambda parts: parts[0] + parts[1])
+
+
+@settings(max_examples=300, deadline=timedelta(seconds=5))
+@given(argv=_argv, json_output=st.booleans())
+# a square that overflows in MA(1)'s sampler once ended in an OverflowError
+@example(argv=["simulate", "--alpha=0.5", "--noise=ma1:a=1e200", "--trend=const:level=0",
+               "--steps=2", "--seed=1", "--init=first"], json_output=False)
+@example(argv=["mse", "--mode=mc", "--alpha=0.5", "--noise=ma1:a=-1e308", "--steps=2",
+               "--trend=linear:start=0,slope=1", "--seed=1", "--reps=2"], json_output=True)
+def test_fuzzed_argv_ends_in_an_exit_code(tmp_path_factory, argv, json_output):
+    # at most 64 replications are one block, so no worker process is forked
+    if argv[0] == "simulate":
+        argv = argv + [f"--out={tmp_path_factory.getbasetemp() / 'fuzz.csv'}"]
+    elif json_output:
+        argv = argv + ["--json"]
+    code = main(argv)
+    assert type(code) is int and 0 <= code <= 5

@@ -25,6 +25,7 @@ from sestrack import (
     reproduce_figure,
     simulate_smoothed,
     tracking_bound,
+    trend_sequence,
     verify_bound,
     write_results,
 )
@@ -47,6 +48,8 @@ def test_config_validation():
         ExperimentConfig(noise, trend, 0.1, 10, 10, seed=1, tail_fraction=0.0)
     with pytest.raises(ValueError):
         ExperimentConfig(noise, trend, 0.1, 10, 10, seed=1, init="median")
+    with pytest.raises(ValueError, match='init must be "first" or a number, got True'):
+        ExperimentConfig(noise, trend, 0.1, 10, 10, seed=1, init=True)
     with pytest.raises(ValueError):
         ExperimentConfig(noise, trend, 1.2, 10, 10, seed=1)
 
@@ -295,7 +298,7 @@ def test_exact_oracle_agreement_randomized():
             500,
             1000,
             seed=int(rng.integers(2**63)),
-            init=trend.value(1),  # deterministic init: exactness regime
+            init=float(trend_sequence(trend, 1)[0]),  # deterministic init: exactness regime
         )
         curve = monte_carlo_mse(config)
         exact = exact_mse_sequence(alpha, noise.autocovariance_fn(), trend, 500, "paper")
@@ -401,8 +404,7 @@ def test_zero_magnitude_arms_identical():
 
 def test_figure_3a_trend_convention():
     _, trend = FIGURE_CONFIGS["3a"]
-    assert trend.value(1) == pytest.approx(0.1)
-    assert trend.value(2) == pytest.approx(0.11)
+    assert trend_sequence(trend, 2) == pytest.approx([0.1, 0.11])
 
 
 def test_reproduce_figure_outputs(tmp_path):

@@ -97,6 +97,10 @@ def test_validation():
         WhiteGaussian(-1.0)
     with pytest.raises(ValueError):
         MAq(())
+    # the sampler normalizes by sqrt(1 + a^2), so a^2 must not overflow
+    with pytest.raises(ValueError, match="MA1 coefficient must be finite, with a finite square"):
+        MA1(-1e200)
+    assert MA1(1e154).gamma(0) == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -104,28 +108,28 @@ def test_validation():
 # ---------------------------------------------------------------------------
 
 def test_linear_first_step_is_start():
-    assert Linear(2.0, 0.1).value(1) == 2.0
-    assert Linear(2.0, 0.1).value(11) == pytest.approx(3.0, rel=1e-12)
+    seq = trend_sequence(Linear(2.0, 0.1), 11)
+    assert seq[0] == 2.0
+    assert seq[10] == pytest.approx(3.0, rel=1e-12)
 
 
 def test_sinusoid_starts_at_phase():
-    assert Sinusoid(1.0, math.pi / 1000, 0.0).value(1) == 0.0
+    assert trend_sequence(Sinusoid(1.0, math.pi / 1000, 0.0), 1)[0] == 0.0
 
 
 def test_constant_everywhere():
-    assert Constant(5.0).value(1) == 5.0
-    assert Constant(5.0).value(12345) == 5.0
+    seq = trend_sequence(Constant(5.0), 12345)
+    assert seq[0] == 5.0
+    assert seq[12344] == 5.0
 
 
 def test_table_lookup_and_errors():
     table = Table((1.0, 2.5, 2.0))
-    assert table.value(2) == 2.5
-    with pytest.raises(IndexError):
-        table.value(4)
-    with pytest.raises(ValueError):
-        table.value(0)
+    assert trend_sequence(table, 3)[1] == 2.5
     with pytest.raises(IndexError):
         trend_sequence(table, 4)
+    with pytest.raises(ValueError):
+        trend_sequence(table, 0)
 
 
 NON_FINITE_TRENDS = {
@@ -155,9 +159,16 @@ def test_lipschitz_constants():
 
 
 def test_sequence_matches_pointwise():
-    for trend in (Linear(2.0, 0.1), Sinusoid(1.5, 0.01, 0.4), Constant(-2.0)):
-        seq = trend_sequence(trend, 50)
-        assert seq == pytest.approx([trend.value(t) for t in range(1, 51)])
+    laws = [
+        (Linear(2.0, 0.1), lambda t: 2.0 + 0.1 * (t - 1)),
+        (Sinusoid(1.5, 0.01, 0.4), lambda t: 1.5 * math.sin(0.01 * (t - 1) + 0.4)),
+        (Constant(-2.0), lambda t: -2.0),
+        (Table((1.0, 2.5, 2.0)), lambda t: (1.0, 2.5, 2.0)[t - 1]),
+    ]
+    for trend, law in laws:
+        horizon = 3 if isinstance(trend, Table) else 50
+        seq = trend_sequence(trend, horizon)
+        assert seq == pytest.approx([law(t) for t in range(1, horizon + 1)])
 
 
 # ---------------------------------------------------------------------------

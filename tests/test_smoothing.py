@@ -15,7 +15,7 @@ from sestrack import (
     ses_step,
     sga_step,
 )
-from sestrack.smoothing import LogDensityModel, ses_run_inplace
+from sestrack.smoothing import LogDensityModel, check_init, ses_run_inplace
 
 
 # ---------------------------------------------------------------------------
@@ -145,6 +145,18 @@ def test_run_input_validation():
         ses_run([1.0, math.inf], 0.5)
     with pytest.raises(ValueError):
         ses_run([1.0], 0.5, init="median")
+
+
+@pytest.mark.parametrize("init", [True, False, np.True_, "median", math.inf, math.nan])
+def test_init_is_first_or_a_finite_number(init):
+    with pytest.raises(ValueError, match="init must be"):
+        check_init(init)
+    with pytest.raises(ValueError, match="init must be"):
+        ses_run([1.0, 2.0], 0.5, init=init)
+    with pytest.raises(ValueError, match="init must be"):
+        ses_run_inplace(np.zeros((3, 2)), 0.5, init=init)
+    assert check_init("first") == "first"
+    assert check_init(np.float32(0.5)) == 0.5 and type(check_init(1)) is float
 
 
 @pytest.mark.parametrize("init", ["first", -2.0])
