@@ -37,6 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .processes import Autocovariance, TrendSpec, trend_sequence
+from .seeding import check_count
 from .smoothing import check_alpha
 
 SERIES_LAG_CAP = 10**6
@@ -158,9 +159,7 @@ def exact_mse_sequence(
     a = check_alpha(alpha)
     if d1 not in ("paper", "variance"):
         raise ValueError(f'd1 must be "paper" or "variance", got {d1!r}')
-    horizon = int(horizon)
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
+    horizon = check_count(horizon, "horizon", 1)
     increments = np.concatenate(([0.0], np.diff(trend_sequence(trend, horizon))))
     g0 = gamma(0)
     mse, mean_error, weighted = (0.0 if d1 == "paper" else g0), 0.0, g0
@@ -187,9 +186,7 @@ def closed_form_mse(
     a sum of growing beta^(-h) factors, so it stays stable at any t.
     """
     alpha = check_alpha(alpha)
-    t = int(step)
-    if t < 1:
-        raise ValueError(f"step must be >= 1, got {t}")
+    t = check_count(step, "step", 1)
     beta = 1.0 - alpha
     a2 = alpha * alpha
     geom = 1.0 - beta * beta
@@ -222,22 +219,28 @@ class AlphaSearchResult:
     degenerate: bool = False
 
 
-def _golden_section_min(f, lo: float, hi: float, tol: float) -> float:
+def _golden_section_min(f, lo: float, hi: float) -> float:
     a, b = lo, hi
     c = b - _INV_PHI * (b - a)
     d = a + _INV_PHI * (b - a)
     fc, fd = f(c), f(d)
     width = b - a
-    while width > tol:
+    # refine until rounding stops it: the bracket stops shrinking or the next
+    # point is not strictly inside it, so the loop never evaluates an end
+    while True:
         if fc <= fd:  # ties keep the lower interval
             b, d, fd = d, c, fc
             c = b - _INV_PHI * (b - a)
+            if not a < c < b:
+                break
             fc = f(c)
         else:
             a, c, fc = c, d, fd
             d = a + _INV_PHI * (b - a)
+            if not a < d < b:
+                break
             fd = f(d)
-        if b - a >= width:  # rounding: the bracket no longer shrinks
+        if b - a >= width:
             break
         width = b - a
     mid = 0.5 * (a + b)
@@ -249,26 +252,19 @@ def _golden_section_min(f, lo: float, hi: float, tol: float) -> float:
     return best[1]
 
 
-def optimize_alpha(
-    gamma: Autocovariance,
-    lipschitz: float,
-    *,
-    search_tol: float = 1e-6,
-) -> AlphaSearchResult:
+def optimize_alpha(gamma: Autocovariance, lipschitz: float) -> AlphaSearchResult:
     """Minimize the bound total over alpha in (0, 1).
 
-    A 1024-point coarse grid locates the best bracket, golden-section search
-    refines it to ``search_tol``; ties resolve toward smaller alpha.  For
+    A 1024-point coarse grid locates the best bracket, and golden-section
+    search refines it until rounding stops it: the bracket no longer
+    shrinks, or no new point lies strictly inside it.  Ties resolve toward
+    smaller alpha, and alpha = 0 or 1 is never evaluated.  For
     lipschitz > 0 a best grid point at either end opens its bracket to that
     end of (0, 1), never evaluated itself; with lipschitz = 0 it stays on
     the grid.  With no noise and a static trend the objective is
     identically zero: the smallest grid point is returned with
     ``degenerate`` set.
-    ``search_tol`` must be finite and > 0; the search also ends once
-    rounding stops the bracket from shrinking.
     """
-    if not (math.isfinite(search_tol) and search_tol > 0.0):
-        raise ValueError(f"search tolerance must be finite and > 0, got {search_tol}")
 
     def objective(a: float) -> float:
         return tracking_bound(a, gamma, lipschitz).total
@@ -286,7 +282,7 @@ def optimize_alpha(
     open_ends = float(lipschitz) > 0.0
     lo = float(grid[best - 1]) if best > 0 else 0.0 if open_ends else float(grid[0])
     hi = float(grid[best + 1]) if best + 1 < len(grid) else 1.0 if open_ends else float(grid[-1])
-    alpha_star = float(_golden_section_min(objective, lo, hi, search_tol))
+    alpha_star = float(_golden_section_min(objective, lo, hi))
     return AlphaSearchResult(
         alpha_star, tracking_bound(alpha_star, gamma, lipschitz), False
     )

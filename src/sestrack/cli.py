@@ -171,7 +171,6 @@ def _cmd_simulate(args) -> int:
         args.steps,
         args.seed,
         parse_init(args.init),
-        args.burn_in,
     )
     write_results(smoothed, args.out or sys.stdout, "csv")
     if args.out:
@@ -195,7 +194,7 @@ def _cmd_bound(args) -> int:
 
 def _cmd_optimize_alpha(args) -> int:
     noise = parse_spec(args.noise, NOISE_KINDS, "noise")
-    result = optimize_alpha(noise.autocovariance_fn(), args.k, search_tol=args.tol)
+    result = optimize_alpha(noise.autocovariance_fn(), args.k)
     payload = _finite({
         "alpha": result.alpha,
         "degenerate": result.degenerate,
@@ -209,17 +208,34 @@ def _cmd_optimize_alpha(args) -> int:
     return 0
 
 
-def _require(args, names: list[str], mode: str) -> None:
-    missing = [f"--{n.replace('_', '-')}" for n in names if getattr(args, n) is None]
-    if missing:
-        raise UsageError(f"mse --mode {mode} requires {', '.join(missing)}")
+class _ModeFlag(argparse.Action):
+    """Store the value of a flag that one ``mse`` mode reads, and record in
+    ``args.given`` that it was given, even when given its default."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.given = [*namespace.given, self.dest]
+
+
+_MODE_FLAGS = {"exact": ["d1"], "mc": ["reps", "seed", "init", "workers"]}
+
+
+def _check_mode_flags(args, names: list[str]) -> None:
+    """Exit 2 naming each flag of ``names`` left out, or else each flag of
+    the other mode given."""
+    for problem, flags in (
+        ("requires", [n for n in names if getattr(args, n) is None]),
+        ("does not take", [n for n in args.given if n not in _MODE_FLAGS[args.mode]]),
+    ):
+        if flags:
+            raise UsageError(f"mse --mode {args.mode} {problem} --{', --'.join(flags)}")
 
 
 def _cmd_mse(args) -> int:
+    _check_mode_flags(args, ["alpha", "steps"] + (["reps", "seed"] if args.mode == "mc" else []))
     noise = parse_spec(args.noise, NOISE_KINDS, "noise")
     trend = parse_spec(args.trend, TREND_KINDS, "trend")
     if args.mode == "exact":
-        _require(args, ["alpha", "steps"], "exact")
         sequence = exact_mse_sequence(
             args.alpha, noise.autocovariance_fn(), trend, args.steps, args.d1
         )
@@ -228,7 +244,6 @@ def _cmd_mse(args) -> int:
             write_csv(args.out, ["t", "mse"], [np.arange(1, len(sequence) + 1), sequence])
             print(args.out)
     else:
-        _require(args, ["alpha", "steps", "reps", "seed"], "mc")
         config = ExperimentConfig(
             noise,
             trend,
@@ -299,8 +314,8 @@ def _cmd_reproduce(args) -> int:
 
 
 _WORKERS_HELP = (
-    "processes sharing the replication blocks, an integer >= 1, capped at the "
-    "blocks and usable CPUs; every count gives bitwise the same result"
+    "processes sharing the replication blocks, an integer >= 1 (default 1), capped at "
+    "the blocks and usable CPUs; every count gives bitwise the same result"
 )
 
 
@@ -329,7 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, required=True, help="horizon T")
     p.add_argument("--seed", type=int, required=True, help="64-bit seed")
     p.add_argument("--init", default="first", help='initial estimate: "first" or a number')
-    p.add_argument("--burn-in", type=int, default=0, help="noise steps discarded before t=1")
     p.add_argument("--out", help="output CSV path (default: stdout)")
     p.add_argument("--svg", help="also write an overlay plot to this path")
     p.set_defaults(handler=_cmd_simulate)
@@ -344,7 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("optimize-alpha", help="minimize the bound total over alpha")
     p.add_argument("--k", type=float, required=True, help="trend one-step increment bound")
     p.add_argument("--noise", required=True, help="noise spec (see grammar)")
-    p.add_argument("--tol", type=float, default=1e-6, help="search tolerance in alpha")
     p.add_argument("--json", action="store_true", help="machine-readable output")
     p.set_defaults(handler=_cmd_optimize_alpha)
 
@@ -354,20 +367,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise", required=True, help="noise spec (see grammar)")
     p.add_argument("--trend", required=True, help="trend spec (see grammar)")
     p.add_argument("--steps", type=int, help="horizon T")
-    p.add_argument("--d1", choices=("paper", "variance"), default="paper",
-                   help="initial condition of the exact recursion")
-    p.add_argument("--reps", type=int, help="replications (mc mode)")
-    p.add_argument("--seed", type=int, help="master seed (mc mode)")
-    p.add_argument("--init", default="first", help='initial estimate (mc mode)')
-    p.add_argument("--workers", type=int, help=f"{_WORKERS_HELP} (mc mode)")
+    p.add_argument("--d1", choices=("paper", "variance"), default="paper", action=_ModeFlag,
+                   help="initial condition of the exact recursion (exact mode)")
+    p.add_argument("--reps", type=int, action=_ModeFlag, help="replications (mc mode)")
+    p.add_argument("--seed", type=int, action=_ModeFlag, help="master seed (mc mode)")
+    p.add_argument("--init", default="first", action=_ModeFlag, help="initial estimate (mc mode)")
+    p.add_argument("--workers", type=int, default=1, action=_ModeFlag,
+                   help=f"{_WORKERS_HELP} (mc mode)")
     p.add_argument("--out", help="output CSV path")
     p.add_argument("--json", action="store_true", help="machine-readable summary")
-    p.set_defaults(handler=_cmd_mse)
+    p.set_defaults(handler=_cmd_mse, given=[])
 
     p = sub.add_parser("verify", help="check the bound against an experiment config")
     p.add_argument("--config", required=True, help="JSON experiment config")
     p.add_argument("--reps", type=int, help="override the configured replications")
-    p.add_argument("--workers", type=int, help=_WORKERS_HELP)
+    p.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
     p.add_argument("--json", action="store_true", help="machine-readable output")
     p.set_defaults(handler=_cmd_verify)
 

@@ -370,6 +370,14 @@ def _integer(value, where: str) -> int:
     return value
 
 
+def _init(value, where: str):
+    if value == "first":
+        return value
+    if isinstance(value, str):
+        raise SchemaError(f'{where}: expected "first" or a number, got {value!r}')
+    return _number(value, where)
+
+
 def model_to_dict(model) -> dict:
     """The JSON object of a registered noise or trend model."""
     document = {"kind": model.kind}
@@ -435,11 +443,11 @@ def experiment_config_from_dict(document):
         raise SchemaError(
             f"config: schema_version {version!r} not supported; expected {CONFIG_SCHEMA_VERSION}"
         )
-    init = document.get("init", "first")
-    if isinstance(init, str) and init != "first":
-        raise SchemaError(f'config.init: expected "first" or a number, got {init!r}')
-    if init != "first":
-        init = _number(init, "config.init")
+    optional = {  # a key left out takes the ExperimentConfig default
+        key: decode(document[key], f"config.{key}")
+        for key, decode in (("init", _init), ("tail_fraction", _number))
+        if key in document
+    }
     output = document.get("output", {})
     _check_keys(output, set(), {"csv", "svg"}, "config.output")
     for key, value in output.items():
@@ -452,8 +460,7 @@ def experiment_config_from_dict(document):
         horizon=_integer(document["horizon"], "config.horizon"),
         replications=_integer(document["replications"], "config.replications"),
         seed=_integer(document["seed"], "config.seed"),
-        init=init,
-        tail_fraction=_number(document.get("tail_fraction", 0.1), "config.tail_fraction"),
+        **optional,
     )
     return config, dict(output)
 

@@ -36,7 +36,7 @@ from .processes import (
     sample_path,
     trend_sequence,
 )
-from .seeding import child_seeds
+from .seeding import check_count, child_seeds, is_integer
 from .smoothing import InitPolicy, check_alpha, check_init, ses_run, ses_run_inplace
 
 BLOCK_SIZE = 1024
@@ -77,11 +77,12 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         check_alpha(self.alpha)
-        if self.horizon < 2:
-            raise ValueError(f"horizon must be >= 2, got {self.horizon}")
-        if self.replications < 1:
-            raise ValueError(f"replications must be >= 1, got {self.replications}")
-        if not (0.0 < self.tail_fraction <= 1.0):
+        object.__setattr__(self, "horizon", check_count(self.horizon, "horizon", 2))
+        object.__setattr__(self, "replications", check_count(self.replications, "replications", 1))
+        if not is_integer(self.seed):  # its range is checked where streams are keyed
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
+        object.__setattr__(self, "seed", int(self.seed))
+        if isinstance(self.tail_fraction, bool) or not (0.0 < self.tail_fraction <= 1.0):
             raise ValueError(
                 f"tail fraction must lie in (0, 1], got {self.tail_fraction}"
             )
@@ -232,7 +233,7 @@ def _fork_join(
     return [shares[i % workers][i // workers] for i in range(len(blocks))]
 
 
-def monte_carlo_mse(config: ExperimentConfig, workers: int | None = None) -> MseCurve:
+def monte_carlo_mse(config: ExperimentConfig, workers: int = 1) -> MseCurve:
     """Estimate the per-step mean squared tracking error by replication.
 
     Each block of up to ``BLOCK_SIZE`` replications is sampled into one
@@ -241,7 +242,7 @@ def monte_carlo_mse(config: ExperimentConfig, workers: int | None = None) -> Mse
     squared there in place; one transpose to (B, T) then feeds the per-step
     moments and the tail means.
 
-    ``workers`` must be None or an integer >= 1.  The blocks are split over
+    ``workers`` must be an integer >= 1.  The blocks are split over
     n = min(workers, blocks, usable CPUs) processes: this one and n - 1
     children made with ``os.fork``, worker i taking blocks i, i + n, ...
     On a platform without ``os.fork`` or in a process already running other
@@ -251,10 +252,7 @@ def monte_carlo_mse(config: ExperimentConfig, workers: int | None = None) -> Mse
     A horizon x replications above ``MAX_CELLS`` is rejected before
     anything is allocated.
     """
-    if workers is not None and (
-        isinstance(workers, bool) or not isinstance(workers, (int, np.integer)) or workers < 1
-    ):
-        raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
+    workers = check_count(workers, "workers", 1)
     horizon, reps = config.horizon, config.replications
     if horizon * reps > MAX_CELLS:
         raise ValueError(
@@ -263,7 +261,7 @@ def monte_carlo_mse(config: ExperimentConfig, workers: int | None = None) -> Mse
     blocks = [range(s, min(s + BLOCK_SIZE, reps)) for s in range(0, reps, BLOCK_SIZE)]
     if not hasattr(os, "fork") or threading.active_count() > 1:
         workers = 1
-    summaries = _fork_join(config, blocks, min(workers or 1, len(blocks), _usable_cpus()))
+    summaries = _fork_join(config, blocks, min(workers, len(blocks), _usable_cpus()))
 
     total = summaries[0]
     for block in summaries[1:]:
@@ -314,7 +312,7 @@ def verify_bound(
     config: ExperimentConfig,
     *,
     k_override: float | None = None,
-    workers: int | None = None,
+    workers: int = 1,
 ) -> BoundCheck:
     """Run the experiment and compare its tail MSE against the bound.
 
@@ -361,14 +359,12 @@ def compare_negative_vs_positive_ma(
     replications: int,
     horizon: int,
     seed: int,
-    *,
-    workers: int | None = None,
 ) -> MaSignComparison:
     """Matched constant-trend experiments at MA(1) coefficients +/-magnitude.
 
     Both arms share the master seed, hence the same innovations, so the
     comparison isolates the covariance sign.  magnitude = 0 degenerates to
-    two identical arms.  ``workers`` is passed to ``monte_carlo_mse``.
+    two identical arms.
     """
     magnitude = abs(float(magnitude))
     tails = {}
@@ -379,7 +375,7 @@ def compare_negative_vs_positive_ma(
         config = ExperimentConfig(
             noise, Constant(0.0), alpha, horizon, replications, seed
         )
-        curve = monte_carlo_mse(config, workers=workers)
+        curve = monte_carlo_mse(config)
         tails[sign] = curve.tail_mean
         ses[sign] = curve.tail_se
         bounds[sign] = tracking_bound(alpha, noise.autocovariance_fn(), 0.0).total
@@ -416,10 +412,9 @@ def simulate_smoothed(
     horizon: int,
     seed: int,
     init: InitPolicy = "first",
-    burn_in: int = 0,
 ) -> SmoothedPath:
     """Simulate one path and smooth it, returning the aligned view."""
-    path = sample_path(noise, trend, horizon, seed, burn_in)
+    path = sample_path(noise, trend, horizon, seed)
     trajectory = ses_run(path.observations, alpha, init)
     return SmoothedPath(path.observations, path.trend, trajectory[1:])
 

@@ -14,15 +14,14 @@ Noise variants:
   ``(eta_t + a * eta_{t-1}) / sqrt(1 + a^2)``, so gamma(0) equals the
   innovation variance.
 * ``AR1`` - first-order autoregression ``eps_{t+1} = theta * eps_t + eta_t``
-  with theta in (0, 1), started from the exact stationary law (no burn-in
-  needed; one is still available as an option).
+  with theta in (0, 1), started from the exact stationary law.
 * ``MAq`` - un-normalized moving average of order q with coefficients
   b_1..b_q and implicit b_0 = 1, so gamma(0) = variance * sum_j b_j^2.
 
 Zero innovation variance is accepted and produces deterministic paths,
 which the exact-recursion oracles rely on.  Every variant draws a fixed
 number of extra initial innovations so that ``eps_1`` already follows the
-stationary distribution.
+stationary distribution, so no path needs a burn-in.
 
 Each variant states its law once, as a filter over a block of paths:
 ``_filter(z, out)`` turns time-major standard normals ``z`` of shape
@@ -42,7 +41,7 @@ from typing import Callable, ClassVar, Union
 
 import numpy as np
 
-from .seeding import fill_standard_normals
+from .seeding import check_count, fill_standard_normals
 
 
 def _key(key: str, default=MISSING):
@@ -374,9 +373,7 @@ def model_fields(cls: type) -> list[tuple[str, str, object, bool]]:
 
 def trend_sequence(trend: TrendSpec, horizon: int) -> np.ndarray:
     """Vector of m*_1 .. m*_horizon."""
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
-    return np.asarray(trend.sequence(int(horizon)), dtype=float)
+    return np.asarray(trend.sequence(check_count(horizon, "horizon", 1)), dtype=float)
 
 
 @dataclass(frozen=True)
@@ -403,37 +400,12 @@ class PathSample:
         return self.observations - self.trend
 
 
-def _fill_noise(noise: NoiseModel, seeds, out: np.ndarray) -> np.ndarray:
-    """Noise of the time-major (n, len(seeds)) array ``out``, column i
-    filtered from the standard normals of the stream keyed ``seeds[i]``."""
-    normals = np.empty((len(out) + noise._extra_draws, len(seeds)))
-    noise._filter(fill_standard_normals(normals, seeds), out)
-    return out
-
-
-def sample_path(
-    noise: NoiseModel,
-    trend: TrendSpec,
-    horizon: int,
-    seed: int,
-    burn_in: int = 0,
-) -> PathSample:
-    """Simulate x_1..x_horizon = m*_t + eps_t, deterministically in ``seed``.
-
-    The path is the one-column case of ``sample_block``: the noise is drawn
-    from the stream keyed ``seed`` by the same filter a Monte Carlo block
-    uses.  ``burn_in`` extra noise steps are generated and discarded before
-    step 1.  Since every variant already starts stationary this does not
-    change the path law, only the draw layout; the default is 0.
-    """
-    horizon = int(horizon)
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
-    if burn_in < 0:
-        raise ValueError(f"burn_in must be >= 0, got {burn_in}")
-    eps = _fill_noise(noise, [seed], np.empty((horizon + burn_in, 1)))[burn_in:, 0]
-    m_star = trend_sequence(trend, horizon)
-    return PathSample(m_star + eps, m_star, int(seed), noise, trend)
+def sample_path(noise: NoiseModel, trend: TrendSpec, horizon: int, seed: int) -> PathSample:
+    """Simulate x_1..x_horizon = m*_t + eps_t, deterministically in ``seed``:
+    the one-column case of ``sample_block``."""
+    horizon = check_count(horizon, "horizon", 1)
+    observations = sample_block(noise, trend, [seed], np.empty((horizon, 1)))[:, 0]
+    return PathSample(observations, trend_sequence(trend, horizon), int(seed), noise, trend)
 
 
 def sample_block(noise: NoiseModel, trend: TrendSpec, seeds, out: np.ndarray) -> np.ndarray:
@@ -441,12 +413,14 @@ def sample_block(noise: NoiseModel, trend: TrendSpec, seeds, out: np.ndarray) ->
 
     Column i of the (horizon, len(seeds)) array ``out`` becomes
     ``sample_path(noise, trend, horizon, seeds[i]).observations``, bit for
-    bit.  Each column draws from its own Philox stream; the noise filter
-    and the trend run once over the whole block.  Returns ``out``.
+    bit.  Each column draws from its own Philox stream, into standard
+    normals that the noise filter turns into noise; the filter and the
+    trend run once over the whole block.  Returns ``out``.
     """
     horizon = len(out)
     if horizon < 1 or out.shape[1:] != (len(seeds),):
         raise ValueError("out must be a (horizon >= 1, len(seeds)) array")
-    _fill_noise(noise, seeds, out)
+    normals = np.empty((horizon + noise._extra_draws, len(seeds)))
+    noise._filter(fill_standard_normals(normals, seeds), out)
     out += trend_sequence(trend, horizon)[:, None]
     return out

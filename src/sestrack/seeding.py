@@ -19,7 +19,8 @@ generator to another stream is a re-key, not a construction;
 
 User seeds must be integers (Python or numpy, never bools) in [0, 2^64);
 anything else is rejected rather than coerced or wrapped, so two different
-seeds never name the same stream.
+seeds never name the same stream.  Every count of the package (horizons,
+replications, workers) is held to the same rule, ``is_integer``.
 """
 
 from __future__ import annotations
@@ -42,8 +43,20 @@ def splitmix64(value):
     return (z ^ (z >> 31)) & _MASK64
 
 
+def is_integer(value) -> bool:
+    """The one integer rule: a Python or numpy integer, never a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def check_count(value, name: str, minimum: int) -> int:
+    """``value`` as an int, once it is an integer >= ``minimum``."""
+    if not (is_integer(value) and value >= minimum):
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
+
+
 def _check_seed(seed: int) -> int:
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+    if not is_integer(seed):
         raise ValueError(f"seed must be an integer, got {seed!r}")
     if not 0 <= seed <= _MASK64:
         raise ValueError(f"seed must lie in [0, 2**64), got {seed}")

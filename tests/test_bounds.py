@@ -23,6 +23,7 @@ from sestrack import (
     tracking_bound,
     trend_sequence,
 )
+from sestrack import bounds
 from sestrack.bounds import GRID_POINTS, _golden_section_min
 
 WHITE = WhiteGaussian(1.0).autocovariance_fn()
@@ -355,10 +356,25 @@ def test_search_leaves_the_grid_at_either_end(noise, k):
     assert result.report.total == pytest.approx(expected, rel=1e-3)
 
 
-@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
-def test_search_tol_must_be_finite_and_positive(tol):
-    with pytest.raises(ValueError, match="search tolerance must be finite and > 0"):
-        optimize_alpha(WHITE, 0.1, search_tol=tol)
+@pytest.mark.parametrize("k", [1e-10, 1e-9, 1e-6, 0.1, 100.0, 1e200])
+def test_search_refines_to_rounding_inside_the_open_interval(monkeypatch, k):
+    # the search runs until rounding stops it, so a minimizer near 1e-6 is
+    # not cut short by an absolute width in alpha, and it never evaluates
+    # alpha = 0 or 1, even when every trend term is +inf (K = 1e200)
+    seen = []
+    evaluate = bounds.tracking_bound
+
+    def spy(alpha, gamma, lipschitz):
+        seen.append(alpha)
+        return evaluate(alpha, gamma, lipschitz)
+
+    monkeypatch.setattr(bounds, "tracking_bound", spy)
+    result = optimize_alpha(WHITE, k)
+    assert 0.0 < min(seen) and max(seen) < 1.0
+    if k == 1e200:
+        assert result.report.trend_term == math.inf
+    else:
+        assert result.report.total <= _dense_log_grid_min(WHITE, k)
 
 
 def test_golden_section_stops_when_the_bracket_stops_shrinking():
@@ -370,12 +386,9 @@ def test_golden_section_stops_when_the_bracket_stops_shrinking():
             raise RuntimeError("the search did not terminate")
         return (a - 0.3) ** 2
 
-    alpha = _golden_section_min(objective, 0.25, 0.35, 1e-300)
+    alpha = _golden_section_min(objective, 0.25, 0.35)
     assert abs(alpha - 0.3) <= 1e-15
     assert len(calls) < 200
-    assert optimize_alpha(WHITE, 0.1, search_tol=1e-300).alpha == pytest.approx(
-        optimize_alpha(WHITE, 0.1).alpha, abs=1e-6
-    )
 
 
 def test_scaling_leaves_argmin_unchanged():

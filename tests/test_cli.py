@@ -15,10 +15,12 @@ from sestrack import (
     Linear,
     WhiteGaussian,
     exact_mse_sequence,
+    monte_carlo_mse,
     read_csv_column,
     save_experiment_config,
     ses_run,
     write_csv,
+    write_results,
 )
 from sestrack.cli import main
 
@@ -48,6 +50,18 @@ def test_bound_has_no_tol_flag(capsys):
     code, _, err = run(capsys, *argv, "--tol", "0.5")
     assert code == 2
     assert "--tol" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["optimize-alpha", "--k", "0.1", "--noise", "white:var=1", "--tol", "1e-3"],
+    ["simulate", "--trend", "const:level=0", "--noise", "white:var=1", "--alpha", "0.1",
+     "--steps", "5", "--seed", "1", "--burn-in", "2"],
+], ids=["optimize-alpha --tol", "simulate --burn-in"])
+def test_removed_flags_exit_two(capsys, argv):
+    assert run(capsys, *argv[:-2])[0] == 0
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert f"unrecognized arguments: {argv[-2]}" in err
 
 
 def test_bound_json_matches_text(capsys):
@@ -174,7 +188,7 @@ def test_unknown_subcommand_exit_two(capsys):
 def test_help_lists_flags(capsys):
     code, out, _ = run(capsys, "simulate", "--help")
     assert code == 0
-    for flag in ("--trend", "--noise", "--alpha", "--steps", "--seed", "--init", "--out", "--svg", "--burn-in"):
+    for flag in ("--trend", "--noise", "--alpha", "--steps", "--seed", "--init", "--out", "--svg"):
         assert flag in out
 
 
@@ -253,6 +267,27 @@ def test_smooth_malformed_input_exit_one(tmp_path, capsys):
     assert "in.csv: row 1: not UTF-8 text" in err
 
 
+@pytest.mark.parametrize("text,message", [
+    ("", "in.csv: file is empty"),
+    ("t,x\n1,2\n2\n", "in.csv: row 2: missing field 'x'"),
+], ids=["empty", "short-row"])
+def test_smooth_empty_file_or_short_row_exit_one(tmp_path, capsys, text, message):
+    data = tmp_path / "in.csv"
+    data.write_text(text)
+    code, out, err = run(capsys, "smooth", "--input", str(data), "--column", "x", "--alpha", "0.2")
+    assert code == 1 and out == ""
+    assert message in err
+
+
+def test_non_numeric_init_exit_two(capsys):
+    code, out, err = run(
+        capsys, "simulate", "--trend", "const:level=0", "--noise", "white:var=1",
+        "--alpha", "0.1", "--steps", "5", "--seed", "1", "--init", "abc",
+    )
+    assert code == 2 and out == ""
+    assert "error: init must be \"first\" or a number, got 'abc'" in err
+
+
 def test_simulate_deterministic(tmp_path, capsys):
     args = [
         "simulate", "--trend", "sin:amp=1,rate=0.01", "--noise", "ar1:theta=0.2",
@@ -296,6 +331,39 @@ def test_mse_mc_json(capsys):
     assert payload["tail_mean"] > 0.0
 
 
+def test_mse_mc_out_is_the_library_writers_file(tmp_path, capsys):
+    out = tmp_path / "mc.csv"
+    code, text, _ = run(
+        capsys, "mse", "--mode", "mc", "--alpha", "0.3", "--noise", "white:var=1",
+        "--trend", "linear:start=0,slope=0.1", "--steps", "40", "--reps", "30",
+        "--seed", "5", "--init", "2", "--out", str(out),
+    )
+    assert code == 0 and text.splitlines()[0] == str(out)
+    config = ExperimentConfig(WhiteGaussian(1.0), Linear(0.0, 0.1), 0.3, 40, 30, seed=5, init=2.0)
+    expected = write_results(monte_carlo_mse(config), tmp_path / "library.csv", "csv")
+    assert out.read_bytes() == expected.read_bytes()
+
+
+MSE_ARGV = ["mse", "--alpha", "0.1", "--noise", "white:var=1", "--trend", "const:level=0",
+            "--steps", "5"]
+
+
+@pytest.mark.parametrize("mode,flags", [
+    ("exact", ["--reps", "7", "--seed", "3", "--init", "8", "--workers", "2"]),
+    ("exact", ["--init", "first"]),
+    ("exact", ["--workers", "1"]),
+    ("mc", ["--d1", "variance"]),
+    ("mc", ["--d1", "paper"]),
+])
+def test_mse_rejects_the_other_modes_flags(capsys, mode, flags):
+    # a flag the mode does not read is an error even when set to its default
+    needed = ["--reps", "3", "--seed", "1"] if mode == "mc" else []
+    code, out, err = run(capsys, *MSE_ARGV, "--mode", mode, *needed, *flags)
+    assert code == 2 and out == ""
+    named = ", ".join(flag for flag in flags if flag.startswith("--"))
+    assert f"error: mse --mode {mode} does not take {named}\n" in err
+
+
 @pytest.mark.parametrize("argv,quantity", [
     (["--mode", "exact", "--trend", "linear:start=1e308,slope=1e308"], "final_mse"),
     (["--mode", "exact", "--trend", "linear:start=0,slope=1e200"], "final_mse"),
@@ -319,17 +387,8 @@ def test_overflowing_k_exit_one(capsys, command):
     assert "trend_term" in err and "is not finite" in err
 
 
-@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
-def test_optimize_alpha_bad_tol_exit_one(capsys, tol):
-    code, out, err = run(capsys, "optimize-alpha", "--k", "0.1", "--noise", "white:var=1",
-                         "--tol", tol)
-    assert code == 1 and out == ""
-    assert "search tolerance must be finite and > 0" in err
-
-
 def test_optimize_alpha_tiny_tol_returns(capsys):
-    code, out, _ = run(capsys, "optimize-alpha", "--k", "0.1", "--noise", "white:var=1",
-                       "--tol", "1e-300", "--json")
+    code, out, _ = run(capsys, "optimize-alpha", "--k", "0.1", "--noise", "white:var=1", "--json")
     assert code == 0
     assert json.loads(out)["alpha"] == pytest.approx(0.27774, abs=1e-4)
 
@@ -486,7 +545,13 @@ _trend = st.one_of(
 )
 _steps = st.sampled_from(["1", "2", "17", "50"])
 _seed = st.sampled_from(["0", "1", str(2**64 - 1)])
-_init = st.one_of(st.just("first"), _number)
+_init = st.one_of(st.just("first"), _number, st.sampled_from(["abc", "First", "", "0x10"]))
+_d1 = st.sampled_from(["paper", "variance"])
+_reps = st.sampled_from(["1", "2", "64"])
+_workers = st.sampled_from(["1", "2"])
+# the flags each mse mode rejects, since only the other mode reads them
+OTHER_MODE_FLAGS = {"--mode=exact": ("--reps", "--seed", "--init", "--workers"),
+                    "--mode=mc": ("--d1",)}
 
 
 def _flags(**values):
@@ -495,18 +560,24 @@ def _flags(**values):
     )
 
 
+def _one_or_none(**values):
+    """No flag, or one of ``values``."""
+    return st.one_of(st.just([]), st.sampled_from(sorted(values)).flatmap(
+        lambda key: _flags(**{key: values[key]})))
+
+
 _argv = st.one_of(
     st.tuples(st.just(["bound"]), _flags(alpha=_alpha, k=_number, noise=_noise)),
-    st.tuples(st.just(["optimize-alpha"]), _flags(k=_number, noise=_noise, tol=_number)),
+    st.tuples(st.just(["optimize-alpha"]), _flags(k=_number, noise=_noise)),
     st.tuples(st.just(["mse", "--mode=exact"]), _flags(
-        alpha=_alpha, noise=_noise, trend=_trend, steps=_steps,
-        d1=st.sampled_from(["paper", "variance"]))),
+        alpha=_alpha, noise=_noise, trend=_trend, steps=_steps, d1=_d1),
+        _one_or_none(reps=_reps, seed=_seed, init=_init, workers=_workers)),
     st.tuples(st.just(["mse", "--mode=mc"]), _flags(
         alpha=_alpha, noise=_noise, trend=_trend, steps=_steps, seed=_seed, init=_init,
-        reps=st.sampled_from(["1", "2", "64"]), workers=st.sampled_from(["1", "2"]))),
+        reps=_reps, workers=_workers), _one_or_none(d1=_d1)),
     st.tuples(st.just(["simulate"]), _flags(
         alpha=_alpha, noise=_noise, trend=_trend, steps=_steps, seed=_seed, init=_init)),
-).map(lambda parts: parts[0] + parts[1])
+).map(lambda parts: sum(parts, []))
 
 
 @settings(max_examples=300, deadline=timedelta(seconds=5))
@@ -522,5 +593,9 @@ def test_fuzzed_argv_ends_in_an_exit_code(tmp_path_factory, argv, json_output):
         argv = argv + [f"--out={tmp_path_factory.getbasetemp() / 'fuzz.csv'}"]
     elif json_output:
         argv = argv + ["--json"]
+    stray = argv[0] == "mse" and any(
+        arg.partition("=")[0] in OTHER_MODE_FLAGS[argv[1]] for arg in argv[2:]
+    )
     code = main(argv)
     assert type(code) is int and 0 <= code <= 5
+    assert code == 2 or not stray

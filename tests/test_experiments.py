@@ -19,10 +19,12 @@ from sestrack import (
     Linear,
     Sinusoid,
     WhiteGaussian,
+    closed_form_mse,
     compare_negative_vs_positive_ma,
     exact_mse_sequence,
     monte_carlo_mse,
     reproduce_figure,
+    sample_path,
     simulate_smoothed,
     tracking_bound,
     trend_sequence,
@@ -61,6 +63,41 @@ def test_workers_must_be_an_integer_at_least_one():
             monte_carlo_mse(config, workers=workers)
         with pytest.raises(ValueError, match="workers must be an integer >= 1"):
             verify_bound(config, workers=workers)
+
+
+_W, _C = WhiteGaussian(1.0), Constant(0.0)
+COUNT_ENTRY_POINTS = {
+    "config.horizon": lambda n: ExperimentConfig(_W, _C, 0.1, n, 10, seed=1),
+    "config.replications": lambda n: ExperimentConfig(_W, _C, 0.1, 10, n, seed=1),
+    "config.seed": lambda n: ExperimentConfig(_W, _C, 0.1, 10, 10, seed=n),
+    "sample_path": lambda n: sample_path(_W, _C, n, seed=1).observations,
+    "exact_mse_sequence": lambda n: exact_mse_sequence(0.1, _W.autocovariance_fn(), _C, n),
+    "closed_form_mse": lambda n: closed_form_mse(0.1, _W.autocovariance_fn(), _C, n),
+    "trend_sequence": lambda n: trend_sequence(_C, n),
+    "workers": lambda n: monte_carlo_mse(
+        ExperimentConfig(_W, _C, 0.1, 10, 10, seed=1), workers=n
+    ).mean,
+}
+
+
+@pytest.mark.parametrize("entry", sorted(COUNT_ENTRY_POINTS))
+def test_counts_are_integers_never_coerced(entry):
+    # once 2.7 was truncated to 2 and True ran as 1
+    call = COUNT_ENTRY_POINTS[entry]
+    for value in (2.7, 3.0, True):
+        with pytest.raises(ValueError, match="must be an integer"):
+            call(value)
+    accepted = call(np.int64(3))
+    if isinstance(accepted, ExperimentConfig):
+        assert accepted == call(3)
+        assert {type(getattr(accepted, f)) for f in ("horizon", "replications", "seed")} == {int}
+    else:
+        assert np.array_equal(accepted, call(3))
+
+
+def test_tail_fraction_is_not_a_bool():
+    with pytest.raises(ValueError, match="tail fraction must lie in"):
+        ExperimentConfig(_W, _C, 0.1, 10, 10, seed=1, tail_fraction=True)
 
 
 def test_resource_cap():

@@ -216,6 +216,13 @@ def test_config_round_trip_maq_and_first_init(tmp_path):
     assert loaded.init == "first"
 
 
+def test_config_without_optional_keys_takes_the_dataclass_defaults():
+    document = experiment_config_to_dict(_config())
+    del document["init"], document["tail_fraction"]
+    config, _ = experiment_config_from_dict(document)
+    assert config == ExperimentConfig(_config().noise, _config().trend, 0.1, 1000, 64, seed=77)
+
+
 def test_config_rejects_unknown_keys(tmp_path):
     document = experiment_config_to_dict(_config())
     document["extra"] = 1

@@ -257,21 +257,9 @@ def test_residual_mean_near_zero_over_replications():
     assert abs(total / count) <= 4.0 * se
 
 
-def test_burn_in_shifts_stream_only():
-    base = sample_path(AR1(0.4), Constant(0.0), 50, seed=5)
-    burned = sample_path(AR1(0.4), Constant(0.0), 50, seed=5, burn_in=10)
-    assert len(burned.observations) == 50
-    assert not np.array_equal(base.observations, burned.observations)
-    # burn-in consumes the leading draws of the same stream
-    longer = sample_path(AR1(0.4), Constant(0.0), 60, seed=5)
-    assert np.array_equal(burned.observations, longer.observations[10:])
-
-
 def test_sample_path_validation():
     with pytest.raises(ValueError):
         sample_path(WhiteGaussian(1.0), Constant(0.0), 0, seed=1)
-    with pytest.raises(ValueError):
-        sample_path(WhiteGaussian(1.0), Constant(0.0), 10, seed=1, burn_in=-1)
 
 
 def _defining_formula(noise, seed, n):
