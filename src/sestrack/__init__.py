@@ -6,6 +6,8 @@ three-term decomposition, exact finite-time error recursions, and seeded
 Monte Carlo experiments that verify the bound empirically.
 """
 
+import types
+
 from .bounds import (
     AlphaSearchResult,
     BoundReport,
@@ -66,54 +68,8 @@ from .smoothing import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AR1",
-    "AlphaSearchResult",
-    "Autocovariance",
-    "BoundCheck",
-    "BoundReport",
-    "Constant",
-    "DEFAULT_FIGURE_SEED",
-    "ExperimentConfig",
-    "FIGURE_CONFIGS",
-    "Linear",
-    "LogDensityModel",
-    "MA1",
-    "MAq",
-    "MaSignComparison",
-    "MseCurve",
-    "NoiseModel",
-    "PathSample",
-    "Sinusoid",
-    "SmoothedPath",
-    "SmootherState",
-    "Table",
-    "TrendSpec",
-    "WhiteGaussian",
-    "child_seed",
-    "closed_form_mse",
-    "compare_negative_vs_positive_ma",
-    "exact_mse_sequence",
-    "gaussian_model",
-    "load_experiment_config",
-    "make_generator",
-    "monte_carlo_mse",
-    "optimize_alpha",
-    "quadratic_loss_model",
-    "read_csv_column",
-    "reproduce_figure",
-    "running_mean",
-    "sample_path",
-    "save_experiment_config",
-    "ses_closed_form",
-    "ses_run",
-    "ses_step",
-    "sga_step",
-    "simulate_smoothed",
-    "splitmix64",
-    "tracking_bound",
-    "trend_sequence",
-    "verify_bound",
-    "write_csv",
-    "write_results",
-]
+# the public names are the ones imported above, stated there once
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, types.ModuleType)
+)

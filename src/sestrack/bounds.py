@@ -8,13 +8,16 @@ tracking error E[(m_{t+1} - m*_t)^2] is asymptotically at most
   + 2*alpha/(2-alpha) * sum_{k>=1} gamma(k) * beta^k  correlation structure
   + (beta/alpha)^2 * K^2                              dynamics of the trend
 
-with beta = 1 - alpha.  ``tracking_bound`` evaluates the three terms,
-taking the correlation sum in closed form exactly when the autocovariance
-carries one (``weighted_tail``) and otherwise as a series truncated at
-``SERIES_TOL`` relative to gamma(0).  ``optimize_alpha`` minimizes their
-total over alpha, and ``exact_mse_sequence`` / ``closed_form_mse`` provide
-the exact finite-time second moments D_t = E[(m_t - m*_{t-1})^2] whose
-limit the bound caps.  For trends with constant one-step increment the
+with beta = 1 - alpha.  Each of these functions takes the noise model
+itself.  ``tracking_bound`` evaluates the three terms, taking the
+correlation sum as a finite sum up to the model's ``support`` (white, MA(1),
+MA(q)), in closed form (AR(1)), or else, for a user-supplied
+``Autocovariance``, as a series truncated at ``SERIES_TOL`` relative to
+gamma(0); a series that would need more than ``SERIES_LAG_CAP`` lags raises
+rather than understate the bound.  ``optimize_alpha`` minimizes the total
+over alpha, and ``exact_mse_sequence`` / ``closed_form_mse`` provide the
+exact finite-time second moments D_t = E[(m_t - m*_{t-1})^2] whose limit
+the bound caps.  For trends with constant one-step increment the
 bound is attained in the limit, which the test suite exploits.
 
 Initial-condition modes for the recursion: "paper" starts from D_1 = 0,
@@ -36,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .processes import Autocovariance, TrendSpec, trend_sequence
+from .processes import Autocovariance, NoiseModel, TrendSpec, trend_sequence
 from .seeding import check_count
 from .smoothing import check_alpha
 
@@ -47,14 +50,18 @@ GRID_POINTS = 1024
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
+class _CapError(ValueError):
+    """The correlation series would need more than SERIES_LAG_CAP lags."""
+
+
 @dataclass(frozen=True)
 class BoundReport:
     """Three-term decomposition of the asymptotic tracking bound.
 
     ``truncation_lag`` is the last lag summed when the correlation tail was
-    truncated numerically (0 when a closed form was used), and
+    truncated numerically (0 when a finite sum or closed form was used), and
     ``truncation_residual_bound`` bounds the dropped remainder by
-    gamma(0) * beta^(lag+1) / (1 - beta).
+    gamma(0) * beta^(lag+1) / alpha.
     """
 
     alpha: float
@@ -66,35 +73,44 @@ class BoundReport:
     truncation_residual_bound: float
 
 
-def _weighted_tail_series(gamma: Autocovariance, beta: float) -> tuple[float, int, float]:
-    # |gamma(k)| <= gamma(0) bounds every dropped term, so stopping once the
-    # geometric remainder gamma(0) beta^(lag+1) / (1 - beta) falls below
-    # SERIES_TOL * gamma(0) never cuts off mass hidden behind a zero lag
-    g0 = gamma(0)
-    threshold = SERIES_TOL * g0
-    total = 0.0
-    power = 1.0
-    lag = 0
-    while lag < SERIES_LAG_CAP:
-        lag += 1
-        power *= beta
-        total += gamma(lag) * power
-        residual = g0 * power * beta / (1.0 - beta)
-        if residual <= threshold:
-            break
-    return total, lag, residual
+def _correlation_tail(noise, alpha: float, beta: float, g0: float) -> tuple[float, int, float]:
+    """sum_{k>=1} gamma(k) beta^k, the last lag summed and the bound on the
+    dropped remainder (0 and 0.0 when nothing is dropped)."""
+    if noise.support is not None:
+        terms = (noise.gamma(k) * beta**k for k in range(1, noise.support + 1))
+        return float(sum(terms)), 0, 0.0
+    if noise.closed_form_tail is not None:
+        return float(noise.closed_form_tail(beta)), 0, 0.0
+    # |gamma(k)| <= gamma(0) bounds every dropped term, so the remainder
+    # after lag n is at most gamma(0) beta^(n+1) / alpha.  The least n that
+    # puts it at SERIES_TOL * gamma(0) is ceil(needed) - 1; summing to
+    # ceil(needed) keeps rounding in the logs from stopping one lag short.
+    # With gamma(0) = 0 every lag is 0, and the rule stops at lag 1.
+    log_beta = math.log1p(-alpha)
+    needed = (math.log(SERIES_TOL) + math.log(alpha)) / log_beta if g0 else 1.0
+    if needed > SERIES_LAG_CAP:
+        raise _CapError(
+            f"the correlation series at alpha={alpha} needs {needed:.4g} lags, more than "
+            f"SERIES_LAG_CAP={SERIES_LAG_CAP}; stopping there would leave a residual of up "
+            f"to {g0 * beta ** (SERIES_LAG_CAP + 1) / alpha:.4g}"
+        )
+    lags = math.ceil(needed)
+    tail = float(noise.gammas(lags) @ np.exp(log_beta * np.arange(1.0, lags + 1)))
+    return tail, lags, g0 * beta ** (lags + 1) / alpha
 
 
-def tracking_bound(alpha: float, gamma: Autocovariance, lipschitz: float) -> BoundReport:
+def tracking_bound(
+    alpha: float, noise: NoiseModel | Autocovariance, lipschitz: float
+) -> BoundReport:
     """Evaluate the asymptotic tracking bound for the given configuration.
 
-    The correlation tail sum_{k>=1} gamma(k) beta^k is the closed form
-    ``gamma.weighted_tail`` when that is set, and otherwise a truncated
-    series: terms are accumulated until the remainder bound
-    gamma(0) beta^(k+1) / (1 - beta) is <= SERIES_TOL * gamma(0), capped at
-    SERIES_LAG_CAP lags.  ``Autocovariance(model.gamma)`` therefore sums any
-    model's series.  A trend term that overflows is +inf, as is then the
-    total.
+    The correlation tail sum_{k>=1} gamma(k) beta^k is a finite sum when
+    ``noise.support`` is set, ``noise.closed_form_tail`` when that is set,
+    and otherwise a truncated series: terms are summed until the remainder
+    bound gamma(0) beta^(k+1) / alpha is <= SERIES_TOL * gamma(0).  When
+    that takes more than SERIES_LAG_CAP lags it raises ValueError, before
+    summing any.  ``Autocovariance(model.gamma)`` therefore sums any model's
+    series.  A trend term that overflows is +inf, as is then the total.
     """
     alpha = check_alpha(alpha)
     lipschitz = float(lipschitz)
@@ -102,15 +118,10 @@ def tracking_bound(alpha: float, gamma: Autocovariance, lipschitz: float) -> Bou
         raise ValueError(f"trend increment bound must be finite and >= 0, got {lipschitz}")
 
     beta = 1.0 - alpha
-    g0 = gamma(0)
+    g0 = noise.gamma(0)
     if not (math.isfinite(g0) and g0 >= 0.0):
         raise ValueError(f"gamma(0) must be finite and >= 0, got {g0}")
-
-    if gamma.weighted_tail is not None:
-        tail = float(gamma.weighted_tail(beta))
-        lag, residual = 0, 0.0
-    else:
-        tail, lag, residual = _weighted_tail_series(gamma, beta)
+    tail, lag, residual = _correlation_tail(noise, alpha, beta, g0)
 
     front = alpha / (2.0 - alpha)
     variance_term = front * g0
@@ -145,7 +156,7 @@ def _mse_step(
 
 def exact_mse_sequence(
     alpha: float,
-    gamma: Autocovariance,
+    noise: NoiseModel | Autocovariance,
     trend: TrendSpec,
     horizon: int,
     d1: str = "paper",
@@ -161,6 +172,7 @@ def exact_mse_sequence(
         raise ValueError(f'd1 must be "paper" or "variance", got {d1!r}')
     horizon = check_count(horizon, "horizon", 1)
     increments = np.concatenate(([0.0], np.diff(trend_sequence(trend, horizon))))
+    gamma = noise.gamma
     g0 = gamma(0)
     mse, mean_error, weighted = (0.0 if d1 == "paper" else g0), 0.0, g0
     out = np.empty(horizon + 1)
@@ -173,7 +185,7 @@ def exact_mse_sequence(
 
 
 def closed_form_mse(
-    alpha: float, gamma: Autocovariance, trend: TrendSpec, step: int
+    alpha: float, noise: NoiseModel | Autocovariance, trend: TrendSpec, step: int
 ) -> float:
     """Evaluate D_step from the non-recursive representation
 
@@ -203,10 +215,10 @@ def closed_form_mse(
     noise_part = 0.0
     if t >= 2:
         lags = np.arange(t - 1)
-        gammas = np.array([gamma(int(k)) for k in lags])
+        gammas = np.array([noise.gamma(k) for k in range(t - 1)])
         inner = (1.0 - beta ** (2.0 * (t - 1 - lags))) / geom
         noise_part = 2.0 * a2 * float(np.sum(gammas * beta**lags * inner))
-        noise_part -= a2 * gamma(0) * (1.0 - beta ** (2.0 * (t - 1))) / geom
+        noise_part -= a2 * noise.gamma(0) * (1.0 - beta ** (2.0 * (t - 1))) / geom
     return trend_part + noise_part
 
 
@@ -244,6 +256,10 @@ def _golden_section_min(f, lo: float, hi: float) -> float:
             break
         width = b - a
     mid = 0.5 * (a + b)
+    # an objective that is +inf below some alpha squeezes the bracket onto
+    # that edge, and b is the end on its finite side
+    if 0.0 < mid < b < 1.0 and f(mid) == math.inf > f(b):
+        mid = b
     # monotone objectives finish flush against a bracket edge; keep whichever
     # of the original endpoints inside (0, 1) and the interior candidate is
     # best, the smaller alpha winning ties
@@ -252,7 +268,7 @@ def _golden_section_min(f, lo: float, hi: float) -> float:
     return best[1]
 
 
-def optimize_alpha(gamma: Autocovariance, lipschitz: float) -> AlphaSearchResult:
+def optimize_alpha(noise: NoiseModel | Autocovariance, lipschitz: float) -> AlphaSearchResult:
     """Minimize the bound total over alpha in (0, 1).
 
     A 1024-point coarse grid locates the best bracket, and golden-section
@@ -263,20 +279,24 @@ def optimize_alpha(gamma: Autocovariance, lipschitz: float) -> AlphaSearchResult
     end of (0, 1), never evaluated itself; with lipschitz = 0 it stays on
     the grid.  With no noise and a static trend the objective is
     identically zero: the smallest grid point is returned with
-    ``degenerate`` set.
+    ``degenerate`` set.  An alpha whose correlation series would exceed
+    SERIES_LAG_CAP counts as +inf, so it is never returned.
     """
 
     def objective(a: float) -> float:
-        return tracking_bound(a, gamma, lipschitz).total
+        try:
+            return tracking_bound(a, noise, lipschitz).total
+        except _CapError:
+            return math.inf
 
     grid = np.linspace(0.0, 1.0, GRID_POINTS + 2)[1:-1]
     values = np.array([objective(a) for a in grid])
     best = int(np.argmin(values))  # first minimum, i.e. smaller alpha on ties
 
-    if gamma(0) == 0.0 and float(lipschitz) == 0.0:
+    if noise.gamma(0) == 0.0 and float(lipschitz) == 0.0:
         alpha_star = float(grid[0])
         return AlphaSearchResult(
-            alpha_star, tracking_bound(alpha_star, gamma, lipschitz), True
+            alpha_star, tracking_bound(alpha_star, noise, lipschitz), True
         )
 
     open_ends = float(lipschitz) > 0.0
@@ -284,5 +304,5 @@ def optimize_alpha(gamma: Autocovariance, lipschitz: float) -> AlphaSearchResult
     hi = float(grid[best + 1]) if best + 1 < len(grid) else 1.0 if open_ends else float(grid[-1])
     alpha_star = float(_golden_section_min(objective, lo, hi))
     return AlphaSearchResult(
-        alpha_star, tracking_bound(alpha_star, gamma, lipschitz), False
+        alpha_star, tracking_bound(alpha_star, noise, lipschitz), False
     )

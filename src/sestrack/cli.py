@@ -70,6 +70,10 @@ class UsageError(ValueError):
     """Malformed flags or model specs; exits with code 2."""
 
 
+class SpecError(UsageError):
+    """A malformed model spec; exits with code 2 and echoes the grammar."""
+
+
 def _fmt(value: float) -> str:
     return f"{float(value):.10g}"
 
@@ -89,13 +93,13 @@ def parse_spec(text: str, kinds: dict[str, type], what: str):
     for item in body.split(",") if body else ():
         key, sep, value = (part.strip() for part in item.partition("="))
         if not sep or not key or not value:
-            raise UsageError(f"{where}: expected key=value, got {item!r}")
+            raise SpecError(f"{where}: expected key=value, got {item!r}")
         if key in pairs:
-            raise UsageError(f"{where}: duplicate key {key!r}")
+            raise SpecError(f"{where}: duplicate key {key!r}")
         try:
             pairs[key] = float(value)
         except ValueError:
-            raise UsageError(f"{where}: {key}={value!r} is not a number") from None
+            raise SpecError(f"{where}: {key}={value!r} is not a number") from None
     kind = name.strip().lower()
     cls = kinds.get(kind)
     values: dict[str, object] = {}
@@ -104,7 +108,7 @@ def parse_spec(text: str, kinds: dict[str, type], what: str):
         plain = [key for _, key, _, is_list in declared if not is_list]
         if "var" in plain and "sigma" in pairs:
             if "var" in pairs:
-                raise UsageError(f"{where}: give either var or sigma, not both")
+                raise SpecError(f"{where}: give either var or sigma, not both")
             sigma = pairs.pop("sigma")
             pairs["var"] = sigma * sigma
         values = {key: pairs.pop(key) for key in plain if key in pairs}
@@ -117,13 +121,13 @@ def parse_spec(text: str, kinds: dict[str, type], what: str):
         if pairs:
             allowed = [f"{k}1, {k}2, ..." if is_list else k for _, k, _, is_list in declared]
             allowed += ["sigma"] if "var" in plain else []
-            raise UsageError(
+            raise SpecError(
                 f"{where}: unknown key(s) {sorted(pairs)}; allowed keys: {', '.join(allowed)}"
             )
     try:
         return model_from_dict({"kind": kind, **values}, kinds, where)
     except SchemaError as exc:
-        raise UsageError(str(exc)) from None
+        raise SpecError(str(exc)) from None
 
 
 def parse_init(text: str):
@@ -183,7 +187,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_bound(args) -> int:
     noise = parse_spec(args.noise, NOISE_KINDS, "noise")
-    report = tracking_bound(args.alpha, noise.autocovariance_fn(), args.k)
+    report = tracking_bound(args.alpha, noise, args.k)
     payload = _finite(dataclasses.asdict(report))
     if args.json:
         print(json.dumps(payload))
@@ -194,7 +198,7 @@ def _cmd_bound(args) -> int:
 
 def _cmd_optimize_alpha(args) -> int:
     noise = parse_spec(args.noise, NOISE_KINDS, "noise")
-    result = optimize_alpha(noise.autocovariance_fn(), args.k)
+    result = optimize_alpha(noise, args.k)
     payload = _finite({
         "alpha": result.alpha,
         "degenerate": result.degenerate,
@@ -236,9 +240,7 @@ def _cmd_mse(args) -> int:
     noise = parse_spec(args.noise, NOISE_KINDS, "noise")
     trend = parse_spec(args.trend, TREND_KINDS, "trend")
     if args.mode == "exact":
-        sequence = exact_mse_sequence(
-            args.alpha, noise.autocovariance_fn(), trend, args.steps, args.d1
-        )
+        sequence = exact_mse_sequence(args.alpha, noise, trend, args.steps, args.d1)
         summary = _finite({"final_mse": float(sequence[-1])})
         if args.out:
             write_csv(args.out, ["t", "mse"], [np.arange(1, len(sequence) + 1), sequence])
@@ -406,7 +408,8 @@ def main(argv=None) -> int:
             return args.handler(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        print(SPEC_GRAMMAR, file=sys.stderr, end="")
+        if isinstance(exc, SpecError):
+            print(SPEC_GRAMMAR, file=sys.stderr, end="")
         return 2
     except (ValueError, IndexError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -36,7 +36,7 @@ from .processes import (
     sample_path,
     trend_sequence,
 )
-from .seeding import check_count, child_seeds, is_integer
+from .seeding import check_count, check_seed, child_seeds
 from .smoothing import InitPolicy, check_alpha, check_init, ses_run, ses_run_inplace
 
 BLOCK_SIZE = 1024
@@ -79,9 +79,7 @@ class ExperimentConfig:
         check_alpha(self.alpha)
         object.__setattr__(self, "horizon", check_count(self.horizon, "horizon", 2))
         object.__setattr__(self, "replications", check_count(self.replications, "replications", 1))
-        if not is_integer(self.seed):  # its range is checked where streams are keyed
-            raise ValueError(f"seed must be an integer, got {self.seed!r}")
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "seed", check_seed(self.seed))
         if isinstance(self.tail_fraction, bool) or not (0.0 < self.tail_fraction <= 1.0):
             raise ValueError(
                 f"tail fraction must lie in (0, 1], got {self.tail_fraction}"
@@ -325,7 +323,7 @@ def verify_bound(
     lipschitz = (
         config.trend.lipschitz_constant if k_override is None else float(k_override)
     )
-    report = tracking_bound(config.alpha, config.noise.autocovariance_fn(), lipschitz)
+    report = tracking_bound(config.alpha, config.noise, lipschitz)
     allowance = 3.0 * curve.tail_se
     margin = report.total + allowance - curve.tail_mean
     inconclusive = margin >= 0.0 and curve.tail_se > 0.0 and allowance >= report.total
@@ -378,7 +376,7 @@ def compare_negative_vs_positive_ma(
         curve = monte_carlo_mse(config)
         tails[sign] = curve.tail_mean
         ses[sign] = curve.tail_se
-        bounds[sign] = tracking_bound(alpha, noise.autocovariance_fn(), 0.0).total
+        bounds[sign] = tracking_bound(alpha, noise, 0.0).total
     return MaSignComparison(
         tails[1.0], tails[-1.0], ses[1.0], ses[-1.0], bounds[1.0], bounds[-1.0]
     )

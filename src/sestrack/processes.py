@@ -27,7 +27,11 @@ Each variant states its law once, as a filter over a block of paths:
 ``_filter(z, out)`` turns time-major standard normals ``z`` of shape
 (n + ``_extra_draws``, B), which it may overwrite, into the noise ``out`` of
 shape (n, B).  ``sample_block`` filters a Monte Carlo block that way, and
-``sample_path`` is the one-column case of the same call.  Each trend
+``sample_path`` is the one-column case of the same call.  Its
+autocovariance is stated once as well, as ``gamma(lag)`` with ``support``,
+the lag beyond which it vanishes (AR(1) has none, but a closed-form
+correlation tail); the bound functions take the model itself, and
+``Autocovariance`` carries a user-supplied gamma to them.  Each trend
 states its law once too, as ``sequence(horizon)``, the vector of m*_1 ..
 m*_horizon that ``trend_sequence`` checks and returns.
 """
@@ -54,27 +58,53 @@ def _check_variance(value: float) -> None:
         raise ValueError(f"innovation variance must be finite and >= 0, got {value}")
 
 
-@dataclass(frozen=True)
-class Autocovariance:
-    """Even autocovariance function, evaluated by integer lag.
+class _Covariance:
+    """What the bound reads from a noise model: ``gamma(lag)`` at a lag >= 0,
+    ``support``, the lag beyond which gamma vanishes (None when there is
+    none), and ``closed_form_tail(beta)`` = sum_{k>=1} gamma(k) beta^k for
+    beta in (0, 1), where the kind has one."""
 
-    ``weighted_tail``, when present, evaluates ``sum_{k>=1} gamma(k) *
-    beta^k`` in closed form for beta in (0, 1); generic instances leave it
-    None and consumers fall back to truncated summation.
+    support: int | None = None
+    closed_form_tail = None
+
+    def autocovariance_fn(self):
+        # kept only for the benchmark harness, perfbench/workloads.py, which
+        # passes ``model.autocovariance_fn()`` where the model is meant
+        return self
+
+
+@dataclass(frozen=True)
+class Autocovariance(_Covariance):
+    """A user-supplied even autocovariance ``fn(lag)``, by integer lag.
+
+    Its support is unknown and it has no closed-form tail, so the bound
+    always sums its series.  ``gammas(n)`` tabulates gamma(1) .. gamma(n)
+    and keeps the table: the alpha search sums the same lags at many alphas.
     """
 
     fn: Callable[[int], float]
-    weighted_tail: Callable[[float], float] | None = None
+    # gamma(1), gamma(2), ... as far as tabulated, in a one-item list
+    _table: list = field(
+        default_factory=lambda: [np.empty(0)], init=False, repr=False, compare=False
+    )
 
-    def __call__(self, lag: int) -> float:
+    def gamma(self, lag: int) -> float:
         return float(self.fn(abs(int(lag))))
+
+    def gammas(self, n: int) -> np.ndarray:
+        known = self._table[0]
+        if len(known) < n:
+            more = np.fromiter(map(self.fn, range(len(known) + 1, n + 1)), float, n - len(known))
+            known = self._table[0] = np.concatenate((known, more))
+        return known[:n]
 
 
 @dataclass(frozen=True)
-class WhiteGaussian:
+class WhiteGaussian(_Covariance):
     """Independent Gaussian noise with the given variance."""
 
     kind: ClassVar[str] = "white"
+    support: ClassVar[int] = 0
     _extra_draws: ClassVar[int] = 0
     variance: float = _key("var", 1.0)
 
@@ -84,15 +114,12 @@ class WhiteGaussian:
     def gamma(self, lag: int) -> float:
         return self.variance if lag == 0 else 0.0
 
-    def autocovariance_fn(self) -> Autocovariance:
-        return Autocovariance(self.gamma, weighted_tail=lambda beta: 0.0)
-
     def _filter(self, z: np.ndarray, out: np.ndarray) -> None:
         np.multiply(z, math.sqrt(self.variance), out=out)
 
 
 @dataclass(frozen=True)
-class MA1:
+class MA1(_Covariance):
     """Normalized first-order moving average.
 
     ``eps_t = (eta_t + coefficient * eta_{t-1}) / sqrt(1 + coefficient^2)``
@@ -104,6 +131,7 @@ class MA1:
     """
 
     kind: ClassVar[str] = "ma1"
+    support: ClassVar[int] = 1
     _extra_draws: ClassVar[int] = 1
     coefficient: float = _key("a")
     innovation_variance: float = _key("var", 1.0)
@@ -123,9 +151,6 @@ class MA1:
             return self.innovation_variance * a / (1.0 + a * a)
         return 0.0
 
-    def autocovariance_fn(self) -> Autocovariance:
-        return Autocovariance(self.gamma, weighted_tail=lambda beta: self.gamma(1) * beta)
-
     def _filter(self, z: np.ndarray, out: np.ndarray) -> None:
         np.multiply(z, math.sqrt(self.innovation_variance), out=z)
         np.multiply(z[:-1], self.coefficient, out=out)
@@ -134,7 +159,7 @@ class MA1:
 
 
 @dataclass(frozen=True)
-class AR1:
+class AR1(_Covariance):
     """First-order autoregression ``eps_{t+1} = theta * eps_t + eta_t``.
 
     ``theta`` must lie strictly inside (0, 1).  gamma(0) =
@@ -159,12 +184,9 @@ class AR1:
         g0 = self.innovation_variance / (1.0 - self.theta**2)
         return g0 * self.theta ** abs(lag)
 
-    def autocovariance_fn(self) -> Autocovariance:
-        def tail(beta: float) -> float:
-            x = self.theta * beta
-            return self.gamma(0) * x / (1.0 - x)
-
-        return Autocovariance(self.gamma, weighted_tail=tail)
+    def closed_form_tail(self, beta: float) -> float:
+        x = self.theta * beta
+        return self.gamma(0) * x / (1.0 - x)
 
     def _filter(self, z: np.ndarray, out: np.ndarray) -> None:
         np.multiply(z[0], math.sqrt(self.gamma(0)), out=out[0])
@@ -186,7 +208,7 @@ class AR1:
 
 
 @dataclass(frozen=True)
-class MAq:
+class MAq(_Covariance):
     """Un-normalized moving average of order q.
 
     ``eps_t = eta_t + sum_j coefficients[j-1] * eta_{t-j}`` with implicit
@@ -212,6 +234,8 @@ class MAq:
     def order(self) -> int:
         return len(self.coefficients)
 
+    support = order
+
     @property
     def _extra_draws(self) -> int:
         return self.order
@@ -224,12 +248,6 @@ class MAq:
         return self.innovation_variance * sum(
             b[j] * b[j + lag] for j in range(self.order - lag + 1)
         )
-
-    def autocovariance_fn(self) -> Autocovariance:
-        def tail(beta: float) -> float:
-            return sum(self.gamma(k) * beta**k for k in range(1, self.order + 1))
-
-        return Autocovariance(self.gamma, weighted_tail=tail)
 
     def _filter(self, z: np.ndarray, out: np.ndarray) -> None:
         # the oldest innovation first, the order np.convolve sums in, so a

@@ -55,7 +55,8 @@ def check_count(value, name: str, minimum: int) -> int:
     return int(value)
 
 
-def _check_seed(seed: int) -> int:
+def check_seed(seed: int) -> int:
+    """Validate a 64-bit seed, an integer in [0, 2**64); returned as an int."""
     if not is_integer(seed):
         raise ValueError(f"seed must be an integer, got {seed!r}")
     if not 0 <= seed <= _MASK64:
@@ -67,7 +68,7 @@ def child_seed(master: int, index: int) -> int:
     """Seed for replication ``index`` of an experiment with seed ``master``."""
     if index < 0:
         raise ValueError(f"replication index must be >= 0, got {index}")
-    return splitmix64(splitmix64(_check_seed(master)) ^ (index & _MASK64))
+    return splitmix64(splitmix64(check_seed(master)) ^ (index & _MASK64))
 
 
 def child_seeds(master: int, indices: range) -> np.ndarray:
@@ -78,12 +79,12 @@ def child_seeds(master: int, indices: range) -> np.ndarray:
     if indices.step != 1 or indices.start < 0 or indices.stop > _MASK64:
         raise ValueError(f"indices must be a unit-step range in [0, 2**64 - 1), got {indices}")
     index = np.arange(indices.start, max(indices.start, indices.stop), dtype=np.uint64)
-    return splitmix64(np.uint64(splitmix64(_check_seed(master))) ^ index)
+    return splitmix64(np.uint64(splitmix64(check_seed(master))) ^ index)
 
 
 def make_generator(seed: int) -> np.random.Generator:
     """Philox generator keyed with ``seed`` (counter starting at zero)."""
-    return np.random.Generator(np.random.Philox(key=_check_seed(seed)))
+    return np.random.Generator(np.random.Philox(key=check_seed(seed)))
 
 
 def _stream_start(key: list) -> dict:
@@ -114,7 +115,7 @@ def fill_standard_normals(out: np.ndarray, seeds) -> np.ndarray:
     is then copied in, which keeps both sides of the copy in cache.
     """
     if not (isinstance(seeds, np.ndarray) and seeds.dtype == np.uint64):
-        seeds = np.array([_check_seed(seed) for seed in seeds], dtype=np.uint64)
+        seeds = np.array([check_seed(seed) for seed in seeds], dtype=np.uint64)
     if out.ndim != 2 or out.shape[1] != len(seeds):
         raise ValueError("out must be an (n, len(seeds)) array")
     generator = make_generator(0)

@@ -53,9 +53,8 @@ def test_criterion_01_closed_form_recursion_equivalence():
 
 
 def test_criterion_02_white_noise_fixed_point():
-    gamma = WHITE_UNIT.autocovariance_fn()
-    sequence = exact_mse_sequence(0.1, gamma, Constant(0.0), 500, d1="paper")
-    report = tracking_bound(0.1, gamma, 0.0)
+    sequence = exact_mse_sequence(0.1, WHITE_UNIT, Constant(0.0), 500, d1="paper")
+    report = tracking_bound(0.1, WHITE_UNIT, 0.0)
     assert np.all(np.diff(sequence) >= -1e-15)  # monotone convergence upward
     assert abs(sequence[-1] - FIXED_POINT_01) <= 1e-12
     assert abs(sequence[-1] - report.variance_term) <= 1e-12
@@ -77,7 +76,7 @@ def test_criterion_03_monte_carlo_matches_exact_oracle():
     curve = monte_carlo_mse(config)
     elapsed = time.perf_counter() - start
     exact = exact_mse_sequence(
-        0.3, WHITE_UNIT.autocovariance_fn(), Constant(level), 500, d1="paper"
+        0.3, WHITE_UNIT, Constant(level), 500, d1="paper"
     )
     for t in (2, 10, 100, 500):
         gap = abs(curve.mean[t - 1] - exact[t])
@@ -121,7 +120,7 @@ def test_criterion_05_negative_covariance_improves_tracking():
 @pytest.mark.parametrize("theta", [0.1, 0.2, 0.5, 0.9])
 @pytest.mark.parametrize("alpha", [0.05, 0.1, 0.5])
 def test_criterion_06_ar1_closed_form_vs_truncated_series(theta, alpha):
-    closed = tracking_bound(alpha, AR1(theta).autocovariance_fn(), 0.0)
+    closed = tracking_bound(alpha, AR1(theta), 0.0)
     series = tracking_bound(alpha, Autocovariance(AR1(theta).gamma), 0.0)
     assert closed.truncation_lag == 0 and series.truncation_lag > 0
     assert abs(closed.correlation_term - series.correlation_term) <= 1e-12
@@ -156,20 +155,19 @@ def test_criterion_07_alpha_optimizer_matches_dense_grid():
         else:
             noise = AR1(rng.uniform(0.05, 0.85), variance)
         lipschitz = rng.uniform(0.02, 0.5)
-        result = optimize_alpha(noise.autocovariance_fn(), lipschitz)
+        result = optimize_alpha(noise, lipschitz)
         expected = _dense_grid_argmin(noise, lipschitz)
         assert abs(result.alpha - expected) <= 1e-4, (noise, lipschitz)
     # joint scaling of (gamma, K^2) leaves the argmin unchanged
-    base = optimize_alpha(AR1(0.3, 1.0).autocovariance_fn(), 0.1)
+    base = optimize_alpha(AR1(0.3, 1.0), 0.1)
     for c in (0.25, 16.0):
-        scaled = optimize_alpha(AR1(0.3, c).autocovariance_fn(), 0.1 * np.sqrt(c))
+        scaled = optimize_alpha(AR1(0.3, c), 0.1 * np.sqrt(c))
         assert abs(scaled.alpha - base.alpha) <= 1e-4
 
 
 def test_criterion_08_small_alpha_divergence_rate():
     k = 0.1
-    gamma = WHITE_UNIT.autocovariance_fn()
-    totals = [tracking_bound(a, gamma, k).total for a in (1e-3, 1e-4, 1e-5)]
+    totals = [tracking_bound(a, WHITE_UNIT, k).total for a in (1e-3, 1e-4, 1e-5)]
     for previous, current in zip(totals, totals[1:]):
         ratio = current / previous
         assert abs(ratio - 100.0) <= 5.0, f"ratio {ratio}"

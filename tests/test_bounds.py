@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -24,10 +25,10 @@ from sestrack import (
     trend_sequence,
 )
 from sestrack import bounds
-from sestrack.bounds import GRID_POINTS, _golden_section_min
+from sestrack.bounds import GRID_POINTS, SERIES_LAG_CAP, SERIES_TOL, _golden_section_min
 
-WHITE = WhiteGaussian(1.0).autocovariance_fn()
-ZERO = WhiteGaussian(0.0).autocovariance_fn()
+WHITE = WhiteGaussian(1.0)
+ZERO = WhiteGaussian(0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -47,10 +48,13 @@ def test_white_noise_bound():
 def test_zero_variance_bound_is_zero():
     report = tracking_bound(0.37, ZERO, 0.0)
     assert report.total == 0.0
+    # a user-supplied zero autocovariance needs no lags, even where the
+    # series of a nonzero one would exceed SERIES_LAG_CAP
+    assert tracking_bound(1e-6, Autocovariance(lambda k: 0.0), 0.0).total == 0.0
 
 
 def test_ar1_bound_decomposition():
-    report = tracking_bound(0.1, AR1(0.2).autocovariance_fn(), 0.0)
+    report = tracking_bound(0.1, AR1(0.2), 0.0)
     g0 = Fraction(25, 24)  # 1 / (1 - 0.04)
     variance = Fraction(1, 19) * g0
     correlation = Fraction(2, 19) * g0 * Fraction(9, 50) / Fraction(41, 50)
@@ -61,7 +65,7 @@ def test_ar1_bound_decomposition():
 
 
 def test_negative_ma_correlation_shrinks_bound():
-    neg = tracking_bound(0.1, MA1(-0.4).autocovariance_fn(), 0.0)
+    neg = tracking_bound(0.1, MA1(-0.4), 0.0)
     white = tracking_bound(0.1, WHITE, 0.0)
     assert neg.correlation_term < 0.0
     assert neg.total < white.total
@@ -69,7 +73,7 @@ def test_negative_ma_correlation_shrinks_bound():
 
 def test_series_matches_closed_form():
     model = AR1(0.2)
-    closed = tracking_bound(0.1, model.autocovariance_fn(), 0.0)
+    closed = tracking_bound(0.1, model, 0.0)
     series = tracking_bound(0.1, Autocovariance(model.gamma), 0.0)
     assert series.truncation_lag > 0
     assert abs(series.correlation_term - closed.correlation_term) <= 1e-12
@@ -96,11 +100,67 @@ def test_series_tail_not_cut_at_a_zero_lag():
     ids=lambda n: n.kind,
 )
 def test_series_matches_closed_form_for_every_builtin(noise, alpha):
-    closed = tracking_bound(alpha, noise.autocovariance_fn(), 0.0)
+    closed = tracking_bound(alpha, noise, 0.0)
     series = tracking_bound(alpha, Autocovariance(noise.gamma), 0.0)
     assert closed.truncation_lag == 0
     assert series.correlation_term == pytest.approx(closed.correlation_term, rel=1e-12, abs=1e-14)
     assert series.truncation_residual_bound <= 1e-14 * noise.gamma(0)
+
+
+# one user-supplied copy of each kind's gamma, shared so that its table of
+# lags is filled once across examples
+SERIES_CASES = [
+    (model, Autocovariance(model.gamma))
+    for model in (WhiteGaussian(1.3), MA1(-0.4, 0.7), AR1(0.999999), MAq((0.5, 0.0, -0.3), 1.2))
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=st.sampled_from(SERIES_CASES), exponent=st.floats(-6.0, -0.001))
+def test_series_agrees_within_its_residual_or_raises(case, exponent):
+    model, series_noise = case
+    alpha = 10.0**exponent
+    exact = tracking_bound(alpha, model, 0.0)
+    try:
+        series = tracking_bound(alpha, series_noise, 0.0)
+    except ValueError as exc:
+        assert "SERIES_LAG_CAP" in str(exc)
+        return
+    g0 = model.gamma(0)
+    front = 2.0 * alpha / (2.0 - alpha)
+    assert series.truncation_residual_bound <= SERIES_TOL * g0
+    # rounding in either sum is relative to the largest the tail can be,
+    # gamma(0) beta / alpha
+    rounding = 1e-10 * front * g0 / alpha
+    gap = abs(series.correlation_term - exact.correlation_term)
+    assert gap <= front * series.truncation_residual_bound + rounding
+
+
+def test_series_raises_at_the_cap_before_summing():
+    # the closed form gives 250 000 here; summing only SERIES_LAG_CAP lags
+    # of the series used to return 13.5% less
+    model = AR1(0.999999)
+    lags = []
+    noise = Autocovariance(lambda k: lags.append(k) or model.gamma(k))
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"alpha=1e-06 .*SERIES_LAG_CAP=1000000.*residual"):
+        tracking_bound(1e-6, noise, 0.0)
+    assert time.perf_counter() - start < 0.1
+    assert lags == [0]
+    assert tracking_bound(1e-6, model, 0.0).total == pytest.approx(250000.0, rel=1e-6)
+
+
+def test_search_never_returns_an_alpha_the_series_cannot_bound():
+    # the minimizer, near alpha = 1e-6, needs more lags than SERIES_LAG_CAP:
+    # the search stops at the smallest alpha the series can bound
+    noise = Autocovariance(AR1(0.5).gamma)
+    start = time.perf_counter()
+    result = optimize_alpha(noise, 1e-9)
+    assert time.perf_counter() - start < 20.0
+    assert 0 < result.report.truncation_lag <= SERIES_LAG_CAP
+    assert result.report.truncation_residual_bound <= SERIES_TOL * noise.gamma(0)
+    with pytest.raises(ValueError, match="SERIES_LAG_CAP"):
+        tracking_bound(result.alpha * (1.0 - 1e-6), noise, 1e-9)
 
 
 def test_series_required_inputs():
@@ -143,10 +203,10 @@ def test_search_skips_alphas_whose_trend_term_overflows():
 
 def test_term_signs():
     for noise, k in ((MA1(0.9), 0.3), (MA1(-0.9), 0.0), (AR1(0.7), 1.0)):
-        report = tracking_bound(0.25, noise.autocovariance_fn(), k)
+        report = tracking_bound(0.25, noise, k)
         assert report.variance_term >= 0.0
         assert report.trend_term >= 0.0
-        tail = noise.autocovariance_fn().weighted_tail(0.75)
+        tail = sum(noise.gamma(lag) * 0.75**lag for lag in range(1, 200))
         assert (report.correlation_term < 0.0) == (tail < 0.0)
 
 
@@ -205,10 +265,10 @@ def test_recursion_state_jensen():
     # from the trend increments: v_t = -sum_{h<t} beta^(t-h) K_h, K_1 = 0
     alpha, horizon = 0.15, 299
     beta = 1.0 - alpha
-    gamma = AR1(0.4).autocovariance_fn()
+    noise = AR1(0.4)
     trend = Sinusoid(1.0, 0.02, 0.5)
     increments = np.concatenate(([0.0], np.diff(trend_sequence(trend, horizon))))
-    sequence = exact_mse_sequence(alpha, gamma, trend, horizon)
+    sequence = exact_mse_sequence(alpha, noise, trend, horizon)
     for t in range(1, horizon + 2):
         h = np.arange(1, t)
         mean_error = -float(np.sum(beta ** (t - h) * increments[h - 1]))
@@ -220,9 +280,9 @@ def test_recursion_state_jensen():
 # ---------------------------------------------------------------------------
 
 CLOSED_FORM_CASES = [
-    (0.1, AR1(0.35).autocovariance_fn(), Sinusoid(1.2, 0.01, 0.3)),
-    (0.3, MA1(-0.8, 2.0).autocovariance_fn(), Linear(2.0, 0.05)),
-    (0.75, WhiteGaussian(0.5).autocovariance_fn(), Constant(3.0)),
+    (0.1, AR1(0.35), Sinusoid(1.2, 0.01, 0.3)),
+    (0.3, MA1(-0.8, 2.0), Linear(2.0, 0.05)),
+    (0.75, WhiteGaussian(0.5), Constant(3.0)),
 ]
 
 
@@ -255,15 +315,14 @@ EXACT_MSE_REL = 1e-9
     horizon=st.integers(1, 400),
 )
 def test_exact_recursion_matches_closed_form(alpha, noise, trend, horizon):
-    gamma = noise.autocovariance_fn()
-    sequence = exact_mse_sequence(alpha, gamma, trend, horizon)
+    sequence = exact_mse_sequence(alpha, noise, trend, horizon)
     for t in sorted({1, min(3, horizon + 1), horizon // 2 + 1, horizon + 1}):
-        direct = closed_form_mse(alpha, gamma, trend, t)
-        assert abs(sequence[t - 1] - direct) <= EXACT_MSE_REL * (abs(direct) + gamma(0))
+        direct = closed_form_mse(alpha, noise, trend, t)
+        assert abs(sequence[t - 1] - direct) <= EXACT_MSE_REL * (abs(direct) + noise.gamma(0))
 
 
 def test_closed_form_first_step_is_zero():
-    assert closed_form_mse(0.2, AR1(0.5).autocovariance_fn(), Linear(1.0, 0.3), 1) == 0.0
+    assert closed_form_mse(0.2, AR1(0.5), Linear(1.0, 0.3), 1) == 0.0
 
 
 def test_closed_form_constant_trend_drops_trend_part():
@@ -291,11 +350,10 @@ NOISES = [WhiteGaussian(1.0), MA1(0.7), MA1(-0.4), AR1(0.3)]
 def test_limit_never_exceeds_bound(noise, alpha):
     horizon = 5000
     k = 0.05
-    gamma = noise.autocovariance_fn()
     for trend in (Linear(1.0, k), Sinusoid(k / 0.01, 0.01, 0.2)):
-        sequence = exact_mse_sequence(alpha, gamma, trend, horizon)
+        sequence = exact_mse_sequence(alpha, noise, trend, horizon)
         tail_max = sequence[-horizon // 10 :].max()
-        total = tracking_bound(alpha, gamma, trend.lipschitz_constant).total
+        total = tracking_bound(alpha, noise, trend.lipschitz_constant).total
         assert tail_max <= total + 1e-9
         if isinstance(trend, Linear):
             # constant one-step increments attain the bound in the limit
@@ -311,7 +369,7 @@ def _grid_start() -> float:
 
 
 def test_static_trend_prefers_smallest_alpha():
-    result = optimize_alpha(AR1(0.5).autocovariance_fn(), 0.0)
+    result = optimize_alpha(AR1(0.5), 0.0)
     assert result.alpha == _grid_start()
     assert not result.degenerate
 
@@ -334,11 +392,11 @@ def test_matches_dense_grid():
     assert result.report.trend_term > 0.0
 
 
-def _dense_log_grid_min(gamma, k: float) -> float:
+def _dense_log_grid_min(noise, k: float) -> float:
     # log-spaced in alpha near 0 and in 1 - alpha near 1
     half = np.geomspace(1e-9, 0.5, 2000)
     alphas = np.concatenate((half, 1.0 - half[::-1]))
-    return min(tracking_bound(float(a), gamma, k).total for a in alphas if 0.0 < a < 1.0)
+    return min(tracking_bound(float(a), noise, k).total for a in alphas if 0.0 < a < 1.0)
 
 
 @pytest.mark.parametrize(
@@ -348,11 +406,10 @@ def _dense_log_grid_min(gamma, k: float) -> float:
 )
 def test_search_leaves_the_grid_at_either_end(noise, k):
     # the minimizer lies below the first or above the last grid point
-    gamma = noise.autocovariance_fn()
-    result = optimize_alpha(gamma, k)
+    result = optimize_alpha(noise, k)
     grid = np.linspace(0.0, 1.0, GRID_POINTS + 2)[1:-1]
     assert not grid[0] <= result.alpha <= grid[-1]
-    expected = _dense_log_grid_min(gamma, k)
+    expected = _dense_log_grid_min(noise, k)
     assert result.report.total == pytest.approx(expected, rel=1e-3)
 
 
@@ -364,9 +421,9 @@ def test_search_refines_to_rounding_inside_the_open_interval(monkeypatch, k):
     seen = []
     evaluate = bounds.tracking_bound
 
-    def spy(alpha, gamma, lipschitz):
+    def spy(alpha, noise, lipschitz):
         seen.append(alpha)
-        return evaluate(alpha, gamma, lipschitz)
+        return evaluate(alpha, noise, lipschitz)
 
     monkeypatch.setattr(bounds, "tracking_bound", spy)
     result = optimize_alpha(WHITE, k)
@@ -375,6 +432,14 @@ def test_search_refines_to_rounding_inside_the_open_interval(monkeypatch, k):
         assert result.report.trend_term == math.inf
     else:
         assert result.report.total <= _dense_log_grid_min(WHITE, k)
+
+
+@pytest.mark.parametrize("edge", [2.5e-5, 1e-4, 7.7e-4])
+def test_golden_section_ends_on_the_finite_side_of_an_infinite_region(edge):
+    # +inf below the edge, as where the series cannot bound, and rising
+    # above it: the minimum is the edge, not the far end of the bracket
+    best = _golden_section_min(lambda a: math.inf if a < edge else a, 0.0, 2e-3)
+    assert edge <= best <= edge * (1.0 + 1e-12)
 
 
 def test_golden_section_stops_when_the_bracket_stops_shrinking():
@@ -392,8 +457,8 @@ def test_golden_section_stops_when_the_bracket_stops_shrinking():
 
 
 def test_scaling_leaves_argmin_unchanged():
-    base = optimize_alpha(MA1(0.6, 1.0).autocovariance_fn(), 0.1)
+    base = optimize_alpha(MA1(0.6, 1.0), 0.1)
     for c in (0.25, 16.0):
-        scaled = optimize_alpha(MA1(0.6, c).autocovariance_fn(), 0.1 * math.sqrt(c))
+        scaled = optimize_alpha(MA1(0.6, c), 0.1 * math.sqrt(c))
         assert abs(scaled.alpha - base.alpha) <= 1e-5
         assert scaled.report.total == pytest.approx(c * base.report.total, rel=1e-9)

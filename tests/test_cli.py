@@ -165,7 +165,14 @@ def test_out_of_range_seed_exit_one(capsys, seed):
 
 @pytest.mark.parametrize("seed", [-1, 2**64])
 def test_out_of_range_config_seed_exit_one(tmp_path, capsys, seed):
-    config = _write_config(tmp_path / "seed.json", horizon=10, replications=3, seed=seed)
+    # written directly: ExperimentConfig itself refuses the seed
+    config = tmp_path / "seed.json"
+    config.write_text(json.dumps({
+        "schema_version": 1,
+        "noise": {"kind": "white", "var": 1.0},
+        "trend": {"kind": "const", "level": 0.0},
+        "alpha": 0.1, "horizon": 10, "replications": 3, "seed": seed,
+    }))
     code, _, err = run(capsys, "verify", "--config", str(config))
     assert code == 1 and "seed must lie in [0, 2**64)" in err
 
@@ -314,7 +321,7 @@ def test_mse_exact(tmp_path, capsys):
     assert "final_mse" in text
     sequence = read_csv_column(out, "mse")
     expected = exact_mse_sequence(
-        0.1, WhiteGaussian(1.0).autocovariance_fn(), Constant(0.0), 500
+        0.1, WhiteGaussian(1.0), Constant(0.0), 500
     )
     assert np.array_equal(sequence, expected)
 
@@ -362,6 +369,13 @@ def test_mse_rejects_the_other_modes_flags(capsys, mode, flags):
     assert code == 2 and out == ""
     named = ", ".join(flag for flag in flags if flag.startswith("--"))
     assert f"error: mse --mode {mode} does not take {named}\n" in err
+
+
+def test_flag_usage_error_prints_no_grammar(capsys):
+    # only a malformed model spec echoes the spec grammar
+    code, out, err = run(capsys, *MSE_ARGV, "--mode", "exact", "--reps", "7")
+    assert code == 2 and out == ""
+    assert err == "error: mse --mode exact does not take --reps\n"
 
 
 @pytest.mark.parametrize("argv,quantity", [

@@ -56,6 +56,12 @@ def test_config_validation():
         ExperimentConfig(noise, trend, 1.2, 10, 10, seed=1)
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_config_refuses_an_out_of_range_seed(seed):
+    with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\*\*64\)"):
+        ExperimentConfig(WhiteGaussian(1.0), Constant(0.0), 0.1, 10, 10, seed=seed)
+
+
 def test_workers_must_be_an_integer_at_least_one():
     config = ExperimentConfig(WhiteGaussian(1.0), Constant(0.0), 0.1, 10, 10, seed=1)
     for workers in (0, 2.5):
@@ -71,8 +77,8 @@ COUNT_ENTRY_POINTS = {
     "config.replications": lambda n: ExperimentConfig(_W, _C, 0.1, 10, n, seed=1),
     "config.seed": lambda n: ExperimentConfig(_W, _C, 0.1, 10, 10, seed=n),
     "sample_path": lambda n: sample_path(_W, _C, n, seed=1).observations,
-    "exact_mse_sequence": lambda n: exact_mse_sequence(0.1, _W.autocovariance_fn(), _C, n),
-    "closed_form_mse": lambda n: closed_form_mse(0.1, _W.autocovariance_fn(), _C, n),
+    "exact_mse_sequence": lambda n: exact_mse_sequence(0.1, _W, _C, n),
+    "closed_form_mse": lambda n: closed_form_mse(0.1, _W, _C, n),
     "trend_sequence": lambda n: trend_sequence(_C, n),
     "workers": lambda n: monte_carlo_mse(
         ExperimentConfig(_W, _C, 0.1, 10, 10, seed=1), workers=n
@@ -338,7 +344,7 @@ def test_exact_oracle_agreement_randomized():
             init=float(trend_sequence(trend, 1)[0]),  # deterministic init: exactness regime
         )
         curve = monte_carlo_mse(config)
-        exact = exact_mse_sequence(alpha, noise.autocovariance_fn(), trend, 500, "paper")
+        exact = exact_mse_sequence(alpha, noise, trend, 500, "paper")
         ok = all(
             abs(curve.mean[t - 1] - exact[t]) <= 3.0 * curve.stderr[t - 1]
             for t in checkpoints
@@ -357,7 +363,7 @@ def test_variance_init_asymptotically_matches_first_observation_runs():
     )
     curve = monte_carlo_mse(config)
     exact = exact_mse_sequence(
-        alpha, WhiteGaussian(1.0).autocovariance_fn(), Constant(0.0), 300, "variance"
+        alpha, WhiteGaussian(1.0), Constant(0.0), 300, "variance"
     )
     for t in (2, 5, 10):
         corrected = exact[t] + 2.0 * alpha * beta * beta ** (2 * (t - 1))
