@@ -134,26 +134,6 @@ def tracking_bound(
     return BoundReport(alpha, variance_term, correlation_term, trend_term, total, lag, residual)
 
 
-def _mse_step(
-    a: float, variance: float, step: int, mse: float, mean_error: float,
-    weighted: float, k: float, gamma_next: float,
-) -> tuple[float, float, float]:
-    """One step t -> t+1 of the exact recursion on floats.
-
-    At step t, ``mse`` is D_t = E[(m_t - m*_{t-1})^2], ``mean_error`` is
-    v_t = E[m_t - m*_{t-1}] = -sum_{h<t} beta^(t-h) K_h and ``weighted`` is
-    sum_{k=0}^{t-1} beta^k gamma(k); ``k`` is K_t = m*_t - m*_{t-1} and
-    ``gamma_next`` is gamma(t).  Returns the three at step t + 1.
-    """
-    b = 1.0 - a
-    mse = (
-        b * b * (mse + k * k - 2.0 * k * mean_error)
-        + 2.0 * a * a * weighted
-        - a * a * variance
-    )
-    return mse, b * (mean_error - k), weighted + b**step * gamma_next
-
-
 def exact_mse_sequence(
     alpha: float,
     noise: NoiseModel | Autocovariance,
@@ -163,25 +143,40 @@ def exact_mse_sequence(
 ) -> np.ndarray:
     """Evolve D_1 .. D_{horizon+1} exactly, in O(1) work per step.
 
-    The trend enters through its one-step increments K_t, with the
-    convention m*_0 := m*_1 so that K_1 = 0.  The recursion starts from
-    v_1 = 0 and D_1 set by ``d1`` (see the module docstring).
+    With K_t = m*_t - m*_{t-1} (m*_0 := m*_1, so K_1 = 0), step t is
+    D_{t+1} = beta^2 (D_t + K_t^2 - 2 K_t v_t) + 2 a^2 W_t - a^2 gamma(0),
+    v_{t+1} = beta (v_t - K_t) and W_{t+1} = W_t + beta^t gamma(t), from
+    v_1 = 0, W_1 = gamma(0) and D_1 set by ``d1`` (see the module docstring).
+    Past the model's ``support`` the weighted sum W_t is constant, and the
+    steps there run on hoisted floats, in the same operations and order.
     """
     a = check_alpha(alpha)
     if d1 not in ("paper", "variance"):
         raise ValueError(f'd1 must be "paper" or "variance", got {d1!r}')
     horizon = check_count(horizon, "horizon", 1)
-    increments = np.concatenate(([0.0], np.diff(trend_sequence(trend, horizon))))
-    gamma = noise.gamma
-    g0 = gamma(0)
-    mse, mean_error, weighted = (0.0 if d1 == "paper" else g0), 0.0, g0
-    out = np.empty(horizon + 1)
-    out[0] = mse
     # a memoryview yields Python floats without materializing them all
-    for t, k_t in enumerate(memoryview(increments), start=1):
-        mse, mean_error, weighted = _mse_step(a, g0, t, mse, mean_error, weighted, k_t, gamma(t))
-        out[t] = mse
-    return out
+    increments = memoryview(np.concatenate(([0.0], np.diff(trend_sequence(trend, horizon)))))
+    gamma = noise.gamma
+    g0 = float(gamma(0))
+    b, two_a2, a2_g0 = 1.0 - a, 2.0 * a * a, a * a * g0
+    varying = horizon if noise.support is None else min(noise.support, horizon)
+
+    def steps(mse, mean_error, weighted):
+        yield mse
+        for t in range(1, varying + 1):
+            k = increments[t - 1]
+            mse = b * b * (mse + k * k - 2.0 * k * mean_error) + two_a2 * weighted - a2_g0
+            yield mse
+            mean_error = b * (mean_error - k)
+            weighted += b**t * gamma(t)
+        noise_part = two_a2 * weighted
+        for k in increments[varying:]:
+            mse = b * b * (mse + k * k - 2.0 * k * mean_error) + noise_part - a2_g0
+            yield mse
+            mean_error = b * (mean_error - k)
+
+    # given its count, fromiter allocates the output once
+    return np.fromiter(steps(0.0 if d1 == "paper" else g0, 0.0, g0), float, horizon + 1)
 
 
 def closed_form_mse(

@@ -23,6 +23,7 @@ import csv
 import itertools
 import json
 import math
+import warnings
 from dataclasses import MISSING
 from pathlib import Path
 
@@ -44,6 +45,10 @@ from .processes import NOISE_KINDS, TREND_KINDS, model_fields
 CONFIG_SCHEMA_VERSION = 1
 
 _CHUNK_ROWS = 4096  # rows (or plotted points) formatted per write
+_SCAN_BYTES = 1 << 16  # block size of the plain-file scan
+# what csv and np.loadtxt read differently: a quote, CR, NUL, \x1c-\x1f
+# (whitespace to numpy, not to float() of ASCII text) and a blank line
+_NOT_PLAIN = (b'"', b"\r", b"\0", b"\x1c", b"\x1d", b"\x1e", b"\x1f", b"\n\n")
 
 _SVG_WIDTH = 800
 _SVG_HEIGHT = 500
@@ -128,8 +133,47 @@ def _undecodable(path: Path) -> str:
 def read_csv_column(path, column: str) -> np.ndarray:
     """Read one numeric column; any unparsable or non-finite entry, malformed
     CSV line or non-UTF-8 byte is an error citing its data row (row 1 is the
-    first row after the header)."""
+    first row after the header).  numpy's streaming C reader parses a plain
+    file of finite values; any other file, exception or numpy warning goes
+    to the ``csv`` reader, which gives the same array and every message."""
     path = Path(path)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = _read_plain_column(path, column)
+    except Exception:  # the csv reader decides, and words any error
+        values = None
+    return _read_column_by_rows(path, column) if values is None else values
+
+
+def _read_plain_column(path: Path, column: str) -> np.ndarray | None:
+    """The column by ``np.loadtxt``, or None unless the file is a regular one
+    (a pipe could not be read again), its header names the column and a
+    streamed scan finds data rows, none of ``_NOT_PLAIN`` and no block
+    without a newline (so no line reaches the csv field limit)."""
+    if not path.is_file() or csv.field_size_limit() < 2 * _SCAN_BYTES:
+        return None
+    with open(path, newline="", encoding="utf-8") as handle:
+        header = next(csv.reader(handle), [])
+    if column not in header:
+        return None
+    rows, block = -1, b"\n"  # the header line is no data row
+    with open(path, "rb") as handle:
+        while more := handle.read(_SCAN_BYTES):
+            block = block[-1:] + more  # so a blank line across two blocks shows
+            if b"\n" not in more or any(mark in block for mark in _NOT_PLAIN):
+                return None
+            rows += more.count(b"\n")
+    rows += not block.endswith(b"\n")  # a last line without its newline
+    if rows < 1:
+        return None
+    values = np.loadtxt(path, delimiter=",", comments=None, skiprows=1,
+                        usecols=header.index(column), encoding="utf-8", ndmin=1)
+    return values if len(values) == rows and np.isfinite(values).all() else None
+
+
+def _read_column_by_rows(path: Path, column: str) -> np.ndarray:
+    """``read_csv_column`` by the ``csv`` reader, one row at a time."""
     header, row_number = None, 0
     try:
         with open(path, newline="", encoding="utf-8") as handle:

@@ -40,7 +40,7 @@ from .seeding import check_count, check_seed, child_seeds
 from .smoothing import InitPolicy, check_alpha, check_init, ses_run, ses_run_inplace
 
 BLOCK_SIZE = 1024
-MAX_CELLS = 10**8
+MAX_CELLS = 2 * 10**7  # cells of one block, horizon x min(reps, BLOCK_SIZE); ~16 B each at peak
 _TRANSPOSE_ROWS = 32  # time steps per cache-sized slab of the block transpose
 _SIGKILL = 9  # fixed by POSIX; spares importing the signal module
 
@@ -247,14 +247,16 @@ def monte_carlo_mse(config: ExperimentConfig, workers: int = 1) -> MseCurve:
     threads n is 1, and with n = 1 the blocks run serially here.  Either way
     the block summaries are folded in index order, so the result is bitwise
     the same for every worker count.  A failed worker raises ChildProcessError.
-    A horizon x replications above ``MAX_CELLS`` is rejected before
-    anything is allocated.
+    A block of horizon x min(replications, BLOCK_SIZE) cells above
+    ``MAX_CELLS`` is rejected before anything is allocated.
     """
     workers = check_count(workers, "workers", 1)
     horizon, reps = config.horizon, config.replications
-    if horizon * reps > MAX_CELLS:
+    cells = horizon * min(reps, BLOCK_SIZE)
+    if cells > MAX_CELLS:
         raise ValueError(
-            f"experiment size {horizon} x {reps} exceeds the cap of {MAX_CELLS} cells"
+            f"experiment size {horizon} x {reps} puts {cells} cells in one block (about "
+            f"{16 * cells / 1e6:.0f} MB at peak), over the cap of {MAX_CELLS} cells"
         )
     blocks = [range(s, min(s + BLOCK_SIZE, reps)) for s in range(0, reps, BLOCK_SIZE)]
     if not hasattr(os, "fork") or threading.active_count() > 1:

@@ -118,6 +118,9 @@ def fill_standard_normals(out: np.ndarray, seeds) -> np.ndarray:
         seeds = np.array([check_seed(seed) for seed in seeds], dtype=np.uint64)
     if out.ndim != 2 or out.shape[1] != len(seeds):
         raise ValueError("out must be an (n, len(seeds)) array")
+    if len(seeds) == 1 and out.flags.c_contiguous:  # one stream: straight into its column
+        make_generator(seeds[0]).standard_normal(out=out[:, 0])
+        return out
     generator = make_generator(0)
     key = [0, 0]
     start = _stream_start(key)

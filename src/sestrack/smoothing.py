@@ -94,13 +94,15 @@ def ses_run(observations, alpha: float, init: InitPolicy = "first") -> np.ndarra
     """
     x = _check_observations(observations)
     alpha = check_alpha(alpha)
-    out = np.empty(len(x) + 1)
-    out[0] = _initial_estimates(init, x[:1])[0]
-    m = out[0]
-    for t, xt in enumerate(x):
-        m = m + alpha * (xt - m)
-        out[t + 1] = m
-    return out
+
+    def estimates(m):
+        yield m
+        for xt in memoryview(x):  # Python floats: numpy's arithmetic, less overhead
+            m = m + alpha * (xt - m)
+            yield m
+
+    first = float(_initial_estimates(init, x[:1])[0])
+    return np.fromiter(estimates(first), float, len(x) + 1)
 
 
 def ses_run_inplace(buffer: np.ndarray, alpha: float, init: InitPolicy = "first") -> np.ndarray:

@@ -1,10 +1,11 @@
 import math
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sestrack import (
@@ -273,6 +274,82 @@ def test_recursion_state_jensen():
         h = np.arange(1, t)
         mean_error = -float(np.sum(beta ** (t - h) * increments[h - 1]))
         assert sequence[t - 1] >= mean_error**2 - 1e-12
+
+
+def _reference_mse_step(
+    a: float, variance: float, step: int, mse: float, mean_error: float,
+    weighted: float, k: float, gamma_next: float,
+) -> tuple[float, float, float]:
+    # the recursion's step as it was written before the flat loops, verbatim
+    b = 1.0 - a
+    mse = (
+        b * b * (mse + k * k - 2.0 * k * mean_error)
+        + 2.0 * a * a * weighted
+        - a * a * variance
+    )
+    return mse, b * (mean_error - k), weighted + b**step * gamma_next
+
+
+def _reference_exact_mse(alpha, noise, trend, horizon, d1):
+    """The scalar loop exact_mse_sequence ran before, one gamma(t) per step."""
+    a = alpha
+    increments = np.concatenate(([0.0], np.diff(trend_sequence(trend, horizon))))
+    gamma = noise.gamma
+    g0 = gamma(0)
+    mse, mean_error, weighted = (0.0 if d1 == "paper" else g0), 0.0, g0
+    out = np.empty(horizon + 1)
+    out[0] = mse
+    for t, k_t in enumerate(memoryview(increments), start=1):
+        mse, mean_error, weighted = _reference_mse_step(
+            a, g0, t, mse, mean_error, weighted, k_t, gamma(t)
+        )
+        out[t] = mse
+    return out
+
+
+_VARIANCES = st.sampled_from([0.0, 1, 0.37, 2.5, 100.0])
+_EVERY_KIND = st.one_of(
+    st.builds(WhiteGaussian, _VARIANCES),
+    st.builds(MA1, st.floats(-5.0, 5.0), _VARIANCES),
+    st.builds(AR1, st.floats(0.01, 0.99), _VARIANCES),
+    st.builds(MAq, st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=30).map(tuple), _VARIANCES),
+    st.floats(0.01, 0.99).map(lambda theta: Autocovariance(AR1(theta).gamma)),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    alpha=st.floats(1e-6, 1.0 - 1e-6),
+    noise=_EVERY_KIND,
+    trend=st.one_of(
+        st.builds(Constant, st.floats(-1e3, 1e3)),
+        st.builds(Linear, st.floats(-1e3, 1e3), st.floats(-10.0, 10.0)),
+        st.builds(Sinusoid, st.floats(-5.0, 5.0), st.floats(0.0, 1.0), st.floats(-3.0, 3.0)),
+    ),
+    horizon=st.integers(1, 500),
+    d1=st.sampled_from(["paper", "variance"]),
+)
+@example(0.3, MAq((0.5,) * 12, 1.3), Linear(1.0, 0.5), 5, "paper")  # q > horizon
+@example(0.3, MAq((-0.5, 0.2, 0.1), 0.7), Sinusoid(2.0, 0.1, 0.0), 3, "variance")  # q = horizon
+@example(1e-6, WhiteGaussian(-0.0), Constant(0.0), 4, "variance")
+def test_exact_recursion_is_the_scalar_loop_bit_for_bit(alpha, noise, trend, horizon, d1):
+    got = exact_mse_sequence(alpha, noise, trend, horizon, d1)
+    assert got.tobytes() == _reference_exact_mse(alpha, noise, trend, horizon, d1).tobytes()
+
+
+def test_exact_recursion_memory_stays_flat():
+    # the recursion holds the trend's increments and its output, nothing per step
+    horizon = 200_000
+    # warmed up outside the trace: just after a full garbage collection the
+    # first traced run of the loop is ~10x slower
+    exact_mse_sequence(0.1, MA1(2.0), Linear(1.0, 0.05), 1000)
+    tracemalloc.start()
+    try:
+        exact_mse_sequence(0.1, MA1(2.0), Linear(1.0, 0.05), horizon)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 8 * (horizon + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 from datetime import timedelta
@@ -530,6 +531,17 @@ def test_module_entrypoint_subprocess():
     )
     assert result.returncode == 0
     assert "0.05263157895" in result.stdout
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin")
+def test_smooth_reads_a_pipe():
+    # a pipe can be read only once, so the reader must not scan it first
+    result = subprocess.run(
+        [sys.executable, "-m", "sestrack", "smooth", "--input", "/dev/stdin",
+         "--column", "x", "--alpha", "0.5"],
+        input="t,x\n1,2\n2,3\n", capture_output=True, text=True, timeout=60,
+    )
+    assert (result.returncode, result.stdout) == (0, "t,x,m_hat\n1,2,2\n2,3,2.5\n")
 
 
 # ---------------------------------------------------------------------------

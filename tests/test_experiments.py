@@ -107,11 +107,29 @@ def test_tail_fraction_is_not_a_bool():
 
 
 def test_resource_cap():
-    # 10^4 x (10^4 + 1) cells is over MAX_CELLS and rejected before any block
-    # (about 80 MB) is allocated
-    config = ExperimentConfig(WhiteGaussian(1.0), Constant(0.0), 0.1, 10**4, 10**4 + 1, seed=1)
+    # a 10^5 x 1000 block is over MAX_CELLS and rejected before it (about
+    # 1.6 GB at peak) is allocated
+    config = ExperimentConfig(WhiteGaussian(1.0), Constant(0.0), 0.1, 10**5, 1000, seed=1)
     assert config.horizon * config.replications > MAX_CELLS
-    with pytest.raises(ValueError, match="cap"):
+    with pytest.raises(ValueError, match="cap") as refused:
+        monte_carlo_mse(config)
+    assert "about 1600 MB at peak" in str(refused.value)
+
+
+class _PastTheCap(Exception):
+    pass
+
+
+@pytest.mark.parametrize("horizon,reps", [(100, 10**6 + 1), (1000, 10**4)])
+def test_cap_counts_the_cells_of_one_block(monkeypatch, horizon, reps):
+    # many short replications, and fig1a, stay under the cap: the run gets as
+    # far as starting its workers, which raise here so nothing runs
+    def refuse(*args):
+        raise _PastTheCap
+
+    monkeypatch.setattr(experiments, "_fork_join", refuse)
+    config = ExperimentConfig(WhiteGaussian(1.0), Constant(0.0), 0.1, horizon, reps, seed=1)
+    with pytest.raises(_PastTheCap):
         monte_carlo_mse(config)
 
 

@@ -1,9 +1,12 @@
 import io
 import json
+import tracemalloc
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sestrack import (
     AR1,
@@ -20,6 +23,7 @@ from sestrack import (
     write_results,
 )
 from sestrack.dataio import (
+    _read_column_by_rows,
     experiment_config_from_dict,
     experiment_config_to_dict,
 )
@@ -81,6 +85,103 @@ def test_non_utf8_byte_cites_row(tmp_path):
     p.write_bytes(b"t,\xffx\n1,2\n")
     with pytest.raises(ValueError, match=r"data.csv: header: not UTF-8 text"):
         read_csv_column(p, "x")
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_PLAIN_CELLS = st.one_of(
+    _FINITE.map(repr),
+    _FINITE.map("%.17g".__mod__),
+    st.tuples(st.sampled_from(["", " ", "\t"]), _FINITE.map(repr), st.sampled_from(["", " "]))
+    .map("".join),
+    st.integers(-10**6, 10**6).map(str),
+)
+_ODD_TEXTS = [
+    "", " ", "nan", "inf", "-inf", "1e400", "1e-400", "1_0", "0x1p3", "\u0661\u0662",
+    "\u00a02.5\u2003", "\x1c1", "\x1d1", "1\x1e", "2\x1f", "1\x00", "\"1.5\"", "\"1,5\"",
+    "#1", "abc", "+.5", "1.", "\xe9", "1 2", "\x0b3\x0c",
+]
+_ODD_CELLS = st.sampled_from(_ODD_TEXTS)
+
+
+@st.composite
+def _csv_files(draw):
+    """A header naming t, x, y, z (as many as the width) and data rows.  In
+    a plain file every row is full and every cell a finite number; each
+    other file has some of: odd cells, ragged rows, blank lines, CR line
+    ends, a BOM, non-UTF-8 bytes."""
+    plain = draw(st.booleans())
+
+    def odd():
+        return not plain and draw(st.booleans())
+
+    width = draw(st.integers(1, 4))
+    cells = st.one_of(_PLAIN_CELLS, _ODD_CELLS) if odd() else _PLAIN_CELLS
+    sizes = st.integers(0, width + 1) if odd() else st.just(width)
+    rows = draw(st.lists(sizes.flatmap(lambda n: st.lists(cells, min_size=n, max_size=n)),
+                         max_size=6))
+    newline = draw(st.sampled_from(["\r\n", "\r"])) if odd() else "\n"
+    lines = ["t,x,y,z"[: 2 * width - 1]] + [",".join(row) for row in rows]
+    ends = ["", newline] + ([newline * 2] if odd() else [])
+    data = (newline.join(lines) + draw(st.sampled_from(ends))).encode("utf-8")
+    if odd():
+        data = draw(st.sampled_from([b"\xef\xbb\xbf", b""])) + data + draw(
+            st.sampled_from([b"", b"\xff", b"\n1,2"])
+        )
+    return data, draw(st.sampled_from(["t", "x", "z", "w"]))
+
+
+def _outcome(path, column, read):
+    try:
+        values = read(path, column)
+    except ValueError as exc:
+        return "error", str(exc)
+    return values.dtype, values.shape, values.tobytes()
+
+
+@pytest.fixture(scope="module")
+def csv_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("csv") / "data.csv"
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_csv_files())
+@example(case=(b"t,x\n1,2.5\n", "x"))  # a single row
+@example(case=(b"t,x\n", "x"))  # header only
+@example(case=(b"t,x\n1,2\n2,3", "x"))  # no final newline
+@example(case=(b"t,x\n1,2\n\n2,3\n", "x"))  # a blank line inside
+@example(case=(b"t,x\n1,\x1c2\n", "x"))  # whitespace to numpy, not to float()
+@example(case=(b't,x,y\n"1,5",2,3\n', "y"))  # a comma inside quotes
+@example(case=(b"t,x\n" + b"1" * 200_000 + b",2\n", "x"))  # over the csv field limit
+def test_reader_fast_path_agrees_with_the_csv_reader(csv_path, case):
+    data, column = case
+    csv_path.write_bytes(data)
+    assert _outcome(csv_path, column, read_csv_column) == _outcome(
+        csv_path, column, _read_column_by_rows
+    )
+
+
+@pytest.mark.parametrize("cell", _ODD_TEXTS)
+def test_reader_agrees_on_an_odd_cell_in_a_plain_file(csv_path, cell):
+    csv_path.write_text(f"t,x,y\n1,{cell},2\n3,4,5\n", encoding="utf-8")
+    for column in ("x", "y"):
+        assert _outcome(csv_path, column, read_csv_column) == _outcome(
+            csv_path, column, _read_column_by_rows
+        )
+
+
+def test_reader_memory_stays_flat(tmp_path):
+    # 10^5 rows of a simulate CSV: the C reader streams the file into the
+    # one output column, the csv reader would hold a list of 10^5 floats
+    path = tmp_path / "sim.csv"
+    write_results(simulate_smoothed(AR1(0.2), Linear(1.0, 0.05), 0.1, 10**5, 3), path)
+    tracemalloc.start()
+    try:
+        values = read_csv_column(path, "x")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(values) == 10**5
+    assert peak < 2 * 10**6
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import sestrack
+import sestrack.cli  # noqa: F401  the harness runs sestrack.cli.main
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -33,3 +34,17 @@ def test_workload_prepares_its_checks(workloads, tmp_path, name):
     workload = workloads[name](sestrack, ROOT, 11, tmp_path)
     workload.prepare_checks()
     assert workload.describe()
+
+
+def test_long_horizon_op_passes_its_checks(workloads, tmp_path):
+    # one op of the benchmark's slowest workload, shrunk, through the
+    # harness's own op() and check(): a fast path that breaks one of its
+    # oracles (the closed-form last exact row, simulate's m_hat against
+    # ses_run, the smoothed rows against ses_closed_form) fails here
+    workload = workloads["long_horizon"](sestrack, ROOT, 11, tmp_path)
+    workload.EXACT_STEPS, workload.SIM_STEPS = 3000, 2000
+    workload.SMOOTH_CHECK_STEPS = (1, 2, 10, 1000, 2000)
+    workload.prepare_checks()
+    commands = workload.op(0)
+    assert [command.label for command in commands] == ["exact_mse", "simulate", "smooth"]
+    assert workload.check(commands) == []
