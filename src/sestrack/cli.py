@@ -39,8 +39,8 @@ from .experiments import (
     simulate_smoothed,
     verify_bound,
 )
-from .processes import NOISE_KINDS, TREND_KINDS, model_fields
-from .smoothing import ses_run
+from .processes import NOISE_KINDS, TREND_KINDS, NoiseModel, Numbers, TrendSpec, model_fields
+from .smoothing import InitPolicy, ses_run
 
 
 def _grammar() -> str:
@@ -49,8 +49,8 @@ def _grammar() -> str:
     for label, kinds in (("noise:", NOISE_KINDS), ("trend:", TREND_KINDS)):
         for cls in kinds.values():
             parts = []
-            for _, key, default, is_list in model_fields(cls):
-                if is_list:
+            for _, key, default, hint in model_fields(cls):
+                if hint == Numbers:
                     parts.append(f"{key}1=<{key}1>,{key}2=<{key}2>,...")
                 elif default is MISSING:
                     parts.append(f"{key}=<{key}>")
@@ -105,21 +105,21 @@ def parse_spec(text: str, kinds: dict[str, type], what: str):
     values: dict[str, object] = {}
     if cls is not None:  # an unknown kind is reported by the decoder
         declared = model_fields(cls)
-        plain = [key for _, key, _, is_list in declared if not is_list]
+        plain = [key for _, key, _, hint in declared if hint != Numbers]
         if "var" in plain and "sigma" in pairs:
             if "var" in pairs:
                 raise SpecError(f"{where}: give either var or sigma, not both")
             sigma = pairs.pop("sigma")
             pairs["var"] = sigma * sigma
         values = {key: pairs.pop(key) for key in plain if key in pairs}
-        for _, key, _, is_list in declared:
+        for _, key, _, hint in declared:
             items = []
-            while is_list and f"{key}{len(items) + 1}" in pairs:
+            while hint == Numbers and f"{key}{len(items) + 1}" in pairs:
                 items.append(pairs.pop(f"{key}{len(items) + 1}"))
             if items:
                 values[key] = items
         if pairs:
-            allowed = [f"{k}1, {k}2, ..." if is_list else k for _, k, _, is_list in declared]
+            allowed = [f"{k}1, {k}2, ..." if h == Numbers else k for _, k, _, h in declared]
             allowed += ["sigma"] if "var" in plain else []
             raise SpecError(
                 f"{where}: unknown key(s) {sorted(pairs)}; allowed keys: {', '.join(allowed)}"
@@ -157,9 +157,37 @@ def _print_pairs(pairs: list[tuple[str, object]]) -> None:
         print(f"{key.ljust(width)}  {rendered}")
 
 
+# field name -> (flag, help, type, default) of each ExperimentConfig field with a run flag
+_RUN_FLAGS = {
+    name: (*f.metadata["flag"], hint, default)
+    for f, (name, _, default, hint) in
+    zip(dataclasses.fields(ExperimentConfig), model_fields(ExperimentConfig))
+    if f.metadata["flag"]
+}
+
+
+def _given(args, *names: str) -> dict:
+    """The flags of ``names`` that were given (not None), by name."""
+    return {name: getattr(args, name) for name in names if getattr(args, name, None) is not None}
+
+
+def _run_values(args) -> dict:
+    """The ``ExperimentConfig`` fields whose run flags were given, by name,
+    with model specs and the init parsed and numbers as argparse typed them."""
+    parse = {
+        NoiseModel: lambda text: parse_spec(text, NOISE_KINDS, "noise"),
+        TrendSpec: lambda text: parse_spec(text, TREND_KINDS, "trend"),
+        InitPolicy: parse_init,
+    }
+    return {
+        name: parse.get(_RUN_FLAGS[name][2], lambda value: value)(value)
+        for name, value in _given(args, *_RUN_FLAGS).items()
+    }
+
+
 def _cmd_smooth(args) -> int:
     observations = read_csv_column(args.input, args.column)
-    trajectory = ses_run(observations, args.alpha, parse_init(args.init))
+    trajectory = ses_run(observations, **_run_values(args))
     steps = np.arange(1, len(observations) + 1)
     write_csv(args.out or sys.stdout, ["t", "x", "m_hat"], [steps, observations, trajectory[1:]])
     if args.out:
@@ -168,14 +196,7 @@ def _cmd_smooth(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    smoothed = simulate_smoothed(
-        parse_spec(args.noise, NOISE_KINDS, "noise"),
-        parse_spec(args.trend, TREND_KINDS, "trend"),
-        args.alpha,
-        args.steps,
-        args.seed,
-        parse_init(args.init),
-    )
+    smoothed = simulate_smoothed(**_run_values(args))
     write_results(smoothed, args.out or sys.stdout, "csv")
     if args.out:
         print(args.out)
@@ -186,8 +207,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_bound(args) -> int:
-    noise = parse_spec(args.noise, NOISE_KINDS, "noise")
-    report = tracking_bound(args.alpha, noise, args.k)
+    run = _run_values(args)
+    report = tracking_bound(run["alpha"], run["noise"], args.k)
     payload = _finite(dataclasses.asdict(report))
     if args.json:
         print(json.dumps(payload))
@@ -197,8 +218,7 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_optimize_alpha(args) -> int:
-    noise = parse_spec(args.noise, NOISE_KINDS, "noise")
-    result = optimize_alpha(noise, args.k)
+    result = optimize_alpha(_run_values(args)["noise"], args.k)
     payload = _finite({
         "alpha": result.alpha,
         "degenerate": result.degenerate,
@@ -212,16 +232,8 @@ def _cmd_optimize_alpha(args) -> int:
     return 0
 
 
-class _ModeFlag(argparse.Action):
-    """Store the value of a flag that one ``mse`` mode reads, and record in
-    ``args.given`` that it was given, even when given its default."""
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        setattr(namespace, self.dest, values)
-        namespace.given = [*namespace.given, self.dest]
-
-
-_MODE_FLAGS = {"exact": ["d1"], "mc": ["reps", "seed", "init", "workers"]}
+# the flags (by dest) only one mse mode reads; each defaults to None, so given means not None
+_MODE_FLAGS = {"exact": ["d1"], "mc": ["replications", "seed", "init", "workers"]}
 
 
 def _check_mode_flags(args, names: list[str]) -> None:
@@ -229,33 +241,28 @@ def _check_mode_flags(args, names: list[str]) -> None:
     the other mode given."""
     for problem, flags in (
         ("requires", [n for n in names if getattr(args, n) is None]),
-        ("does not take", [n for n in args.given if n not in _MODE_FLAGS[args.mode]]),
+        ("does not take", [n for mode, mode_flags in _MODE_FLAGS.items() if mode != args.mode
+                           for n in mode_flags if getattr(args, n) is not None]),
     ):
         if flags:
-            raise UsageError(f"mse --mode {args.mode} {problem} --{', --'.join(flags)}")
+            named = [_RUN_FLAGS[n][0] if n in _RUN_FLAGS else f"--{n}" for n in flags]
+            raise UsageError(f"mse --mode {args.mode} {problem} {', '.join(named)}")
 
 
 def _cmd_mse(args) -> int:
-    _check_mode_flags(args, ["alpha", "steps"] + (["reps", "seed"] if args.mode == "mc" else []))
-    noise = parse_spec(args.noise, NOISE_KINDS, "noise")
-    trend = parse_spec(args.trend, TREND_KINDS, "trend")
+    required = ["alpha", "horizon"] + (["replications", "seed"] if args.mode == "mc" else [])
+    _check_mode_flags(args, required)
+    run = _run_values(args)
     if args.mode == "exact":
-        sequence = exact_mse_sequence(args.alpha, noise, trend, args.steps, args.d1)
+        sequence = exact_mse_sequence(
+            run["alpha"], run["noise"], run["trend"], run["horizon"], **_given(args, "d1")
+        )
         summary = _finite({"final_mse": float(sequence[-1])})
         if args.out:
             write_csv(args.out, ["t", "mse"], [np.arange(1, len(sequence) + 1), sequence])
             print(args.out)
     else:
-        config = ExperimentConfig(
-            noise,
-            trend,
-            args.alpha,
-            args.steps,
-            args.reps,
-            args.seed,
-            parse_init(args.init),
-        )
-        curve = monte_carlo_mse(config, workers=args.workers)
+        curve = monte_carlo_mse(ExperimentConfig(**run), **_given(args, "workers"))
         summary = _finite({
             "tail_mean": curve.tail_mean,
             "tail_se": curve.tail_se,
@@ -275,9 +282,8 @@ def _cmd_mse(args) -> int:
 
 def _cmd_verify(args) -> int:
     config, output = load_experiment_config(args.config)
-    if args.reps is not None:
-        config = dataclasses.replace(config, replications=args.reps)
-    check = verify_bound(config, workers=args.workers)
+    config = dataclasses.replace(config, **_run_values(args))
+    check = verify_bound(config, **_given(args, "workers"))
     verdict, code = (
         ("INCONCLUSIVE", 4) if check.inconclusive else ("PASS", 0) if check.passed else ("FAIL", 3)
     )
@@ -321,6 +327,16 @@ _WORKERS_HELP = (
 )
 
 
+def _add_run_flags(parser, names: str, required: bool = True, note: str = "") -> None:
+    """Add the run flag of each ``ExperimentConfig`` field in ``names``, with
+    ``note`` after its help.  A flag is required if ``required`` and the field
+    has no default; else it defaults to None, which leaves the field's default."""
+    for name in names.split():
+        flag, text, hint, default = _RUN_FLAGS[name]
+        parser.add_argument(flag, dest=name, type=hint if hint in (int, float) else str,
+                            required=required and default is MISSING, help=text + note)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sestrack",
@@ -334,56 +350,44 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("smooth", help="smooth a CSV column")
     p.add_argument("--input", required=True, help="input CSV file")
     p.add_argument("--column", required=True, help="column holding the observations")
-    p.add_argument("--alpha", type=float, required=True, help="smoothing parameter in (0,1)")
-    p.add_argument("--init", default="first", help='initial estimate: "first" or a number')
+    _add_run_flags(p, "alpha init")
     p.add_argument("--out", help="output CSV path (default: stdout)")
     p.set_defaults(handler=_cmd_smooth)
 
     p = sub.add_parser("simulate", help="simulate a trend-stationary path and smooth it")
-    p.add_argument("--trend", required=True, help="trend spec (see grammar)")
-    p.add_argument("--noise", required=True, help="noise spec (see grammar)")
-    p.add_argument("--alpha", type=float, required=True, help="smoothing parameter in (0,1)")
-    p.add_argument("--steps", type=int, required=True, help="horizon T")
-    p.add_argument("--seed", type=int, required=True, help="64-bit seed")
-    p.add_argument("--init", default="first", help='initial estimate: "first" or a number')
+    _add_run_flags(p, "noise trend alpha horizon seed init")
     p.add_argument("--out", help="output CSV path (default: stdout)")
     p.add_argument("--svg", help="also write an overlay plot to this path")
     p.set_defaults(handler=_cmd_simulate)
 
     p = sub.add_parser("bound", help="evaluate the asymptotic tracking bound")
-    p.add_argument("--alpha", type=float, required=True, help="smoothing parameter in (0,1)")
+    _add_run_flags(p, "noise alpha")
     p.add_argument("--k", type=float, required=True, help="trend one-step increment bound")
-    p.add_argument("--noise", required=True, help="noise spec (see grammar)")
     p.add_argument("--json", action="store_true", help="machine-readable output")
     p.set_defaults(handler=_cmd_bound)
 
     p = sub.add_parser("optimize-alpha", help="minimize the bound total over alpha")
+    _add_run_flags(p, "noise")
     p.add_argument("--k", type=float, required=True, help="trend one-step increment bound")
-    p.add_argument("--noise", required=True, help="noise spec (see grammar)")
     p.add_argument("--json", action="store_true", help="machine-readable output")
     p.set_defaults(handler=_cmd_optimize_alpha)
 
     p = sub.add_parser("mse", help="exact or Monte Carlo mean squared tracking error")
     p.add_argument("--mode", choices=("exact", "mc"), required=True, help="evaluation mode")
-    p.add_argument("--alpha", type=float, help="smoothing parameter in (0,1)")
-    p.add_argument("--noise", required=True, help="noise spec (see grammar)")
-    p.add_argument("--trend", required=True, help="trend spec (see grammar)")
-    p.add_argument("--steps", type=int, help="horizon T")
-    p.add_argument("--d1", choices=("paper", "variance"), default="paper", action=_ModeFlag,
+    _add_run_flags(p, "noise trend")
+    _add_run_flags(p, "alpha horizon", required=False)
+    _add_run_flags(p, "replications seed init", required=False, note=" (mc mode)")
+    p.add_argument("--workers", type=int, help=f"{_WORKERS_HELP} (mc mode)")
+    p.add_argument("--d1", choices=("paper", "variance"),
                    help="initial condition of the exact recursion (exact mode)")
-    p.add_argument("--reps", type=int, action=_ModeFlag, help="replications (mc mode)")
-    p.add_argument("--seed", type=int, action=_ModeFlag, help="master seed (mc mode)")
-    p.add_argument("--init", default="first", action=_ModeFlag, help="initial estimate (mc mode)")
-    p.add_argument("--workers", type=int, default=1, action=_ModeFlag,
-                   help=f"{_WORKERS_HELP} (mc mode)")
     p.add_argument("--out", help="output CSV path")
     p.add_argument("--json", action="store_true", help="machine-readable summary")
-    p.set_defaults(handler=_cmd_mse, given=[])
+    p.set_defaults(handler=_cmd_mse)
 
     p = sub.add_parser("verify", help="check the bound against an experiment config")
     p.add_argument("--config", required=True, help="JSON experiment config")
-    p.add_argument("--reps", type=int, help="override the configured replications")
-    p.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
+    _add_run_flags(p, "replications", required=False, note=", overriding the config")
+    p.add_argument("--workers", type=int, help=_WORKERS_HELP)
     p.add_argument("--json", action="store_true", help="machine-readable output")
     p.set_defaults(handler=_cmd_verify)
 

@@ -11,7 +11,9 @@ to an open text stream, so no whole document is held in memory.  A column
 that is not real-valued or holds a non-finite float is rejected, naming
 the column and row, before anything is written.  Config documents are
 strict JSON (schema_version 1, unknown keys and wrong JSON types rejected
-with the failing key path, such as ``config.noise.a``).
+with the failing key path, such as ``config.noise.a``).  Their codec is one
+loop over the declared fields (``processes.model_fields``) of a model or of
+``ExperimentConfig``: keys in field order, each value decoded by its type.
 
 This module sits above ``experiments``: it imports the result types it
 writes, and nothing in the numerical modules imports it.
@@ -40,7 +42,8 @@ from .experiments import (
     SmoothedPath,
     simulate_smoothed,
 )
-from .processes import NOISE_KINDS, TREND_KINDS, model_fields
+from .processes import NOISE_KINDS, TREND_KINDS, NoiseModel, Numbers, TrendSpec, model_fields
+from .smoothing import InitPolicy
 
 CONFIG_SCHEMA_VERSION = 1
 
@@ -378,9 +381,13 @@ class SchemaError(ValueError):
     fields; value ranges are checked by the constructors instead."""
 
 
-def _check_keys(mapping, required: set[str], optional: set[str], where: str) -> None:
+def _check_keys(mapping, required: set[str], optional: set[str], where: str, cls=None) -> None:
+    """Check the keys of the object ``mapping``, adding those ``cls`` declares."""
     if not isinstance(mapping, dict):
         raise SchemaError(f"{where}: expected an object, got {mapping!r}")
+    declared = model_fields(cls) if cls else []
+    required = required | {key for _, key, default, _ in declared if default is MISSING}
+    optional = optional | {key for _, key, _, _ in declared}
     keys = set(mapping)
     unknown = keys - required - optional
     if unknown:
@@ -422,13 +429,29 @@ def _init(value, where: str):
     return _number(value, where)
 
 
+def _encode(obj, document: dict) -> dict:
+    """``document`` with each declared field of ``obj`` added, in field order."""
+    for attr, key, _, _ in model_fields(type(obj)):
+        value = getattr(obj, attr)
+        document[key] = (
+            list(value) if isinstance(value, tuple)
+            else model_to_dict(value) if hasattr(value, "kind") else value
+        )
+    return document
+
+
+def _decode(cls, data: dict, where: str) -> dict:
+    """The arguments of ``cls`` that ``data`` gives, decoded by declared type."""
+    return {
+        attr: _DECODERS[hint](data[key], f"{where}.{key}")
+        for attr, key, _, hint in model_fields(cls)
+        if key in data
+    }
+
+
 def model_to_dict(model) -> dict:
     """The JSON object of a registered noise or trend model."""
-    document = {"kind": model.kind}
-    for attr, key, _, _ in model_fields(type(model)):
-        value = getattr(model, attr)
-        document[key] = list(value) if isinstance(value, tuple) else value
-    return document
+    return _encode(model, {"kind": model.kind})
 
 
 def model_from_dict(data, kinds: dict[str, type], where: str):
@@ -444,29 +467,22 @@ def model_from_dict(data, kinds: dict[str, type], where: str):
     if cls is None:
         *head, last = kinds
         raise SchemaError(f"{where}: unknown kind {kind!r}; expected {', '.join(head)} or {last}")
-    declared = model_fields(cls)
-    required = {key for _, key, default, _ in declared if default is MISSING}
-    _check_keys(data, required | {"kind"}, {key for _, key, _, _ in declared}, where)
-    values = {
-        attr: (_numbers if is_list else _number)(data[key], f"{where}.{key}")
-        for attr, key, _, is_list in declared
-        if key in data
-    }
-    return cls(**values)
+    _check_keys(data, {"kind"}, set(), where, cls)
+    return cls(**_decode(cls, data, where))
+
+
+_DECODERS = {  # by declared type; a JSON number is never a string or a bool
+    float: _number,
+    int: _integer,
+    Numbers: _numbers,
+    InitPolicy: _init,
+    NoiseModel: lambda value, where: model_from_dict(value, NOISE_KINDS, where),
+    TrendSpec: lambda value, where: model_from_dict(value, TREND_KINDS, where),
+}
 
 
 def experiment_config_to_dict(config, output: dict | None = None) -> dict:
-    document = {
-        "schema_version": CONFIG_SCHEMA_VERSION,
-        "noise": model_to_dict(config.noise),
-        "trend": model_to_dict(config.trend),
-        "alpha": config.alpha,
-        "horizon": config.horizon,
-        "replications": config.replications,
-        "seed": config.seed,
-        "init": config.init,
-        "tail_fraction": config.tail_fraction,
-    }
+    document = _encode(config, {"schema_version": CONFIG_SCHEMA_VERSION})
     if output:
         document["output"] = dict(output)
     return document
@@ -476,37 +492,18 @@ def experiment_config_from_dict(document):
     """Decode a schema-1 config document; returns (ExperimentConfig, output
     options).  Every key and JSON type is checked: numbers must be JSON
     numbers, counts and the seed JSON integers, never bools or strings."""
-    _check_keys(
-        document,
-        {"schema_version", "noise", "trend", "alpha", "horizon", "replications", "seed"},
-        {"init", "tail_fraction", "output"},
-        "config",
-    )
+    _check_keys(document, {"schema_version"}, {"output"}, "config", ExperimentConfig)
     version = _integer(document["schema_version"], "config.schema_version")
     if version != CONFIG_SCHEMA_VERSION:
         raise SchemaError(
             f"config: schema_version {version!r} not supported; expected {CONFIG_SCHEMA_VERSION}"
         )
-    optional = {  # a key left out takes the ExperimentConfig default
-        key: decode(document[key], f"config.{key}")
-        for key, decode in (("init", _init), ("tail_fraction", _number))
-        if key in document
-    }
     output = document.get("output", {})
     _check_keys(output, set(), {"csv", "svg"}, "config.output")
     for key, value in output.items():
         if not isinstance(value, str):
             raise SchemaError(f"config.output.{key}: expected a path string, got {value!r}")
-    config = ExperimentConfig(
-        noise=model_from_dict(document["noise"], NOISE_KINDS, "config.noise"),
-        trend=model_from_dict(document["trend"], TREND_KINDS, "config.trend"),
-        alpha=_number(document["alpha"], "config.alpha"),
-        horizon=_integer(document["horizon"], "config.horizon"),
-        replications=_integer(document["replications"], "config.replications"),
-        seed=_integer(document["seed"], "config.seed"),
-        **optional,
-    )
-    return config, dict(output)
+    return ExperimentConfig(**_decode(ExperimentConfig, document, "config")), dict(output)
 
 
 def load_experiment_config(path):

@@ -32,6 +32,7 @@ from .processes import (
     NoiseModel,
     Sinusoid,
     TrendSpec,
+    _key,
     sample_block,
     sample_path,
     trend_sequence,
@@ -64,16 +65,21 @@ FIGURE_CONFIGS: dict[str, tuple[NoiseModel, TrendSpec]] = {
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything a replicated tracking experiment needs."""
+    """Everything a replicated tracking experiment needs.
 
-    noise: NoiseModel
-    trend: TrendSpec
-    alpha: float
-    horizon: int
-    replications: int
-    seed: int
-    init: InitPolicy = "first"
-    tail_fraction: float = 0.1
+    Each field states its config key and, if it has one, its CLI flag and
+    help once, in its ``_key`` metadata; the config codec and the CLI's run
+    flags derive from it, and take their defaults from here."""
+
+    noise: NoiseModel = _key("noise", flag=("--noise", "noise spec (see grammar)"))
+    trend: TrendSpec = _key("trend", flag=("--trend", "trend spec (see grammar)"))
+    alpha: float = _key("alpha", flag=("--alpha", "smoothing parameter in (0,1)"))
+    horizon: int = _key("horizon", flag=("--steps", "horizon T"))
+    replications: int = _key("replications", flag=("--reps", "replications"))
+    seed: int = _key("seed", flag=("--seed", "64-bit seed"))
+    init: InitPolicy = _key("init", "first",
+                            flag=("--init", 'initial estimate: "first" or a number'))
+    tail_fraction: float = _key("tail_fraction", 0.1)
 
     def __post_init__(self) -> None:
         check_alpha(self.alpha)
@@ -308,24 +314,12 @@ class BoundCheck:
     inconclusive: bool
 
 
-def verify_bound(
-    config: ExperimentConfig,
-    *,
-    k_override: float | None = None,
-    workers: int = 1,
-) -> BoundCheck:
-    """Run the experiment and compare its tail MSE against the bound.
-
-    ``k_override`` substitutes the trend-increment constant fed to the
-    bound (the trend's certified constant is used by default); understating
-    it is the standard way to probe the check's sensitivity.  ``workers``
-    is passed to ``monte_carlo_mse``.
-    """
+def verify_bound(config: ExperimentConfig, *, workers: int = 1) -> BoundCheck:
+    """Run the experiment and compare its tail MSE against the bound at the
+    trend's certified increment constant.  ``workers`` is passed to
+    ``monte_carlo_mse``."""
     curve = monte_carlo_mse(config, workers=workers)
-    lipschitz = (
-        config.trend.lipschitz_constant if k_override is None else float(k_override)
-    )
-    report = tracking_bound(config.alpha, config.noise, lipschitz)
+    report = tracking_bound(config.alpha, config.noise, config.trend.lipschitz_constant)
     allowance = 3.0 * curve.tail_se
     margin = report.total + allowance - curve.tail_mean
     inconclusive = margin >= 0.0 and curve.tail_se > 0.0 and allowance >= report.total

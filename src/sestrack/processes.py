@@ -48,9 +48,13 @@ import numpy as np
 from .seeding import check_count, fill_standard_normals
 
 
-def _key(key: str, default=MISSING):
-    """Dataclass field named ``key`` in config files and CLI specs."""
-    return field(default=default, metadata={"key": key})
+def _key(key: str, default=MISSING, flag: tuple[str, str] | None = None):
+    """Dataclass field named ``key`` in config files and CLI specs; ``flag``
+    is the ``(flag, help)`` pair of an experiment field's run flag."""
+    return field(default=default, metadata={"key": key, "flag": flag})
+
+
+Numbers = tuple[float, ...]  # a list field: a JSON list, indexed keys in a spec
 
 
 def _check_variance(value: float) -> None:
@@ -193,13 +197,14 @@ class AR1(_Covariance):
         np.multiply(z[1:], math.sqrt(self.innovation_variance), out=out[1:])
         theta = self.theta
         if out.shape[1] == 1:
-            column = memoryview(out[:, 0])  # yields Python floats
-            acc = column[0]
-            eps = [acc]
-            for eta_t in column[1:]:
-                acc = theta * acc + eta_t
-                eps.append(acc)
-            out[:, 0] = eps
+            def steps(column):  # a memoryview, which yields Python floats
+                acc = column[0]
+                yield acc
+                for eta_t in column[1:]:
+                    acc = theta * acc + eta_t
+                    yield acc
+
+            out[:, 0] = np.fromiter(steps(memoryview(out[:, 0])), float, len(out))
             return
         carried = np.empty_like(out[0])
         for t in range(1, len(out)):
@@ -218,7 +223,7 @@ class MAq(_Covariance):
     """
 
     kind: ClassVar[str] = "maq"
-    coefficients: tuple[float, ...] = _key("b")
+    coefficients: Numbers = _key("b")
     innovation_variance: float = _key("var", 1.0)
 
     def __post_init__(self) -> None:
@@ -344,7 +349,7 @@ class Table:
     consecutive difference."""
 
     kind: ClassVar[str] = "table"
-    values: tuple[float, ...] = _key("values")
+    values: Numbers = _key("values")
 
     def __post_init__(self) -> None:
         vals = tuple(float(v) for v in self.values)
@@ -372,21 +377,18 @@ TrendSpec = Union[Constant, Linear, Sinusoid, Table]
 # Every model kind is declared once, on its class, which is listed in
 # NoiseModel or TrendSpec: ``kind`` names it, each field's metadata gives its
 # external key, its default makes it optional and its annotation gives its
-# type (a number, or a list of numbers for a tuple).  The config codec, the
-# CLI spec tokenizer and the spec grammar all read these registries.
+# type (a number, or a list of numbers for ``Numbers``).  The config codec,
+# the CLI spec tokenizer and the spec grammar all read these registries.
 NOISE_KINDS: dict[str, type] = {c.kind: c for c in typing.get_args(NoiseModel)}
 TREND_KINDS: dict[str, type] = {c.kind: c for c in typing.get_args(TrendSpec)}
 
 
-def model_fields(cls: type) -> list[tuple[str, str, object, bool]]:
-    """``(attribute, key, default, is_list)`` for each declared field of a
-    registered model class; ``default`` is ``dataclasses.MISSING`` when the
-    field is required."""
+def model_fields(cls: type) -> list[tuple[str, str, object, object]]:
+    """``(attribute, key, default, type)`` of each ``_key`` field of a model
+    class or ``ExperimentConfig``, in field order: ``default`` is MISSING on a
+    required field, ``type`` the resolved annotation (``float``, ``Numbers``...)."""
     hints = typing.get_type_hints(cls)
-    return [
-        (f.name, f.metadata["key"], f.default, typing.get_origin(hints[f.name]) is tuple)
-        for f in fields(cls)
-    ]
+    return [(f.name, f.metadata["key"], f.default, hints[f.name]) for f in fields(cls)]
 
 
 def trend_sequence(trend: TrendSpec, horizon: int) -> np.ndarray:

@@ -432,6 +432,12 @@ def test_verify_inconclusive_when_three_se_reach_the_bound():
     assert powered.passed and not powered.inconclusive
 
 
+class _UnderstatedLinear(Linear):
+    """A ramp that certifies a tenth of its true increment bound."""
+
+    lipschitz_constant = 0.01
+
+
 def test_understated_k_fails():
     # deterministic ramp: the true lag error is (beta/alpha) * K
     config = ExperimentConfig(
@@ -439,7 +445,7 @@ def test_understated_k_fails():
     )
     honest = verify_bound(config)
     assert honest.passed
-    lied = verify_bound(config, k_override=0.01)
+    lied = verify_bound(dataclasses.replace(config, trend=_UnderstatedLinear(0.0, 0.1)))
     assert not lied.passed
     assert lied.margin < 0.0
 

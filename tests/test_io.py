@@ -1,7 +1,9 @@
+import dataclasses
 import io
 import json
 import tracemalloc
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -305,6 +307,19 @@ def test_config_round_trip(tmp_path):
     document = experiment_config_to_dict(loaded, output)
     again, output2 = experiment_config_from_dict(json.loads(json.dumps(document)))
     assert again == loaded and output2 == output
+
+
+def test_shipped_config_saves_to_its_own_bytes(tmp_path):
+    shipped = Path(__file__).resolve().parents[1] / "configs" / "verify_fig1a.json"
+    config, output = load_experiment_config(shipped)
+    saved = save_experiment_config(config, tmp_path / "again.json", output)
+    assert saved.read_bytes() == shipped.read_bytes()
+
+
+def test_config_keys_follow_the_field_order():
+    document = experiment_config_to_dict(_config(), {"csv": "out.csv"})
+    names = [f.name for f in dataclasses.fields(ExperimentConfig)]
+    assert list(document) == ["schema_version", *names, "output"]
 
 
 def test_config_round_trip_maq_and_first_init(tmp_path):

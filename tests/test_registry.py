@@ -1,16 +1,30 @@
-"""One declaration per model kind: the config codec, the CLI specs and the
-grammar text all derive from NOISE_KINDS / TREND_KINDS."""
+"""One declaration per model kind and per experiment field: the config
+codec, the CLI specs, the run flags and the grammar text all derive from
+NOISE_KINDS / TREND_KINDS and the ExperimentConfig field metadata."""
 
+import argparse
 import copy
+import dataclasses
 import json
+import shlex
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sestrack import AR1, MA1, MAq, Constant, Linear, Sinusoid, Table, WhiteGaussian
-from sestrack.cli import SPEC_GRAMMAR, main, parse_spec
+from sestrack import (
+    AR1,
+    MA1,
+    MAq,
+    Constant,
+    ExperimentConfig,
+    Linear,
+    Sinusoid,
+    Table,
+    WhiteGaussian,
+)
+from sestrack.cli import SPEC_GRAMMAR, build_parser, main, parse_spec
 from sestrack.dataio import experiment_config_from_dict, model_from_dict, model_to_dict
 from sestrack.processes import NOISE_KINDS, TREND_KINDS
 
@@ -55,6 +69,44 @@ def test_readme_shows_the_generated_grammar():
     assert f"```\n{SPEC_GRAMMAR}```" in readme
     for kind in (*NOISE_KINDS, *TREND_KINDS):
         assert f" {kind}:" in SPEC_GRAMMAR
+
+
+def _subcommands() -> dict:
+    parser = build_parser()
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def _run_flag_table() -> str:
+    """README's table of experiment keys and run flags, built from the field
+    metadata and the subcommands whose flag carries the declared help."""
+    commands = _subcommands()
+    rows = ["| config key | flag | flag read by |", "|---|---|---|"]
+    for f in dataclasses.fields(ExperimentConfig):
+        flag, text = f.metadata["flag"] or (None, None)
+        readers = [
+            name + (" (mc mode)" if action.help.endswith("(mc mode)") else "")
+            for name, parser in commands.items()
+            for action in parser._actions
+            if flag in action.option_strings and action.help.startswith(text)
+        ]
+        shown = f"`{flag}`" if flag else "none"
+        rows.append(f"| `{f.metadata['key']}` | {shown} | {', '.join(readers) or 'none'} |")
+    return "\n".join(rows) + "\n"
+
+
+def test_readme_shows_the_generated_run_flag_table():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    assert _run_flag_table() in readme
+
+
+def test_readme_cli_commands_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line)[1:] for line in lines if line.startswith("sestrack ")]
+    for argv in commands:
+        build_parser().parse_args(argv)  # a usage error exits
+    assert {argv[0] for argv in commands} == set(_subcommands())
 
 
 def test_cli_accepts_table_trend(capsys):
