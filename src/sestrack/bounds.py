@@ -37,8 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._numpy import np
 from .processes import Autocovariance, NoiseModel, TrendSpec, trend_sequence
 from .seeding import check_count
 from .smoothing import check_alpha
@@ -226,6 +225,18 @@ class AlphaSearchResult:
     degenerate: bool = False
 
 
+def _first_min(values: list[float]) -> int:
+    """Index of the first smallest value, a NaN counting as smallest: the
+    index ``np.argmin`` returns."""
+    best = 0
+    for i, value in enumerate(values):
+        if math.isnan(value):
+            return i
+        if value < values[best]:
+            best = i
+    return best
+
+
 def _golden_section_min(f, lo: float, hi: float) -> float:
     a, b = lo, hi
     c = b - _INV_PHI * (b - a)
@@ -284,20 +295,19 @@ def optimize_alpha(noise: NoiseModel | Autocovariance, lipschitz: float) -> Alph
         except _CapError:
             return math.inf
 
-    grid = np.linspace(0.0, 1.0, GRID_POINTS + 2)[1:-1]
-    values = np.array([objective(a) for a in grid])
-    best = int(np.argmin(values))  # first minimum, i.e. smaller alpha on ties
+    # the interior points of np.linspace(0, 1, GRID_POINTS + 2), bit for bit,
+    # as Python floats: the search on the models' closed forms runs without numpy
+    step = 1.0 / (GRID_POINTS + 1)
+    grid = [i * step for i in range(1, GRID_POINTS + 1)]
+    best = _first_min([objective(a) for a in grid])  # smaller alpha on ties
 
     if noise.gamma(0) == 0.0 and float(lipschitz) == 0.0:
-        alpha_star = float(grid[0])
-        return AlphaSearchResult(
-            alpha_star, tracking_bound(alpha_star, noise, lipschitz), True
-        )
+        return AlphaSearchResult(grid[0], tracking_bound(grid[0], noise, lipschitz), True)
 
     open_ends = float(lipschitz) > 0.0
-    lo = float(grid[best - 1]) if best > 0 else 0.0 if open_ends else float(grid[0])
-    hi = float(grid[best + 1]) if best + 1 < len(grid) else 1.0 if open_ends else float(grid[-1])
-    alpha_star = float(_golden_section_min(objective, lo, hi))
+    lo = grid[best - 1] if best > 0 else 0.0 if open_ends else grid[0]
+    hi = grid[best + 1] if best + 1 < len(grid) else 1.0 if open_ends else grid[-1]
+    alpha_star = _golden_section_min(objective, lo, hi)
     return AlphaSearchResult(
         alpha_star, tracking_bound(alpha_star, noise, lipschitz), False
     )

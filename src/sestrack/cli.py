@@ -20,8 +20,7 @@ import math
 import sys
 from dataclasses import MISSING
 
-import numpy as np
-
+from ._numpy import np
 from .bounds import exact_mse_sequence, optimize_alpha, tracking_bound
 from .dataio import (
     SchemaError,
@@ -40,7 +39,7 @@ from .experiments import (
     verify_bound,
 )
 from .processes import NOISE_KINDS, TREND_KINDS, NoiseModel, Numbers, TrendSpec, model_fields
-from .smoothing import InitPolicy, ses_run
+from .smoothing import INIT_WORDING, InitPolicy, ses_run
 
 
 def _grammar() -> str:
@@ -136,7 +135,7 @@ def parse_init(text: str):
     try:
         return float(text)
     except ValueError:
-        raise UsageError(f'init must be "first" or a number, got {text!r}') from None
+        raise UsageError(f"init must be {INIT_WORDING}, got {text!r}") from None
 
 
 def _finite(payload: dict) -> dict:
@@ -345,6 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
         epilog=SPEC_GRAMMAR,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
+    parser.set_defaults(numeric=True)  # False on the commands that compute no arrays
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("smooth", help="smooth a CSV column")
@@ -364,13 +364,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_run_flags(p, "noise alpha")
     p.add_argument("--k", type=float, required=True, help="trend one-step increment bound")
     p.add_argument("--json", action="store_true", help="machine-readable output")
-    p.set_defaults(handler=_cmd_bound)
+    p.set_defaults(handler=_cmd_bound, numeric=False)
 
     p = sub.add_parser("optimize-alpha", help="minimize the bound total over alpha")
     _add_run_flags(p, "noise")
     p.add_argument("--k", type=float, required=True, help="trend one-step increment bound")
     p.add_argument("--json", action="store_true", help="machine-readable output")
-    p.set_defaults(handler=_cmd_optimize_alpha)
+    p.set_defaults(handler=_cmd_optimize_alpha, numeric=False)
 
     p = sub.add_parser("mse", help="exact or Monte Carlo mean squared tracking error")
     p.add_argument("--mode", choices=("exact", "mc"), required=True, help="evaluation mode")
@@ -407,6 +407,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
+        if not args.numeric:  # computes on Python floats, so runs without loading numpy
+            return args.handler(args)
         # overflow is reported by the finiteness check, not by numpy warnings
         with np.errstate(over="ignore", invalid="ignore"):
             return args.handler(args)

@@ -29,8 +29,7 @@ import warnings
 from dataclasses import MISSING
 from pathlib import Path
 
-import numpy as np
-
+from ._numpy import np
 from .experiments import (
     DEFAULT_FIGURE_SEED,
     FIGURE_ALPHA,
@@ -43,7 +42,7 @@ from .experiments import (
     simulate_smoothed,
 )
 from .processes import NOISE_KINDS, TREND_KINDS, NoiseModel, Numbers, TrendSpec, model_fields
-from .smoothing import InitPolicy
+from .smoothing import INIT_WORDING, InitPolicy
 
 CONFIG_SCHEMA_VERSION = 1
 
@@ -424,8 +423,8 @@ def _integer(value, where: str) -> int:
 def _init(value, where: str):
     if value == "first":
         return value
-    if isinstance(value, str):
-        raise SchemaError(f'{where}: expected "first" or a number, got {value!r}')
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SchemaError(f"{where}: expected {INIT_WORDING}, got {value!r}")
     return _number(value, where)
 
 

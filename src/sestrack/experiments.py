@@ -21,8 +21,7 @@ import pickle
 import threading
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._numpy import np
 from .bounds import BoundReport, tracking_bound
 from .processes import (
     AR1,
@@ -38,7 +37,7 @@ from .processes import (
     trend_sequence,
 )
 from .seeding import check_count, check_seed, child_seeds
-from .smoothing import InitPolicy, check_alpha, check_init, ses_run, ses_run_inplace
+from .smoothing import INIT_WORDING, InitPolicy, check_alpha, check_init, ses_run, ses_run_inplace
 
 BLOCK_SIZE = 1024
 MAX_CELLS = 2 * 10**7  # cells of one block, horizon x min(reps, BLOCK_SIZE); ~16 B each at peak
@@ -78,7 +77,7 @@ class ExperimentConfig:
     replications: int = _key("replications", flag=("--reps", "replications"))
     seed: int = _key("seed", flag=("--seed", "64-bit seed"))
     init: InitPolicy = _key("init", "first",
-                            flag=("--init", 'initial estimate: "first" or a number'))
+                            flag=("--init", f"initial estimate: {INIT_WORDING}"))
     tail_fraction: float = _key("tail_fraction", 0.1)
 
     def __post_init__(self) -> None:

@@ -43,9 +43,8 @@ import typing
 from dataclasses import MISSING, dataclass, field, fields
 from typing import Callable, ClassVar, Union
 
-import numpy as np
-
-from .seeding import check_count, fill_standard_normals
+from ._numpy import np
+from .seeding import check_count, fill_standard_normals, is_integer
 
 
 def _key(key: str, default=MISSING, flag: tuple[str, str] | None = None):
@@ -82,8 +81,9 @@ class Autocovariance(_Covariance):
     """A user-supplied even autocovariance ``fn(lag)``, by integer lag.
 
     Its support is unknown and it has no closed-form tail, so the bound
-    always sums its series.  ``gammas(n)`` tabulates gamma(1) .. gamma(n)
-    and keeps the table: the alpha search sums the same lags at many alphas.
+    always sums its series.  ``gamma`` refuses a lag that is not an integer.
+    ``gammas(n)`` tabulates gamma(1) .. gamma(n) and keeps the table: the
+    alpha search sums the same lags at many alphas.
     """
 
     fn: Callable[[int], float]
@@ -93,6 +93,8 @@ class Autocovariance(_Covariance):
     )
 
     def gamma(self, lag: int) -> float:
+        if not is_integer(lag):
+            raise ValueError(f"lag must be an integer, got {lag!r}")
         return float(self.fn(abs(int(lag))))
 
     def gammas(self, n: int) -> np.ndarray:

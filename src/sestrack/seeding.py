@@ -25,7 +25,7 @@ replications, workers) is held to the same rule, ``is_integer``.
 
 from __future__ import annotations
 
-import numpy as np
+from ._numpy import np
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _GOLDEN_GAMMA = 0x9E3779B97F4A7C15

@@ -20,9 +20,11 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Union
 
-import numpy as np
+from ._numpy import np
+from .seeding import is_integer
 
 InitPolicy = Union[str, float]  # "first" or a fixed initial estimate
+INIT_WORDING = '"first" or a number'  # what every init error message says is allowed
 
 
 def check_alpha(alpha: float) -> float:
@@ -38,7 +40,7 @@ def check_init(init: InitPolicy) -> InitPolicy:
     number (a bool is not one), returned as "first" or a float."""
     if isinstance(init, (str, bool, np.bool_)):
         if init != "first":
-            raise ValueError(f'init must be "first" or a number, got {init!r}')
+            raise ValueError(f"init must be {INIT_WORDING}, got {init!r}")
         return init
     value = float(init)
     if not math.isfinite(value):
@@ -136,10 +138,12 @@ def ses_closed_form(
         m_t = beta^(t-1) * m_1 + alpha * sum_{j=1}^{t-1} beta^(t-1-j) * x_j,
 
     computed by direct summation, independent of the recursion in ses_run.
-    Valid for 1 <= step <= T + 1.
+    Valid for an integer 1 <= step <= T + 1.
     """
     x = _check_observations(observations)
     alpha = check_alpha(alpha)
+    if not is_integer(step):
+        raise ValueError(f"step must be an integer, got {step!r}")
     t = int(step)
     if not 1 <= t <= len(x) + 1:
         raise IndexError(f"step must lie in [1, {len(x) + 1}], got {t}")

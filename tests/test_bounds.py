@@ -177,6 +177,17 @@ def test_series_required_inputs():
     assert constant.correlation_term == pytest.approx(exact, rel=1e-12)
 
 
+@pytest.mark.parametrize("lag", [2.7, 1.5, True])
+def test_autocovariance_refuses_a_lag_that_is_not_an_integer(lag):
+    with pytest.raises(ValueError, match="lag must be an integer"):
+        Autocovariance(lambda k: 1.0 / (1 + k)).gamma(lag)
+
+
+def test_autocovariance_takes_a_numpy_integer_lag():
+    gamma = Autocovariance(lambda k: 1.0 / (1 + k))
+    assert gamma.gamma(np.int64(2)) == gamma.gamma(-2) == 1.0 / 3.0
+
+
 def test_bound_validation():
     with pytest.raises(ValueError):
         tracking_bound(0.0, WHITE, 0.0)
@@ -509,6 +520,29 @@ def test_search_refines_to_rounding_inside_the_open_interval(monkeypatch, k):
         assert result.report.trend_term == math.inf
     else:
         assert result.report.total <= _dense_log_grid_min(WHITE, k)
+
+
+def test_search_grid_is_the_linspace_interior_bit_for_bit(monkeypatch):
+    seen = []
+    evaluate = bounds.tracking_bound
+
+    def spy(alpha, *rest):
+        seen.append(alpha)
+        return evaluate(alpha, *rest)
+
+    monkeypatch.setattr(bounds, "tracking_bound", spy)
+    optimize_alpha(WHITE, 0.1)
+    grid = np.linspace(0.0, 1.0, GRID_POINTS + 2)[1:-1]
+    assert np.array(seen[:GRID_POINTS]).tobytes() == grid.tobytes()
+
+
+_SPECIAL = st.sampled_from([0.0, -0.0, 1.0, -1.0, math.inf, -math.inf, math.nan])
+
+
+@given(st.lists(_SPECIAL | st.floats(), min_size=1, max_size=40))
+def test_first_min_is_argmin(values):
+    # ties go to the first of equal minima, and a NaN counts as the minimum
+    assert bounds._first_min(values) == int(np.argmin(np.array(values)))
 
 
 @pytest.mark.parametrize("edge", [2.5e-5, 1e-4, 7.7e-4])

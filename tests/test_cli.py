@@ -4,12 +4,14 @@ import os
 import subprocess
 import sys
 from datetime import timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import sestrack
 from sestrack import (
     Constant,
     ExperimentConfig,
@@ -24,6 +26,7 @@ from sestrack import (
     write_results,
 )
 from sestrack.cli import main
+from sestrack.smoothing import INIT_WORDING
 
 
 def run(capsys, *argv):
@@ -296,6 +299,15 @@ def test_non_numeric_init_exit_two(capsys):
     assert "error: init must be \"first\" or a number, got 'abc'" in err
 
 
+def test_init_flag_error_states_the_init_grammar(capsys):
+    code, out, err = run(
+        capsys, "simulate", "--trend", "const:level=0", "--noise", "white:var=1",
+        "--alpha", "0.1", "--steps", "5", "--seed", "1", "--init", "true",
+    )
+    assert code == 2 and out == ""
+    assert f"error: init must be {INIT_WORDING}, got 'true'" in err
+
+
 def test_simulate_deterministic(tmp_path, capsys):
     args = [
         "simulate", "--trend", "sin:amp=1,rate=0.01", "--noise", "ar1:theta=0.2",
@@ -531,6 +543,58 @@ def test_module_entrypoint_subprocess():
     )
     assert result.returncode == 0
     assert "0.05263157895" in result.stdout
+
+
+def _child_env() -> dict:
+    src = str(Path(sestrack.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+
+# runs each argv as ``python -m sestrack`` in this one process; prints the
+# exit codes and whether numpy was loaded
+_RUN_MODULE_PROBE = """
+import contextlib, io, json, runpy, sys
+codes = []
+for argv in json.loads(sys.argv[1]):
+    sys.argv = ["sestrack", *argv]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            runpy.run_module("sestrack", run_name="__main__", alter_sys=True)
+        except SystemExit as exc:
+            codes.append(exc.code)
+print(json.dumps([codes, "numpy._core" in sys.modules]))
+"""
+
+_FLOAT_COMMANDS = [
+    *([*command, "--noise", spec, *out]
+      for spec in ("white:var=1.5", "ma1:a=-0.4", "ar1:theta=0.9", "maq:b1=0.5,b2=-0.3")
+      for command in (["bound", "--alpha", "0.1", "--k", "0.05"], ["optimize-alpha", "--k", "0.2"])
+      for out in ([], ["--json"])),
+    ["optimize-alpha", "--k", "0", "--noise", "white:var=0", "--json"],
+    ["optimize-alpha", "--k", "1e300", "--noise", "ar1:theta=0.2"],
+    ["--help"],
+    ["bound", "--alpha", "0.1", "--k", "0", "--noise", "bogus:var=1"],
+]
+
+
+def test_float_commands_never_load_numpy():
+    # bound and optimize-alpha compute on Python floats, and neither they
+    # nor --help or a usage error touch numpy, so a one-shot call skips its import
+    done = subprocess.run(
+        [sys.executable, "-c", _RUN_MODULE_PROBE, json.dumps(_FLOAT_COMMANDS)],
+        env=_child_env(), capture_output=True, text=True, check=True,
+    )
+    codes, loaded = json.loads(done.stdout)
+    assert codes == [0] * (len(_FLOAT_COMMANDS) - 3) + [1, 0, 2]
+    assert not loaded
+
+
+def test_numpy_imported_first_is_the_module_the_package_uses():
+    probe = ("import types, numpy, sestrack; "
+             "print(sestrack._numpy.np is numpy and type(numpy) is types.ModuleType)")
+    done = subprocess.run([sys.executable, "-c", probe], env=_child_env(),
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "True"
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin")

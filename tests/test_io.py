@@ -30,6 +30,7 @@ from sestrack.dataio import (
     experiment_config_to_dict,
 )
 from sestrack.processes import WhiteGaussian, Constant
+from sestrack.smoothing import INIT_WORDING
 
 
 # ---------------------------------------------------------------------------
@@ -355,6 +356,13 @@ def test_config_rejects_unknown_noise_key(tmp_path):
     p.write_text(json.dumps(document))
     with pytest.raises(ValueError, match="noise"):
         load_experiment_config(p)
+
+
+def test_config_init_error_states_the_init_grammar():
+    document = experiment_config_to_dict(_config())
+    document["init"] = True
+    with pytest.raises(ValueError, match=f"config.init: expected {INIT_WORDING}, got True"):
+        experiment_config_from_dict(document)
 
 
 def test_config_rejects_wrong_schema_version(tmp_path):

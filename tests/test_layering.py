@@ -55,3 +55,21 @@ def test_package_imports_only_at_module_level():
             if isinstance(node, (ast.Import, ast.ImportFrom)) and id(node) not in top
         ]
     assert local == []
+
+
+def test_only_the_numpy_shim_imports_numpy():
+    # an ``import numpy`` loads numpy at once; every other module takes ``np``
+    # from ``_numpy``, which loads it on first use
+    eager = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "_numpy.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            eager += [f"{path.name}:{node.lineno}" for n in names if n.split(".")[0] == "numpy"]
+    assert eager == []

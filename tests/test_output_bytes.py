@@ -135,6 +135,34 @@ def all_outputs(tmp_path) -> dict[str, bytes]:
     return outputs
 
 
+# ``--json`` stdout of bound over K x alpha and of optimize-alpha over K, per
+# noise kind, concatenated; recorded while the alpha search ran on numpy
+BOUND_NOISES = {"white": "white:var=1.5", "ma1": "ma1:a=-0.4,var=1.7",
+                "ar1": "ar1:theta=0.9,var=0.3", "maq": "maq:b1=0.5,b2=-0.3,b3=0.2,var=1.3"}
+BOUND_KS = ("0", "0.05", "0.2")
+BOUND_ALPHAS = ("0.05", "0.3", "0.9")
+BOUND_DIGESTS = {
+    "bound[white]": "b87a0d920403cba882c02924a35cc839f8976824ef5d8a7adc0e9864938d6f43",
+    "optimize-alpha[white]": "4c031fde5580d8487e7405723712d662f4bac37e841ee52cbc4febd93b549972",
+    "bound[ma1]": "4abd45050e4f48bc61dbeaf786380be61f386a27da4ce307384cb8823489183b",
+    "optimize-alpha[ma1]": "de5ced346f721057a8dc7c2a778b49d120084c2fe5e0ec452676d777521051ca",
+    "bound[ar1]": "24235633a3ea0e84829922cd6b81b0457c0fa4c1422cba7cd693cdc8f74d5490",
+    "optimize-alpha[ar1]": "25dd1c841789c8c3019f368214fa02a04f2c50cc76f3363ff0e5e60980e23c6a",
+    "bound[maq]": "8fc3b5cfea9af46c7490c0fa62c9ecc25977da3a1a10c4865160407f309a67c0",
+    "optimize-alpha[maq]": "28b21cb849275d884eef5ecdcc8b9e7518c28a6b113f306d1707fd3b41873ab3",
+}
+
+
+@pytest.mark.parametrize("kind", BOUND_NOISES)
+def test_bound_and_optimize_alpha_json_match_pinned_digests(kind):
+    noise = ["--noise", BOUND_NOISES[kind], "--json"]
+    bound = b"".join(_stdout(["bound", "--alpha", a, "--k", k, *noise])
+                     for k in BOUND_KS for a in BOUND_ALPHAS)
+    search = b"".join(_stdout(["optimize-alpha", "--k", k, *noise]) for k in BOUND_KS)
+    assert _sha(bound) == BOUND_DIGESTS[f"bound[{kind}]"]
+    assert _sha(search) == BOUND_DIGESTS[f"optimize-alpha[{kind}]"]
+
+
 def test_outputs_match_pinned_digests(tmp_path):
     outputs = all_outputs(tmp_path)
     assert sorted(outputs) == sorted(DIGESTS)

@@ -15,7 +15,7 @@ from sestrack import (
     ses_step,
     sga_step,
 )
-from sestrack.smoothing import LogDensityModel, check_init, ses_run_inplace
+from sestrack.smoothing import INIT_WORDING, LogDensityModel, check_init, ses_run_inplace
 
 
 # ---------------------------------------------------------------------------
@@ -138,6 +138,17 @@ def test_closed_form_boundaries():
         ses_closed_form(x, 0.3, 0.0, 0)
 
 
+@pytest.mark.parametrize("step", [2.7, True])
+def test_closed_form_refuses_a_step_that_is_not_an_integer(step):
+    with pytest.raises(ValueError, match="step must be an integer"):
+        ses_closed_form([3.0, 1.0, 4.0], 0.3, 9.5, step)
+
+
+def test_closed_form_takes_a_numpy_integer_step():
+    x = [3.0, 1.0, 4.0]
+    assert ses_closed_form(x, 0.3, 9.5, np.int64(2)) == ses_closed_form(x, 0.3, 9.5, 2)
+
+
 def test_run_input_validation():
     with pytest.raises(ValueError):
         ses_run([], 0.5)
@@ -157,6 +168,11 @@ def test_init_is_first_or_a_finite_number(init):
         ses_run_inplace(np.zeros((3, 2)), 0.5, init=init)
     assert check_init("first") == "first"
     assert check_init(np.float32(0.5)) == 0.5 and type(check_init(1)) is float
+
+
+def test_init_error_states_the_init_grammar():
+    with pytest.raises(ValueError, match=f"init must be {INIT_WORDING}, got True"):
+        check_init(True)
 
 
 @pytest.mark.parametrize("init", ["first", -2.0])
