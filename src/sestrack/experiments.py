@@ -2,8 +2,9 @@
 
 Replication ``r`` of an experiment with master seed ``s`` simulates its
 path from the child seed ``child_seed(s, r)``.  Replications are processed
-in fixed blocks of ``BLOCK_SIZE``, each sampled and smoothed as one
-time-major array.  Blocks share nothing, so ``monte_carlo_mse`` may fork
+in fixed blocks of ``BLOCK_SIZE``.  Each block lives in one stream-major
+array, one row per replication, and is sampled, smoothed and squared in
+cache-sized time slabs.  Blocks share nothing, so ``monte_carlo_mse`` may fork
 worker processes that each run every n-th block; block summaries are
 always combined in index order, so every statistic depends on the config
 alone, never on the worker count.  Squared errors follow the delayed
@@ -32,16 +33,23 @@ from .processes import (
     Sinusoid,
     TrendSpec,
     _key,
-    sample_block,
+    _slabs,
     sample_path,
     trend_sequence,
 )
 from .seeding import check_count, check_seed, child_seeds
-from .smoothing import INIT_WORDING, InitPolicy, check_alpha, check_init, ses_run, ses_run_inplace
+from .smoothing import (
+    INIT_WORDING,
+    InitPolicy,
+    _initial_estimates,
+    _recursion,
+    check_alpha,
+    check_init,
+    ses_run,
+)
 
 BLOCK_SIZE = 1024
-MAX_CELLS = 2 * 10**7  # cells of one block, horizon x min(reps, BLOCK_SIZE); ~16 B each at peak
-_TRANSPOSE_ROWS = 32  # time steps per cache-sized slab of the block transpose
+MAX_CELLS = 2 * 10**7  # cells of one block, horizon x min(reps, BLOCK_SIZE); ~8 B each at peak
 _SIGKILL = 9  # fixed by POSIX; spares importing the signal module
 
 DEFAULT_FIGURE_SEED = 1729
@@ -151,19 +159,26 @@ def _tail_index(config: ExperimentConfig) -> int:
 
 
 def _run_block(config: ExperimentConfig, block: range) -> _BlockMoments:
-    """Moments of the squared tracking errors of the replications in ``block``."""
-    horizon = config.horizon
-    buffer = np.empty((horizon + 1, len(block)))
-    seeds = child_seeds(config.seed, block)
-    sample_block(config.noise, config.trend, seeds, buffer[1:])
-    ses_run_inplace(buffer, config.alpha, config.init)
-    errors = buffer[1:]
-    errors -= trend_sequence(config.trend, horizon)[:, None]
-    np.square(errors, out=errors)
-    squared = np.empty((len(block), horizon))
-    for lo in range(0, horizon, _TRANSPOSE_ROWS):
-        squared[:, lo : lo + _TRANSPOSE_ROWS] = errors[lo : lo + _TRANSPOSE_ROWS].T
-    del buffer, errors
+    """Moments of the squared tracking errors of the replications in ``block``.
+
+    The block is one stream-major (B, T + extra draws) array: ``_slabs``
+    draws replication i's normals into row i and hands back the observations
+    slab by slab; each slab is smoothed from the estimate row carried over
+    from the last, squared, and transposed back into the columns it came
+    from.  The first T columns then hold the (B, T) squared errors."""
+    horizon, alpha = config.horizon, check_alpha(config.alpha)
+    trend = trend_sequence(config.trend, horizon)
+    draws = np.empty((len(block), horizon + config.noise._extra_draws))
+    estimate = None
+    for t0, x in _slabs(config.noise, trend, child_seeds(config.seed, block), draws):
+        if estimate is None:
+            estimate = _initial_estimates(config.init, x[0])
+        _recursion(x, estimate, alpha)
+        estimate[...] = x[-1]
+        x -= trend[t0 : t0 + len(x), None]
+        np.square(x, out=x)
+        draws[:, t0 : t0 + len(x)] = x.T
+    squared = draws[:, :horizon]
     tails = squared[:, _tail_index(config) :].mean(axis=1)
     mean, m2 = _moments(squared)
     return _BlockMoments(
@@ -239,11 +254,9 @@ def _fork_join(
 def monte_carlo_mse(config: ExperimentConfig, workers: int = 1) -> MseCurve:
     """Estimate the per-step mean squared tracking error by replication.
 
-    Each block of up to ``BLOCK_SIZE`` replications is sampled into one
-    time-major (T + 1, B) buffer by ``sample_block`` (replication r still
-    draws from its own ``child_seed`` stream), smoothed there in place and
-    squared there in place; one transpose to (B, T) then feeds the per-step
-    moments and the tail means.
+    Each block of up to ``BLOCK_SIZE`` replications is sampled, smoothed
+    and squared in one stream-major array by ``_run_block``; replication r
+    still draws from its own ``child_seed`` stream.
 
     ``workers`` must be an integer >= 1.  The blocks are split over
     n = min(workers, blocks, usable CPUs) processes: this one and n - 1
@@ -261,7 +274,7 @@ def monte_carlo_mse(config: ExperimentConfig, workers: int = 1) -> MseCurve:
     if cells > MAX_CELLS:
         raise ValueError(
             f"experiment size {horizon} x {reps} puts {cells} cells in one block (about "
-            f"{16 * cells / 1e6:.0f} MB at peak), over the cap of {MAX_CELLS} cells"
+            f"{8 * cells / 1e6:.0f} MB at peak), over the cap of {MAX_CELLS} cells"
         )
     blocks = [range(s, min(s + BLOCK_SIZE, reps)) for s in range(0, reps, BLOCK_SIZE)]
     if not hasattr(os, "fork") or threading.active_count() > 1:
@@ -316,7 +329,14 @@ class BoundCheck:
 def verify_bound(config: ExperimentConfig, *, workers: int = 1) -> BoundCheck:
     """Run the experiment and compare its tail MSE against the bound at the
     trend's certified increment constant.  ``workers`` is passed to
-    ``monte_carlo_mse``."""
+    ``monte_carlo_mse``.  At least 2 replications are needed: one has no
+    spread, so its tail_se of 0 is no estimate and the check would have no
+    allowance to judge by."""
+    if config.replications < 2:
+        raise ValueError(
+            f"verify needs at least 2 replications to estimate the tail's standard "
+            f"error, got {config.replications}"
+        )
     curve = monte_carlo_mse(config, workers=workers)
     report = tracking_bound(config.alpha, config.noise, config.trend.lipschitz_constant)
     allowance = 3.0 * curve.tail_se

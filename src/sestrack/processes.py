@@ -23,11 +23,16 @@ which the exact-recursion oracles rely on.  Every variant draws a fixed
 number of extra initial innovations so that ``eps_1`` already follows the
 stationary distribution, so no path needs a burn-in.
 
-Each variant states its law once, as a filter over a block of paths:
-``_filter(z, out)`` turns time-major standard normals ``z`` of shape
-(n + ``_extra_draws``, B), which it may overwrite, into the noise ``out`` of
-shape (n, B).  ``sample_block`` filters a Monte Carlo block that way, and
-``sample_path`` is the one-column case of the same call.  Its
+Each variant states its law once, as a filter over a time slab of a block
+of paths: ``_filter(z, out, last)`` turns time-major standard normals ``z``
+of shape (h + ``_extra_draws``, B), which it may overwrite, into the noise
+``out`` of shape (h, B) of the slab's h steps.  ``last`` is the noise row of
+the step before the slab, None on a path's first slab: AR(1) reads it,
+while the moving averages take their history from the lead rows of ``z``.
+Each stream draws its normals into its own row of a stream-major block,
+which one slab loop turns, slab by slab, into time-major observations;
+``sample_block`` and the Monte Carlo blocks both sample that way, and
+``sample_path`` is the one-column case of ``sample_block``.  Its
 autocovariance is stated once as well, as ``gamma(lag)`` with ``support``,
 the lag beyond which it vanishes (AR(1) has none, but a closed-form
 correlation tail); the bound functions take the model itself, and
@@ -45,6 +50,8 @@ from typing import Callable, ClassVar, Union
 
 from ._numpy import np
 from .seeding import check_count, fill_standard_normals, is_integer
+
+_SLAB_CELLS = 32 * 1024  # time steps x paths in one slab of a block: 256 KB, which fits L2
 
 
 def _key(key: str, default=MISSING, flag: tuple[str, str] | None = None):
@@ -120,7 +127,7 @@ class WhiteGaussian(_Covariance):
     def gamma(self, lag: int) -> float:
         return self.variance if lag == 0 else 0.0
 
-    def _filter(self, z: np.ndarray, out: np.ndarray) -> None:
+    def _filter(self, z: np.ndarray, out: np.ndarray, last: np.ndarray | None) -> None:
         np.multiply(z, math.sqrt(self.variance), out=out)
 
 
@@ -157,7 +164,7 @@ class MA1(_Covariance):
             return self.innovation_variance * a / (1.0 + a * a)
         return 0.0
 
-    def _filter(self, z: np.ndarray, out: np.ndarray) -> None:
+    def _filter(self, z: np.ndarray, out: np.ndarray, last: np.ndarray | None) -> None:
         np.multiply(z, math.sqrt(self.innovation_variance), out=z)
         np.multiply(z[:-1], self.coefficient, out=out)
         np.add(z[1:], out, out=out)
@@ -171,9 +178,10 @@ class AR1(_Covariance):
     ``theta`` must lie strictly inside (0, 1).  gamma(0) =
     innovation_variance / (1 - theta^2) and gamma(k) = theta^|k| gamma(0).
     eps_1 is drawn from the exact stationary law, then the recursion runs
-    step by step: on Python floats for a one-column block (``sample_path``;
-    at long horizons faster than a ufunc call per step), as one in-place
-    ufunc step per time index over a wider block, with the same bits.
+    step by step from the noise row carried into the slab: on Python floats
+    for a one-column block (``sample_path``; at long horizons faster than a
+    ufunc call per step), as one in-place ufunc step per time index over a
+    wider block, with the same bits.
     """
 
     kind: ClassVar[str] = "ar1"
@@ -194,24 +202,25 @@ class AR1(_Covariance):
         x = self.theta * beta
         return self.gamma(0) * x / (1.0 - x)
 
-    def _filter(self, z: np.ndarray, out: np.ndarray) -> None:
-        np.multiply(z[0], math.sqrt(self.gamma(0)), out=out[0])
-        np.multiply(z[1:], math.sqrt(self.innovation_variance), out=out[1:])
+    def _filter(self, z: np.ndarray, out: np.ndarray, last: np.ndarray | None) -> None:
+        np.multiply(z, math.sqrt(self.innovation_variance), out=out)
+        if last is None:  # the path's first step: eps_1 from the stationary law
+            np.multiply(z[0], math.sqrt(self.gamma(0)), out=out[0])
+            last, out = out[0], out[1:]
         theta = self.theta
         if out.shape[1] == 1:
-            def steps(column):  # a memoryview, which yields Python floats
-                acc = column[0]
-                yield acc
-                for eta_t in column[1:]:
+            def steps(acc, column):  # a memoryview, which yields Python floats
+                for eta_t in column:
                     acc = theta * acc + eta_t
                     yield acc
 
-            out[:, 0] = np.fromiter(steps(memoryview(out[:, 0])), float, len(out))
+            out[:, 0] = np.fromiter(steps(float(last[0]), memoryview(out[:, 0])), float, len(out))
             return
-        carried = np.empty_like(out[0])
-        for t in range(1, len(out)):
-            np.multiply(out[t - 1], theta, out=carried)
-            np.add(out[t], carried, out=out[t])
+        carried = np.empty_like(last)
+        for row in out:
+            np.multiply(last, theta, out=carried)
+            np.add(row, carried, out=row)
+            last = row
 
 
 @dataclass(frozen=True)
@@ -256,7 +265,7 @@ class MAq(_Covariance):
             b[j] * b[j + lag] for j in range(self.order - lag + 1)
         )
 
-    def _filter(self, z: np.ndarray, out: np.ndarray) -> None:
+    def _filter(self, z: np.ndarray, out: np.ndarray, last: np.ndarray | None) -> None:
         # the oldest innovation first, the order np.convolve sums in, so a
         # column is bitwise np.convolve(eta, (1, b_1..b_q), "valid")
         np.multiply(z, math.sqrt(self.innovation_variance), out=z)
@@ -435,14 +444,44 @@ def sample_block(noise: NoiseModel, trend: TrendSpec, seeds, out: np.ndarray) ->
 
     Column i of the (horizon, len(seeds)) array ``out`` becomes
     ``sample_path(noise, trend, horizon, seeds[i]).observations``, bit for
-    bit.  Each column draws from its own Philox stream, into standard
-    normals that the noise filter turns into noise; the filter and the
-    trend run once over the whole block.  Returns ``out``.
+    bit.  Each column draws from its own Philox stream into a row of
+    standard normals, which ``_slabs`` filters into noise and adds the trend
+    to, slab by slab.  Returns ``out``.
     """
     horizon = len(out)
     if horizon < 1 or out.shape[1:] != (len(seeds),):
         raise ValueError("out must be a (horizon >= 1, len(seeds)) array")
-    normals = np.empty((horizon + noise._extra_draws, len(seeds)))
-    noise._filter(fill_standard_normals(normals, seeds), out)
-    out += trend_sequence(trend, horizon)[:, None]
+    draws = np.empty((len(seeds), horizon + noise._extra_draws))
+    for t0, x in _slabs(noise, trend_sequence(trend, horizon), seeds, draws):
+        out[t0 : t0 + len(x)] = x
     return out
+
+
+def _slabs(noise: NoiseModel, trend: np.ndarray, seeds, draws: np.ndarray):
+    """Sample a block of paths in time slabs, yielding ``(t0, x)`` per slab:
+    ``x`` holds the observations x_{t0+1} .. x_{t0+h} of every path, time-major
+    (h, B), in a scratch array the next slab reuses.
+
+    Row i of ``draws``, the stream-major (B, n + ``noise._extra_draws``)
+    array, gets the standard normals of the stream keyed ``seeds[i]``;
+    ``trend`` holds m*_1 .. m*_n.  A slab transposes the columns
+    [t0, t0 + h + extra) of ``draws`` into a time-major scratch, filters them
+    with the noise row carried from the previous slab and adds the trend.
+    No later slab reads the columns [t0, t0 + h), so the caller may write
+    its results there.  A slab holds about ``_SLAB_CELLS`` cells, so a wide
+    block takes short slabs and a single path long ones.
+    """
+    width, n, extra = len(seeds), len(trend), noise._extra_draws
+    fill_standard_normals(draws, seeds)
+    height = min(n, max(1, _SLAB_CELLS // max(width, 1)))
+    z = np.empty((height + extra, width))
+    x = np.empty((height, width))
+    last = None
+    for t0 in range(0, n, height):
+        h = min(height, n - t0)
+        z_slab, x_slab = z[: h + extra], x[:h]
+        z_slab[...] = draws[:, t0 : t0 + h + extra].T
+        noise._filter(z_slab, x_slab, last)
+        last = x_slab[-1].copy()
+        x_slab += trend[t0 : t0 + h, None]
+        yield t0, x_slab

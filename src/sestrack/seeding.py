@@ -15,7 +15,8 @@ indices map to unrelated points of the key space.
 A counter-based stream is nothing more than a key and a counter (Salmon et
 al., "Parallel Random Numbers: As Easy as 1, 2, 3", SC'11), so moving one
 generator to another stream is a re-key, not a construction;
-``fill_standard_normals`` draws a block of replications that way.
+``fill_standard_normals`` draws a block of replications that way, each
+stream straight into its own contiguous row.
 
 User seeds must be integers (Python or numpy, never bools) in [0, 2^64);
 anything else is rejected rather than coerced or wrapped, so two different
@@ -29,7 +30,6 @@ from ._numpy import np
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _GOLDEN_GAMMA = 0x9E3779B97F4A7C15
-_FILL_CHUNK = 32  # streams drawn per scratch block in fill_standard_normals
 
 
 def splitmix64(value):
@@ -104,33 +104,24 @@ def _stream_start(key: list) -> dict:
 
 
 def fill_standard_normals(out: np.ndarray, seeds) -> np.ndarray:
-    """Fill column i of the time-major (n, B) array ``out`` with the first n
+    """Fill row i of the stream-major (B, n) array ``out`` with the first n
     standard normals of the stream keyed ``seeds[i]``, bit for bit
     ``make_generator(seeds[i]).standard_normal(n)``; returns ``out``.
     ``seeds`` is a uint64 array (as ``child_seeds`` returns) or a sequence
-    of ints in [0, 2^64).
+    of ints in [0, 2^64).  Each row must be contiguous.
 
-    One generator is re-keyed for every column instead of B being built.
-    Streams are drawn row by row into a small scratch block whose transpose
-    is then copied in, which keeps both sides of the copy in cache.
+    One generator is re-keyed for every row instead of B being built, and
+    draws each stream straight into its row.
     """
     if not (isinstance(seeds, np.ndarray) and seeds.dtype == np.uint64):
         seeds = np.array([check_seed(seed) for seed in seeds], dtype=np.uint64)
-    if out.ndim != 2 or out.shape[1] != len(seeds):
-        raise ValueError("out must be an (n, len(seeds)) array")
-    if len(seeds) == 1 and out.flags.c_contiguous:  # one stream: straight into its column
-        make_generator(seeds[0]).standard_normal(out=out[:, 0])
-        return out
+    if out.ndim != 2 or len(out) != len(seeds):
+        raise ValueError("out must be a (len(seeds), n) array")
     generator = make_generator(0)
     key = [0, 0]
     start = _stream_start(key)
-    scratch = np.empty((min(_FILL_CHUNK, len(seeds)), len(out)))
-    seeds = seeds.tolist()
-    for lo in range(0, len(seeds), _FILL_CHUNK):
-        rows = scratch[: len(seeds[lo : lo + _FILL_CHUNK])]
-        for row, seed in zip(rows, seeds[lo : lo + _FILL_CHUNK]):
-            key[0] = seed
-            generator.bit_generator.state = start
-            generator.standard_normal(out=row)
-        out[:, lo : lo + len(rows)] = rows.T
+    for row, seed in zip(out, seeds.tolist()):
+        key[0] = seed
+        generator.bit_generator.state = start
+        generator.standard_normal(out=row)
     return out

@@ -12,6 +12,12 @@ smoothing arithmetic bit for bit where the algebra says they coincide.
 Trajectories carry T + 1 estimates so that the post-update estimate
 ``m_{t+1}`` can be paired with the trend value ``m*_t``, which is the
 alignment the tracking analysis uses.
+
+Many series are smoothed at once by one row recursion over a time-major
+block, one ufunc step per time index with ses_run's arithmetic, so each
+column is bitwise its own ses_run: ``ses_run_inplace`` runs it over a whole
+block, and a Monte Carlo block runs it slab by slab, carrying the estimate
+row from one slab to the next.
 """
 
 from __future__ import annotations
@@ -120,12 +126,19 @@ def ses_run_inplace(buffer: np.ndarray, alpha: float, init: InitPolicy = "first"
         raise ValueError("buffer must be a (T + 1, replications) matrix with T >= 1")
     alpha = check_alpha(alpha)
     buffer[0] = _initial_estimates(init, buffer[1])
-    for t in range(1, len(buffer)):
-        row, previous = buffer[t], buffer[t - 1]
+    _recursion(buffer[1:], buffer[0], alpha)
+    return buffer
+
+
+def _recursion(rows: np.ndarray, previous: np.ndarray, alpha: float) -> None:
+    """Smooth the time-major ``rows`` in place, one row per step, starting
+    from the estimate row ``previous``: row t becomes
+    ``previous + alpha * (row - previous)`` and is the next ``previous``."""
+    for row in rows:
         np.subtract(row, previous, out=row)
         np.multiply(row, alpha, out=row)
         np.add(row, previous, out=row)
-    return buffer
+        previous = row
 
 
 def ses_closed_form(

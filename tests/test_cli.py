@@ -490,6 +490,15 @@ def test_verify_inconclusive_exit_four(tmp_path, capsys):
     assert "INCONCLUSIVE" in out
 
 
+def test_verify_one_replication_exit_one(tmp_path, capsys):
+    # one replication has no spread, so its tail_se of 0 is no estimate
+    config = _write_config(tmp_path / "cfg.json")
+    code, out, err = run(capsys, "verify", "--config", str(config), "--reps", "1", "--json")
+    assert code == 1 and out == ""
+    assert err == "error: verify needs at least 2 replications to estimate the tail's " \
+        "standard error, got 1\n"
+
+
 def test_verify_reps_override_and_output(tmp_path, capsys):
     path = tmp_path / "cfg.json"
     config = ExperimentConfig(WhiteGaussian(1.0), Constant(0.0), 0.1, 100, 999, seed=3)

@@ -6,9 +6,12 @@ import signal
 import struct
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sestrack import (
     AR1,
@@ -25,6 +28,7 @@ from sestrack import (
     monte_carlo_mse,
     reproduce_figure,
     sample_path,
+    ses_run,
     simulate_smoothed,
     tracking_bound,
     trend_sequence,
@@ -34,6 +38,8 @@ from sestrack import (
 from sestrack import experiments
 from sestrack.cli import main
 from sestrack.experiments import BLOCK_SIZE, FIGURE_CONFIGS, MAX_CELLS
+from sestrack.processes import _SLAB_CELLS
+from sestrack.seeding import child_seed
 
 
 # ---------------------------------------------------------------------------
@@ -108,12 +114,26 @@ def test_tail_fraction_is_not_a_bool():
 
 def test_resource_cap():
     # a 10^5 x 1000 block is over MAX_CELLS and rejected before it (about
-    # 1.6 GB at peak) is allocated
+    # 0.8 GB at peak) is allocated
     config = ExperimentConfig(WhiteGaussian(1.0), Constant(0.0), 0.1, 10**5, 1000, seed=1)
     assert config.horizon * config.replications > MAX_CELLS
     with pytest.raises(ValueError, match="cap") as refused:
         monte_carlo_mse(config)
-    assert "about 1600 MB at peak" in str(refused.value)
+    assert "about 800 MB at peak" in str(refused.value)
+
+
+def test_block_peak_memory_is_one_array():
+    # a block is one (B, T + 1) array plus cache-sized slabs, about 8 bytes a
+    # cell at peak under tracemalloc; a second block-sized array would make
+    # it 16
+    config = ExperimentConfig(MA1(2.0), Linear(2.0, 0.1), 0.1, 1000, BLOCK_SIZE, seed=5, init=8.0)
+    tracemalloc.start()
+    try:
+        experiments._run_block(config, range(BLOCK_SIZE))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * 8 * config.horizon * BLOCK_SIZE
 
 
 class _PastTheCap(Exception):
@@ -237,6 +257,51 @@ def test_ar1_one_column_blocks_pinned(forks, replications, expected):
     )
     assert _digest(monte_carlo_mse(config)) == expected
     assert _digest(monte_carlo_mse(config, workers=2)) == expected
+
+
+def _reference_block(config, block):
+    """``_run_block`` one replication at a time: ``sample_path`` and
+    ``ses_run`` per child seed, the squared errors stacked (B, T)."""
+    rows = []
+    for r in block:
+        path = sample_path(config.noise, config.trend, config.horizon, child_seed(config.seed, r))
+        estimates = ses_run(path.observations, config.alpha, config.init)
+        rows.append(np.square(estimates[1:] - path.trend))
+    squared = np.stack(rows)
+    tails = squared[:, experiments._tail_index(config) :].mean(axis=1)
+    mean, m2 = experiments._moments(squared)
+    return experiments._BlockMoments(
+        len(block), mean, m2, float(tails.mean()), float(np.square(tails - tails.mean()).sum())
+    )
+
+
+@pytest.mark.parametrize(
+    "noise", [noise for noise, _ in PINNED_CURVES.values()], ids=lambda noise: noise.kind
+)
+@settings(max_examples=6, deadline=None)
+@given(
+    init=st.sampled_from(["first", -1.5]),
+    reps=st.sampled_from([1, 2, 7, BLOCK_SIZE - 1, BLOCK_SIZE, BLOCK_SIZE + 1]),
+    where=st.sampled_from(["below", "at", "past", "two_slabs"]),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_monte_carlo_equals_per_replication_reference(noise, init, reps, where, seed):
+    # horizons around the slab height of the first block, which is set by
+    # its width, so a path ends just before, at or after a slab boundary
+    height = max(1, _SLAB_CELLS // min(reps, BLOCK_SIZE))
+    horizons = {"below": height - 1, "at": height, "past": height + 1, "two_slabs": 2 * height + 3}
+    config = ExperimentConfig(
+        noise, Sinusoid(1.5, 0.1, 0.3), 0.2, horizons[where], reps, seed=seed, init=init
+    )
+    curve = monte_carlo_mse(config)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(experiments, "_run_block", _reference_block)
+        reference = monte_carlo_mse(config)
+    assert curve.mean.tobytes() == reference.mean.tobytes()
+    assert curve.stderr.tobytes() == reference.stderr.tobytes()
+    assert (curve.tail_mean, curve.tail_se, curve.tail_max) == (
+        reference.tail_mean, reference.tail_se, reference.tail_max
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -430,6 +495,15 @@ def test_verify_inconclusive_when_three_se_reach_the_bound():
     assert check.inconclusive and not check.passed
     powered = verify_bound(dataclasses.replace(config, replications=400))
     assert powered.passed and not powered.inconclusive
+
+
+def test_verify_refuses_one_replication():
+    # one replication has no spread: its tail_se of 0 is no estimate, and
+    # would leave the check no allowance to judge by
+    config = ExperimentConfig(WhiteGaussian(1.0), Constant(0.0), 0.1, 400, 1, seed=11)
+    with pytest.raises(ValueError, match="verify needs at least 2 replications .* got 1"):
+        verify_bound(config)
+    assert monte_carlo_mse(config).tail_se == 0.0  # the estimate alone is still allowed
 
 
 class _UnderstatedLinear(Linear):

@@ -119,13 +119,13 @@ def test_stream_start_rekeys_a_generator_that_has_drawn(key):
 
 @pytest.mark.parametrize("n", [1, 13, 400])
 def test_fill_columns_equal_fresh_generators(n):
-    # 37 keys cross a scratch-block boundary; every column after the first
-    # is drawn by a generator that already drew an odd number of normals
+    # every row after the first is drawn by a generator that already drew an
+    # odd number of normals
     keys = EDGE_KEYS + [int(k) for k in child_seeds(7, range(100, 133))]
     for seeds in (keys, np.array(keys, dtype=np.uint64)):
-        out = fill_standard_normals(np.empty((n, len(keys))), seeds)
+        out = fill_standard_normals(np.empty((len(keys), n)), seeds)
         for i, key in enumerate(keys):
-            assert out[:, i].tobytes() == make_generator(key).standard_normal(n).tobytes()
+            assert out[i].tobytes() == make_generator(key).standard_normal(n).tobytes()
 
 
 def test_fill_rejects_bad_input():
