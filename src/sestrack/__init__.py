@@ -29,10 +29,8 @@ from .experiments import (
     FIGURE_CONFIGS,
     BoundCheck,
     ExperimentConfig,
-    MaSignComparison,
     MseCurve,
     SmoothedPath,
-    compare_negative_vs_positive_ma,
     monte_carlo_mse,
     simulate_smoothed,
     verify_bound,
@@ -45,7 +43,6 @@ from .processes import (
     Constant,
     Linear,
     NoiseModel,
-    PathSample,
     Sinusoid,
     Table,
     TrendSpec,
@@ -59,7 +56,6 @@ from .smoothing import (
     SmootherState,
     gaussian_model,
     quadratic_loss_model,
-    running_mean,
     ses_closed_form,
     ses_run,
     ses_step,

@@ -82,7 +82,8 @@ def parse_spec(text: str, kinds: dict[str, type], what: str):
 
     The spec is tokenized into the object a config file would hold, and
     decoded by the same registry decoder.  Indexed keys ``b1..bq`` fill the
-    list field ``b``, and ``sigma=S`` stands for ``var=S*S``; any other key,
+    list field ``b``, and ``sigma=S`` stands for ``var=S*S`` (an S below 0, or
+    with an infinite square, is a ValueError, not coerced); any other key,
     ``kind`` and a bare ``b`` included, is unknown.  ``kinds`` is
     NOISE_KINDS or TREND_KINDS; ``what`` names the spec in messages.
     """
@@ -109,6 +110,8 @@ def parse_spec(text: str, kinds: dict[str, type], what: str):
             if "var" in pairs:
                 raise SpecError(f"{where}: give either var or sigma, not both")
             sigma = pairs.pop("sigma")
+            if not (sigma >= 0.0 and math.isfinite(sigma * sigma)):
+                raise ValueError(f"sigma must be >= 0, with a finite square, got {sigma}")
             pairs["var"] = sigma * sigma
         values = {key: pairs.pop(key) for key in plain if key in pairs}
         for _, key, _, hint in declared:

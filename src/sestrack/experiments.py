@@ -27,14 +27,13 @@ from .bounds import BoundReport, tracking_bound
 from .processes import (
     AR1,
     MA1,
-    Constant,
     Linear,
     NoiseModel,
     Sinusoid,
     TrendSpec,
     _key,
+    _path,
     _slabs,
-    sample_path,
     trend_sequence,
 )
 from .seeding import check_count, check_seed, child_seeds
@@ -354,50 +353,6 @@ def verify_bound(config: ExperimentConfig, *, workers: int = 1) -> BoundCheck:
 
 
 @dataclass(frozen=True)
-class MaSignComparison:
-    """Tail MSE of matched runs differing only in the sign of the MA(1)
-    coefficient, plus the corresponding bound totals."""
-
-    tail_positive: float
-    tail_negative: float
-    se_positive: float
-    se_negative: float
-    bound_total_positive: float
-    bound_total_negative: float
-
-
-def compare_negative_vs_positive_ma(
-    alpha: float,
-    magnitude: float,
-    replications: int,
-    horizon: int,
-    seed: int,
-) -> MaSignComparison:
-    """Matched constant-trend experiments at MA(1) coefficients +/-magnitude.
-
-    Both arms share the master seed, hence the same innovations, so the
-    comparison isolates the covariance sign.  magnitude = 0 degenerates to
-    two identical arms.
-    """
-    magnitude = abs(float(magnitude))
-    tails = {}
-    ses = {}
-    bounds = {}
-    for sign in (1.0, -1.0):
-        noise = MA1(sign * magnitude)
-        config = ExperimentConfig(
-            noise, Constant(0.0), alpha, horizon, replications, seed
-        )
-        curve = monte_carlo_mse(config)
-        tails[sign] = curve.tail_mean
-        ses[sign] = curve.tail_se
-        bounds[sign] = tracking_bound(alpha, noise, 0.0).total
-    return MaSignComparison(
-        tails[1.0], tails[-1.0], ses[1.0], ses[-1.0], bounds[1.0], bounds[-1.0]
-    )
-
-
-@dataclass(frozen=True)
 class SmoothedPath:
     """Aligned simulation output: at step t the observation x_t, the trend
     m*_t, and the post-update estimate m_{t+1}."""
@@ -427,7 +382,7 @@ def simulate_smoothed(
     init: InitPolicy = "first",
 ) -> SmoothedPath:
     """Simulate one path and smooth it, returning the aligned view."""
-    path = sample_path(noise, trend, horizon, seed)
-    trajectory = ses_run(path.observations, alpha, init)
-    return SmoothedPath(path.observations, path.trend, trajectory[1:])
+    m_star = trend_sequence(trend, horizon)
+    observations = _path(noise, m_star, seed)
+    return SmoothedPath(observations, m_star, ses_run(observations, alpha, init)[1:])
 

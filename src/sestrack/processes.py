@@ -31,11 +31,10 @@ the step before the slab, None on a path's first slab: AR(1) reads it,
 while the moving averages take their history from the lead rows of ``z``.
 Each stream draws its normals into its own row of a stream-major block,
 which one slab loop turns, slab by slab, into time-major observations;
-``sample_block`` and the Monte Carlo blocks both sample that way, and
-``sample_path`` is the one-column case of ``sample_block``.  Its
-autocovariance is stated once as well, as ``gamma(lag)`` with ``support``,
-the lag beyond which it vanishes (AR(1) has none, but a closed-form
-correlation tail); the bound functions take the model itself, and
+the Monte Carlo blocks sample that way, and ``sample_path`` is the one-row
+case.  Its autocovariance is stated once as well, as ``gamma(lag)`` with
+``support``, the lag beyond which it vanishes (AR(1) has none, but a
+closed-form correlation tail); the bound functions take the model itself, and
 ``Autocovariance`` carries a user-supplied gamma to them.  Each trend
 states its law once too, as ``sequence(horizon)``, the vector of m*_1 ..
 m*_horizon that ``trend_sequence`` checks and returns.
@@ -179,7 +178,7 @@ class AR1(_Covariance):
     innovation_variance / (1 - theta^2) and gamma(k) = theta^|k| gamma(0).
     eps_1 is drawn from the exact stationary law, then the recursion runs
     step by step from the noise row carried into the slab: on Python floats
-    for a one-column block (``sample_path``; at long horizons faster than a
+    for a single path (``sample_path``; at long horizons faster than a
     ufunc call per step), as one in-place ufunc step per time index over a
     wider block, with the same bits.
     """
@@ -407,54 +406,18 @@ def trend_sequence(trend: TrendSpec, horizon: int) -> np.ndarray:
     return np.asarray(trend.sequence(check_count(horizon, "horizon", 1)), dtype=float)
 
 
-@dataclass(frozen=True)
-class PathSample:
-    """One simulated path: observations, the trend that generated them, and
-    the full description needed to regenerate it."""
-
-    observations: np.ndarray
-    trend: np.ndarray
-    seed: int
-    noise: NoiseModel
-    trend_spec: TrendSpec
-
-    def __post_init__(self) -> None:
-        # value object: freeze the arrays so instances can be shared freely
-        self.observations.flags.writeable = False
-        self.trend.flags.writeable = False
-
-    @property
-    def horizon(self) -> int:
-        return len(self.observations)
-
-    def residuals(self) -> np.ndarray:
-        return self.observations - self.trend
+def sample_path(noise: NoiseModel, trend: TrendSpec, horizon: int, seed: int) -> np.ndarray:
+    """Simulate x_1..x_horizon = m*_t + eps_t, deterministically in ``seed``."""
+    return _path(noise, trend_sequence(trend, horizon), seed)
 
 
-def sample_path(noise: NoiseModel, trend: TrendSpec, horizon: int, seed: int) -> PathSample:
-    """Simulate x_1..x_horizon = m*_t + eps_t, deterministically in ``seed``:
-    the one-column case of ``sample_block``."""
-    horizon = check_count(horizon, "horizon", 1)
-    observations = sample_block(noise, trend, [seed], np.empty((horizon, 1)))[:, 0]
-    return PathSample(observations, trend_sequence(trend, horizon), int(seed), noise, trend)
-
-
-def sample_block(noise: NoiseModel, trend: TrendSpec, seeds, out: np.ndarray) -> np.ndarray:
-    """Simulate one path per seed into the columns of a time-major block.
-
-    Column i of the (horizon, len(seeds)) array ``out`` becomes
-    ``sample_path(noise, trend, horizon, seeds[i]).observations``, bit for
-    bit.  Each column draws from its own Philox stream into a row of
-    standard normals, which ``_slabs`` filters into noise and adds the trend
-    to, slab by slab.  Returns ``out``.
-    """
-    horizon = len(out)
-    if horizon < 1 or out.shape[1:] != (len(seeds),):
-        raise ValueError("out must be a (horizon >= 1, len(seeds)) array")
-    draws = np.empty((len(seeds), horizon + noise._extra_draws))
-    for t0, x in _slabs(noise, trend_sequence(trend, horizon), seeds, draws):
-        out[t0 : t0 + len(x)] = x
-    return out
+def _path(noise: NoiseModel, m_star: np.ndarray, seed: int) -> np.ndarray:
+    """Observations of one path over the trend vector ``m_star``: one row of
+    ``_slabs``, each slab written back into the columns it was drawn from."""
+    draws = np.empty((1, len(m_star) + noise._extra_draws))
+    for t0, x in _slabs(noise, m_star, [seed], draws):
+        draws[0, t0 : t0 + len(x)] = x[:, 0]
+    return draws[0, : len(m_star)]
 
 
 def _slabs(noise: NoiseModel, trend: np.ndarray, seeds, draws: np.ndarray):

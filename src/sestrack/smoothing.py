@@ -15,9 +15,8 @@ alignment the tracking analysis uses.
 
 Many series are smoothed at once by one row recursion over a time-major
 block, one ufunc step per time index with ses_run's arithmetic, so each
-column is bitwise its own ses_run: ``ses_run_inplace`` runs it over a whole
-block, and a Monte Carlo block runs it slab by slab, carrying the estimate
-row from one slab to the next.
+column is bitwise its own ses_run: a Monte Carlo block runs it slab by
+slab, carrying the estimate row from one slab to the next.
 """
 
 from __future__ import annotations
@@ -113,23 +112,6 @@ def ses_run(observations, alpha: float, init: InitPolicy = "first") -> np.ndarra
     return np.fromiter(estimates(first), float, len(x) + 1)
 
 
-def ses_run_inplace(buffer: np.ndarray, alpha: float, init: InitPolicy = "first") -> np.ndarray:
-    """Smooth the columns of a time-major (T + 1, B) buffer in place.
-
-    On entry ``buffer[t]`` holds the observations x_t for t = 1..T (row 0 is
-    scratch); on return ``buffer[0]`` holds m_1 chosen by ``init`` and
-    ``buffer[t]`` holds m_{t+1}.  Each step applies ses_run's elementwise
-    arithmetic to a contiguous row, so every column is bitwise identical to
-    smoothing it alone.  Returns ``buffer``.
-    """
-    if buffer.ndim != 2 or len(buffer) < 2:
-        raise ValueError("buffer must be a (T + 1, replications) matrix with T >= 1")
-    alpha = check_alpha(alpha)
-    buffer[0] = _initial_estimates(init, buffer[1])
-    _recursion(buffer[1:], buffer[0], alpha)
-    return buffer
-
-
 def _recursion(rows: np.ndarray, previous: np.ndarray, alpha: float) -> None:
     """Smooth the time-major ``rows`` in place, one row per step, starting
     from the estimate row ``previous``: row t becomes
@@ -164,13 +146,6 @@ def ses_closed_form(
     # exponents t-1-j for j = 1..t-1, oldest observation first
     powers = beta ** np.arange(t - 2, -1, -1, dtype=float)
     return float(beta ** (t - 1) * float(initial_estimate) + alpha * (powers @ x[: t - 1]))
-
-
-def running_mean(observations) -> np.ndarray:
-    """Arithmetic-mean estimates (1/t) * sum_{j<=t} x_j, the natural baseline
-    when the trend is constant."""
-    x = _check_observations(observations)
-    return np.cumsum(x) / np.arange(1, len(x) + 1)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,6 @@ from sestrack import (
     Constant,
     ExperimentConfig,
     WhiteGaussian,
-    compare_negative_vs_positive_ma,
     exact_mse_sequence,
     gaussian_model,
     monte_carlo_mse,
@@ -106,15 +105,18 @@ def test_criterion_04_theorem_holds_at_paper_configs():
 
 
 def test_criterion_05_negative_covariance_improves_tracking():
-    result = compare_negative_vs_positive_ma(
-        alpha=0.1,
-        magnitude=0.4,
-        replications=10_000,
-        horizon=1000,
-        seed=ACCEPTANCE_SEED,
-    )
-    assert result.tail_negative < result.tail_positive
-    assert result.bound_total_negative < result.bound_total_positive
+    # matched arms: the same seed, hence the same innovations, so only the
+    # sign of the MA(1) covariance differs
+    tails, totals = {}, {}
+    for a in (0.4, -0.4):
+        config = ExperimentConfig(
+            MA1(a), Constant(0.0), alpha=0.1, horizon=1000, replications=10_000,
+            seed=ACCEPTANCE_SEED,
+        )
+        tails[a] = monte_carlo_mse(config).tail_mean
+        totals[a] = tracking_bound(0.1, MA1(a), 0.0).total
+    assert tails[-0.4] < tails[0.4]
+    assert totals[-0.4] < totals[0.4]
 
 
 @pytest.mark.parametrize("theta", [0.1, 0.2, 0.5, 0.9])

@@ -84,10 +84,24 @@ def test_bound_json_matches_text(capsys):
 
 
 def test_bound_sigma_alias(capsys):
-    code, out, _ = run(capsys, "bound", "--alpha", "0.1", "--k", "0", "--noise", "ar1:theta=0.2,sigma=1")
-    code2, out2, _ = run(capsys, "bound", "--alpha", "0.1", "--k", "0", "--noise", "ar1:theta=0.2,var=1")
-    assert code == 0 and code2 == 0
-    assert out == out2
+    # --json prints each float in full, so equal output means equal bits
+    for sigma, var in (("1", "1"), ("2", "4")):
+        code, out, _ = run(capsys, "bound", "--alpha", "0.1", "--k", "0", "--json",
+                           "--noise", f"ar1:theta=0.2,sigma={sigma}")
+        code2, out2, _ = run(capsys, "bound", "--alpha", "0.1", "--k", "0", "--json",
+                             "--noise", f"ar1:theta=0.2,var={var}")
+        assert code == 0 and code2 == 0
+        assert out == out2
+
+
+@pytest.mark.parametrize("sigma", ["-2", "-1e-300", "-inf", "inf", "nan", "1e200"])
+def test_sigma_negative_or_with_an_infinite_square_exits_one(capsys, sigma):
+    # -2 once ran as var=4, and 1e200 was reported as an infinite variance
+    code, out, err = run(
+        capsys, "bound", "--alpha", "0.1", "--k", "0", "--noise", f"white:sigma={sigma}"
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("error: sigma must be") and "model specs are written" not in err
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,6 @@ from sestrack import (
     Sinusoid,
     WhiteGaussian,
     closed_form_mse,
-    compare_negative_vs_positive_ma,
     exact_mse_sequence,
     monte_carlo_mse,
     reproduce_figure,
@@ -82,7 +81,7 @@ COUNT_ENTRY_POINTS = {
     "config.horizon": lambda n: ExperimentConfig(_W, _C, 0.1, n, 10, seed=1),
     "config.replications": lambda n: ExperimentConfig(_W, _C, 0.1, 10, n, seed=1),
     "config.seed": lambda n: ExperimentConfig(_W, _C, 0.1, 10, 10, seed=n),
-    "sample_path": lambda n: sample_path(_W, _C, n, seed=1).observations,
+    "sample_path": lambda n: sample_path(_W, _C, n, seed=1),
     "exact_mse_sequence": lambda n: exact_mse_sequence(0.1, _W, _C, n),
     "closed_form_mse": lambda n: closed_form_mse(0.1, _W, _C, n),
     "trend_sequence": lambda n: trend_sequence(_C, n),
@@ -263,10 +262,11 @@ def _reference_block(config, block):
     """``_run_block`` one replication at a time: ``sample_path`` and
     ``ses_run`` per child seed, the squared errors stacked (B, T)."""
     rows = []
+    m_star = trend_sequence(config.trend, config.horizon)
     for r in block:
-        path = sample_path(config.noise, config.trend, config.horizon, child_seed(config.seed, r))
-        estimates = ses_run(path.observations, config.alpha, config.init)
-        rows.append(np.square(estimates[1:] - path.trend))
+        x = sample_path(config.noise, config.trend, config.horizon, child_seed(config.seed, r))
+        estimates = ses_run(x, config.alpha, config.init)
+        rows.append(np.square(estimates[1:] - m_star))
     squared = np.stack(rows)
     tails = squared[:, experiments._tail_index(config) :].mean(axis=1)
     mean, m2 = experiments._moments(squared)
@@ -528,15 +528,28 @@ def test_understated_k_fails():
 # MA sign comparison
 # ---------------------------------------------------------------------------
 
+def _ma_sign_arms(magnitude, replications, horizon, seed):
+    """Tail MSE and bound total of matched constant-trend runs at MA(1)
+    coefficients +magnitude and -magnitude: the same seed, hence the same
+    innovations, so only the covariance sign differs."""
+    arms = []
+    for a in (magnitude, -magnitude):
+        config = ExperimentConfig(MA1(a), Constant(0.0), 0.1, horizon, replications, seed)
+        arms.append((monte_carlo_mse(config).tail_mean, tracking_bound(0.1, MA1(a), 0.0).total))
+    return arms
+
+
 def test_negative_ma_tracks_tighter():
-    result = compare_negative_vs_positive_ma(0.1, 0.4, 2000, 500, seed=88)
-    assert result.tail_negative < result.tail_positive
-    assert result.bound_total_negative < result.bound_total_positive
+    (tail_positive, bound_positive), (tail_negative, bound_negative) = _ma_sign_arms(
+        0.4, 2000, 500, seed=88
+    )
+    assert tail_negative < tail_positive
+    assert bound_negative < bound_positive
 
 
 def test_zero_magnitude_arms_identical():
-    result = compare_negative_vs_positive_ma(0.1, 0.0, 50, 100, seed=1)
-    assert result.tail_negative == result.tail_positive
+    (tail_positive, _), (tail_negative, _) = _ma_sign_arms(0.0, 50, 100, seed=1)
+    assert tail_negative == tail_positive
 
 
 # ---------------------------------------------------------------------------

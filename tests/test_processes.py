@@ -21,7 +21,7 @@ from sestrack import (
     sample_path,
     trend_sequence,
 )
-from sestrack.processes import sample_block
+from sestrack.processes import _SLAB_CELLS, _slabs
 from sestrack.seeding import child_seed, child_seeds
 
 MODELS = [
@@ -178,21 +178,13 @@ def test_sequence_matches_pointwise():
 def test_same_seed_same_path():
     a = sample_path(AR1(0.3), Linear(0.0, 0.1), 200, seed=77)
     b = sample_path(AR1(0.3), Linear(0.0, 0.1), 200, seed=77)
-    assert np.array_equal(a.observations, b.observations)
-    assert not np.array_equal(
-        a.observations, sample_path(AR1(0.3), Linear(0.0, 0.1), 200, seed=78).observations
-    )
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, sample_path(AR1(0.3), Linear(0.0, 0.1), 200, seed=78))
 
 
 def test_zero_noise_path_is_trend():
-    path = sample_path(WhiteGaussian(0.0), Sinusoid(1.0, 0.01), 100, seed=1)
-    assert np.array_equal(path.observations, path.trend)
-
-
-def test_path_is_frozen():
-    path = sample_path(WhiteGaussian(1.0), Constant(0.0), 10, seed=3)
-    with pytest.raises(ValueError):
-        path.observations[0] = 99.0
+    x = sample_path(WhiteGaussian(0.0), Sinusoid(1.0, 0.01), 100, seed=1)
+    assert np.array_equal(x, trend_sequence(Sinusoid(1.0, 0.01), 100))
 
 
 def _bartlett_se(model, k: int, n: int) -> float:
@@ -214,8 +206,7 @@ def _sample_autocov(residuals: np.ndarray, k: int) -> float:
 )
 def test_empirical_autocovariance_consistency(model):
     n = 10**6
-    path = sample_path(model, Constant(0.0), n, seed=101)
-    residuals = path.residuals()
+    residuals = sample_path(model, Constant(0.0), n, seed=101)  # the trend is 0
     for k in range(6):
         estimate = _sample_autocov(residuals, k)
         se = _bartlett_se(model, k, n)
@@ -225,8 +216,8 @@ def test_empirical_autocovariance_consistency(model):
 def test_ar1_lag_one_against_analytic():
     model = AR1(0.2)
     n = 10**6
-    path = sample_path(model, Constant(0.0), n, seed=55)
-    estimate = _sample_autocov(path.residuals(), 1)
+    residuals = sample_path(model, Constant(0.0), n, seed=55)  # the trend is 0
+    estimate = _sample_autocov(residuals, 1)
     se = _bartlett_se(model, 1, n)
     assert abs(estimate - 0.2 * model.gamma(0)) <= 3.0 * se
 
@@ -237,9 +228,9 @@ def test_stationary_start(model):
     first = np.empty(reps)
     late = np.empty(reps)
     for r in range(reps):
-        path = sample_path(model, Constant(0.0), 1000, seed=9_000_000 + r)
-        first[r] = path.observations[0]
-        late[r] = path.observations[999]
+        x = sample_path(model, Constant(0.0), 1000, seed=9_000_000 + r)
+        first[r] = x[0]
+        late[r] = x[999]
     g0 = model.gamma(0)
     se = g0 * math.sqrt(2.0 / reps)
     assert abs(first.var() - g0) <= 4.0 * se
@@ -250,8 +241,8 @@ def test_residual_mean_near_zero_over_replications():
     total = 0.0
     count = 0
     for r in range(400):
-        path = sample_path(MA1(0.8), Linear(1.0, 0.05), 50, seed=777 + r)
-        total += path.residuals().sum()
+        x = sample_path(MA1(0.8), Linear(1.0, 0.05), 50, seed=777 + r)
+        total += (x - trend_sequence(Linear(1.0, 0.05), 50)).sum()
         count += 50
     se = math.sqrt(MA1(0.8).gamma(0) / count) * 2.0  # crude bound, correlation <= doubles it
     assert abs(total / count) <= 4.0 * se
@@ -284,15 +275,16 @@ def _defining_formula(noise, seed, n):
     return np.array(expected)
 
 
-@pytest.mark.parametrize("n", [1, 500])
+@pytest.mark.parametrize("n", [1, 500, _SLAB_CELLS + 3])  # the last takes two slabs
 @pytest.mark.parametrize(
     "noise",
     [WhiteGaussian(2.5), MA1(-0.4, 1.7), AR1(0.9, 1.3), MAq((0.5, -0.3, 0.2), 1.3)],
     ids=lambda m: m.kind,
 )
 def test_sample_path_is_the_defining_formula_on_the_philox_stream(noise, n):
-    path = sample_path(noise, Constant(0.0), n, seed=42)
-    assert path.residuals().tobytes() == _defining_formula(noise, 42, n).tobytes()
+    x = sample_path(noise, Constant(0.0), n, seed=42)
+    residuals = x - trend_sequence(Constant(0.0), n)
+    assert residuals.tobytes() == _defining_formula(noise, 42, n).tobytes()
 
 
 @pytest.mark.parametrize("package", ["scipy", "concurrent"])
@@ -319,18 +311,26 @@ BLOCK_NOISES = [
 ]
 
 
+def _block(noise, trend, seeds, horizon):
+    """The (horizon, len(seeds)) observations ``_slabs`` samples, one
+    column per seed."""
+    out = np.empty((horizon, len(seeds)))
+    draws = np.empty((len(seeds), horizon + noise._extra_draws))
+    for t0, x in _slabs(noise, trend_sequence(trend, horizon), seeds, draws):
+        out[t0 : t0 + len(x)] = x
+    return out
+
+
 @pytest.mark.parametrize("noise", BLOCK_NOISES, ids=lambda m: m.kind)
 @pytest.mark.parametrize(
     "trend", [Linear(2.0, 0.1), Sinusoid(1.0, 0.05, 0.3)], ids=["linear", "sin"]
 )
 def test_sample_block_columns_are_sample_paths(noise, trend):
     seed, start, width, horizon = 2024, 1029, 40, 57
-    out = sample_block(
-        noise, trend, child_seeds(seed, range(start, start + width)), np.empty((horizon, width))
-    )
+    out = _block(noise, trend, child_seeds(seed, range(start, start + width)), horizon)
     for i, r in enumerate(range(start, start + width)):
-        path = sample_path(noise, trend, horizon, child_seed(seed, r))
-        assert out[:, i].tobytes() == path.observations.tobytes()
+        x = sample_path(noise, trend, horizon, child_seed(seed, r))
+        assert out[:, i].tobytes() == x.tobytes()
 
 
 @pytest.mark.parametrize("order", range(1, 9))
@@ -340,15 +340,8 @@ def test_maq_block_filter_sums_like_convolve(order):
     rng = np.random.default_rng(order)
     noise = MAq(tuple(rng.normal(scale=1.5, size=order)), 0.8)
     seeds = [int(k) for k in rng.integers(0, 2**63, size=9)]
-    out = sample_block(noise, Constant(0.0), seeds, np.empty((120, 9)))
+    out = _block(noise, Constant(0.0), seeds, 120)
     for i, seed in enumerate(seeds):
         eta = math.sqrt(0.8) * make_generator(seed).standard_normal(120 + order)
         expected = np.convolve(eta, (1.0,) + noise.coefficients, mode="valid")
         assert out[:, i].tobytes() == expected.tobytes()
-
-
-def test_sample_block_shape_checks():
-    with pytest.raises(ValueError, match="out must be"):
-        sample_block(WhiteGaussian(1.0), Constant(0.0), [1, 2], np.empty((5, 3)))
-    with pytest.raises(ValueError, match="out must be"):
-        sample_block(WhiteGaussian(1.0), Constant(0.0), [1, 2], np.empty((0, 2)))

@@ -109,6 +109,16 @@ def test_readme_cli_commands_parse():
     assert {argv[0] for argv in commands} == set(_subcommands())
 
 
+def test_readme_library_tour_runs(capsys):
+    # the first python block, run as written, so an API change cannot leave it stale
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    tour = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(compile(tour, "README.md", "exec"), namespace)
+    assert namespace["check"].passed
+    assert capsys.readouterr().out.splitlines()[-1].startswith("True ")
+
+
 def test_cli_accepts_table_trend(capsys):
     code = main(["mse", "--mode", "exact", "--alpha", "0.5", "--noise", "white:var=0",
                  "--trend", "table:values1=0,values2=1,values3=3", "--steps", "3", "--json"])

@@ -74,11 +74,8 @@ def test_numpy_integer_seed_names_the_same_stream(seed):
     assert child_seed(seed, 3) == child_seed(int(seed), 3)
     draws = make_generator(seed).standard_normal(4)
     assert draws.tobytes() == make_generator(int(seed)).standard_normal(4).tobytes()
-    path = sample_path(WhiteGaussian(1.0), Constant(0.0), 5, seed)
-    assert path.seed == int(seed)
-    assert path.observations.tobytes() == sample_path(
-        WhiteGaussian(1.0), Constant(0.0), 5, int(seed)
-    ).observations.tobytes()
+    x = sample_path(WhiteGaussian(1.0), Constant(0.0), 5, seed)
+    assert x.tobytes() == sample_path(WhiteGaussian(1.0), Constant(0.0), 5, int(seed)).tobytes()
 
 
 @pytest.mark.parametrize("master", [0, 12345, 2**64 - 1])

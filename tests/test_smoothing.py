@@ -9,13 +9,18 @@ from sestrack import (
     SmootherState,
     gaussian_model,
     quadratic_loss_model,
-    running_mean,
     ses_closed_form,
     ses_run,
     ses_step,
     sga_step,
 )
-from sestrack.smoothing import INIT_WORDING, LogDensityModel, check_init, ses_run_inplace
+from sestrack.smoothing import (
+    INIT_WORDING,
+    LogDensityModel,
+    _initial_estimates,
+    _recursion,
+    check_init,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +170,7 @@ def test_init_is_first_or_a_finite_number(init):
     with pytest.raises(ValueError, match="init must be"):
         ses_run([1.0, 2.0], 0.5, init=init)
     with pytest.raises(ValueError, match="init must be"):
-        ses_run_inplace(np.zeros((3, 2)), 0.5, init=init)
+        _initial_estimates(init, np.zeros(2))
     assert check_init("first") == "first"
     assert check_init(np.float32(0.5)) == 0.5 and type(check_init(1)) is float
 
@@ -177,13 +182,13 @@ def test_init_error_states_the_init_grammar():
 
 @pytest.mark.parametrize("init", ["first", -2.0])
 def test_inplace_time_major_columns_match_scalar_runs(init):
+    # the row recursion a Monte Carlo block runs: each column is its own ses_run
     x = np.random.default_rng(6).normal(size=(30, 5))
     buffer = np.vstack([np.full(5, np.nan), x])
-    assert ses_run_inplace(buffer, 0.31, init=init) is buffer
+    buffer[0] = _initial_estimates(init, buffer[1])
+    _recursion(buffer[1:], buffer[0], 0.31)
     for j in range(5):
         assert np.array_equal(buffer[:, j], ses_run(x[:, j], 0.31, init=init))
-    with pytest.raises(ValueError):
-        ses_run_inplace(np.zeros((1, 5)), 0.31)
 
 
 def test_shift_equivariance():
@@ -201,24 +206,6 @@ def test_scale_equivariance_exact_for_powers_of_two():
     assert np.array_equal(ses_run(4.0 * x, 0.2, init=4.0 * 0.7), 4.0 * base)
     scaled = ses_run(3.7 * x, 0.2, init=3.7 * 0.7)
     assert scaled == pytest.approx(3.7 * base, rel=1e-12)
-
-
-# ---------------------------------------------------------------------------
-# running mean baseline
-# ---------------------------------------------------------------------------
-
-def test_running_mean_small():
-    assert running_mean([1.0, 2.0, 3.0]) == pytest.approx([1.0, 1.5, 2.0])
-    assert np.array_equal(running_mean([4.0] * 6), [4.0] * 6)
-    with pytest.raises(ValueError):
-        running_mean([])
-
-
-def test_running_mean_clt_bound():
-    n = 10**4
-    for seed in range(100):
-        x = np.random.default_rng(1000 + seed).standard_normal(n)
-        assert abs(running_mean(x)[-1]) <= 4.0 / math.sqrt(n)
 
 
 # ---------------------------------------------------------------------------
