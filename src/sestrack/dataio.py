@@ -7,13 +7,17 @@ doubles exactly; integer columns are printed as integers.  SVG output is a
 self-contained 800x500 document.  Both are formatted in chunks of
 ``_CHUNK_ROWS`` rows (or points), each by one ``%`` operation on a repeated
 row template over the chunk's interleaved cells, and streamed to a path or
-to an open text stream, so no whole document is held in memory.  A column
-that is not real-valued or holds a non-finite float is rejected, naming
-the column and row, before anything is written.  Config documents are
-strict JSON (schema_version 1, unknown keys and wrong JSON types rejected
-with the failing key path, such as ``config.noise.a``).  Their codec is one
-loop over the declared fields (``processes.model_fields``) of a model or of
-``ExperimentConfig``: keys in field order, each value decoded by its type.
+to an open text stream, so no whole document is held in memory.  A table of
+more than one chunk is formatted on every usable CPU by
+``experiments._fork_map``, which hands the chunks back in order, so the
+bytes do not depend on the CPU count.  A column that is not real-valued or
+holds a non-finite float is rejected, naming the column and row, before
+anything is written, and a write that fails part-way deletes the regular
+file it was writing.  Config documents are strict JSON (schema_version 1,
+unknown keys and wrong JSON types rejected with the failing key path, such
+as ``config.noise.a``).  Their codec is one loop over the declared fields
+(``processes.model_fields``) of a model or of ``ExperimentConfig``: keys in
+field order, each value decoded by its type.
 
 This module sits above ``experiments``: it imports the result types it
 writes, and nothing in the numerical modules imports it.
@@ -21,8 +25,9 @@ writes, and nothing in the numerical modules imports it.
 
 from __future__ import annotations
 
+import contextlib
 import csv
-import itertools
+import functools
 import json
 import math
 import warnings
@@ -39,6 +44,7 @@ from .experiments import (
     ExperimentConfig,
     MseCurve,
     SmoothedPath,
+    _fork_map,
     simulate_smoothed,
 )
 from .processes import NOISE_KINDS, TREND_KINDS, NoiseModel, Numbers, TrendSpec, model_fields
@@ -58,32 +64,50 @@ _MARGIN_LEFT, _MARGIN_RIGHT, _MARGIN_TOP, _MARGIN_BOTTOM = 62, 18, 18, 42
 
 
 def _write(target, parts) -> Path | None:
-    """Write text parts to an open text stream, or to a new UTF-8 file at a
-    path, which is returned."""
-    if hasattr(target, "write"):
-        target.writelines(parts)
-        return None
-    path = Path(target)
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.writelines(parts)
-    return path
+    """Write the text parts of the generator ``parts`` to an open text
+    stream, or to a new UTF-8 file at a path, which is returned.  ``parts``
+    is closed on the way out, ending its formatting workers; a write that
+    fails after opening the path deletes it if it is a regular file."""
+    with contextlib.closing(parts):
+        if hasattr(target, "write"):
+            target.writelines(parts)
+            return None
+        path = Path(target)
+        handle = open(path, "w", encoding="utf-8", newline="")
+        try:
+            with handle:
+                handle.writelines(parts)
+        except BaseException:
+            with contextlib.suppress(OSError):  # a link, device or pipe is left alone
+                if path.is_file() and not path.is_symlink():
+                    path.unlink()
+            raise
+        return path
 
 
 # ---------------------------------------------------------------------------
 # CSV
 # ---------------------------------------------------------------------------
 
-def _chunks(template: str, separator: str, columns: list[np.ndarray]):
-    """Yield the rows of ``columns`` formatted by ``template`` and joined by
-    ``separator``, each chunk of ``_CHUNK_ROWS`` rows by one ``%``."""
+def _format_chunk(template: str, separator: str, columns: list[np.ndarray], lo: int) -> str:
+    """The ``_CHUNK_ROWS`` rows of ``columns`` from row ``lo``, formatted by
+    ``template`` and joined by ``separator``, by one ``%``."""
     width = len(columns)
-    for lo in range(0, len(columns[0]), _CHUNK_ROWS):
-        chunk = [col[lo : lo + _CHUNK_ROWS].tolist() for col in columns]
-        rows = len(chunk[0])
-        cells = [None] * (width * rows)
-        for j, values in enumerate(chunk):
-            cells[j::width] = values
-        yield (separator if lo else "") + separator.join([template] * rows) % tuple(cells)
+    chunk = [col[lo : lo + _CHUNK_ROWS].tolist() for col in columns]
+    rows = len(chunk[0])
+    cells = [None] * (width * rows)
+    for j, values in enumerate(chunk):
+        cells[j::width] = values
+    return (separator if lo else "") + separator.join([template] * rows) % tuple(cells)
+
+
+def _chunks(template: str, separator: str, columns: list[np.ndarray]):
+    """Yield the rows of ``columns`` chunk by chunk, formatted by
+    ``_format_chunk``; a table of two or more chunks is formatted on up to
+    one process per chunk, capped at the usable CPUs."""
+    starts = range(0, len(columns[0]), _CHUNK_ROWS)
+    format_chunk = functools.partial(_format_chunk, template, separator, columns)
+    return _fork_map(format_chunk, starts, len(starts), "CSV/SVG formatting")
 
 
 def _csv_text(header: list[str], columns: list[np.ndarray]):
@@ -283,14 +307,16 @@ def _legend(entries: list[tuple[str, str]]) -> list[str]:
 def _points(opening: str, template: str, xs: np.ndarray, ys: np.ndarray, closing: str):
     """Yield one element whose body is ``template`` formatted at each
     (x, y), space-separated."""
-    return itertools.chain([opening], _chunks(template, " ", [xs, ys]), [closing])
+    yield opening
+    yield from _chunks(template, " ", [xs, ys])
+    yield closing
 
 
 def _svg_text(steps, lines: list[tuple[str, np.ndarray, str]], dots=None):
-    """The plot document as an iterator of text parts: ``dots`` (if given)
-    as light points, then one polyline per (label, values, color) entry,
-    and a legend.  Scales and pixel coordinates are computed here, before
-    anything is written."""
+    """Yield the plot document part by part: ``dots`` (if given) as light
+    points, then one polyline per (label, values, color) entry, and a
+    legend.  Scales and pixel coordinates are computed before the first
+    part."""
     xs = np.asarray(steps, dtype=float)
     series = [np.asarray(ys, dtype=float) for _, ys, _ in lines]
     legend = [(label, color) for label, _, color in lines]
@@ -316,7 +342,10 @@ def _svg_text(steps, lines: list[tuple[str, np.ndarray, str]], dots=None):
         for ys, (_, _, color) in zip(series, lines)
     ]
     tail = "\n".join([*_legend(legend), "</svg>"]) + "\n"
-    return itertools.chain(["\n".join(head) + "\n"], *elements, [tail])
+    yield "\n".join(head) + "\n"
+    for element in elements:
+        yield from element  # so closing the document closes the element being written
+    yield tail
 
 
 def write_results(result, path, fmt: str = "csv") -> Path | None:

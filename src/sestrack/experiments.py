@@ -4,11 +4,13 @@ Replication ``r`` of an experiment with master seed ``s`` simulates its
 path from the child seed ``child_seed(s, r)``.  Replications are processed
 in fixed blocks of ``BLOCK_SIZE``.  Each block lives in one stream-major
 array, one row per replication, and is sampled, smoothed and squared in
-cache-sized time slabs.  Blocks share nothing, so ``monte_carlo_mse`` may fork
-worker processes that each run every n-th block; block summaries are
-always combined in index order, so every statistic depends on the config
-alone, never on the worker count.  Squared errors follow the delayed
-pairing of the tracking analysis: the error at step t is ``m_{t+1} - m*_t``.
+cache-sized time slabs.  Blocks share nothing, so ``monte_carlo_mse`` may
+run them on forked worker processes through ``_fork_map``, the package's one
+parallel path (``dataio`` formats its CSV and SVG chunks through it too),
+which hands results back in item order; block summaries are thus always
+combined in index order, so every statistic depends on the config alone,
+never on the worker count.  Squared errors follow the delayed pairing of
+the tracking analysis: the error at step t is ``m_{t+1} - m*_t``.
 
 This module computes results and writes no files; ``dataio`` writes them
 (and holds ``reproduce_figure``), and nothing here imports it.
@@ -16,6 +18,7 @@ This module computes results and writes no files; ``dataio`` writes them
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import pickle
@@ -192,62 +195,77 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _child_worker(config: ExperimentConfig, blocks: list[range], read: int, write: int):
-    """Body of a forked worker: pickle the summaries of ``blocks`` into the
-    pipe's ``write`` end and leave without returning to the caller's code
-    (exit 0 on success, 1 after printing the error to stderr)."""
+def _child(func, items, label: str, write: int):
+    """Body of a forked worker: pickle ``func(item)`` for each of ``items``
+    into the pipe's ``write`` end, flushed one by one, and leave without
+    returning to the caller's code (exit 0 on success, 1 after printing the
+    error to stderr)."""
     status = 1
     try:
-        os.close(read)
-        share = [_run_block(config, block) for block in blocks]
         with open(write, "wb") as pipe:
-            pickle.dump(share, pipe, pickle.HIGHEST_PROTOCOL)
+            for item in items:
+                pickle.dump(func(item), pipe, pickle.HIGHEST_PROTOCOL)
+                pipe.flush()
         status = 0
     except BaseException as exc:
-        os.write(2, f"Monte Carlo worker (pid {os.getpid()}) failed: {exc!r}\n".encode())
+        os.write(2, f"{label} worker (pid {os.getpid()}) failed: {exc!r}\n".encode())
     finally:
         os._exit(status)
 
 
-def _fork_join(
-    config: ExperimentConfig, blocks: list[range], workers: int
-) -> list[_BlockMoments]:
-    """Summaries of ``blocks`` in block order, computed by ``workers``
-    processes.  Worker i runs blocks i, i + workers, ...; worker 0 is this
-    process and the others are forked children, each returning its list of
-    summaries through a pipe; with one worker nothing is forked.  A child
-    that fails raises ChildProcessError; on any error every child still
-    running is killed and all are reaped.
-    """
-    children = []  # (pid, read end) of each child not yet reaped, in worker order
+def _fork_map(func, items, workers: int, label: str):
+    """Yield ``func(item)`` for each of the sequence ``items``, in order,
+    computed by n = min(workers, len(items), usable CPUs) processes: worker
+    w computes items w, w + n, ...  Worker 0 is this process, computing
+    each of its items one round ahead, so it seldom waits on the children;
+    the others are forked children, each pickling its results into a pipe
+    as it computes them, so it runs at most a pipe buffer ahead.  Without
+    ``os.fork`` or beside other threads n is 1.  A child that fails or ends
+    early raises ChildProcessError naming ``label``, the worker, its pid and
+    wait status.  However iteration ends (exhausted, failed or closed
+    early), every child still running is killed and all are reaped."""
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        workers = 1
+    n = max(1, min(workers, len(items), _usable_cpus()))
+    children = {}  # worker -> (pid, read end) of each child not yet reaped
+
+    def reap(worker: int, ended: bool) -> None:
+        pid, pipe = children[worker]
+        pipe.close()
+        status = os.waitpid(pid, 0)[1]
+        del children[worker]
+        code = os.waitstatus_to_exitcode(status)
+        if code or not ended:  # a child that ends early failed, whatever its code
+            how = f"was killed by signal {-code}" if code < 0 else f"exited with code {code}"
+            raise ChildProcessError(f"{label} worker {worker} (pid {pid}) {how}; wait status {status}")
+
     try:
-        for worker in range(1, workers):
+        for worker in range(1, n):
             read, write = os.pipe()
             pid = os.fork()
             if pid == 0:
-                _child_worker(config, blocks[worker::workers], read, write)
+                os.close(read)
+                _child(func, items[worker::n], label, write)
             os.close(write)
-            children.append((pid, open(read, "rb")))
-        shares = [[_run_block(config, block) for block in blocks[::workers]]]
-        while children:
-            pid, pipe = children[0]
-            with pipe:
-                data = pipe.read()
-            status = os.waitpid(pid, 0)[1]
-            children.pop(0)
-            code = os.waitstatus_to_exitcode(status)
-            if code:
-                how = f"was killed by signal {-code}" if code < 0 else f"exited with code {code}"
-                raise ChildProcessError(
-                    f"Monte Carlo worker {len(shares)} (pid {pid}) {how}; wait status {status}"
-                )
-            shares.append(pickle.loads(data))
+            children[worker] = (pid, open(read, "rb"))
+        own = map(func, items[::n])
+        mine = next(own, None)
+        for start in range(0, len(items), n):
+            yield mine
+            mine = next(own, None)  # before waiting on this round's children
+            for worker in range(1, min(n, len(items) - start)):
+                try:
+                    result = pickle.load(children[worker][1])
+                except (EOFError, pickle.UnpicklingError):
+                    reap(worker, ended=False)
+                yield result
+        for worker in list(children):
+            reap(worker, ended=True)
     finally:
-        for pid, pipe in children:
-            pipe.close()
+        for pid, pipe in children.values():
             os.kill(pid, _SIGKILL)
+            pipe.close()
             os.waitpid(pid, 0)
-    return [shares[i % workers][i // workers] for i in range(len(blocks))]
 
 
 def monte_carlo_mse(config: ExperimentConfig, workers: int = 1) -> MseCurve:
@@ -257,13 +275,13 @@ def monte_carlo_mse(config: ExperimentConfig, workers: int = 1) -> MseCurve:
     and squared in one stream-major array by ``_run_block``; replication r
     still draws from its own ``child_seed`` stream.
 
-    ``workers`` must be an integer >= 1.  The blocks are split over
-    n = min(workers, blocks, usable CPUs) processes: this one and n - 1
-    children made with ``os.fork``, worker i taking blocks i, i + n, ...
-    On a platform without ``os.fork`` or in a process already running other
-    threads n is 1, and with n = 1 the blocks run serially here.  Either way
-    the block summaries are folded in index order, so the result is bitwise
-    the same for every worker count.  A failed worker raises ChildProcessError.
+    ``workers`` must be an integer >= 1.  ``_fork_map`` splits the blocks
+    over n = min(workers, blocks, usable CPUs) processes: this one and n - 1
+    forked children, worker i taking blocks i, i + n, ...  On a platform
+    without ``os.fork`` or in a process already running other threads n is
+    1, and with n = 1 the blocks run serially here.  Either way the block
+    summaries are folded in index order, so the result is bitwise the same
+    for every worker count.  A failed worker raises ChildProcessError.
     A block of horizon x min(replications, BLOCK_SIZE) cells above
     ``MAX_CELLS`` is rejected before anything is allocated.
     """
@@ -276,13 +294,9 @@ def monte_carlo_mse(config: ExperimentConfig, workers: int = 1) -> MseCurve:
             f"{8 * cells / 1e6:.0f} MB at peak), over the cap of {MAX_CELLS} cells"
         )
     blocks = [range(s, min(s + BLOCK_SIZE, reps)) for s in range(0, reps, BLOCK_SIZE)]
-    if not hasattr(os, "fork") or threading.active_count() > 1:
-        workers = 1
-    summaries = _fork_join(config, blocks, min(workers, len(blocks), _usable_cpus()))
-
-    total = summaries[0]
-    for block in summaries[1:]:
-        total = _combine(total, block)
+    total = functools.reduce(
+        _combine, _fork_map(functools.partial(_run_block, config), blocks, workers, "Monte Carlo")
+    )
 
     tail_idx = _tail_index(config)
     if reps > 1:

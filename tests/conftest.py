@@ -1,3 +1,29 @@
+import os
+
+import pytest
+
+from sestrack import experiments
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids ``experiments._fork_map`` forks (for Monte Carlo blocks or
+    for CSV/SVG chunks), with as many workers granted as a caller asks for
+    whatever the CPU count of the machine running the test."""
+    pids = []
+    fork = os.fork
+
+    def counting_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 8)
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return pids
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     """Print one PASS/FAIL line per acceptance criterion after the run."""
     rows = []

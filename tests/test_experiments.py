@@ -146,7 +146,7 @@ def test_cap_counts_the_cells_of_one_block(monkeypatch, horizon, reps):
     def refuse(*args):
         raise _PastTheCap
 
-    monkeypatch.setattr(experiments, "_fork_join", refuse)
+    monkeypatch.setattr(experiments, "_fork_map", refuse)
     config = ExperimentConfig(WhiteGaussian(1.0), Constant(0.0), 0.1, horizon, reps, seed=1)
     with pytest.raises(_PastTheCap):
         monte_carlo_mse(config)
@@ -209,24 +209,6 @@ def _digest(curve) -> str:
     digest = hashlib.sha256(curve.mean.tobytes() + curve.stderr.tobytes())
     digest.update(struct.pack("<dd", curve.tail_mean, curve.tail_se))
     return digest.hexdigest()
-
-
-@pytest.fixture
-def forks(monkeypatch):
-    """The pids ``monte_carlo_mse`` forks, with as many workers granted as
-    it asks for whatever the CPU count of the machine running the test."""
-    pids = []
-    fork = os.fork
-
-    def counting_fork():
-        pid = fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 8)
-    monkeypatch.setattr(os, "fork", counting_fork)
-    return pids
 
 
 @pytest.mark.parametrize("kind", sorted(PINNED_CURVES))

@@ -1,17 +1,22 @@
 import dataclasses
 import io
 import json
+import os
+import signal
+import stat
+import threading
 import tracemalloc
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from sestrack import (
     AR1,
+    experiments,
     ExperimentConfig,
     Linear,
     MAq,
@@ -24,11 +29,15 @@ from sestrack import (
     write_csv,
     write_results,
 )
+from sestrack import dataio
+from sestrack.cli import main
 from sestrack.dataio import (
+    _CHUNK_ROWS,
     _read_column_by_rows,
     experiment_config_from_dict,
     experiment_config_to_dict,
 )
+from sestrack.experiments import SmoothedPath
 from sestrack.processes import WhiteGaussian, Constant
 from sestrack.smoothing import INIT_WORDING
 
@@ -279,6 +288,154 @@ def test_curve_svg_well_formed(tmp_path):
     curve = monte_carlo_mse(config)
     p = write_results(curve, tmp_path / "curve.svg", "svg")
     ET.fromstring(p.read_text())
+
+
+# ---------------------------------------------------------------------------
+# formatting on forked workers
+# ---------------------------------------------------------------------------
+
+def _table(rows: int) -> SmoothedPath:
+    """A path of ``rows`` steps: four CSV columns, and SVG dots plus two
+    polylines, so each SVG runs three chunk loops."""
+    rng = np.random.default_rng(rows)
+    trend = np.linspace(0.0, 5.0, rows)
+    return SmoothedPath(trend + rng.standard_normal(rows), trend, trend + rng.normal(0, 0.1, rows))
+
+
+def _written(result, target, fmt: str) -> bytes:
+    if isinstance(target, Path):
+        return write_results(result, target, fmt).read_bytes()
+    write_results(result, target, fmt)
+    return target.getvalue().encode()
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@settings(max_examples=6, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(rows=st.sampled_from([1, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1,
+                             2 * _CHUNK_ROWS + 1, 5 * _CHUNK_ROWS + 3]))
+def test_written_bytes_do_not_depend_on_the_worker_count(forks, tmp_path, rows):
+    table, chunks = _table(rows), -(-rows // _CHUNK_ROWS)
+    written = {}
+    for workers in (1, 2, 3):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(experiments, "_usable_cpus", lambda: workers)
+            for fmt, loops in (("csv", 1), ("svg", 3)):
+                for target in (tmp_path / f"out.{fmt}", io.StringIO()):
+                    before = len(forks)
+                    written.setdefault(fmt, set()).add(_written(table, target, fmt))
+                    assert len(forks) - before == loops * (min(workers, chunks) - 1)
+    assert {fmt: len(texts) for fmt, texts in written.items()} == {"csv": 1, "svg": 1}
+    _assert_no_child_left()
+
+
+def test_writers_stay_serial_beside_another_thread(forks, tmp_path):
+    table = _table(3 * _CHUNK_ROWS)
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        threaded = [_written(table, tmp_path / f"t.{fmt}", fmt) for fmt in ("csv", "svg")]
+    finally:
+        release.set()
+        thread.join(timeout=10.0)
+    assert not thread.is_alive()
+    assert forks == []
+    assert threaded == [_written(table, tmp_path / f"f.{fmt}", fmt) for fmt in ("csv", "svg")]
+    assert len(forks) == 4 * 2  # once the thread is gone: 3 chunks, so 2 children per loop
+
+
+class _StreamFailingAfterFirstChunk(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        if self.writes > 2:  # the header, then the first chunk
+            raise OSError("stream closed")
+        return super().write(text)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "svg"])
+@pytest.mark.parametrize(
+    "how, error",
+    [
+        ("stream", "stream closed"),
+        ("exception", r"CSV/SVG formatting worker 1 \(pid \d+\) exited with code 1; wait status"),
+        ("signal", r"CSV/SVG formatting worker 1 \(pid \d+\) was killed by signal 9; wait status"),
+    ],
+)
+def test_failed_write_leaves_no_child_and_no_file(forks, monkeypatch, tmp_path, capfd, fmt, how, error):
+    parent, format_chunk = os.getpid(), dataio._format_chunk
+
+    def format_chunk_failing_in_child(*args):
+        if os.getpid() != parent:
+            if how == "signal":
+                os.kill(os.getpid(), signal.SIGKILL)
+            raise RuntimeError("chunk failed")
+        return format_chunk(*args)
+
+    if how != "stream":
+        monkeypatch.setattr(dataio, "_format_chunk", format_chunk_failing_in_child)
+    target = _StreamFailingAfterFirstChunk() if how == "stream" else tmp_path / f"out.{fmt}"
+    with pytest.raises(OSError, match=error) as caught:
+        write_results(_table(3 * _CHUNK_ROWS), target, fmt)
+    assert forks
+    _assert_no_child_left()  # reaped by the writer, not by freeing the traceback's frames
+    assert caught.tb is not None
+    assert list(tmp_path.iterdir()) == []
+    assert ("RuntimeError('chunk failed')" in capfd.readouterr().err) == (how == "exception")
+
+
+def test_failed_cli_write_exits_1_and_leaves_no_file(forks, monkeypatch, tmp_path, capfd):
+    parent, format_chunk = os.getpid(), dataio._format_chunk
+
+    def format_chunk_failing_in_child(*args):
+        if os.getpid() != parent:
+            raise RuntimeError("chunk failed")
+        return format_chunk(*args)
+
+    monkeypatch.setattr(dataio, "_format_chunk", format_chunk_failing_in_child)
+    out = tmp_path / "sim.csv"
+    out.write_text("an earlier run\n")
+    code = main(["simulate", "--alpha", "0.1", "--trend", "const:level=0", "--noise", "white:var=1",
+                 "--steps", str(2 * _CHUNK_ROWS), "--seed", "1", "--out", str(out)])
+    assert code == 1
+    assert "error: CSV/SVG formatting worker 1 (pid " in capfd.readouterr().err
+    assert not out.exists()
+    _assert_no_child_left()
+
+
+def test_failed_serial_write_deletes_the_truncated_file(monkeypatch, tmp_path):
+    # a write cut after the first chunk left rows that read back as valid data
+    format_chunk, calls = dataio._format_chunk, []
+
+    def format_chunk_failing_on_the_second(*args):
+        calls.append(args[-1])
+        if len(calls) == 2:
+            raise OSError(28, "No space left on device")
+        return format_chunk(*args)
+
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(dataio, "_format_chunk", format_chunk_failing_on_the_second)
+    path = tmp_path / "v.csv"
+    with pytest.raises(OSError, match="No space left on device"):
+        write_csv(path, ["t", "v"], [np.arange(2 * _CHUNK_ROWS), np.linspace(0, 1, 2 * _CHUNK_ROWS)])
+    assert calls == [0, _CHUNK_ROWS]
+    assert not path.exists()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+def test_failed_write_leaves_a_device_alone():
+    with pytest.raises(OSError):
+        write_csv("/dev/full", ["t"], [np.arange(3 * _CHUNK_ROWS)])
+    assert stat.S_ISCHR(os.stat("/dev/full").st_mode)
+    _assert_no_child_left()
 
 
 # ---------------------------------------------------------------------------
