@@ -15,21 +15,12 @@ MA(q)), in closed form (AR(1)), or else, for a user-supplied
 ``Autocovariance``, as a series truncated at ``SERIES_TOL`` relative to
 gamma(0); a series that would need more than ``SERIES_LAG_CAP`` lags raises
 rather than understate the bound.  ``optimize_alpha`` minimizes the total
-over alpha, and ``exact_mse_sequence`` / ``closed_form_mse`` provide the
-exact finite-time second moments D_t = E[(m_t - m*_{t-1})^2] whose limit
-the bound caps.  For trends with constant one-step increment the
-bound is attained in the limit, which the test suite exploits.
-
-Initial-condition modes for the recursion: "paper" starts from D_1 = 0,
-modelling a deterministic first estimate equal to the initial trend value;
-"variance" starts from D_1 = gamma(0), matching a first estimate set to the
-first observation.  The recursion is exact for any deterministic first
-estimate whatever the noise.  For the first-observation start it is only
-asymptotically exact: the derivation drops cov(m_1, x_t) terms, and even
-for white noise the t = 1 instance of that term contributes
-2 alpha beta gamma(0), which then decays through the recursion as
-beta^(2t).  Monte Carlo oracle comparisons should therefore use a
-deterministic init; all init choices share the same limit.
+over alpha.  ``exact_mse_sequence`` evolves the exact finite-time second
+moments D_t = E[(m_t - m*_{t-1})^2] whose limit the bound caps, exact at
+every step for each start of the smoother and any noise, and
+``closed_form_mse`` is the independent oracle of the paper's start
+m_1 = m*_1.  For trends with constant one-step increment the bound is
+attained in the limit, which the test suite exploits.
 """
 
 from __future__ import annotations
@@ -40,7 +31,7 @@ from dataclasses import dataclass
 from ._numpy import np
 from .processes import Autocovariance, NoiseModel, TrendSpec, trend_sequence
 from .seeding import check_count
-from .smoothing import check_alpha
+from .smoothing import InitPolicy, check_alpha, check_init
 
 SERIES_LAG_CAP = 10**6
 SERIES_TOL = 1e-14  # relative to gamma(0), where the series tail stops
@@ -98,6 +89,13 @@ def _correlation_tail(noise, alpha: float, beta: float, g0: float) -> tuple[floa
     return tail, lags, g0 * beta ** (lags + 1) / alpha
 
 
+def _finite_nonnegative(value: float, what: str) -> float:
+    value = float(value)
+    if not (math.isfinite(value) and value >= 0.0):
+        raise ValueError(f"{what} must be finite and >= 0, got {value}")
+    return value
+
+
 def tracking_bound(
     alpha: float, noise: NoiseModel | Autocovariance, lipschitz: float
 ) -> BoundReport:
@@ -112,14 +110,10 @@ def tracking_bound(
     series.  A trend term that overflows is +inf, as is then the total.
     """
     alpha = check_alpha(alpha)
-    lipschitz = float(lipschitz)
-    if not (math.isfinite(lipschitz) and lipschitz >= 0.0):
-        raise ValueError(f"trend increment bound must be finite and >= 0, got {lipschitz}")
+    lipschitz = _finite_nonnegative(lipschitz, "trend increment bound")
 
     beta = 1.0 - alpha
-    g0 = noise.gamma(0)
-    if not (math.isfinite(g0) and g0 >= 0.0):
-        raise ValueError(f"gamma(0) must be finite and >= 0, got {g0}")
+    g0 = _finite_nonnegative(noise.gamma(0), "gamma(0)")
     tail, lag, residual = _correlation_tail(noise, alpha, beta, g0)
 
     front = alpha / (2.0 - alpha)
@@ -138,36 +132,44 @@ def exact_mse_sequence(
     noise: NoiseModel | Autocovariance,
     trend: TrendSpec,
     horizon: int,
-    d1: str = "paper",
+    init: InitPolicy | None = None,
 ) -> np.ndarray:
-    """Evolve D_1 .. D_{horizon+1} exactly, in O(1) work per step.
+    """Evolve D_1 .. D_{horizon+1} exactly, in O(1) work per step, for the
+    smoother started at ``init`` as ``ses_run`` takes it ("first" or a
+    number), or at the paper's m_1 = m*_1 when ``init`` is None.
 
     With K_t = m*_t - m*_{t-1} (m*_0 := m*_1, so K_1 = 0), step t is
     D_{t+1} = beta^2 (D_t + K_t^2 - 2 K_t v_t) + 2 a^2 W_t - a^2 gamma(0),
     v_{t+1} = beta (v_t - K_t) and W_{t+1} = W_t + beta^t gamma(t), from
-    v_1 = 0, W_1 = gamma(0) and D_1 set by ``d1`` (see the module docstring).
-    Past the model's ``support`` the weighted sum W_t is constant, and the
-    steps there run on hoisted floats, in the same operations and order.
+    W_1 = gamma(0).  A number c starts from D_1 = e^2 and v_1 = e, with
+    e = c - m*_1.  "first" (m_1 = x_1) starts from D_1 = gamma(0) and
+    v_1 = 0, and its step t adds 2 a beta^t gamma(t-1).  Past the model's
+    ``support`` (one lag later for "first") the steps run on hoisted
+    floats, in the same operations and order.
     """
     a = check_alpha(alpha)
-    if d1 not in ("paper", "variance"):
-        raise ValueError(f'd1 must be "paper" or "variance", got {d1!r}')
     horizon = check_count(horizon, "horizon", 1)
+    levels = trend_sequence(trend, horizon)
+    first = init is not None and check_init(init) == "first"
+    error = 0.0 if init is None or first else check_init(init) - float(levels[0])
+    levels[1:], levels[0] = np.diff(levels), 0.0  # into K_1 = 0, K_2 .. K_T, in place
     # a memoryview yields Python floats without materializing them all
-    increments = memoryview(np.concatenate(([0.0], np.diff(trend_sequence(trend, horizon)))))
+    increments = memoryview(levels)
     gamma = noise.gamma
-    g0 = float(gamma(0))
-    b, two_a2, a2_g0 = 1.0 - a, 2.0 * a * a, a * a * g0
-    varying = horizon if noise.support is None else min(noise.support, horizon)
+    g0 = _finite_nonnegative(gamma(0), "gamma(0)")
+    b, two_a2, a2_g0, lead = 1.0 - a, 2.0 * a * a, a * a * g0, 2.0 * a * first
+    varying = horizon if noise.support is None else min(noise.support + first, horizon)
 
-    def steps(mse, mean_error, weighted):
+    def steps(mse, mean_error, weighted, lagged):  # lagged: gamma(t - 1)
         yield mse
         for t in range(1, varying + 1):
-            k = increments[t - 1]
+            k, decay = increments[t - 1], b**t
             mse = b * b * (mse + k * k - 2.0 * k * mean_error) + two_a2 * weighted - a2_g0
+            mse += lead * decay * lagged
             yield mse
             mean_error = b * (mean_error - k)
-            weighted += b**t * gamma(t)
+            lagged = gamma(t)
+            weighted += decay * lagged
         noise_part = two_a2 * weighted
         for k in increments[varying:]:
             mse = b * b * (mse + k * k - 2.0 * k * mean_error) + noise_part - a2_g0
@@ -175,7 +177,7 @@ def exact_mse_sequence(
             mean_error = b * (mean_error - k)
 
     # given its count, fromiter allocates the output once
-    return np.fromiter(steps(0.0 if d1 == "paper" else g0, 0.0, g0), float, horizon + 1)
+    return np.fromiter(steps(g0 if first else error * error, error, g0, g0), float, horizon + 1)
 
 
 def closed_form_mse(
@@ -193,6 +195,7 @@ def closed_form_mse(
     """
     alpha = check_alpha(alpha)
     t = check_count(step, "step", 1)
+    g0 = _finite_nonnegative(noise.gamma(0), "gamma(0)")
     beta = 1.0 - alpha
     a2 = alpha * alpha
     geom = 1.0 - beta * beta
@@ -212,7 +215,7 @@ def closed_form_mse(
         gammas = np.array([noise.gamma(k) for k in range(t - 1)])
         inner = (1.0 - beta ** (2.0 * (t - 1 - lags))) / geom
         noise_part = 2.0 * a2 * float(np.sum(gammas * beta**lags * inner))
-        noise_part -= a2 * noise.gamma(0) * (1.0 - beta ** (2.0 * (t - 1))) / geom
+        noise_part -= a2 * g0 * (1.0 - beta ** (2.0 * (t - 1))) / geom
     return trend_part + noise_part
 
 

@@ -234,30 +234,25 @@ def _cmd_optimize_alpha(args) -> int:
     return 0
 
 
-# the flags (by dest) only one mse mode reads; each defaults to None, so given means not None
-_MODE_FLAGS = {"exact": ["d1"], "mc": ["replications", "seed", "init", "workers"]}
+# the flags (by dest) only mc mode reads; each defaults to None, so given means not None
+_MC_FLAGS = ["replications", "seed", "workers"]
 
 
-def _check_mode_flags(args, names: list[str]) -> None:
-    """Exit 2 naming each flag of ``names`` left out, or else each flag of
-    the other mode given."""
+def _cmd_mse(args) -> int:
+    # exit 2 naming each required flag left out, or else each mc mode flag exact mode is given
+    required = ["alpha", "horizon"] + (["replications", "seed"] if args.mode == "mc" else [])
+    stray = _MC_FLAGS if args.mode == "exact" else []
     for problem, flags in (
-        ("requires", [n for n in names if getattr(args, n) is None]),
-        ("does not take", [n for mode, mode_flags in _MODE_FLAGS.items() if mode != args.mode
-                           for n in mode_flags if getattr(args, n) is not None]),
+        ("requires", [n for n in required if getattr(args, n) is None]),
+        ("does not take", [n for n in stray if getattr(args, n) is not None]),
     ):
         if flags:
             named = [_RUN_FLAGS[n][0] if n in _RUN_FLAGS else f"--{n}" for n in flags]
             raise UsageError(f"mse --mode {args.mode} {problem} {', '.join(named)}")
-
-
-def _cmd_mse(args) -> int:
-    required = ["alpha", "horizon"] + (["replications", "seed"] if args.mode == "mc" else [])
-    _check_mode_flags(args, required)
     run = _run_values(args)
     if args.mode == "exact":
         sequence = exact_mse_sequence(
-            run["alpha"], run["noise"], run["trend"], run["horizon"], **_given(args, "d1")
+            run["alpha"], run["noise"], run["trend"], run["horizon"], run.get("init")
         )
         summary = _finite({"final_mse": float(sequence[-1])})
         if args.out:
@@ -379,10 +374,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("exact", "mc"), required=True, help="evaluation mode")
     _add_run_flags(p, "noise trend")
     _add_run_flags(p, "alpha horizon", required=False)
-    _add_run_flags(p, "replications seed init", required=False, note=" (mc mode)")
+    _add_run_flags(p, "init", required=False, note=(
+        " (default: \"first\" in mc mode, the paper's m_1 = m*_1 in exact mode)"))
+    _add_run_flags(p, "replications seed", required=False, note=" (mc mode)")
     p.add_argument("--workers", type=int, help=f"{_WORKERS_HELP} (mc mode)")
-    p.add_argument("--d1", choices=("paper", "variance"),
-                   help="initial condition of the exact recursion (exact mode)")
     p.add_argument("--out", help="output CSV path")
     p.add_argument("--json", action="store_true", help="machine-readable summary")
     p.set_defaults(handler=_cmd_mse)

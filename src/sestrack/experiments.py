@@ -18,6 +18,7 @@ This module computes results and writes no files; ``dataio`` writes them
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 import os
@@ -261,11 +262,12 @@ def _fork_map(func, items, workers: int, label: str):
                 yield result
         for worker in list(children):
             reap(worker, ended=True)
-    finally:
+    finally:  # a child the embedding program has reaped itself is skipped
         for pid, pipe in children.values():
-            os.kill(pid, _SIGKILL)
             pipe.close()
-            os.waitpid(pid, 0)
+            with contextlib.suppress(ProcessLookupError, ChildProcessError):
+                os.kill(pid, _SIGKILL)
+                os.waitpid(pid, 0)
 
 
 def monte_carlo_mse(config: ExperimentConfig, workers: int = 1) -> MseCurve:

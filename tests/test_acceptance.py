@@ -52,7 +52,7 @@ def test_criterion_01_closed_form_recursion_equivalence():
 
 
 def test_criterion_02_white_noise_fixed_point():
-    sequence = exact_mse_sequence(0.1, WHITE_UNIT, Constant(0.0), 500, d1="paper")
+    sequence = exact_mse_sequence(0.1, WHITE_UNIT, Constant(0.0), 500)
     report = tracking_bound(0.1, WHITE_UNIT, 0.0)
     assert np.all(np.diff(sequence) >= -1e-15)  # monotone convergence upward
     assert abs(sequence[-1] - FIXED_POINT_01) <= 1e-12
@@ -74,9 +74,7 @@ def test_criterion_03_monte_carlo_matches_exact_oracle():
     start = time.perf_counter()
     curve = monte_carlo_mse(config)
     elapsed = time.perf_counter() - start
-    exact = exact_mse_sequence(
-        0.3, WHITE_UNIT, Constant(level), 500, d1="paper"
-    )
+    exact = exact_mse_sequence(0.3, WHITE_UNIT, Constant(level), 500, config.init)
     for t in (2, 10, 100, 500):
         gap = abs(curve.mean[t - 1] - exact[t])
         assert gap <= 3.0 * curve.stderr[t - 1], (t, gap, curve.stderr[t - 1])

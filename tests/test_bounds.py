@@ -27,6 +27,7 @@ from sestrack import (
 )
 from sestrack import bounds
 from sestrack.bounds import GRID_POINTS, SERIES_LAG_CAP, SERIES_TOL, _golden_section_min
+from sestrack.smoothing import INIT_WORDING
 
 WHITE = WhiteGaussian(1.0)
 ZERO = WhiteGaussian(0.0)
@@ -263,13 +264,32 @@ def test_noiseless_ramp_limit():
     assert lag_error**2 == pytest.approx(sequence[600], rel=1e-9)
 
 
-def test_variance_init_mode():
-    paper = exact_mse_sequence(0.2, WHITE, Constant(0.0), 400, d1="paper")
-    var = exact_mse_sequence(0.2, WHITE, Constant(0.0), 400, d1="variance")
-    assert var[0] == 1.0
-    assert abs(var[-1] - paper[-1]) <= 1e-12
-    with pytest.raises(ValueError):
-        exact_mse_sequence(0.2, WHITE, Constant(0.0), 10, d1="zero")
+def test_every_start_reaches_the_same_limit():
+    noise, trend = AR1(0.5, 2.0), Linear(1.0, 0.05)
+    paper = exact_mse_sequence(0.2, noise, trend, 400)
+    for init, d1 in (("first", noise.gamma(0)), (8.0, 49.0), (-3.5, 20.25)):
+        sequence = exact_mse_sequence(0.2, noise, trend, 400, init)
+        assert sequence[0] == d1
+        assert abs(sequence[-1] - paper[-1]) <= 1e-12
+
+
+@pytest.mark.parametrize("word", ["variance", "paper", "zero"])
+def test_exact_recursion_refuses_a_start_that_is_not_an_init(word):
+    with pytest.raises(ValueError, match=f"init must be {INIT_WORDING}, got {word!r}"):
+        exact_mse_sequence(0.2, WHITE, Constant(0.0), 10, word)
+
+
+@pytest.mark.parametrize("g0", [-1.0, math.nan, math.inf])
+def test_exact_functions_refuse_the_variance_the_bound_refuses(g0):
+    noise = Autocovariance(lambda k: g0 if k == 0 else 0.0)
+    for call in (
+        lambda: tracking_bound(0.1, noise, 0.0),
+        lambda: exact_mse_sequence(0.1, noise, Constant(0.0), 5),
+        lambda: exact_mse_sequence(0.1, noise, Constant(0.0), 5, "first"),
+        lambda: closed_form_mse(0.1, noise, Constant(0.0), 1),
+    ):
+        with pytest.raises(ValueError, match=rf"gamma\(0\) must be finite and >= 0, got {g0}"):
+            call()
 
 
 def test_recursion_state_jensen():
@@ -301,19 +321,25 @@ def _reference_mse_step(
     return mse, b * (mean_error - k), weighted + b**step * gamma_next
 
 
-def _reference_exact_mse(alpha, noise, trend, horizon, d1):
-    """The scalar loop exact_mse_sequence ran before, one gamma(t) per step."""
+def _reference_exact_mse(alpha, noise, trend, horizon, init):
+    """The scalar loop exact_mse_sequence ran before, one gamma(t) per step,
+    from the start ``init`` (None for m_1 = m*_1); the "first" start adds
+    its term 2 a beta^t gamma(t-1) at every step."""
     a = alpha
-    increments = np.concatenate(([0.0], np.diff(trend_sequence(trend, horizon))))
+    m_star = trend_sequence(trend, horizon)
+    increments = np.concatenate(([0.0], np.diff(m_star)))
     gamma = noise.gamma
     g0 = gamma(0)
-    mse, mean_error, weighted = (0.0 if d1 == "paper" else g0), 0.0, g0
+    error = 0.0 if init in (None, "first") else init - m_star[0]
+    mse, mean_error, weighted = (g0 if init == "first" else error * error), error, g0
     out = np.empty(horizon + 1)
     out[0] = mse
     for t, k_t in enumerate(memoryview(increments), start=1):
         mse, mean_error, weighted = _reference_mse_step(
             a, g0, t, mse, mean_error, weighted, k_t, gamma(t)
         )
+        if init == "first":
+            mse += 2.0 * a * (1.0 - a) ** t * gamma(t - 1)
         out[t] = mse
     return out
 
@@ -338,14 +364,66 @@ _EVERY_KIND = st.one_of(
         st.builds(Sinusoid, st.floats(-5.0, 5.0), st.floats(0.0, 1.0), st.floats(-3.0, 3.0)),
     ),
     horizon=st.integers(1, 500),
-    d1=st.sampled_from(["paper", "variance"]),
+    init=st.one_of(st.none(), st.just("first"), st.floats(-1e3, 1e3)),
 )
-@example(0.3, MAq((0.5,) * 12, 1.3), Linear(1.0, 0.5), 5, "paper")  # q > horizon
-@example(0.3, MAq((-0.5, 0.2, 0.1), 0.7), Sinusoid(2.0, 0.1, 0.0), 3, "variance")  # q = horizon
-@example(1e-6, WhiteGaussian(-0.0), Constant(0.0), 4, "variance")
-def test_exact_recursion_is_the_scalar_loop_bit_for_bit(alpha, noise, trend, horizon, d1):
-    got = exact_mse_sequence(alpha, noise, trend, horizon, d1)
-    assert got.tobytes() == _reference_exact_mse(alpha, noise, trend, horizon, d1).tobytes()
+@example(0.3, MAq((0.5,) * 12, 1.3), Linear(1.0, 0.5), 5, None)  # q > horizon
+@example(0.3, MAq((-0.5, 0.2, 0.1), 0.7), Sinusoid(2.0, 0.1, 0.0), 3, "first")  # q = horizon
+@example(0.3, MAq((-0.5, 0.2, 0.1), 0.7), Sinusoid(2.0, 0.1, 0.0), 4, "first")  # q + 1 = horizon
+@example(1e-6, WhiteGaussian(-0.0), Constant(0.0), 4, "first")
+def test_exact_recursion_is_the_scalar_loop_bit_for_bit(alpha, noise, trend, horizon, init):
+    got = exact_mse_sequence(alpha, noise, trend, horizon, init)
+    assert got.tobytes() == _reference_exact_mse(alpha, noise, trend, horizon, init).tobytes()
+    if init is None:  # the paper's start is the numeric start at m*_1, bit for bit
+        at_m_star = exact_mse_sequence(alpha, noise, trend, horizon, trend_sequence(trend, 1)[0])
+        assert at_m_star.tobytes() == got.tobytes()
+
+
+def _dense_mse(alpha, noise, trend, horizon, init):
+    """D_1 .. D_{horizon+1} written out: m_t = c_t + w_t . x, with w_t the
+    weights of m_t on x_1 .. x_horizon (zero from x_t on) and c_t its fixed
+    part, so D_t = (c_t + w_t . m* - m*_{t-1})^2 + w_t' Gamma w_t."""
+    beta = 1.0 - alpha
+    m_star = trend_sequence(trend, horizon)
+    lags = np.abs(np.subtract.outer(np.arange(horizon), np.arange(horizon)))
+    cov = np.array([noise.gamma(k) for k in range(horizon)])[lags]
+    weights, fixed = np.zeros(horizon), 0.0
+    if init == "first":
+        weights[0] = 1.0
+    else:
+        fixed = m_star[0] if init is None else init
+    out = []
+    for t in range(1, horizon + 2):
+        mean_error = fixed + weights @ m_star - m_star[max(t - 2, 0)]  # m*_0 := m*_1
+        out.append(mean_error**2 + weights @ cov @ weights)
+        if t <= horizon:  # m_{t+1} = beta m_t + alpha x_t
+            weights *= beta
+            fixed *= beta
+            weights[t - 1] += alpha
+    return np.array(out)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    alpha=st.floats(0.01, 0.99),
+    noise=st.one_of(
+        st.builds(WhiteGaussian, _VARIANCES),
+        st.builds(MA1, st.floats(-5.0, 5.0), _VARIANCES),
+        st.builds(AR1, st.floats(0.01, 0.99), _VARIANCES),
+        st.builds(MAq, st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=8).map(tuple),
+                  _VARIANCES),
+    ),
+    trend=st.one_of(
+        st.builds(Constant, st.floats(-10.0, 10.0)),
+        st.builds(Linear, st.floats(-10.0, 10.0), st.floats(-1.0, 1.0)),
+        st.builds(Sinusoid, st.floats(-5.0, 5.0), st.floats(0.0, 1.0), st.floats(-3.0, 3.0)),
+    ),
+    horizon=st.integers(1, 40),
+    init=st.one_of(st.none(), st.just("first"), st.floats(-10.0, 10.0)),
+)
+def test_exact_recursion_is_the_dense_second_moment(alpha, noise, trend, horizon, init):
+    got = exact_mse_sequence(alpha, noise, trend, horizon, init)
+    dense = _dense_mse(alpha, noise, trend, horizon, init)
+    assert np.all(np.abs(got - dense) <= 1e-12 * (1.0 + np.abs(dense) + noise.gamma(0)))
 
 
 def test_exact_recursion_memory_stays_flat():

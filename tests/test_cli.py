@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import sestrack
 from sestrack import (
+    MA1,
     Constant,
     ExperimentConfig,
     Linear,
@@ -25,7 +26,7 @@ from sestrack import (
     write_csv,
     write_results,
 )
-from sestrack.cli import main
+from sestrack.cli import main, parse_init
 from sestrack.smoothing import INIT_WORDING
 
 
@@ -383,11 +384,9 @@ MSE_ARGV = ["mse", "--alpha", "0.1", "--noise", "white:var=1", "--trend", "const
 
 
 @pytest.mark.parametrize("mode,flags", [
-    ("exact", ["--reps", "7", "--seed", "3", "--init", "8", "--workers", "2"]),
-    ("exact", ["--init", "first"]),
+    ("exact", ["--reps", "7", "--seed", "3", "--workers", "2"]),
+    ("exact", ["--seed", "0"]),
     ("exact", ["--workers", "1"]),
-    ("mc", ["--d1", "variance"]),
-    ("mc", ["--d1", "paper"]),
 ])
 def test_mse_rejects_the_other_modes_flags(capsys, mode, flags):
     # a flag the mode does not read is an error even when set to its default
@@ -396,6 +395,19 @@ def test_mse_rejects_the_other_modes_flags(capsys, mode, flags):
     assert code == 2 and out == ""
     named = ", ".join(flag for flag in flags if flag.startswith("--"))
     assert f"error: mse --mode {mode} does not take {named}\n" in err
+
+
+@pytest.mark.parametrize("init", ["first", "8"])
+def test_mse_exact_mode_reads_init(tmp_path, capsys, init):
+    out = tmp_path / "exact.csv"
+    argv = ["mse", "--mode", "exact", "--alpha", "0.2", "--noise", "ma1:a=2",
+            "--trend", "linear:start=2,slope=0.1", "--steps", "30", "--init", init]
+    code, _, _ = run(capsys, *argv, "--out", str(out))
+    assert code == 0
+    expected = exact_mse_sequence(0.2, MA1(2.0), Linear(2.0, 0.1), 30, parse_init(init))
+    assert np.array_equal(read_csv_column(out, "mse"), expected)
+    paper = exact_mse_sequence(0.2, MA1(2.0), Linear(2.0, 0.1), 30)
+    assert expected[0] != paper[0]  # the flag is read, not dropped
 
 
 def test_flag_usage_error_prints_no_grammar(capsys):
@@ -659,12 +671,10 @@ _trend = st.one_of(
 _steps = st.sampled_from(["1", "2", "17", "50"])
 _seed = st.sampled_from(["0", "1", str(2**64 - 1)])
 _init = st.one_of(st.just("first"), _number, st.sampled_from(["abc", "First", "", "0x10"]))
-_d1 = st.sampled_from(["paper", "variance"])
 _reps = st.sampled_from(["1", "2", "64"])
 _workers = st.sampled_from(["1", "2"])
 # the flags each mse mode rejects, since only the other mode reads them
-OTHER_MODE_FLAGS = {"--mode=exact": ("--reps", "--seed", "--init", "--workers"),
-                    "--mode=mc": ("--d1",)}
+OTHER_MODE_FLAGS = {"--mode=exact": ("--reps", "--seed", "--workers"), "--mode=mc": ()}
 
 
 def _flags(**values):
@@ -683,11 +693,11 @@ _argv = st.one_of(
     st.tuples(st.just(["bound"]), _flags(alpha=_alpha, k=_number, noise=_noise)),
     st.tuples(st.just(["optimize-alpha"]), _flags(k=_number, noise=_noise)),
     st.tuples(st.just(["mse", "--mode=exact"]), _flags(
-        alpha=_alpha, noise=_noise, trend=_trend, steps=_steps, d1=_d1),
-        _one_or_none(reps=_reps, seed=_seed, init=_init, workers=_workers)),
+        alpha=_alpha, noise=_noise, trend=_trend, steps=_steps),
+        _one_or_none(init=_init), _one_or_none(reps=_reps, seed=_seed, workers=_workers)),
     st.tuples(st.just(["mse", "--mode=mc"]), _flags(
         alpha=_alpha, noise=_noise, trend=_trend, steps=_steps, seed=_seed, init=_init,
-        reps=_reps, workers=_workers), _one_or_none(d1=_d1)),
+        reps=_reps, workers=_workers)),
     st.tuples(st.just(["simulate"]), _flags(
         alpha=_alpha, noise=_noise, trend=_trend, steps=_steps, seed=_seed, init=_init)),
 ).map(lambda parts: sum(parts, []))

@@ -378,6 +378,29 @@ def test_failure_in_own_share_kills_and_reaps_every_child(forks, monkeypatch, er
     _assert_no_child_left()
 
 
+@pytest.mark.parametrize("end", ["close", "throw"])
+def test_fork_map_cleanup_skips_a_child_reaped_elsewhere(forks, end):
+    # an embedding program's waitpid(-1) loop reaps worker 1; ending the map
+    # must still kill and reap worker 2, and raise nothing but its own error
+    def compute(item):
+        if item == 2:
+            time.sleep(60)  # still running when the map ends: only a kill ends it
+        return item
+
+    mapped = experiments._fork_map(compute, range(3), 3, "test")
+    start = time.monotonic()
+    assert next(mapped) == 0
+    assert os.waitpid(-1, 0)[0] == forks[0]
+    if end == "close":
+        mapped.close()
+    else:
+        with pytest.raises(RuntimeError, match="own share failed"):
+            mapped.throw(RuntimeError("own share failed"))
+    assert time.monotonic() - start < 30.0
+    assert len(forks) == 2
+    _assert_no_child_left()
+
+
 def test_exact_oracle_agreement_randomized():
     rng = np.random.default_rng(20250809)
     checkpoints = (2, 10, 100, 500)
@@ -406,10 +429,10 @@ def test_exact_oracle_agreement_randomized():
             500,
             1000,
             seed=int(rng.integers(2**63)),
-            init=float(trend_sequence(trend, 1)[0]),  # deterministic init: exactness regime
+            init=float(trend_sequence(trend, 1)[0]),  # the paper start m_1 = m*_1, as a number
         )
         curve = monte_carlo_mse(config)
-        exact = exact_mse_sequence(alpha, noise, trend, 500, "paper")
+        exact = exact_mse_sequence(alpha, noise, trend, 500, config.init)
         ok = all(
             abs(curve.mean[t - 1] - exact[t]) <= 3.0 * curve.stderr[t - 1]
             for t in checkpoints
@@ -418,23 +441,30 @@ def test_exact_oracle_agreement_randomized():
     assert passes >= 38, f"only {passes}/{total_configs} configs matched the oracle"
 
 
-def test_variance_init_asymptotically_matches_first_observation_runs():
-    # a first-observation start is exact only up to the dropped t = 1 cross
-    # term 2 alpha beta gamma(0), which decays through the recursion as
-    # beta^(2t); late steps agree outright
-    alpha, beta = 0.3, 0.7
+def test_first_observation_start_matches_its_runs_at_every_step():
+    alpha = 0.3
     config = ExperimentConfig(
         WhiteGaussian(1.0), Constant(0.0), alpha, 300, 5000, seed=17, init="first"
     )
     curve = monte_carlo_mse(config)
-    exact = exact_mse_sequence(
-        alpha, WhiteGaussian(1.0), Constant(0.0), 300, "variance"
-    )
-    for t in (2, 5, 10):
-        corrected = exact[t] + 2.0 * alpha * beta * beta ** (2 * (t - 1))
-        assert abs(curve.mean[t - 1] - corrected) <= 3.0 * curve.stderr[t - 1]
-    for t in (100, 300):
+    exact = exact_mse_sequence(alpha, WhiteGaussian(1.0), Constant(0.0), 300, "first")
+    for t in (1, 2, 5, 10, 100, 300):
         assert abs(curve.mean[t - 1] - exact[t]) <= 3.0 * curve.stderr[t - 1]
+
+
+@pytest.mark.parametrize("noise, trend", [
+    (MA1(2.0), Linear(2.0, 0.1)),
+    (AR1(0.8), Sinusoid(1.0, 0.3, 0.2)),
+])
+@pytest.mark.parametrize("init", ["first", 8.0])
+def test_exact_recursion_is_the_monte_carlo_mean_from_the_same_start(noise, trend, init):
+    # the early steps, where the start still dominates: step t of the curve
+    # is D_{t+1}, entry t of the exact sequence
+    config = ExperimentConfig(noise, trend, 0.2, 10, 20_000, seed=29, init=init)
+    curve = monte_carlo_mse(config)
+    exact = exact_mse_sequence(0.2, noise, trend, 10, init)
+    z = (curve.mean - exact[1:]) / curve.stderr
+    assert np.max(np.abs(z)) <= 5.0, z
 
 
 def test_doubling_replications_shrinks_stderr():
