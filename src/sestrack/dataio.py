@@ -7,13 +7,18 @@ doubles exactly; integer columns are printed as integers.  SVG output is a
 self-contained 800x500 document.  Both are formatted in chunks of
 ``_CHUNK_ROWS`` rows (or points), each by one ``%`` operation on a repeated
 row template over the chunk's interleaved cells, and streamed to a path or
-to an open text stream, so no whole document is held in memory.  A table of
-more than one chunk is formatted on every usable CPU by
-``experiments._fork_map``, which hands the chunks back in order, so the
-bytes do not depend on the CPU count.  A column that is not real-valued or
-holds a non-finite float is rejected, naming the column and row, before
-anything is written, and a write that fails part-way deletes the regular
-file it was writing.  Config documents are strict JSON (schema_version 1,
+to an open text stream, so no whole document is held in memory.  Each
+plotted line is M4-reduced: per pixel column of the plot area it keeps the
+first, last, lowest and highest vertex, and every vertex of a column of at
+most ``_M4`` (4).  A dense plot, with more than 4 steps in some column,
+draws its observations as one vertical min-max band per column, so it
+holds at most 4 points per column.  A table of more than one chunk is
+formatted on every usable CPU by ``experiments._fork_map``, which hands
+the chunks back in order, so the bytes do not depend on the CPU count.  A
+column that is not real-valued or holds a non-finite float is rejected,
+naming the column and row, and a plot whose value range overflows a
+double is refused, before anything is written; a write that fails
+part-way deletes the regular file it was writing.  Config documents are strict JSON (schema_version 1,
 unknown keys and wrong JSON types rejected with the failing key path, such
 as ``config.noise.a``).  Their codec is one loop over the declared fields
 (``processes.model_fields``) of a model or of ``ExperimentConfig``: keys in
@@ -61,6 +66,8 @@ _NOT_PLAIN = (b'"', b"\r", b"\0", b"\x1c", b"\x1d", b"\x1e", b"\x1f", b"\n\n")
 _SVG_WIDTH = 800
 _SVG_HEIGHT = 500
 _MARGIN_LEFT, _MARGIN_RIGHT, _MARGIN_TOP, _MARGIN_BOTTOM = 62, 18, 18, 42
+_PLOT_W = _SVG_WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT  # pixel columns of the plot area
+_M4 = 4  # points per pixel column up to which a plot draws every point
 
 
 def _write(target, parts) -> Path | None:
@@ -242,16 +249,19 @@ def _read_column_by_rows(path: Path, column: str) -> np.ndarray:
 
 def _scales(xs: np.ndarray, ys: np.ndarray):
     x0, x1 = float(xs.min()), float(xs.max())
-    y0, y1 = float(ys.min()), float(ys.max())
-    pad = 0.05 * ((y1 - y0) or 1.0)
-    y0, y1 = y0 - pad, y1 + pad
+    lo, hi = float(ys.min()), float(ys.max())
+    pad = 0.05 * ((hi - lo) or 1.0)
+    y0, y1 = lo - pad, hi + pad
+    if y0 == y1:  # a constant too large for the unit pad to move
+        y0, y1 = lo - 0.05 * abs(lo), hi + 0.05 * abs(hi)
+    if not math.isfinite(y1 - y0):
+        raise ValueError(f"cannot plot values from {lo!r} to {hi!r}: their range overflows a double")
     xspan = (x1 - x0) or 1.0
-    plot_w = _SVG_WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
     plot_h = _SVG_HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
 
     # applied to a float or elementwise to an array: the same IEEE operations
     def px(x):
-        return _MARGIN_LEFT + (x - x0) / xspan * plot_w
+        return _MARGIN_LEFT + (x - x0) / xspan * _PLOT_W
 
     def py(y):
         return _SVG_HEIGHT - _MARGIN_BOTTOM - (y - y0) / (y1 - y0) * plot_h
@@ -263,7 +273,7 @@ def _axes(px, py, limits) -> list[str]:
     x0, x1, y0, y1 = limits
     parts = [
         f'<rect x="{_MARGIN_LEFT}" y="{_MARGIN_TOP}" '
-        f'width="{_SVG_WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT}" '
+        f'width="{_PLOT_W}" '
         f'height="{_SVG_HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM}" '
         'fill="none" stroke="#555555" stroke-width="1"/>'
     ]
@@ -304,19 +314,36 @@ def _legend(entries: list[tuple[str, str]]) -> list[str]:
     return parts
 
 
-def _points(opening: str, template: str, xs: np.ndarray, ys: np.ndarray, closing: str):
-    """Yield one element whose body is ``template`` formatted at each
-    (x, y), space-separated."""
+def _points(opening: str, template: str, columns: list[np.ndarray], closing: str):
+    """Yield one element whose body is ``template`` formatted at each row
+    of ``columns``, space-separated."""
     yield opening
-    yield from _chunks(template, " ", [xs, ys])
+    yield from _chunks(template, " ", columns)
     yield closing
 
 
+def _m4(starts: np.ndarray, counts: np.ndarray, y_px: np.ndarray) -> np.ndarray:
+    """The indices, in order, of the vertices M4 keeps of a line whose pixel
+    columns begin at ``starts`` and hold ``counts`` points: each column's
+    first, last, lowest and highest vertex (the first of equal ones), and
+    every vertex of a column of at most ``_M4``."""
+    keep = np.repeat(counts <= _M4, counts)
+    column = np.repeat(np.arange(len(starts)), counts)
+    for extreme in (np.minimum, np.maximum):
+        hits = np.flatnonzero(y_px == extreme.reduceat(y_px, starts)[column])
+        keep[hits[np.diff(column[hits], prepend=-1) != 0]] = True
+    keep[starts] = keep[starts + counts - 1] = True
+    return np.flatnonzero(keep)
+
+
 def _svg_text(steps, lines: list[tuple[str, np.ndarray, str]], dots=None):
-    """Yield the plot document part by part: ``dots`` (if given) as light
-    points, then one polyline per (label, values, color) entry, and a
-    legend.  Scales and pixel coordinates are computed before the first
-    part."""
+    """The plot document as a generator of its parts: ``dots`` (if given)
+    as light points, then one polyline per (label, values, color) entry,
+    M4-reduced, and a legend.  Scales, pixel coordinates and kept vertices
+    are computed, and a range that cannot be scaled is refused, before this
+    returns, so before a target is opened.  A dense plot, with more than
+    ``_M4`` steps in some pixel column, draws the dots as one vertical
+    min-max band per column."""
     xs = np.asarray(steps, dtype=float)
     series = [np.asarray(ys, dtype=float) for _, ys, _ in lines]
     legend = [(label, color) for label, _, color in lines]
@@ -325,6 +352,10 @@ def _svg_text(steps, lines: list[tuple[str, np.ndarray, str]], dots=None):
         legend.insert(0, ("observations", "#9db8d9"))
     px, py, limits = _scales(xs, np.concatenate(([] if dots is None else [dots]) + series))
     x_px = px(xs)
+    # steps increase, so each pixel column's points are one run
+    column = np.minimum(np.floor(x_px - _MARGIN_LEFT), _PLOT_W - 1)
+    starts = np.flatnonzero(np.diff(column, prepend=-1.0))
+    counts = np.diff(starts, append=len(xs))
     head = [
         '<svg xmlns="http://www.w3.org/2000/svg" '
         f'viewBox="0 0 {_SVG_WIDTH} {_SVG_HEIGHT}" '
@@ -332,17 +363,32 @@ def _svg_text(steps, lines: list[tuple[str, np.ndarray, str]], dots=None):
         f'<rect x="0" y="0" width="{_SVG_WIDTH}" height="{_SVG_HEIGHT}" fill="#ffffff"/>',
         *_axes(px, py, limits),
     ]
-    elements = [] if dots is None else [_points(
-        '<g fill="#9db8d9" fill-opacity="0.55" stroke="none">',
-        '<circle cx="%.2f" cy="%.2f" r="1.4"/>', x_px, py(dots), "</g>\n",
-    )]
-    elements += [
-        _points('<polyline points="', "%.2f,%.2f", x_px, py(ys),
-                f'" fill="none" stroke="{color}" stroke-width="1.6"/>\n')
-        for ys, (_, _, color) in zip(series, lines)
-    ]
+    elements = []
+    if dots is not None and counts.max() > _M4:  # a column of equal values shows as a dot of radius 1.4
+        dots_px = py(dots)
+        band = [column[starts] + (_MARGIN_LEFT + 0.5),
+                np.minimum.reduceat(dots_px, starts), np.maximum.reduceat(dots_px, starts)]
+        elements.append(_points(
+            '<path d="', "M%.2f,%.2fV%.2f", band, '" fill="none" stroke="#9db8d9" '
+            'stroke-opacity="0.55" stroke-width="2.8" stroke-linecap="round"/>\n',
+        ))
+    elif dots is not None:
+        elements.append(_points(
+            '<g fill="#9db8d9" fill-opacity="0.55" stroke="none">',
+            '<circle cx="%.2f" cy="%.2f" r="1.4"/>', [x_px, py(dots)], "</g>\n",
+        ))
+    for ys, (_, _, color) in zip(series, lines):
+        y_px = py(ys)
+        kept = _m4(starts, counts, y_px)
+        elements.append(_points('<polyline points="', "%.2f,%.2f", [x_px[kept], y_px[kept]],
+                                f'" fill="none" stroke="{color}" stroke-width="1.6"/>\n'))
     tail = "\n".join([*_legend(legend), "</svg>"]) + "\n"
-    yield "\n".join(head) + "\n"
+    return _parts("\n".join(head) + "\n", elements, tail)
+
+
+def _parts(head: str, elements, tail: str):
+    """Yield ``head``, the parts of each element generator, then ``tail``."""
+    yield head
     for element in elements:
         yield from element  # so closing the document closes the element being written
     yield tail

@@ -223,8 +223,10 @@ def _fork_map(func, items, workers: int, label: str):
     as it computes them, so it runs at most a pipe buffer ahead.  Without
     ``os.fork`` or beside other threads n is 1.  A child that fails or ends
     early raises ChildProcessError naming ``label``, the worker, its pid and
-    wait status.  However iteration ends (exhausted, failed or closed
-    early), every child still running is killed and all are reaped."""
+    wait status; one that the embedding program reaps is done if it has
+    delivered every result, and failed if not.  However iteration ends
+    (exhausted, failed or closed early), every child still running is
+    killed and all are reaped."""
     if not hasattr(os, "fork") or threading.active_count() > 1:
         workers = 1
     n = max(1, min(workers, len(items), _usable_cpus()))
@@ -233,8 +235,16 @@ def _fork_map(func, items, workers: int, label: str):
     def reap(worker: int, ended: bool) -> None:
         pid, pipe = children[worker]
         pipe.close()
-        status = os.waitpid(pid, 0)[1]
+        try:
+            status = os.waitpid(pid, 0)[1]
+        except ChildProcessError:  # the embedding program reaped it
+            status = None
         del children[worker]
+        if status is None:
+            if ended:  # every result arrived
+                return
+            raise ChildProcessError(f"{label} worker {worker} (pid {pid}) ended early "
+                                    "and was reaped outside the map")
         code = os.waitstatus_to_exitcode(status)
         if code or not ended:  # a child that ends early failed, whatever its code
             how = f"was killed by signal {-code}" if code < 0 else f"exited with code {code}"

@@ -401,6 +401,32 @@ def test_fork_map_cleanup_skips_a_child_reaped_elsewhere(forks, end):
     _assert_no_child_left()
 
 
+def test_fork_map_end_takes_a_child_reaped_elsewhere_once_its_results_arrived(forks):
+    mapped = experiments._fork_map(lambda i: i, range(2), 2, "demo")
+    assert next(mapped) == 0
+    assert os.waitpid(-1, 0)[0] == forks[0]  # worker 1 has written its one result
+    assert list(mapped) == [1]
+    _assert_no_child_left()
+
+
+def test_fork_map_names_a_failed_child_reaped_elsewhere(forks, capfd):
+    parent = os.getpid()
+
+    def compute(item):
+        if os.getpid() != parent:
+            raise RuntimeError("child failed")
+        return item
+
+    mapped = experiments._fork_map(compute, range(2), 2, "demo")
+    assert next(mapped) == 0
+    assert os.waitpid(-1, 0)[0] == forks[0]
+    message = rf"demo worker 1 \(pid {forks[0]}\) ended early and was reaped outside the map"
+    with pytest.raises(ChildProcessError, match=message):
+        list(mapped)
+    assert "child failed" in capfd.readouterr().err
+    _assert_no_child_left()
+
+
 def test_exact_oracle_agreement_randomized():
     rng = np.random.default_rng(20250809)
     checkpoints = (2, 10, 100, 500)

@@ -33,6 +33,7 @@ from sestrack import dataio
 from sestrack.cli import main
 from sestrack.dataio import (
     _CHUNK_ROWS,
+    _PLOT_W,
     _read_column_by_rows,
     experiment_config_from_dict,
     experiment_config_to_dict,
@@ -290,9 +291,96 @@ def test_curve_svg_well_formed(tmp_path):
     ET.fromstring(p.read_text())
 
 
+def test_svg_refuses_a_value_range_it_cannot_scale(tmp_path):
+    # a span past the largest double would put nan in every y coordinate
+    with pytest.raises(ValueError, match="from -1e[+]308 to 1e[+]308: their range overflows"):
+        write_results(np.array([-1e308, 1e308, 0.0]), tmp_path / "big.svg", "svg")
+    assert list(tmp_path.iterdir()) == []
+    # refused before the target is opened, so an earlier plot there is kept
+    earlier = write_results(np.array([0.0, 1.0]), tmp_path / "big.svg", "svg").read_bytes()
+    with pytest.raises(ValueError, match="their range overflows"):
+        write_results(np.array([-1e308, 1e308, 0.0]), tmp_path / "big.svg", "svg")
+    assert (tmp_path / "big.svg").read_bytes() == earlier
+    (tmp_path / "big.svg").unlink()
+    for name, values in (("wide", [-1e300, 1e300, 0.0]), ("constant", [1e300] * 3)):
+        text = write_results(np.array(values), tmp_path / f"{name}.svg", "svg").read_text()
+        assert "nan" not in text and "inf" not in text
+
+
+def test_m4_keeps_the_first_of_equal_extremes():
+    # a column of 6 points: first, last, the first 0 and the first 2; then
+    # a column of 3, kept whole
+    y_px = np.array([1.0, 0.0, 2.0, 0.0, 2.0, 1.0, 7.0, 7.0, 7.0])
+    kept = dataio._m4(np.array([0, 6]), np.array([6, 3]), y_px)
+    assert kept.tolist() == [0, 1, 2, 5, 6, 7, 8]
+
+
+def _svg_elements(path: SmoothedPath):
+    """The plot of ``path``: its text, its observations element and each
+    polyline's vertex strings."""
+    stream = io.StringIO()
+    write_results(path, stream, "svg")
+    root = ET.fromstring(stream.getvalue())
+    observations = [e for e in root if e.tag.split("}")[1] in ("g", "path")]
+    lines = [e.attrib["points"].split(" ") for e in root if e.tag.endswith("polyline")]
+    return stream.getvalue(), observations[0], lines
+
+
+def _series(rng, n: int, pool: list[float], run: int) -> np.ndarray:
+    """``n`` values drawn from ``pool`` in constant runs of ``run``."""
+    return rng.choice(np.array(pool), size=-(-n // run)).repeat(run)[:n]
+
+
+@settings(max_examples=15, deadline=None)
+@given(n=st.one_of(st.integers(4 * _PLOT_W - 10, 4 * _PLOT_W + 10), st.integers(9990, 10010)),
+       pool=st.lists(st.sampled_from([0.0, 1.0, -2.5, 1e300, -1e300])
+                     | st.floats(-1e6, 1e6, allow_subnormal=False), min_size=1, max_size=6),
+       run=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+@example(n=4 * _PLOT_W, pool=[0.0, 1.0], run=1, seed=0)  # the longest plot drawn point by point
+@example(n=4 * _PLOT_W + 1, pool=[0.0, 1.0], run=1, seed=0)
+@example(n=10**4, pool=[3.0], run=1, seed=0)
+def test_dense_plot_keeps_each_pixel_columns_extremes(n, pool, run, seed):
+    rng = np.random.default_rng(seed)
+    path = SmoothedPath(*(_series(rng, n, pool, run) for _ in range(3)))
+    text, observations, lines = _svg_elements(path)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dataio, "_M4", n)  # no column holds more: drawn point by point
+        full_text, circles, full_lines = _svg_elements(path)
+    x_px = 62 + (path.steps - 1.0) / (n - 1) * _PLOT_W
+    column = np.minimum(np.floor(x_px - 62), _PLOT_W - 1)
+    members = np.split(np.arange(n), np.flatnonzero(np.diff(column)) + 1)
+    assert len(members) == _PLOT_W
+    if max(map(len, members)) <= 4:
+        assert text == full_text
+        return
+    cys = np.array([float(c.attrib["cy"]) for c in circles])
+    assert observations.attrib["d"].split(" ") == [
+        "M%.2f,%.2fV%.2f" % (62.5 + c, cys[rows].min(), cys[rows].max())
+        for c, rows in enumerate(members)
+    ]
+    for kept, full in zip(lines, full_lines):
+        at = iter(full)
+        assert all(vertex in at for vertex in kept)  # an in-order subsequence
+        index = {vertex: i for i, vertex in enumerate(full)}
+        rows_kept = np.array([index[vertex] for vertex in kept])
+        kept_rows = np.split(rows_kept, np.flatnonzero(np.diff(column[rows_kept])) + 1)
+        ys = np.array([float(vertex.split(",")[1]) for vertex in full])
+        for rows, mine in zip(members, kept_rows, strict=True):
+            assert {rows[0], rows[-1]} <= set(mine)
+            assert (ys[mine].min(), ys[mine].max()) == (ys[rows].min(), ys[rows].max())
+            if len(rows) <= 4:
+                assert list(mine) == list(rows)
+
+
 # ---------------------------------------------------------------------------
 # formatting on forked workers
 # ---------------------------------------------------------------------------
+
+# A plot keeps at most 4 points per pixel column (2,880 in all) and its band
+# 720 segments, so it spans several chunks only at a chunk size below the
+# default.
+_SVG_CHUNK_ROWS = _PLOT_W // 3
+
 
 def _table(rows: int) -> SmoothedPath:
     """A path of ``rows`` steps: four CSV columns, and SVG dots plus two
@@ -319,21 +407,27 @@ def _assert_no_child_left():
 @given(rows=st.sampled_from([1, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1,
                              2 * _CHUNK_ROWS + 1, 5 * _CHUNK_ROWS + 3]))
 def test_written_bytes_do_not_depend_on_the_worker_count(forks, tmp_path, rows):
-    table, chunks = _table(rows), -(-rows // _CHUNK_ROWS)
+    # each SVG loop spans at least as many chunks as the band has: one per column
+    table, chunks = _table(rows), {"csv": -(-rows // _CHUNK_ROWS),
+                                   "svg": -(-min(rows, _PLOT_W) // _SVG_CHUNK_ROWS)}
     written = {}
     for workers in (1, 2, 3):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(experiments, "_usable_cpus", lambda: workers)
             for fmt, loops in (("csv", 1), ("svg", 3)):
+                if fmt == "svg":
+                    patch.setattr(dataio, "_CHUNK_ROWS", _SVG_CHUNK_ROWS)
                 for target in (tmp_path / f"out.{fmt}", io.StringIO()):
                     before = len(forks)
                     written.setdefault(fmt, set()).add(_written(table, target, fmt))
-                    assert len(forks) - before == loops * (min(workers, chunks) - 1)
+                    assert len(forks) - before == loops * (min(workers, chunks[fmt]) - 1)
     assert {fmt: len(texts) for fmt, texts in written.items()} == {"csv": 1, "svg": 1}
     _assert_no_child_left()
 
 
-def test_writers_stay_serial_beside_another_thread(forks, tmp_path):
+def test_writers_stay_serial_beside_another_thread(forks, monkeypatch, tmp_path):
+    monkeypatch.setattr(dataio, "_CHUNK_ROWS", _SVG_CHUNK_ROWS)
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 3)
     table = _table(3 * _CHUNK_ROWS)
     release = threading.Event()
     thread = threading.Thread(target=release.wait)
@@ -346,7 +440,7 @@ def test_writers_stay_serial_beside_another_thread(forks, tmp_path):
     assert not thread.is_alive()
     assert forks == []
     assert threaded == [_written(table, tmp_path / f"f.{fmt}", fmt) for fmt in ("csv", "svg")]
-    assert len(forks) == 4 * 2  # once the thread is gone: 3 chunks, so 2 children per loop
+    assert len(forks) == 4 * 2  # once the thread is gone: 3 CPUs, so 2 children per loop
 
 
 class _StreamFailingAfterFirstChunk(io.StringIO):
@@ -382,6 +476,8 @@ def test_failed_write_leaves_no_child_and_no_file(forks, monkeypatch, tmp_path, 
 
     if how != "stream":
         monkeypatch.setattr(dataio, "_format_chunk", format_chunk_failing_in_child)
+    if fmt == "svg":
+        monkeypatch.setattr(dataio, "_CHUNK_ROWS", _SVG_CHUNK_ROWS)
     target = _StreamFailingAfterFirstChunk() if how == "stream" else tmp_path / f"out.{fmt}"
     with pytest.raises(OSError, match=error) as caught:
         write_results(_table(3 * _CHUNK_ROWS), target, fmt)

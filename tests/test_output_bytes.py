@@ -27,7 +27,7 @@ DIGESTS = {
     "array.csv[10000]": "c16cc3f6ab2c002f0f00a42940542c034f02762c4331df94eaf72bb12977bdda",
     "array.csv[100]": "1c38934ddcb5f948d5bd7dff1f8384d78238d1d347eec2b0feceb5e4f41f6661",
     "array.csv[1]": "ef905e49f58cfa0b43f6a1328f2a93000c72da435d71c564f8b728279ccc635b",
-    "array.svg[10000]": "5b5f1fb65cc89ce1458ff865461f2f5abb8f7f13ec61791fb1017affdea22920",
+    "array.svg[10000]": "42d6829839712fe508f9bf0503e5c4ab53fb12acffe8c2eb568a965582ec145f",
     "array.svg[100]": "6ad9e16568a7b92f7a892b63589b33ede59d32dc8cf9daf5525e2ddb5ae19997",
     "array.svg[1]": "11b3d9637666b4d202bfd3f8313da07d3a55f79315d1b43c7c5497e56bdc2d1c",
     "exact.csv[10000]": "48c2da93bc43350cf965a93e54eef457a871220b921927f4375206990532a841",
@@ -41,7 +41,7 @@ DIGESTS = {
     "simulate.stdout[10000]": "add9dadd866dcbd0e23e79814307055c0e22f51732b36abcd797c47296d525c3",
     "simulate.stdout[100]": "5d7ccdccf13692826eb351fd76839a0a27aa98ad1851a999fe0292169ff59964",
     "simulate.stdout[1]": "71cae3f6b6fbd15ed4e8e2d6a63f0c7a55ca3f2f3619f55ee940f9adbeaaaec4",
-    "simulate.svg[10000]": "50c41b3deeace0e5be37de70cc1f31ceedf8cc8679afb9e5d6668a58e5ea3b51",
+    "simulate.svg[10000]": "f271382c49a27fb45f4c2efad85ab5610f77c96003c5ef6fd22822f017e0ca57",
     "simulate.svg[100]": "78f56f6b237b092051318532ac5ec01f9b62c4d65de6150732cbc954d0a2922f",
     "simulate.svg[1]": "174723bb77e1de85da4c7e8e8569f8fde336a44c443b6231a61d731a9625702f",
     "smooth.csv[10000]": "3ee60fcd222d7438ee1182148cec9035e0fec9d6b4e354ba226fda76aa83e804",
@@ -225,7 +225,7 @@ def test_stream_target_gets_the_file_bytes(tmp_path, n):
 def test_svg_points_match_the_per_point_reference(n, template):
     xs = np.linspace(62.0, 782.0, n) + 0.005  # near the rounding boundary of %.2f
     ys = _edge_values(n)
-    text = "".join(_points("<", template.replace("{:.2f}", "%.2f"), xs, ys, ">"))
+    text = "".join(_points("<", template.replace("{:.2f}", "%.2f"), [xs, ys], ">"))
     reference = "<" + " ".join(map(template.format, xs.tolist(), ys.tolist())) + ">"
     same = text == reference
     assert same
