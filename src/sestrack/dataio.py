@@ -7,22 +7,28 @@ doubles exactly; integer columns are printed as integers.  SVG output is a
 self-contained 800x500 document.  Both are formatted in chunks of
 ``_CHUNK_ROWS`` rows (or points), each by one ``%`` operation on a repeated
 row template over the chunk's interleaved cells, and streamed to a path or
-to an open text stream, so no whole document is held in memory.  Each
-plotted line is M4-reduced: per pixel column of the plot area it keeps the
-first, last, lowest and highest vertex, and every vertex of a column of at
-most ``_M4`` (4).  A dense plot, with more than 4 steps in some column,
-draws its observations as one vertical min-max band per column, so it
-holds at most 4 points per column.  A table of more than one chunk is
+to an open text stream, so no whole document is held in memory.  In a
+CSV chunk, the repeated values of a float column are formatted once each,
+with the same bytes: each distinct value (keyed by the bits of the double
+it prints as) is printed by ``"%.17g"`` once, and the chunk's ``%`` takes
+those texts through ``"%s"``; a chunk whose strided sample shows few
+repeats is formatted per cell.  Each plotted line is M4-reduced: per
+pixel column of the plot area it keeps the first, last, lowest and
+highest vertex, and every vertex of a column of at most ``_M4`` (4).  A
+dense plot, with more than 4 steps in some column, draws its observations
+as one vertical min-max band per column, so it holds at most 4 points per
+column.  A table of more than one chunk is
 formatted on every usable CPU by ``experiments._fork_map``, which hands
 the chunks back in order, so the bytes do not depend on the CPU count.  A
 column that is not real-valued or holds a non-finite float is rejected,
-naming the column and row, and a plot whose value range overflows a
-double is refused, before anything is written; a write that fails
-part-way deletes the regular file it was writing.  Config documents are strict JSON (schema_version 1,
-unknown keys and wrong JSON types rejected with the failing key path, such
-as ``config.noise.a``).  Their codec is one loop over the declared fields
-(``processes.model_fields``) of a model or of ``ExperimentConfig``: keys in
-field order, each value decoded by its type.
+naming the column and row, and an empty plot or one whose value range
+overflows a double is refused, before anything is written; a write that
+fails part-way deletes the regular file it was writing.  Config documents
+are strict JSON (schema_version 1, unknown keys and wrong JSON types
+rejected with the failing key path, such as ``config.noise.a``).  Their
+codec is one loop over the declared fields (``processes.model_fields``) of
+a model or of ``ExperimentConfig``: keys in field order, each value
+decoded by its type.
 
 This module sits above ``experiments``: it imports the result types it
 writes, and nothing in the numerical modules imports it.
@@ -58,6 +64,7 @@ from .smoothing import INIT_WORDING, InitPolicy
 CONFIG_SCHEMA_VERSION = 1
 
 _CHUNK_ROWS = 4096  # rows (or plotted points) formatted per write
+_SAMPLE_STRIDE = 16  # every 16th value of a CSV float chunk samples its repeats
 _SCAN_BYTES = 1 << 16  # block size of the plain-file scan
 # what csv and np.loadtxt read differently: a quote, CR, NUL, \x1c-\x1f
 # (whitespace to numpy, not to float() of ASCII text) and a blank line
@@ -96,11 +103,19 @@ def _write(target, parts) -> Path | None:
 # CSV
 # ---------------------------------------------------------------------------
 
-def _format_chunk(template: str, separator: str, columns: list[np.ndarray], lo: int) -> str:
+def _format_chunk(template: str | list[str], separator: str, columns: list[np.ndarray],
+                  lo: int) -> str:
     """The ``_CHUNK_ROWS`` rows of ``columns`` from row ``lo``, formatted by
-    ``template`` and joined by ``separator``, by one ``%``."""
+    ``template`` and joined by ``separator``, by one ``%``.  A CSV passes
+    the list of its column formats as ``template``, joined by commas into
+    each row after ``_column_cells`` has chosen each column's cells."""
     width = len(columns)
-    chunk = [col[lo : lo + _CHUNK_ROWS].tolist() for col in columns]
+    chunk = [col[lo : lo + _CHUNK_ROWS] for col in columns]
+    if isinstance(template, str):
+        chunk = [part.tolist() for part in chunk]
+    else:
+        template, chunk = zip(*map(_column_cells, template, chunk))
+        template = ",".join(template) + "\n"
     rows = len(chunk[0])
     cells = [None] * (width * rows)
     for j, values in enumerate(chunk):
@@ -108,7 +123,27 @@ def _format_chunk(template: str, separator: str, columns: list[np.ndarray], lo: 
     return (separator if lo else "") + separator.join([template] * rows) % tuple(cells)
 
 
-def _chunks(template: str, separator: str, columns: list[np.ndarray]):
+def _column_cells(fmt: str, part: np.ndarray) -> tuple[str, list]:
+    """The format and cells of one CSV column's chunk: ``fmt`` and its
+    values, or for a float chunk whose values repeat, ``"%s"`` and their
+    texts, each distinct value formatted by ``fmt`` once.  A value is keyed
+    by the bits of the double it prints as, so 0.0 and -0.0 stay apart; a
+    strided sample of the keys with more than half distinct ones keeps the
+    per-cell ``fmt``, which is then the cheaper."""
+    if part.dtype.kind != "f":
+        return fmt, part.tolist()
+    if part.itemsize > 8:  # a longdouble prints as the double it rounds to
+        part = part.astype(np.float64)
+    bits = f"u{part.itemsize}"
+    sample = part[::_SAMPLE_STRIDE].view(bits).tolist()
+    if 2 * len(set(sample)) > len(sample):
+        return fmt, part.tolist()
+    keys = part.view(bits).tolist()
+    texts = {key: fmt % value for key, value in dict(zip(keys, part.tolist())).items()}
+    return "%s", list(map(texts.__getitem__, keys))
+
+
+def _chunks(template: str | list[str], separator: str, columns: list[np.ndarray]):
     """Yield the rows of ``columns`` chunk by chunk, formatted by
     ``_format_chunk``; a table of two or more chunks is formatted on up to
     one process per chunk, capped at the usable CPUs."""
@@ -119,8 +154,8 @@ def _chunks(template: str, separator: str, columns: list[np.ndarray]):
 
 def _csv_text(header: list[str], columns: list[np.ndarray]):
     yield ",".join(header) + "\n"
-    template = ",".join("%d" if col.dtype.kind in "iu" else "%.17g" for col in columns) + "\n"
-    yield from _chunks(template, "", columns)
+    formats = ["%d" if col.dtype.kind in "iu" else "%.17g" for col in columns]
+    yield from _chunks(formats, "", columns)
 
 
 def _checked(header: list[str], columns) -> list[np.ndarray]:
@@ -340,11 +375,13 @@ def _svg_text(steps, lines: list[tuple[str, np.ndarray, str]], dots=None):
     """The plot document as a generator of its parts: ``dots`` (if given)
     as light points, then one polyline per (label, values, color) entry,
     M4-reduced, and a legend.  Scales, pixel coordinates and kept vertices
-    are computed, and a range that cannot be scaled is refused, before this
-    returns, so before a target is opened.  A dense plot, with more than
-    ``_M4`` steps in some pixel column, draws the dots as one vertical
-    min-max band per column."""
+    are computed, and an empty series or a range that cannot be scaled is
+    refused, before this returns, so before a target is opened.  A dense
+    plot, with more than ``_M4`` steps in some pixel column, draws the dots
+    as one vertical min-max band per column."""
     xs = np.asarray(steps, dtype=float)
+    if not len(xs):
+        raise ValueError("cannot plot an empty series: it has no steps")
     series = [np.asarray(ys, dtype=float) for _, ys, _ in lines]
     legend = [(label, color) for label, _, color in lines]
     if dots is not None:

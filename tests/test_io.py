@@ -307,6 +307,17 @@ def test_svg_refuses_a_value_range_it_cannot_scale(tmp_path):
         assert "nan" not in text and "inf" not in text
 
 
+def test_svg_refuses_an_empty_series_before_opening_the_target(tmp_path):
+    target = tmp_path / "empty.svg"
+    target.write_text("an earlier plot\n")
+    with pytest.raises(ValueError, match="cannot plot an empty series"):
+        write_results(np.array([]), target, "svg")
+    with pytest.raises(ValueError, match="cannot plot an empty series"):
+        write_results(SmoothedPath(np.array([]), np.array([]), np.array([])), target, "svg")
+    assert target.read_text() == "an earlier plot\n"
+    assert list(tmp_path.iterdir()) == [target]
+
+
 def test_m4_keeps_the_first_of_equal_extremes():
     # a column of 6 points: first, last, the first 0 and the first 2; then
     # a column of 3, kept whole

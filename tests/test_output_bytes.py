@@ -14,6 +14,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sestrack import read_csv_column, write_csv, write_results
 from sestrack.cli import main
@@ -207,6 +209,58 @@ def test_csv_matches_the_per_cell_reference(tmp_path, n):
     assert same
     assert np.array_equal(read_csv_column(path, "x"), values)
     assert np.array_equal(np.signbit(read_csv_column(path, "x")), np.signbit(values))
+
+
+# each float type's pool holds both zeros, its smallest subnormal and its
+# extremes (+-1e300 for the doubles); a longdouble pool adds one that rounds
+# to the double 1.0, as 1.0 itself does
+_FLOAT_TYPES = (np.float64, np.float32, np.float16, np.longdouble, np.dtype(">f8"))
+
+
+def _pool_edges(dtype) -> np.ndarray:
+    info = np.finfo(dtype)
+    if info.bits >= 64:
+        edges = np.array([0.0, -0.0, 5e-324, 1e300, -1e300, 1.0], dtype=dtype)
+        return np.append(edges, edges[-1] + np.ldexp(edges[-1], -60))
+    return np.array([0.0, -0.0, info.smallest_subnormal, info.max, -info.max], dtype=dtype)
+
+
+@st.composite
+def _pooled_tables(draw):
+    """A table whose float columns draw each chunk from a small value pool,
+    from distinct values, or from the pool up to a row and distinct after
+    it, beside integer, bool and all-distinct columns."""
+    rows = draw(st.sampled_from([_CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1,
+                                 2 * _CHUNK_ROWS + 1]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    header = ["t", "flag", "count", "distinct"]
+    columns = [np.arange(1, rows + 1), rng.integers(0, 2, rows) == 1,
+               rng.integers(-3, 3, rows, dtype=np.int16), _edge_values(rows)]
+    for dtype in _FLOAT_TYPES:
+        width = min(np.finfo(dtype).bits, 64)
+        extra = draw(st.lists(st.floats(width=width, allow_nan=False, allow_infinity=False),
+                              max_size=4))
+        pool = np.append(_pool_edges(dtype), np.array(extra, dtype=dtype))
+        parts = []
+        for lo in range(0, rows, _CHUNK_ROWS):
+            size = min(_CHUNK_ROWS, rows - lo)
+            mode = draw(st.sampled_from(["pool", "distinct", "switch"]))
+            cut = {"pool": size, "distinct": 0, "switch": int(rng.integers(size + 1))}[mode]
+            pooled = pool[rng.integers(len(pool), size=cut)]
+            parts += [pooled, rng.standard_normal(size - cut).astype(dtype)]
+        header.append(np.dtype(dtype).str)
+        columns.append(np.concatenate(parts))
+    return header, columns
+
+
+@settings(max_examples=10, deadline=None)
+@given(table=_pooled_tables())
+def test_csv_of_repeated_values_matches_the_per_cell_reference(table):
+    header, columns = table
+    stream = io.StringIO()
+    write_csv(stream, header, columns)
+    same = stream.getvalue() == _reference_csv(header, columns)
+    assert same
 
 
 @pytest.mark.parametrize("n", LENGTHS)
