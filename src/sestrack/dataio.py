@@ -1,26 +1,30 @@
 """CSV, SVG and JSON-config input/output, and the figure reproduction
 that writes both.
 
-CSV files are UTF-8 with a header row, comma separators, ``\\n`` newlines
+CSV files are UTF-8 with a header row, comma-delimited fields, ``\\n`` newlines
 and floats printed at 17 significant digits, which round-trips IEEE
-doubles exactly; integer columns are printed as integers.  SVG output is a
-self-contained 800x500 document.  Both are formatted in chunks of
-``_CHUNK_ROWS`` rows (or points), each by one ``%`` operation on a repeated
-row template over the chunk's interleaved cells, and streamed to a path or
-to an open text stream, so no whole document is held in memory.  In a
-CSV chunk, the repeated values of a float column are formatted once each,
-with the same bytes: each distinct value (keyed by the bits of the double
-it prints as) is printed by ``"%.17g"`` once, and the chunk's ``%`` takes
-those texts through ``"%s"``; a chunk whose strided sample shows few
-repeats is formatted per cell.  Each plotted line is M4-reduced: per
-pixel column of the plot area it keeps the first, last, lowest and
-highest vertex, and every vertex of a column of at most ``_M4`` (4).  A
-dense plot, with more than 4 steps in some column, draws its observations
-as one vertical min-max band per column, so it holds at most 4 points per
-column.  A table of more than one chunk is
-formatted on every usable CPU by ``experiments._fork_map``, which hands
-the chunks back in order, so the bytes do not depend on the CPU count.  A
-column that is not real-valued or holds a non-finite float is rejected,
+doubles exactly; integer columns are printed as integers.  A CSV is
+formatted in chunks of ``_CHUNK_ROWS`` rows, each by one ``%`` operation
+on a repeated row template over the chunk's interleaved cells, and
+streamed to a path or to an open text stream, so no whole table is held
+in memory.  In a chunk, the repeated values of a float column are
+formatted once each, with the same bytes: each distinct value (keyed by
+the bits of the double it prints as) is printed by ``"%.17g"`` once, and
+the chunk's ``%`` takes those texts through ``"%s"``; a chunk whose
+strided sample shows few repeats is formatted per cell.  A table of more
+than one chunk is formatted on every usable CPU by
+``experiments._fork_map``, which hands the chunks back in order, so the
+bytes do not depend on the CPU count.
+
+SVG output is a self-contained 800x500 document, built whole; each of its
+elements is one ``%`` on a repeated point template.  Each plotted line is
+M4-reduced: per pixel column of the plot area it keeps the first, last,
+lowest and highest vertex, and every vertex of a column of at most ``_M4``
+(4).  A dense plot, with more than 4 steps in some column, draws its
+observations as one vertical min-max band per column, so no element holds
+more than 4 points per column, whatever the length of the series.
+
+A column that is not real-valued or holds a non-finite float is rejected,
 naming the column and row, and an empty plot or one whose value range
 overflows a double is refused, before anything is written; a write that
 fails part-way deletes the regular file it was writing.  Config documents
@@ -78,49 +82,45 @@ _M4 = 4  # points per pixel column up to which a plot draws every point
 
 
 def _write(target, parts) -> Path | None:
-    """Write the text parts of the generator ``parts`` to an open text
-    stream, or to a new UTF-8 file at a path, which is returned.  ``parts``
-    is closed on the way out, ending its formatting workers; a write that
-    fails after opening the path deletes it if it is a regular file."""
-    with contextlib.closing(parts):
-        if hasattr(target, "write"):
-            target.writelines(parts)
-            return None
-        path = Path(target)
-        handle = open(path, "w", encoding="utf-8", newline="")
-        try:
-            with handle:
-                handle.writelines(parts)
-        except BaseException:
-            with contextlib.suppress(OSError):  # a link, device or pipe is left alone
-                if path.is_file() and not path.is_symlink():
-                    path.unlink()
-            raise
-        return path
+    """Write the text ``parts``, an iterable of strings, to an open text
+    stream, or to a new UTF-8 file at a path, which is returned.  A write
+    that fails after opening the path deletes it if it is a regular file."""
+    if hasattr(target, "write"):
+        target.writelines(parts)
+        return None
+    path = Path(target)
+    handle = open(path, "w", encoding="utf-8", newline="")
+    try:
+        with handle:
+            handle.writelines(parts)
+    except BaseException:
+        with contextlib.suppress(OSError):  # a link, device or pipe is left alone
+            if path.is_file() and not path.is_symlink():
+                path.unlink()
+        raise
+    return path
+
+
+def _interleave(columns: list[list]) -> list:
+    """The cells of the rows whose columns are ``columns``, row by row."""
+    width = len(columns)
+    cells = [None] * (width * len(columns[0]))
+    for j, values in enumerate(columns):
+        cells[j::width] = values
+    return cells
 
 
 # ---------------------------------------------------------------------------
 # CSV
 # ---------------------------------------------------------------------------
 
-def _format_chunk(template: str | list[str], separator: str, columns: list[np.ndarray],
-                  lo: int) -> str:
-    """The ``_CHUNK_ROWS`` rows of ``columns`` from row ``lo``, formatted by
-    ``template`` and joined by ``separator``, by one ``%``.  A CSV passes
-    the list of its column formats as ``template``, joined by commas into
-    each row after ``_column_cells`` has chosen each column's cells."""
-    width = len(columns)
+def _format_chunk(formats: list[str], columns: list[np.ndarray], lo: int) -> str:
+    """The ``_CHUNK_ROWS`` rows of ``columns`` from row ``lo``, by one ``%``
+    on a repeated row template, once ``_column_cells`` has chosen each
+    column's format (from ``formats``) and cells."""
     chunk = [col[lo : lo + _CHUNK_ROWS] for col in columns]
-    if isinstance(template, str):
-        chunk = [part.tolist() for part in chunk]
-    else:
-        template, chunk = zip(*map(_column_cells, template, chunk))
-        template = ",".join(template) + "\n"
-    rows = len(chunk[0])
-    cells = [None] * (width * rows)
-    for j, values in enumerate(chunk):
-        cells[j::width] = values
-    return (separator if lo else "") + separator.join([template] * rows) % tuple(cells)
+    row, cells = zip(*map(_column_cells, formats, chunk))
+    return (",".join(row) + "\n") * len(chunk[0]) % tuple(_interleave(cells))
 
 
 def _column_cells(fmt: str, part: np.ndarray) -> tuple[str, list]:
@@ -143,19 +143,15 @@ def _column_cells(fmt: str, part: np.ndarray) -> tuple[str, list]:
     return "%s", list(map(texts.__getitem__, keys))
 
 
-def _chunks(template: str | list[str], separator: str, columns: list[np.ndarray]):
-    """Yield the rows of ``columns`` chunk by chunk, formatted by
+def _csv_text(header: list[str], columns: list[np.ndarray]):
+    """Yield the header line, then the rows chunk by chunk, formatted by
     ``_format_chunk``; a table of two or more chunks is formatted on up to
     one process per chunk, capped at the usable CPUs."""
-    starts = range(0, len(columns[0]), _CHUNK_ROWS)
-    format_chunk = functools.partial(_format_chunk, template, separator, columns)
-    return _fork_map(format_chunk, starts, len(starts), "CSV/SVG formatting")
-
-
-def _csv_text(header: list[str], columns: list[np.ndarray]):
     yield ",".join(header) + "\n"
     formats = ["%d" if col.dtype.kind in "iu" else "%.17g" for col in columns]
-    yield from _chunks(formats, "", columns)
+    starts = range(0, len(columns[0]), _CHUNK_ROWS)
+    format_chunk = functools.partial(_format_chunk, formats, columns)
+    yield from _fork_map(format_chunk, starts, len(starts), "CSV formatting")
 
 
 def _checked(header: list[str], columns) -> list[np.ndarray]:
@@ -178,8 +174,11 @@ def _checked(header: list[str], columns) -> list[np.ndarray]:
 
 def write_csv(path, header: list[str], columns: list[np.ndarray]) -> Path | None:
     """Write equal-length columns as CSV to ``path``, a file path (returned
-    as a Path) or an open text stream (None is returned)."""
-    return _write(path, _csv_text(header, _checked(header, columns)))
+    as a Path) or an open text stream (None is returned).  The rows are
+    closed on the way out, which ends the formatting workers of a failed
+    write."""
+    with contextlib.closing(_csv_text(header, _checked(header, columns))) as rows:
+        return _write(path, rows)
 
 
 def _row_name(row_number: int) -> str:
@@ -349,12 +348,11 @@ def _legend(entries: list[tuple[str, str]]) -> list[str]:
     return parts
 
 
-def _points(opening: str, template: str, columns: list[np.ndarray], closing: str):
-    """Yield one element whose body is ``template`` formatted at each row
-    of ``columns``, space-separated."""
-    yield opening
-    yield from _chunks(template, " ", columns)
-    yield closing
+def _points(opening: str, template: str, columns: list[np.ndarray], closing: str) -> str:
+    """One element whose body is ``template`` formatted at each row of
+    ``columns``, space-separated, by one ``%``."""
+    cells = _interleave([col.tolist() for col in columns])
+    return opening + " ".join([template] * len(columns[0])) % tuple(cells) + closing
 
 
 def _m4(starts: np.ndarray, counts: np.ndarray, y_px: np.ndarray) -> np.ndarray:
@@ -372,13 +370,12 @@ def _m4(starts: np.ndarray, counts: np.ndarray, y_px: np.ndarray) -> np.ndarray:
 
 
 def _svg_text(steps, lines: list[tuple[str, np.ndarray, str]], dots=None):
-    """The plot document as a generator of its parts: ``dots`` (if given)
-    as light points, then one polyline per (label, values, color) entry,
-    M4-reduced, and a legend.  Scales, pixel coordinates and kept vertices
-    are computed, and an empty series or a range that cannot be scaled is
-    refused, before this returns, so before a target is opened.  A dense
-    plot, with more than ``_M4`` steps in some pixel column, draws the dots
-    as one vertical min-max band per column."""
+    """The plot document, as one string: ``dots`` (if given) as light
+    points, then one polyline per (label, values, color) entry, M4-reduced,
+    and a legend.  An empty series or a range that cannot be scaled is
+    refused here, so before a target is opened.  A dense plot, with more
+    than ``_M4`` steps in some pixel column, draws the dots as one vertical
+    min-max band per column."""
     xs = np.asarray(steps, dtype=float)
     if not len(xs):
         raise ValueError("cannot plot an empty series: it has no steps")
@@ -420,15 +417,7 @@ def _svg_text(steps, lines: list[tuple[str, np.ndarray, str]], dots=None):
         elements.append(_points('<polyline points="', "%.2f,%.2f", [x_px[kept], y_px[kept]],
                                 f'" fill="none" stroke="{color}" stroke-width="1.6"/>\n'))
     tail = "\n".join([*_legend(legend), "</svg>"]) + "\n"
-    return _parts("\n".join(head) + "\n", elements, tail)
-
-
-def _parts(head: str, elements, tail: str):
-    """Yield ``head``, the parts of each element generator, then ``tail``."""
-    yield head
-    for element in elements:
-        yield from element  # so closing the document closes the element being written
-    yield tail
+    return "\n".join(head) + "\n" + "".join(elements) + tail
 
 
 def write_results(result, path, fmt: str = "csv") -> Path | None:
@@ -456,7 +445,7 @@ def write_results(result, path, fmt: str = "csv") -> Path | None:
         raise TypeError(f"cannot write results of type {type(result).__name__}")
     if fmt == "csv":
         return write_csv(path, header, columns)
-    return _write(path, _svg_text(_checked(header, columns)[0], lines, dots))
+    return _write(path, [_svg_text(_checked(header, columns)[0], lines, dots)])
 
 
 def reproduce_figure(

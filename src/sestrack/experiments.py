@@ -6,7 +6,7 @@ in fixed blocks of ``BLOCK_SIZE``.  Each block lives in one stream-major
 array, one row per replication, and is sampled, smoothed and squared in
 cache-sized time slabs.  Blocks share nothing, so ``monte_carlo_mse`` may
 run them on forked worker processes through ``_fork_map``, the package's one
-parallel path (``dataio`` formats its CSV and SVG chunks through it too),
+parallel path (``dataio`` formats a CSV's chunks through it too),
 which hands results back in item order; block summaries are thus always
 combined in index order, so every statistic depends on the config alone,
 never on the worker count.  Squared errors follow the delayed pairing of
@@ -92,15 +92,16 @@ class ExperimentConfig:
     tail_fraction: float = _key("tail_fraction", 0.1)
 
     def __post_init__(self) -> None:
-        check_alpha(self.alpha)
+        object.__setattr__(self, "alpha", check_alpha(self.alpha))
         object.__setattr__(self, "horizon", check_count(self.horizon, "horizon", 2))
         object.__setattr__(self, "replications", check_count(self.replications, "replications", 1))
         object.__setattr__(self, "seed", check_seed(self.seed))
-        if isinstance(self.tail_fraction, bool) or not (0.0 < self.tail_fraction <= 1.0):
+        if isinstance(self.tail_fraction, (bool, np.bool_)) or not (0.0 < self.tail_fraction <= 1.0):
             raise ValueError(
                 f"tail fraction must lie in (0, 1], got {self.tail_fraction}"
             )
-        check_init(self.init)
+        object.__setattr__(self, "tail_fraction", float(self.tail_fraction))
+        object.__setattr__(self, "init", check_init(self.init))
 
 
 @dataclass(frozen=True)

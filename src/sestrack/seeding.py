@@ -18,10 +18,11 @@ generator to another stream is a re-key, not a construction;
 ``fill_standard_normals`` draws a block of replications that way, each
 stream straight into its own contiguous row.
 
-User seeds must be integers (Python or numpy, never bools) in [0, 2^64);
-anything else is rejected rather than coerced or wrapped, so two different
-seeds never name the same stream.  Every count of the package (horizons,
-replications, workers) is held to the same rule, ``is_integer``.
+User seeds and replication indices must be integers (Python or numpy,
+never bools) in [0, 2^64); anything else is rejected rather than coerced
+or wrapped, so two different seeds never name the same stream.  Every
+count of the package (horizons, replications, workers) is held to the
+same rule, ``is_integer``.
 """
 
 from __future__ import annotations
@@ -65,10 +66,11 @@ def check_seed(seed: int) -> int:
 
 
 def child_seed(master: int, index: int) -> int:
-    """Seed for replication ``index`` of an experiment with seed ``master``."""
-    if index < 0:
-        raise ValueError(f"replication index must be >= 0, got {index}")
-    return splitmix64(splitmix64(check_seed(master)) ^ (index & _MASK64))
+    """Seed for replication ``index``, an integer in [0, 2**64), of an
+    experiment with seed ``master``."""
+    if not (is_integer(index) and 0 <= index <= _MASK64):
+        raise ValueError(f"replication index must be an integer in [0, 2**64), got {index!r}")
+    return splitmix64(splitmix64(check_seed(master)) ^ int(index))
 
 
 def child_seeds(master: int, indices: range) -> np.ndarray:

@@ -26,14 +26,17 @@ from dataclasses import dataclass
 from typing import Callable, Union
 
 from ._numpy import np
-from .seeding import is_integer
+from .seeding import check_count, is_integer
 
 InitPolicy = Union[str, float]  # "first" or a fixed initial estimate
 INIT_WORDING = '"first" or a number'  # what every init error message says is allowed
 
 
 def check_alpha(alpha: float) -> float:
-    """Validate a smoothing parameter; the open interval is required."""
+    """Validate a smoothing parameter, a number (not a string) in the open
+    interval (0, 1); returned as a float."""
+    if isinstance(alpha, str):
+        raise ValueError(f"smoothing parameter must be a number, got {alpha!r}")
     alpha = float(alpha)
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"smoothing parameter must lie strictly in (0, 1), got {alpha}")
@@ -65,8 +68,7 @@ class SmootherState:
         check_alpha(self.alpha)
         if not math.isfinite(self.estimate):
             raise ValueError(f"estimate must be finite, got {self.estimate}")
-        if self.step < 1:
-            raise ValueError(f"step must be >= 1, got {self.step}")
+        check_count(self.step, "step", 1)
 
 
 def ses_step(state: SmootherState, x: float) -> SmootherState:

@@ -8,7 +8,7 @@ from sestrack import experiments
 @pytest.fixture
 def forks(monkeypatch):
     """The pids ``experiments._fork_map`` forks (for Monte Carlo blocks or
-    for CSV/SVG chunks), with as many workers granted as a caller asks for
+    for CSV chunks), with as many workers granted as a caller asks for
     whatever the CPU count of the machine running the test."""
     pids = []
     fork = os.fork

@@ -384,18 +384,12 @@ def test_dense_plot_keeps_each_pixel_columns_extremes(n, pool, run, seed):
 
 
 # ---------------------------------------------------------------------------
-# formatting on forked workers
+# CSV formatting on forked workers; a plot is built whole
 # ---------------------------------------------------------------------------
 
-# A plot keeps at most 4 points per pixel column (2,880 in all) and its band
-# 720 segments, so it spans several chunks only at a chunk size below the
-# default.
-_SVG_CHUNK_ROWS = _PLOT_W // 3
-
-
 def _table(rows: int) -> SmoothedPath:
-    """A path of ``rows`` steps: four CSV columns, and SVG dots plus two
-    polylines, so each SVG runs three chunk loops."""
+    """A path of ``rows`` steps: four CSV columns, or an SVG of dots (a
+    band once dense) and two polylines."""
     rng = np.random.default_rng(rows)
     trend = np.linspace(0.0, 5.0, rows)
     return SmoothedPath(trend + rng.standard_normal(rows), trend, trend + rng.normal(0, 0.1, rows))
@@ -418,26 +412,21 @@ def _assert_no_child_left():
 @given(rows=st.sampled_from([1, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1,
                              2 * _CHUNK_ROWS + 1, 5 * _CHUNK_ROWS + 3]))
 def test_written_bytes_do_not_depend_on_the_worker_count(forks, tmp_path, rows):
-    # each SVG loop spans at least as many chunks as the band has: one per column
-    table, chunks = _table(rows), {"csv": -(-rows // _CHUNK_ROWS),
-                                   "svg": -(-min(rows, _PLOT_W) // _SVG_CHUNK_ROWS)}
-    written = {}
+    table, chunks, written = _table(rows), -(-rows // _CHUNK_ROWS), {}
     for workers in (1, 2, 3):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(experiments, "_usable_cpus", lambda: workers)
-            for fmt, loops in (("csv", 1), ("svg", 3)):
-                if fmt == "svg":
-                    patch.setattr(dataio, "_CHUNK_ROWS", _SVG_CHUNK_ROWS)
+            for fmt in ("csv", "svg"):
                 for target in (tmp_path / f"out.{fmt}", io.StringIO()):
                     before = len(forks)
                     written.setdefault(fmt, set()).add(_written(table, target, fmt))
-                    assert len(forks) - before == loops * (min(workers, chunks[fmt]) - 1)
+                    # a CSV forks one child per chunk beyond the first, up to the CPUs; a plot none
+                    assert len(forks) - before == (min(workers, chunks) - 1 if fmt == "csv" else 0)
     assert {fmt: len(texts) for fmt, texts in written.items()} == {"csv": 1, "svg": 1}
     _assert_no_child_left()
 
 
 def test_writers_stay_serial_beside_another_thread(forks, monkeypatch, tmp_path):
-    monkeypatch.setattr(dataio, "_CHUNK_ROWS", _SVG_CHUNK_ROWS)
     monkeypatch.setattr(experiments, "_usable_cpus", lambda: 3)
     table = _table(3 * _CHUNK_ROWS)
     release = threading.Event()
@@ -451,28 +440,45 @@ def test_writers_stay_serial_beside_another_thread(forks, monkeypatch, tmp_path)
     assert not thread.is_alive()
     assert forks == []
     assert threaded == [_written(table, tmp_path / f"f.{fmt}", fmt) for fmt in ("csv", "svg")]
-    assert len(forks) == 4 * 2  # once the thread is gone: 3 CPUs, so 2 children per loop
+    assert len(forks) == 2  # once the thread is gone: 3 CPUs, so 2 children for the 3-chunk CSV
+    _written(_table(10**5), tmp_path / "long.svg", "svg")
+    assert len(forks) == 2  # a 10^5-step plot is built whole, on no child
 
 
-class _StreamFailingAfterFirstChunk(io.StringIO):
-    def __init__(self):
-        super().__init__()
-        self.writes = 0
+class _StreamFailingPartway(io.StringIO):
+    """A stream that takes the first 1000 characters written to it, then fails."""
 
     def write(self, text):
-        self.writes += 1
-        if self.writes > 2:  # the header, then the first chunk
+        room = max(1000 - self.tell(), 0)
+        super().write(text[:room])
+        if len(text) > room:
             raise OSError("stream closed")
-        return super().write(text)
+        return len(text)
 
 
-@pytest.mark.parametrize("fmt", ["csv", "svg"])
+def _open_on_a_full_disk(*args, **kwargs):
+    """``open``, for a handle whose ``writelines`` writes half of the first
+    text, then fails as a full disk does."""
+    handle = open(*args, **kwargs)
+
+    def writelines(parts):
+        text = next(iter(parts))
+        handle.write(text[: len(text) // 2])
+        handle.flush()
+        raise OSError(28, "No space left on device")
+
+    handle.writelines = writelines
+    return handle
+
+
 @pytest.mark.parametrize(
-    "how, error",
+    "how, error, fmt",
     [
-        ("stream", "stream closed"),
-        ("exception", r"CSV/SVG formatting worker 1 \(pid \d+\) exited with code 1; wait status"),
-        ("signal", r"CSV/SVG formatting worker 1 \(pid \d+\) was killed by signal 9; wait status"),
+        ("stream", "stream closed", "csv"),
+        ("stream", "stream closed", "svg"),
+        ("exception", r"CSV formatting worker 1 \(pid \d+\) exited with code 1; wait status", "csv"),
+        ("signal", r"CSV formatting worker 1 \(pid \d+\) was killed by signal 9; wait status", "csv"),
+        ("disk", "No space left on device", "svg"),
     ],
 )
 def test_failed_write_leaves_no_child_and_no_file(forks, monkeypatch, tmp_path, capfd, fmt, how, error):
@@ -485,14 +491,15 @@ def test_failed_write_leaves_no_child_and_no_file(forks, monkeypatch, tmp_path, 
             raise RuntimeError("chunk failed")
         return format_chunk(*args)
 
-    if how != "stream":
+    target = _StreamFailingPartway() if how == "stream" else tmp_path / f"out.{fmt}"
+    if how in ("exception", "signal"):
         monkeypatch.setattr(dataio, "_format_chunk", format_chunk_failing_in_child)
-    if fmt == "svg":
-        monkeypatch.setattr(dataio, "_CHUNK_ROWS", _SVG_CHUNK_ROWS)
-    target = _StreamFailingAfterFirstChunk() if how == "stream" else tmp_path / f"out.{fmt}"
+    elif how == "disk":  # an earlier plot at the path keeps no partial bytes either
+        target.write_text("an earlier plot\n")
+        monkeypatch.setattr(dataio, "open", _open_on_a_full_disk, raising=False)
     with pytest.raises(OSError, match=error) as caught:
         write_results(_table(3 * _CHUNK_ROWS), target, fmt)
-    assert forks
+    assert bool(forks) == (fmt == "csv")
     _assert_no_child_left()  # reaped by the writer, not by freeing the traceback's frames
     assert caught.tb is not None
     assert list(tmp_path.iterdir()) == []
@@ -513,7 +520,7 @@ def test_failed_cli_write_exits_1_and_leaves_no_file(forks, monkeypatch, tmp_pat
     code = main(["simulate", "--alpha", "0.1", "--trend", "const:level=0", "--noise", "white:var=1",
                  "--steps", str(2 * _CHUNK_ROWS), "--seed", "1", "--out", str(out)])
     assert code == 1
-    assert "error: CSV/SVG formatting worker 1 (pid " in capfd.readouterr().err
+    assert "error: CSV formatting worker 1 (pid " in capfd.readouterr().err
     assert not out.exists()
     _assert_no_child_left()
 
@@ -572,6 +579,37 @@ def test_config_round_trip(tmp_path):
     document = experiment_config_to_dict(loaded, output)
     again, output2 = experiment_config_from_dict(json.loads(json.dumps(document)))
     assert again == loaded and output2 == output
+
+
+def _scalar(types: list, values):
+    return st.builds(lambda cast, value: cast(value), st.sampled_from(types), values)
+
+
+_FLOATS, _INTS = [float, np.float64, np.float32, np.float16], [int, np.int64, np.int32, np.uint16]
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(alpha=_scalar(_FLOATS, st.floats(0.001, 0.99)),
+       init=st.one_of(st.just("first"), _scalar(_FLOATS, st.floats(-1e4, 1e4)),
+                      _scalar(_INTS, st.integers(0, 1000))),
+       tail_fraction=st.one_of(_scalar(_FLOATS, st.floats(0.01, 1.0)), _scalar(_INTS, st.just(1))),
+       counts=st.tuples(*[_scalar(_INTS, st.integers(2, 60_000))] * 3))
+def test_config_of_numpy_scalars_saves_and_loads_back_equal(tmp_path, alpha, init, tail_fraction,
+                                                            counts):
+    # a numpy scalar once reached json.dumps, which cannot write a float32
+    config = ExperimentConfig(AR1(0.2, 1.0), Sinusoid(1.0, 0.01, 0.0), alpha, *counts,
+                              init=init, tail_fraction=tail_fraction)
+    loaded, _ = load_experiment_config(save_experiment_config(config, tmp_path / "c.json"))
+    assert loaded == config
+    assert type(config.alpha) is type(config.tail_fraction) is float
+    assert config.init == "first" or type(config.init) is float
+
+
+def test_config_alpha_is_never_a_string():
+    # "0.1" was stored, and saved to a file that the loader refused
+    with pytest.raises(ValueError, match="smoothing parameter must be a number, got '0.1'"):
+        ExperimentConfig(AR1(0.2, 1.0), Sinusoid(1.0, 0.01, 0.0), "0.1", 10, 10, seed=1)
 
 
 def test_shipped_config_saves_to_its_own_bytes(tmp_path):

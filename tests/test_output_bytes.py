@@ -279,7 +279,7 @@ def test_stream_target_gets_the_file_bytes(tmp_path, n):
 def test_svg_points_match_the_per_point_reference(n, template):
     xs = np.linspace(62.0, 782.0, n) + 0.005  # near the rounding boundary of %.2f
     ys = _edge_values(n)
-    text = "".join(_points("<", template.replace("{:.2f}", "%.2f"), [xs, ys], ">"))
+    text = _points("<", template.replace("{:.2f}", "%.2f"), [xs, ys], ">")
     reference = "<" + " ".join(map(template.format, xs.tolist(), ys.tolist())) + ">"
     same = text == reference
     assert same

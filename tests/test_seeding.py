@@ -78,6 +78,19 @@ def test_numpy_integer_seed_names_the_same_stream(seed):
     assert x.tobytes() == sample_path(WhiteGaussian(1.0), Constant(0.0), 5, int(seed)).tobytes()
 
 
+@pytest.mark.parametrize("index", [-1, 2**64, True, np.True_, 1.5, np.float64(1.0), "1", None],
+                         ids=repr)
+def test_child_seed_refuses_an_index_that_would_share_a_stream(index):
+    # never wrapped or coerced: 2**64 would name stream 0, and True stream 1
+    with pytest.raises(ValueError, match=r"replication index must be an integer in \[0, 2\*\*64\)"):
+        child_seed(7, index)
+
+
+def test_child_seed_index_range_edges_accepted():
+    assert child_seed(7, np.uint64(2**64 - 1)) == child_seed(7, 2**64 - 1) != child_seed(7, 0)
+    assert child_seed(7, np.int64(3)) == child_seed(7, 3)
+
+
 @pytest.mark.parametrize("master", [0, 12345, 2**64 - 1])
 def test_child_seeds_equal_child_seed(master):
     for indices in (range(0, 70), range(1029, 1100), range(2**63 - 3, 2**63 + 3)):

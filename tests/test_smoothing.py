@@ -54,6 +54,12 @@ def test_step_rejects_bad_inputs():
         SmootherState(math.inf, 0.5)
 
 
+@pytest.mark.parametrize("step", [2.5, True, 0, np.float64(2.0)], ids=repr)
+def test_state_refuses_a_step_that_is_not_a_count(step):
+    with pytest.raises(ValueError, match="step must be an integer >= 1"):
+        SmootherState(1.0, 0.1, step)
+
+
 def test_contraction_exact_for_dyadic_alpha():
     # with power-of-two alpha and integer states every product is exact
     for alpha in (0.5, 0.25, 0.75, 0.125):
