@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass
 
 from ._numpy import np
-from .processes import Autocovariance, NoiseModel, TrendSpec, trend_sequence
+from .processes import Autocovariance, NoiseModel, TrendSpec, _typed, trend_sequence
 from .seeding import check_count
 from .smoothing import InitPolicy, check_alpha, check_init
 
@@ -110,7 +110,7 @@ def tracking_bound(
     series.  A trend term that overflows is +inf, as is then the total.
     """
     alpha = check_alpha(alpha)
-    lipschitz = _finite_nonnegative(lipschitz, "trend increment bound")
+    lipschitz = _finite_nonnegative(_typed(lipschitz, float, "lipschitz"), "trend increment bound")
 
     beta = 1.0 - alpha
     g0 = _finite_nonnegative(noise.gamma(0), "gamma(0)")
@@ -291,6 +291,7 @@ def optimize_alpha(noise: NoiseModel | Autocovariance, lipschitz: float) -> Alph
     ``degenerate`` set.  An alpha whose correlation series would exceed
     SERIES_LAG_CAP counts as +inf, so it is never returned.
     """
+    lipschitz = _typed(lipschitz, float, "lipschitz")
 
     def objective(a: float) -> float:
         try:
@@ -304,10 +305,10 @@ def optimize_alpha(noise: NoiseModel | Autocovariance, lipschitz: float) -> Alph
     grid = [i * step for i in range(1, GRID_POINTS + 1)]
     best = _first_min([objective(a) for a in grid])  # smaller alpha on ties
 
-    if noise.gamma(0) == 0.0 and float(lipschitz) == 0.0:
+    if noise.gamma(0) == 0.0 and lipschitz == 0.0:
         return AlphaSearchResult(grid[0], tracking_bound(grid[0], noise, lipschitz), True)
 
-    open_ends = float(lipschitz) > 0.0
+    open_ends = lipschitz > 0.0
     lo = grid[best - 1] if best > 0 else 0.0 if open_ends else grid[0]
     hi = grid[best + 1] if best + 1 < len(grid) else 1.0 if open_ends else grid[-1]
     alpha_star = _golden_section_min(objective, lo, hi)

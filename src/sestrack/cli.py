@@ -81,7 +81,7 @@ def parse_spec(text: str, kinds: dict[str, type], what: str):
     """Parse a ``name:key=value,...`` model spec, e.g. ``ar1:theta=0.2,var=1``.
 
     The spec is tokenized into the object a config file would hold, and
-    decoded by the same registry decoder.  Indexed keys ``b1..bq`` fill the
+    built by the same codec as a config.  Indexed keys ``b1..bq`` fill the
     list field ``b``, and ``sigma=S`` stands for ``var=S*S`` (an S below 0, or
     with an infinite square, is a ValueError, not coerced); any other key,
     ``kind`` and a bare ``b`` included, is unknown.  ``kinds`` is

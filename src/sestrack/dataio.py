@@ -31,8 +31,8 @@ fails part-way deletes the regular file it was writing.  Config documents
 are strict JSON (schema_version 1, unknown keys and wrong JSON types
 rejected with the failing key path, such as ``config.noise.a``).  Their
 codec is one loop over the declared fields (``processes.model_fields``) of
-a model or of ``ExperimentConfig``: keys in field order, each value
-decoded by its type.
+a model or of ``ExperimentConfig``, keys in field order; the constructors
+check the types, and the codec prefixes the key path to their SchemaError.
 
 This module sits above ``experiments``: it imports the result types it
 writes, and nothing in the numerical modules imports it.
@@ -62,8 +62,7 @@ from .experiments import (
     _fork_map,
     simulate_smoothed,
 )
-from .processes import NOISE_KINDS, TREND_KINDS, NoiseModel, Numbers, TrendSpec, model_fields
-from .smoothing import INIT_WORDING, InitPolicy
+from .processes import KINDS_OF, SchemaError, _typed, model_fields
 
 CONFIG_SCHEMA_VERSION = 1
 
@@ -476,11 +475,6 @@ def reproduce_figure(
 # JSON experiment configs
 # ---------------------------------------------------------------------------
 
-class SchemaError(ValueError):
-    """A document whose keys or JSON types do not match the declared
-    fields; value ranges are checked by the constructors instead."""
-
-
 def _check_keys(mapping, required: set[str], optional: set[str], where: str, cls=None) -> None:
     """Check the keys of the object ``mapping``, adding those ``cls`` declares."""
     if not isinstance(mapping, dict):
@@ -500,35 +494,6 @@ def _check_keys(mapping, required: set[str], optional: set[str], where: str, cls
         raise SchemaError(f"{where}: missing required key(s) {sorted(missing)}")
 
 
-def _number(value, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SchemaError(f"{where}: expected a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:
-        raise SchemaError(f"{where}: {value} is out of range") from None
-
-
-def _numbers(value, where: str) -> tuple[float, ...]:
-    if not isinstance(value, list):
-        raise SchemaError(f"{where}: expected a list of numbers, got {value!r}")
-    return tuple(_number(v, f"{where}[{i}]") for i, v in enumerate(value))
-
-
-def _integer(value, where: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise SchemaError(f"{where}: expected an integer, got {value!r}")
-    return value
-
-
-def _init(value, where: str):
-    if value == "first":
-        return value
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SchemaError(f"{where}: expected {INIT_WORDING}, got {value!r}")
-    return _number(value, where)
-
-
 def _encode(obj, document: dict) -> dict:
     """``document`` with each declared field of ``obj`` added, in field order."""
     for attr, key, _, _ in model_fields(type(obj)):
@@ -540,13 +505,18 @@ def _encode(obj, document: dict) -> dict:
     return document
 
 
-def _decode(cls, data: dict, where: str) -> dict:
-    """The arguments of ``cls`` that ``data`` gives, decoded by declared type."""
-    return {
-        attr: _DECODERS[hint](data[key], f"{where}.{key}")
-        for attr, key, _, hint in model_fields(cls)
-        if key in data
+def _build(cls, data: dict, where: str):
+    """``cls`` from the keys of ``data`` it declares, each model object decoded
+    first; the constructor's SchemaError is prefixed with the path ``where``."""
+    args = {
+        attr: model_from_dict(data[key], KINDS_OF[hint], f"{where}.{key}")
+        if hint in KINDS_OF else data[key]
+        for attr, key, _, hint in model_fields(cls) if key in data
     }
+    try:
+        return cls(**args)
+    except SchemaError as exc:
+        raise SchemaError(f"{where}.{exc}") from None
 
 
 def model_to_dict(model) -> dict:
@@ -568,17 +538,7 @@ def model_from_dict(data, kinds: dict[str, type], where: str):
         *head, last = kinds
         raise SchemaError(f"{where}: unknown kind {kind!r}; expected {', '.join(head)} or {last}")
     _check_keys(data, {"kind"}, set(), where, cls)
-    return cls(**_decode(cls, data, where))
-
-
-_DECODERS = {  # by declared type; a JSON number is never a string or a bool
-    float: _number,
-    int: _integer,
-    Numbers: _numbers,
-    InitPolicy: _init,
-    NoiseModel: lambda value, where: model_from_dict(value, NOISE_KINDS, where),
-    TrendSpec: lambda value, where: model_from_dict(value, TREND_KINDS, where),
-}
+    return _build(cls, data, where)
 
 
 def experiment_config_to_dict(config, output: dict | None = None) -> dict:
@@ -593,7 +553,7 @@ def experiment_config_from_dict(document):
     options).  Every key and JSON type is checked: numbers must be JSON
     numbers, counts and the seed JSON integers, never bools or strings."""
     _check_keys(document, {"schema_version"}, {"output"}, "config", ExperimentConfig)
-    version = _integer(document["schema_version"], "config.schema_version")
+    version = _typed(document["schema_version"], int, "config.schema_version")
     if version != CONFIG_SCHEMA_VERSION:
         raise SchemaError(
             f"config: schema_version {version!r} not supported; expected {CONFIG_SCHEMA_VERSION}"
@@ -603,7 +563,7 @@ def experiment_config_from_dict(document):
     for key, value in output.items():
         if not isinstance(value, str):
             raise SchemaError(f"config.output.{key}: expected a path string, got {value!r}")
-    return ExperimentConfig(**_decode(ExperimentConfig, document, "config")), dict(output)
+    return _build(ExperimentConfig, document, "config"), dict(output)
 
 
 def load_experiment_config(path):

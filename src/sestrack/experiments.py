@@ -35,6 +35,7 @@ from .processes import (
     NoiseModel,
     Sinusoid,
     TrendSpec,
+    _check_fields,
     _key,
     _path,
     _slabs,
@@ -92,16 +93,14 @@ class ExperimentConfig:
     tail_fraction: float = _key("tail_fraction", 0.1)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "alpha", check_alpha(self.alpha))
-        object.__setattr__(self, "horizon", check_count(self.horizon, "horizon", 2))
-        object.__setattr__(self, "replications", check_count(self.replications, "replications", 1))
-        object.__setattr__(self, "seed", check_seed(self.seed))
-        if isinstance(self.tail_fraction, (bool, np.bool_)) or not (0.0 < self.tail_fraction <= 1.0):
-            raise ValueError(
-                f"tail fraction must lie in (0, 1], got {self.tail_fraction}"
-            )
-        object.__setattr__(self, "tail_fraction", float(self.tail_fraction))
-        object.__setattr__(self, "init", check_init(self.init))
+        _check_fields(self)
+        check_alpha(self.alpha)
+        check_count(self.horizon, "horizon", 2)
+        check_count(self.replications, "replications", 1)
+        check_seed(self.seed)
+        if not (0.0 < self.tail_fraction <= 1.0):
+            raise ValueError(f"tail fraction must lie in (0, 1], got {self.tail_fraction}")
+        check_init(self.init)
 
 
 @dataclass(frozen=True)

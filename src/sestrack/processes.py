@@ -42,13 +42,16 @@ m*_horizon that ``trend_sequence`` checks and returns.
 
 from __future__ import annotations
 
+import functools
 import math
+import numbers
 import typing
 from dataclasses import MISSING, dataclass, field, fields
 from typing import Callable, ClassVar, Union
 
 from ._numpy import np
 from .seeding import check_count, fill_standard_normals, is_integer
+from .smoothing import INIT_WORDING, InitPolicy
 
 _SLAB_CELLS = 32 * 1024  # time steps x paths in one slab of a block: 256 KB, which fits L2
 
@@ -121,6 +124,7 @@ class WhiteGaussian(_Covariance):
     variance: float = _key("var", 1.0)
 
     def __post_init__(self) -> None:
+        _check_fields(self)
         _check_variance(self.variance)
 
     def gamma(self, lag: int) -> float:
@@ -149,6 +153,7 @@ class MA1(_Covariance):
     innovation_variance: float = _key("var", 1.0)
 
     def __post_init__(self) -> None:
+        _check_fields(self)
         a = self.coefficient
         if not math.isfinite(a * a):  # the filter's normalization squares it
             raise ValueError(f"MA1 coefficient must be finite, with a finite square, got {a}")
@@ -189,6 +194,7 @@ class AR1(_Covariance):
     innovation_variance: float = _key("var", 1.0)
 
     def __post_init__(self) -> None:
+        _check_fields(self)
         if not (0.0 < self.theta < 1.0):
             raise ValueError(f"AR1 coefficient must lie in (0, 1), got {self.theta}")
         _check_variance(self.innovation_variance)
@@ -237,12 +243,11 @@ class MAq(_Covariance):
     innovation_variance: float = _key("var", 1.0)
 
     def __post_init__(self) -> None:
-        coeffs = tuple(float(b) for b in self.coefficients)
-        if not coeffs:
+        _check_fields(self)
+        if not self.coefficients:
             raise ValueError("MAq needs at least one coefficient")
-        if not all(math.isfinite(b) for b in coeffs):
+        if not all(math.isfinite(b) for b in self.coefficients):
             raise ValueError("MAq coefficients must be finite")
-        object.__setattr__(self, "coefficients", coeffs)
         _check_variance(self.innovation_variance)
 
     @property
@@ -281,7 +286,8 @@ NoiseModel = Union[WhiteGaussian, MA1, AR1, MAq]
 
 
 def _check_finite(trend) -> None:
-    """Reject a non-finite trend parameter, naming it by its spec key."""
+    """Check a trend's field types, then refuse a non-finite one by its key."""
+    _check_fields(trend)
     for f in fields(trend):
         values = getattr(trend, f.name)
         for value in values if isinstance(values, tuple) else (values,):
@@ -362,11 +368,9 @@ class Table:
     values: Numbers = _key("values")
 
     def __post_init__(self) -> None:
-        vals = tuple(float(v) for v in self.values)
-        if not vals:
-            raise ValueError("Table trend needs at least one value")
-        object.__setattr__(self, "values", vals)
         _check_finite(self)
+        if not self.values:
+            raise ValueError("Table trend needs at least one value")
 
     @property
     def lipschitz_constant(self) -> float:
@@ -386,19 +390,56 @@ TrendSpec = Union[Constant, Linear, Sinusoid, Table]
 
 # Every model kind is declared once, on its class, which is listed in
 # NoiseModel or TrendSpec: ``kind`` names it, each field's metadata gives its
-# external key, its default makes it optional and its annotation gives its
-# type (a number, or a list of numbers for ``Numbers``).  The config codec,
-# the CLI spec tokenizer and the spec grammar all read these registries.
+# external key, its default makes it optional and its annotation gives the type
+# its constructor enforces first; the config codec, spec tokenizer and grammar read these.
 NOISE_KINDS: dict[str, type] = {c.kind: c for c in typing.get_args(NoiseModel)}
 TREND_KINDS: dict[str, type] = {c.kind: c for c in typing.get_args(TrendSpec)}
+KINDS_OF = {NoiseModel: NOISE_KINDS, TrendSpec: TREND_KINDS}  # the registry of a model field
 
 
-def model_fields(cls: type) -> list[tuple[str, str, object, object]]:
+@functools.cache
+def model_fields(cls: type) -> tuple[tuple[str, str, object, object], ...]:
     """``(attribute, key, default, type)`` of each ``_key`` field of a model
     class or ``ExperimentConfig``, in field order: ``default`` is MISSING on a
     required field, ``type`` the resolved annotation (``float``, ``Numbers``...)."""
     hints = typing.get_type_hints(cls)
-    return [(f.name, f.metadata["key"], f.default, hints[f.name]) for f in fields(cls)]
+    return tuple((f.name, f.metadata["key"], f.default, hints[f.name]) for f in fields(cls))
+
+
+class SchemaError(ValueError):
+    """A value not of its field's declared type, or a document with wrong keys."""
+
+
+# each declared field type, by annotation, as a SchemaError words it
+_WORDING = {float: "a number", int: "an integer", Numbers: "a list of numbers",
+            InitPolicy: INIT_WORDING, NoiseModel: "a noise model", TrendSpec: "a trend model"}
+
+
+def _typed(value, hint, key: str):
+    """``value`` as the type ``hint``, a key of ``_WORDING``, declares it: a
+    number as a Python float or int, a list as a tuple.  A str (but "first"
+    for ``InitPolicy``), bool, None or wrong container is a SchemaError naming ``key``."""
+    if hint in KINDS_OF:
+        if isinstance(value, tuple(KINDS_OF[hint].values())):
+            return value
+    elif hint == Numbers:
+        if isinstance(value, (list, tuple)):
+            return tuple(_typed(v, float, f"{key}[{i}]") for i, v in enumerate(value))
+    elif isinstance(value, bool) or not isinstance(value, (float, int, numbers.Real)):
+        if hint == InitPolicy and isinstance(value, str) and value == "first":
+            return value
+    elif hint is not int or isinstance(value, (int, numbers.Integral)):
+        try:
+            return int(value) if hint is int else float(value)
+        except OverflowError:
+            raise SchemaError(f"{key}: {value} is out of range") from None
+    raise SchemaError(f"{key}: expected {_WORDING[hint]}, got {value!r}")
+
+
+def _check_fields(obj) -> None:
+    """Store each declared field of ``obj`` as ``_typed`` returns it."""
+    for attr, key, _, hint in model_fields(type(obj)):
+        object.__setattr__(obj, attr, _typed(getattr(obj, attr), hint, key))
 
 
 def trend_sequence(trend: TrendSpec, horizon: int) -> np.ndarray:

@@ -78,9 +78,10 @@ def child_seeds(master: int, indices: range) -> np.ndarray:
 
     One array pass for a whole block of replications.
     """
-    if indices.step != 1 or indices.start < 0 or indices.stop > _MASK64:
-        raise ValueError(f"indices must be a unit-step range in [0, 2**64 - 1), got {indices}")
-    index = np.arange(indices.start, max(indices.start, indices.stop), dtype=np.uint64)
+    if indices.step != 1 or indices.start < 0 or max(indices.start, indices.stop) > _MASK64 + 1:
+        raise ValueError(f"indices must be a unit-step range in [0, 2**64), got {indices}")
+    index = np.arange(len(indices), dtype=np.uint64)
+    index += np.uint64(indices.start if index.size else 0)  # 2**64 starts only an empty range
     return splitmix64(np.uint64(splitmix64(check_seed(master))) ^ index)
 
 

@@ -22,6 +22,7 @@ slab, carrying the estimate row from one slab to the next.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Union
 
@@ -66,8 +67,9 @@ class SmootherState:
 
     def __post_init__(self) -> None:
         check_alpha(self.alpha)
-        if not math.isfinite(self.estimate):
-            raise ValueError(f"estimate must be finite, got {self.estimate}")
+        m = self.estimate
+        if isinstance(m, bool) or not (isinstance(m, numbers.Real) and math.isfinite(m)):
+            raise ValueError(f"estimate must be a finite number, got {m!r}")
         check_count(self.step, "step", 1)
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 import time
 import tracemalloc
 from fractions import Fraction
@@ -651,3 +652,13 @@ def test_scaling_leaves_argmin_unchanged():
         scaled = optimize_alpha(MA1(0.6, c), 0.1 * math.sqrt(c))
         assert abs(scaled.alpha - base.alpha) <= 1e-5
         assert scaled.report.total == pytest.approx(c * base.report.total, rel=1e-9)
+
+
+@pytest.mark.parametrize("k", ["0.1", True, None, [0.1]])
+def test_the_trend_increment_bound_is_a_number_never_coerced(k):
+    # "0.1" was parsed and True ran as K = 1
+    message = f"^lipschitz: expected a number, got {re.escape(repr(k))}$"
+    with pytest.raises(ValueError, match=message):
+        tracking_bound(0.1, MA1(2.0), k)
+    with pytest.raises(ValueError, match=message):
+        optimize_alpha(MA1(2.0), k)

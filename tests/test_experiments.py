@@ -55,7 +55,7 @@ def test_config_validation():
         ExperimentConfig(noise, trend, 0.1, 10, 10, seed=1, tail_fraction=0.0)
     with pytest.raises(ValueError):
         ExperimentConfig(noise, trend, 0.1, 10, 10, seed=1, init="median")
-    with pytest.raises(ValueError, match='init must be "first" or a number, got True'):
+    with pytest.raises(ValueError, match='^init: expected "first" or a number, got True$'):
         ExperimentConfig(noise, trend, 0.1, 10, 10, seed=1, init=True)
     with pytest.raises(ValueError):
         ExperimentConfig(noise, trend, 1.2, 10, 10, seed=1)
@@ -96,7 +96,10 @@ def test_counts_are_integers_never_coerced(entry):
     # once 2.7 was truncated to 2 and True ran as 1
     call = COUNT_ENTRY_POINTS[entry]
     for value in (2.7, 3.0, True):
-        with pytest.raises(ValueError, match="must be an integer"):
+        # the config's fields are typed by its declaration, which words the key
+        message = (f"^{entry[len('config.'):]}: expected an integer, got {value!r}$"
+                   if entry.startswith("config.") else "must be an integer")
+        with pytest.raises(ValueError, match=message):
             call(value)
     accepted = call(np.int64(3))
     if isinstance(accepted, ExperimentConfig):
@@ -107,7 +110,7 @@ def test_counts_are_integers_never_coerced(entry):
 
 
 def test_tail_fraction_is_not_a_bool():
-    with pytest.raises(ValueError, match="tail fraction must lie in"):
+    with pytest.raises(ValueError, match="^tail_fraction: expected a number, got True$"):
         ExperimentConfig(_W, _C, 0.1, 10, 10, seed=1, tail_fraction=True)
 
 

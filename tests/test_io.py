@@ -608,7 +608,7 @@ def test_config_of_numpy_scalars_saves_and_loads_back_equal(tmp_path, alpha, ini
 
 def test_config_alpha_is_never_a_string():
     # "0.1" was stored, and saved to a file that the loader refused
-    with pytest.raises(ValueError, match="smoothing parameter must be a number, got '0.1'"):
+    with pytest.raises(ValueError, match="^alpha: expected a number, got '0.1'$"):
         ExperimentConfig(AR1(0.2, 1.0), Sinusoid(1.0, 0.01, 0.0), "0.1", 10, 10, seed=1)
 
 

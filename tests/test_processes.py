@@ -19,6 +19,7 @@ from sestrack import (
     WhiteGaussian,
     make_generator,
     sample_path,
+    tracking_bound,
     trend_sequence,
 )
 from sestrack.processes import _SLAB_CELLS, _slabs
@@ -235,6 +236,22 @@ def test_stationary_start(model):
     se = g0 * math.sqrt(2.0 / reps)
     assert abs(first.var() - g0) <= 4.0 * se
     assert abs(late.var() - g0) <= 4.0 * se
+
+
+@pytest.mark.parametrize("kind, first, variance", [(AR1, 0.2, 0.7), (MA1, 2.0, 0.7)])
+def test_a_float32_parameter_gives_the_bits_of_its_python_float(kind, first, variance):
+    # a float32 parameter was once stored as it was, and the AR(1) recursion
+    # and the MA(1) bound then ran in float32
+    single = kind(np.float32(first), np.float32(variance))
+    double = kind(float(np.float32(first)), float(np.float32(variance)))
+    assert single == double
+    for trend in (Constant(0.0), Linear(1.0, np.float32(0.05))):
+        path = sample_path(single, trend, 2000, seed=11)
+        assert path.dtype == np.float64
+        assert path.tobytes() == sample_path(double, trend, 2000, seed=11).tobytes()
+    assert tracking_bound(0.1, single, np.float32(0.05)) == tracking_bound(
+        0.1, double, float(np.float32(0.05))
+    )
 
 
 def test_residual_mean_near_zero_over_replications():

@@ -6,9 +6,12 @@ import argparse
 import copy
 import dataclasses
 import json
+import re
 import shlex
+from dataclasses import MISSING
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,8 +28,22 @@ from sestrack import (
     WhiteGaussian,
 )
 from sestrack.cli import SPEC_GRAMMAR, build_parser, main, parse_spec
-from sestrack.dataio import experiment_config_from_dict, model_from_dict, model_to_dict
-from sestrack.processes import NOISE_KINDS, TREND_KINDS
+from sestrack.dataio import (
+    experiment_config_from_dict,
+    experiment_config_to_dict,
+    model_from_dict,
+    model_to_dict,
+)
+from sestrack.processes import (
+    NOISE_KINDS,
+    TREND_KINDS,
+    NoiseModel,
+    Numbers,
+    SchemaError,
+    TrendSpec,
+    model_fields,
+)
+from sestrack.smoothing import InitPolicy
 
 EXAMPLES = [
     WhiteGaussian(0.5),
@@ -214,3 +231,87 @@ def test_any_replaced_value_decodes_or_raises_value_error(target, value):
         experiment_config_from_dict(document)
     except ValueError:
         pass
+
+
+# ---------------------------------------------------------------------------
+# one type rule per declared field, for library callers as for the codec
+# ---------------------------------------------------------------------------
+
+# a value of each declared type that every field of that type accepts
+_VALID = {float: 0.5, int: 10, Numbers: (0.5,), InitPolicy: "first",
+          NoiseModel: MA1(2.0), TrendSpec: Constant(0.0)}
+# every declared field of every registered kind and of the experiment config,
+# so a new kind or field is covered here without a new test
+_FIELDS = [
+    (cls, declared)
+    for cls in (*NOISE_KINDS.values(), *TREND_KINDS.values(), ExperimentConfig)
+    for declared in model_fields(cls)
+]
+_FIELD_IDS = [f"{cls.__name__}.{declared[1]}" for cls, declared in _FIELDS]
+
+
+def _with(cls, attr, value):
+    """``cls`` with ``attr`` given ``value`` and each other required field a
+    valid value of its type."""
+    args = {a: _VALID[hint] for a, _, default, hint in model_fields(cls) if default is MISSING}
+    return cls(**{**args, attr: value})
+
+
+def _saved_and_loaded(obj):
+    """``obj`` through the JSON text of a config document and back."""
+    if isinstance(obj, ExperimentConfig):
+        text = json.dumps(experiment_config_to_dict(obj))
+        return experiment_config_from_dict(json.loads(text))[0]
+    kinds = NOISE_KINDS if type(obj) in NOISE_KINDS.values() else TREND_KINDS
+    return model_from_dict(json.loads(json.dumps(model_to_dict(obj))), kinds, "model")
+
+
+@pytest.mark.parametrize("cls, declared", _FIELDS, ids=_FIELD_IDS)
+def test_a_declared_field_refuses_a_value_of_another_type(cls, declared):
+    # once the constructors parsed "0.5", stored True and took None or a
+    # string model, where only the config codec refused them
+    attr, key, _, hint = declared
+    wrong = ["0.5", True, np.True_, None, {0.5} if hint == Numbers else [0.5]]
+    if hint is int:
+        wrong += [3.0, np.float64(3.0)]
+    for value in wrong:
+        message = f"^{re.escape(key)}: expected .+, got {re.escape(repr(value))}$"
+        with pytest.raises(SchemaError, match=message):
+            _with(cls, attr, value)
+    if hint == Numbers:
+        with pytest.raises(SchemaError, match=rf"^{key}\[1\]: expected a number, got '0.3'$"):
+            _with(cls, attr, (0.5, "0.3"))
+
+
+def _numpy_values(hint):
+    """Values of the declared type ``hint`` made of numpy scalars."""
+    if hint is int:
+        return [np.int64(10)]
+    scalars = [np.float32(0.5), np.float64(0.5), np.int64(1)]
+    if hint == Numbers:
+        return [(scalar,) for scalar in scalars] + [[np.float32(0.5), np.int64(1)]]
+    return scalars if hint in (float, InitPolicy) else []
+
+
+@pytest.mark.parametrize("cls, declared", _FIELDS, ids=_FIELD_IDS)
+def test_a_numpy_scalar_is_stored_as_a_python_number_that_saves(cls, declared):
+    # a float32 parameter was once stored as it was: its model computed in
+    # float32 and could not be saved
+    attr, _, _, hint = declared
+    for value in _numpy_values(hint):
+        try:
+            built = _with(cls, attr, value)
+        except ValueError as exc:  # out of the field's range, as an integer theta is
+            assert not isinstance(exc, SchemaError) and isinstance(value, np.integer)
+            continue
+        stored = getattr(built, attr)
+        if hint == Numbers:
+            assert type(stored) is tuple and {type(v) for v in stored} == {float}
+            python = tuple(float(v) for v in value)
+        else:
+            cast = int if hint is int else float
+            assert type(stored) is cast
+            python = cast(value)
+        assert stored == python
+        assert built == _with(cls, attr, python)
+        assert _saved_and_loaded(built) == built

@@ -108,6 +108,19 @@ def test_child_seeds_reject_bad_ranges():
         child_seeds(-1, range(3))
 
 
+@pytest.mark.parametrize("master", [0, 2**64 - 1])
+def test_child_seeds_reach_the_last_stream(master):
+    # the array path once refused the index 2**64 - 1, which child_seed names
+    top = 2**64
+    for indices in (range(top - 1, top), range(top - 5, top), range(top, top)):
+        assert [int(k) for k in child_seeds(master, indices)] == [
+            child_seed(master, r) for r in indices
+        ]
+    for indices in (range(top - 1, top + 1), range(top, top + 1), range(top + 1, top + 1)):
+        with pytest.raises(ValueError, match=r"unit-step range in \[0, 2\*\*64\)"):
+            child_seeds(master, indices)
+
+
 @pytest.mark.parametrize("key", EDGE_KEYS)
 def test_stream_start_rekeys_a_generator_that_has_drawn(key):
     # the reused generator has a half-used uint32 and a partly consumed

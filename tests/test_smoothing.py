@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -58,6 +59,14 @@ def test_step_rejects_bad_inputs():
 def test_state_refuses_a_step_that_is_not_a_count(step):
     with pytest.raises(ValueError, match="step must be an integer >= 1"):
         SmootherState(1.0, 0.1, step)
+
+
+@pytest.mark.parametrize("estimate", ["1", True, None, math.inf, math.nan])
+def test_state_refuses_an_estimate_that_is_not_a_finite_number(estimate):
+    # "1" was a bare TypeError and True was accepted
+    message = f"^estimate must be a finite number, got {re.escape(repr(estimate))}$"
+    with pytest.raises(ValueError, match=message):
+        SmootherState(estimate, 0.1)
 
 
 def test_contraction_exact_for_dyadic_alpha():
