@@ -29,8 +29,8 @@ import math
 from dataclasses import dataclass
 
 from ._numpy import np
-from .processes import Autocovariance, NoiseModel, TrendSpec, _typed, trend_sequence
-from .seeding import check_count
+from .processes import Autocovariance, NoiseModel, TrendSpec, _finite_nonnegative, trend_sequence
+from .seeding import _number, check_count
 from .smoothing import InitPolicy, check_alpha, check_init
 
 SERIES_LAG_CAP = 10**6
@@ -89,13 +89,6 @@ def _correlation_tail(noise, alpha: float, beta: float, g0: float) -> tuple[floa
     return tail, lags, g0 * beta ** (lags + 1) / alpha
 
 
-def _finite_nonnegative(value: float, what: str) -> float:
-    value = float(value)
-    if not (math.isfinite(value) and value >= 0.0):
-        raise ValueError(f"{what} must be finite and >= 0, got {value}")
-    return value
-
-
 def tracking_bound(
     alpha: float, noise: NoiseModel | Autocovariance, lipschitz: float
 ) -> BoundReport:
@@ -110,7 +103,7 @@ def tracking_bound(
     series.  A trend term that overflows is +inf, as is then the total.
     """
     alpha = check_alpha(alpha)
-    lipschitz = _finite_nonnegative(_typed(lipschitz, float, "lipschitz"), "trend increment bound")
+    lipschitz = _finite_nonnegative(_number(lipschitz, float, "lipschitz"), "trend increment bound")
 
     beta = 1.0 - alpha
     g0 = _finite_nonnegative(noise.gamma(0), "gamma(0)")
@@ -291,8 +284,6 @@ def optimize_alpha(noise: NoiseModel | Autocovariance, lipschitz: float) -> Alph
     ``degenerate`` set.  An alpha whose correlation series would exceed
     SERIES_LAG_CAP counts as +inf, so it is never returned.
     """
-    lipschitz = _typed(lipschitz, float, "lipschitz")
-
     def objective(a: float) -> float:
         try:
             return tracking_bound(a, noise, lipschitz).total

@@ -62,7 +62,7 @@ from .experiments import (
     _fork_map,
     simulate_smoothed,
 )
-from .processes import KINDS_OF, SchemaError, _typed, model_fields
+from .processes import KINDS_OF, SchemaError, _number, model_fields
 
 CONFIG_SCHEMA_VERSION = 1
 
@@ -553,7 +553,7 @@ def experiment_config_from_dict(document):
     options).  Every key and JSON type is checked: numbers must be JSON
     numbers, counts and the seed JSON integers, never bools or strings."""
     _check_keys(document, {"schema_version"}, {"output"}, "config", ExperimentConfig)
-    version = _typed(document["schema_version"], int, "config.schema_version")
+    version = _number(document["schema_version"], int, "config.schema_version")
     if version != CONFIG_SCHEMA_VERSION:
         raise SchemaError(
             f"config: schema_version {version!r} not supported; expected {CONFIG_SCHEMA_VERSION}"

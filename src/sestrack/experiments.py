@@ -48,7 +48,6 @@ from .smoothing import (
     _initial_estimates,
     _recursion,
     check_alpha,
-    check_init,
     ses_run,
 )
 
@@ -100,7 +99,6 @@ class ExperimentConfig:
         check_seed(self.seed)
         if not (0.0 < self.tail_fraction <= 1.0):
             raise ValueError(f"tail fraction must lie in (0, 1], got {self.tail_fraction}")
-        check_init(self.init)
 
 
 @dataclass(frozen=True)

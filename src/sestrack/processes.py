@@ -18,10 +18,11 @@ Noise variants:
 * ``MAq`` - un-normalized moving average of order q with coefficients
   b_1..b_q and implicit b_0 = 1, so gamma(0) = variance * sum_j b_j^2.
 
-Zero innovation variance is accepted and produces deterministic paths,
-which the exact-recursion oracles rely on.  Every variant draws a fixed
-number of extra initial innovations so that ``eps_1`` already follows the
-stationary distribution, so no path needs a burn-in.
+A constructor types its fields by the scalar rule of ``seeding`` before it
+checks their ranges.  Zero innovation variance is accepted and produces
+deterministic paths, which the exact-recursion oracles rely on.  Every
+variant draws a fixed number of extra initial innovations so that ``eps_1``
+already follows the stationary distribution, so no path needs a burn-in.
 
 Each variant states its law once, as a filter over a time slab of a block
 of paths: ``_filter(z, out, last)`` turns time-major standard normals ``z``
@@ -44,14 +45,13 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 import typing
 from dataclasses import MISSING, dataclass, field, fields
 from typing import Callable, ClassVar, Union
 
 from ._numpy import np
-from .seeding import check_count, fill_standard_normals, is_integer
-from .smoothing import INIT_WORDING, InitPolicy
+from .seeding import SchemaError, _number, check_count, fill_standard_normals
+from .smoothing import InitPolicy, check_init
 
 _SLAB_CELLS = 32 * 1024  # time steps x paths in one slab of a block: 256 KB, which fits L2
 
@@ -65,9 +65,10 @@ def _key(key: str, default=MISSING, flag: tuple[str, str] | None = None):
 Numbers = tuple[float, ...]  # a list field: a JSON list, indexed keys in a spec
 
 
-def _check_variance(value: float) -> None:
+def _finite_nonnegative(value: float, what: str) -> float:
     if not (math.isfinite(value) and value >= 0.0):
-        raise ValueError(f"innovation variance must be finite and >= 0, got {value}")
+        raise ValueError(f"{what} must be finite and >= 0, got {value}")
+    return value
 
 
 class _Covariance:
@@ -90,9 +91,9 @@ class Autocovariance(_Covariance):
     """A user-supplied even autocovariance ``fn(lag)``, by integer lag.
 
     Its support is unknown and it has no closed-form tail, so the bound
-    always sums its series.  ``gamma`` refuses a lag that is not an integer.
-    ``gammas(n)`` tabulates gamma(1) .. gamma(n) and keeps the table: the
-    alpha search sums the same lags at many alphas.
+    always sums its series.  ``gamma(k)`` refuses a non-integer lag and a
+    value that is not a finite number (>= 0 at lag 0).  ``gammas(n)`` keeps a
+    table of gamma(1) .. gamma(n): the alpha search sums it at many alphas.
     """
 
     fn: Callable[[int], float]
@@ -102,14 +103,18 @@ class Autocovariance(_Covariance):
     )
 
     def gamma(self, lag: int) -> float:
-        if not is_integer(lag):
-            raise ValueError(f"lag must be an integer, got {lag!r}")
-        return float(self.fn(abs(int(lag))))
+        lag = abs(_number(lag, int, "lag"))
+        value = _number(self.fn(lag), float, f"gamma({lag})")
+        if lag == 0:
+            return _finite_nonnegative(value, "gamma(0)")
+        if not math.isfinite(value):
+            raise ValueError(f"gamma({lag}) must be finite, got {value}")
+        return value
 
     def gammas(self, n: int) -> np.ndarray:
         known = self._table[0]
         if len(known) < n:
-            more = np.fromiter(map(self.fn, range(len(known) + 1, n + 1)), float, n - len(known))
+            more = np.fromiter(map(self.gamma, range(len(known) + 1, n + 1)), float, n - len(known))
             known = self._table[0] = np.concatenate((known, more))
         return known[:n]
 
@@ -125,7 +130,7 @@ class WhiteGaussian(_Covariance):
 
     def __post_init__(self) -> None:
         _check_fields(self)
-        _check_variance(self.variance)
+        _finite_nonnegative(self.variance, "innovation variance")
 
     def gamma(self, lag: int) -> float:
         return self.variance if lag == 0 else 0.0
@@ -157,7 +162,7 @@ class MA1(_Covariance):
         a = self.coefficient
         if not math.isfinite(a * a):  # the filter's normalization squares it
             raise ValueError(f"MA1 coefficient must be finite, with a finite square, got {a}")
-        _check_variance(self.innovation_variance)
+        _finite_nonnegative(self.innovation_variance, "innovation variance")
 
     def gamma(self, lag: int) -> float:
         lag = abs(lag)
@@ -197,7 +202,7 @@ class AR1(_Covariance):
         _check_fields(self)
         if not (0.0 < self.theta < 1.0):
             raise ValueError(f"AR1 coefficient must lie in (0, 1), got {self.theta}")
-        _check_variance(self.innovation_variance)
+        _finite_nonnegative(self.innovation_variance, "innovation variance")
 
     def gamma(self, lag: int) -> float:
         g0 = self.innovation_variance / (1.0 - self.theta**2)
@@ -248,7 +253,7 @@ class MAq(_Covariance):
             raise ValueError("MAq needs at least one coefficient")
         if not all(math.isfinite(b) for b in self.coefficients):
             raise ValueError("MAq coefficients must be finite")
-        _check_variance(self.innovation_variance)
+        _finite_nonnegative(self.innovation_variance, "innovation variance")
 
     @property
     def order(self) -> int:
@@ -406,33 +411,23 @@ def model_fields(cls: type) -> tuple[tuple[str, str, object, object], ...]:
     return tuple((f.name, f.metadata["key"], f.default, hints[f.name]) for f in fields(cls))
 
 
-class SchemaError(ValueError):
-    """A value not of its field's declared type, or a document with wrong keys."""
-
-
-# each declared field type, by annotation, as a SchemaError words it
-_WORDING = {float: "a number", int: "an integer", Numbers: "a list of numbers",
-            InitPolicy: INIT_WORDING, NoiseModel: "a noise model", TrendSpec: "a trend model"}
+# each declared field type but a number or an init, as a SchemaError words it
+_WORDING = {Numbers: "a list of numbers", NoiseModel: "a noise model", TrendSpec: "a trend model"}
 
 
 def _typed(value, hint, key: str):
-    """``value`` as the type ``hint``, a key of ``_WORDING``, declares it: a
-    number as a Python float or int, a list as a tuple.  A str (but "first"
-    for ``InitPolicy``), bool, None or wrong container is a SchemaError naming ``key``."""
+    """``value`` as the type ``hint`` declares it, a number by the scalar rule
+    and an init by ``check_init``, or a SchemaError naming ``key``."""
     if hint in KINDS_OF:
         if isinstance(value, tuple(KINDS_OF[hint].values())):
             return value
     elif hint == Numbers:
         if isinstance(value, (list, tuple)):
-            return tuple(_typed(v, float, f"{key}[{i}]") for i, v in enumerate(value))
-    elif isinstance(value, bool) or not isinstance(value, (float, int, numbers.Real)):
-        if hint == InitPolicy and isinstance(value, str) and value == "first":
-            return value
-    elif hint is not int or isinstance(value, (int, numbers.Integral)):
-        try:
-            return int(value) if hint is int else float(value)
-        except OverflowError:
-            raise SchemaError(f"{key}: {value} is out of range") from None
+            return tuple(_number(v, float, f"{key}[{i}]") for i, v in enumerate(value))
+    elif hint == InitPolicy:
+        return check_init(value)
+    else:
+        return _number(value, hint, key)
     raise SchemaError(f"{key}: expected {_WORDING[hint]}, got {value!r}")
 
 

@@ -21,11 +21,13 @@ stream straight into its own contiguous row.
 User seeds and replication indices must be integers (Python or numpy,
 never bools) in [0, 2^64); anything else is rejected rather than coerced
 or wrapped, so two different seeds never name the same stream.  Every
-count of the package (horizons, replications, workers) is held to the
-same rule, ``is_integer``.
+number the package takes, counts and seeds among them, is typed by one
+scalar rule, ``_number``, kept here at the bottom of the package.
 """
 
 from __future__ import annotations
+
+import numbers
 
 from ._numpy import np
 
@@ -44,33 +46,49 @@ def splitmix64(value):
     return (z ^ (z >> 31)) & _MASK64
 
 
-def is_integer(value) -> bool:
-    """The one integer rule: a Python or numpy integer, never a bool."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+class SchemaError(ValueError):
+    """A value not of its declared type, or a document with wrong keys."""
+
+
+def _number(value, kind: type, key: str, expected: str = ""):
+    """The one scalar rule: ``value`` as a Python float, or an int for ``kind``
+    int.  A str, a bool, None, another non-real or, for an int, a non-integer
+    is a SchemaError naming ``key``.  numpy's bool is neither ``numbers`` ABC."""
+    if type(value) is kind:
+        return value
+    abc = numbers.Integral if kind is int else numbers.Real
+    if isinstance(value, bool) or not isinstance(value, abc):
+        expected = expected or ("an integer" if kind is int else "a number")
+        raise SchemaError(f"{key}: expected {expected}, got {value!r}")
+    try:
+        return kind(value)
+    except OverflowError:
+        raise SchemaError(f"{key}: {value} is out of range") from None
 
 
 def check_count(value, name: str, minimum: int) -> int:
     """``value`` as an int, once it is an integer >= ``minimum``."""
-    if not (is_integer(value) and value >= minimum):
+    value = _number(value, int, name)
+    if value < minimum:
         raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
-    return int(value)
+    return value
 
 
-def check_seed(seed: int) -> int:
+def check_seed(seed: int, key: str = "seed") -> int:
     """Validate a 64-bit seed, an integer in [0, 2**64); returned as an int."""
-    if not is_integer(seed):
-        raise ValueError(f"seed must be an integer, got {seed!r}")
+    seed = _number(seed, int, key)
     if not 0 <= seed <= _MASK64:
         raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
-    return int(seed)
+    return seed
 
 
 def child_seed(master: int, index: int) -> int:
     """Seed for replication ``index``, an integer in [0, 2**64), of an
     experiment with seed ``master``."""
-    if not (is_integer(index) and 0 <= index <= _MASK64):
+    index = _number(index, int, "index")
+    if not 0 <= index <= _MASK64:
         raise ValueError(f"replication index must be an integer in [0, 2**64), got {index!r}")
-    return splitmix64(splitmix64(check_seed(master)) ^ int(index))
+    return splitmix64(splitmix64(check_seed(master, "master")) ^ index)
 
 
 def child_seeds(master: int, indices: range) -> np.ndarray:
@@ -82,7 +100,7 @@ def child_seeds(master: int, indices: range) -> np.ndarray:
         raise ValueError(f"indices must be a unit-step range in [0, 2**64), got {indices}")
     index = np.arange(len(indices), dtype=np.uint64)
     index += np.uint64(indices.start if index.size else 0)  # 2**64 starts only an empty range
-    return splitmix64(np.uint64(splitmix64(check_seed(master))) ^ index)
+    return splitmix64(np.uint64(splitmix64(check_seed(master, "master"))) ^ index)
 
 
 def make_generator(seed: int) -> np.random.Generator:

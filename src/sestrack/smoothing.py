@@ -22,23 +22,20 @@ slab, carrying the estimate row from one slab to the next.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Callable, Union
 
 from ._numpy import np
-from .seeding import check_count, is_integer
+from .seeding import _number, check_count
 
 InitPolicy = Union[str, float]  # "first" or a fixed initial estimate
 INIT_WORDING = '"first" or a number'  # what every init error message says is allowed
 
 
 def check_alpha(alpha: float) -> float:
-    """Validate a smoothing parameter, a number (not a string) in the open
-    interval (0, 1); returned as a float."""
-    if isinstance(alpha, str):
-        raise ValueError(f"smoothing parameter must be a number, got {alpha!r}")
-    alpha = float(alpha)
+    """Validate a smoothing parameter, a number in the open interval (0, 1);
+    returned as a float."""
+    alpha = _number(alpha, float, "alpha")
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"smoothing parameter must lie strictly in (0, 1), got {alpha}")
     return alpha
@@ -46,12 +43,10 @@ def check_alpha(alpha: float) -> float:
 
 def check_init(init: InitPolicy) -> InitPolicy:
     """Validate an initial-estimate policy: the string "first" or a finite
-    number (a bool is not one), returned as "first" or a float."""
-    if isinstance(init, (str, bool, np.bool_)):
-        if init != "first":
-            raise ValueError(f"init must be {INIT_WORDING}, got {init!r}")
+    number, returned as "first" or a float."""
+    if isinstance(init, str) and init == "first":
         return init
-    value = float(init)
+    value = _number(init, float, "init", INIT_WORDING)
     if not math.isfinite(value):
         raise ValueError(f"init must be finite, got {value}")
     return value
@@ -59,23 +54,24 @@ def check_init(init: InitPolicy) -> InitPolicy:
 
 @dataclass(frozen=True)
 class SmootherState:
-    """Current estimate m_t together with its smoothing parameter and step."""
+    """Current estimate m_t together with its smoothing parameter and step,
+    stored as Python numbers (a float32 alpha would compute in float32)."""
 
     estimate: float
     alpha: float
     step: int = 1
 
     def __post_init__(self) -> None:
-        check_alpha(self.alpha)
-        m = self.estimate
-        if isinstance(m, bool) or not (isinstance(m, numbers.Real) and math.isfinite(m)):
-            raise ValueError(f"estimate must be a finite number, got {m!r}")
-        check_count(self.step, "step", 1)
+        object.__setattr__(self, "alpha", check_alpha(self.alpha))
+        object.__setattr__(self, "estimate", _number(self.estimate, float, "estimate"))
+        if not math.isfinite(self.estimate):
+            raise ValueError(f"estimate must be a finite number, got {self.estimate!r}")
+        object.__setattr__(self, "step", check_count(self.step, "step", 1))
 
 
 def ses_step(state: SmootherState, x: float) -> SmootherState:
     """One smoothing update on observation ``x``."""
-    x = float(x)
+    x = _number(x, float, "x")
     if not math.isfinite(x):
         raise ValueError(f"observation must be finite, got {x}")
     new = state.estimate + state.alpha * (x - state.estimate)
@@ -88,12 +84,14 @@ def _initial_estimates(init: InitPolicy, first: np.ndarray) -> np.ndarray:
 
 
 def _check_observations(observations) -> np.ndarray:
-    x = np.asarray(observations, dtype=float)
+    x = np.asarray(observations)
+    if x.dtype.kind not in "iuf":  # a bool, string or object array is not coerced
+        raise ValueError(f"observations must be numbers, got dtype {x.dtype}")
     if x.ndim != 1 or len(x) == 0:
         raise ValueError("observations must be a nonempty 1-d sequence")
     if not np.all(np.isfinite(x)):
         raise ValueError("observations must all be finite")
-    return x
+    return x.astype(float, copy=False)
 
 
 def ses_run(observations, alpha: float, init: InitPolicy = "first") -> np.ndarray:
@@ -141,15 +139,14 @@ def ses_closed_form(
     """
     x = _check_observations(observations)
     alpha = check_alpha(alpha)
-    if not is_integer(step):
-        raise ValueError(f"step must be an integer, got {step!r}")
-    t = int(step)
+    m_1 = _number(initial_estimate, float, "initial_estimate")
+    t = _number(step, int, "step")
     if not 1 <= t <= len(x) + 1:
         raise IndexError(f"step must lie in [1, {len(x) + 1}], got {t}")
     beta = 1.0 - alpha
     # exponents t-1-j for j = 1..t-1, oldest observation first
     powers = beta ** np.arange(t - 2, -1, -1, dtype=float)
-    return float(beta ** (t - 1) * float(initial_estimate) + alpha * (powers @ x[: t - 1]))
+    return float(beta ** (t - 1) * m_1 + alpha * (powers @ x[: t - 1]))
 
 
 @dataclass(frozen=True)
@@ -167,6 +164,7 @@ class LogDensityModel:
     log_density: Callable[[float, float], float] | None = None
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "step_size", _number(self.step_size, float, "step_size"))
         if not (math.isfinite(self.step_size) and self.step_size > 0.0):
             raise ValueError(f"step size must be finite and > 0, got {self.step_size}")
 
@@ -177,7 +175,7 @@ def gaussian_model(variance: float, alpha: float) -> LogDensityModel:
     Setting ``variance`` to the noise variance gamma(0) makes the ascent
     step reproduce ses_step: the variance cancels against the rate.
     """
-    variance = float(variance)
+    variance = _number(variance, float, "variance")
     if not (math.isfinite(variance) and variance > 0.0):
         raise ValueError(f"variance must be finite and > 0, got {variance}")
     alpha = check_alpha(alpha)
@@ -201,10 +199,10 @@ def quadratic_loss_model(alpha: float) -> LogDensityModel:
 
 def sga_step(state: SmootherState, model: LogDensityModel, x: float) -> SmootherState:
     """One constant-rate gradient-ascent step on the model's log-density."""
-    x = float(x)
+    x = _number(x, float, "x")
     if not math.isfinite(x):
         raise ValueError(f"observation must be finite, got {x}")
-    g = float(model.score(x, state.estimate))
+    g = _number(model.score(x, state.estimate), float, "score")
     if not math.isfinite(g):
         raise ValueError(f"score is not finite at (x={x}, m={state.estimate})")
     return SmootherState(state.estimate + model.step_size * g, state.alpha, state.step + 1)

@@ -181,8 +181,37 @@ def test_series_required_inputs():
 
 @pytest.mark.parametrize("lag", [2.7, 1.5, True])
 def test_autocovariance_refuses_a_lag_that_is_not_an_integer(lag):
-    with pytest.raises(ValueError, match="lag must be an integer"):
+    with pytest.raises(ValueError, match=f"^lag: expected an integer, got {lag!r}$"):
         Autocovariance(lambda k: 1.0 / (1 + k)).gamma(lag)
+
+
+@pytest.mark.parametrize("value, message", [
+    (None, r"^gamma\(3\): expected a number, got None$"),
+    ("0.5", r"^gamma\(3\): expected a number, got '0.5'$"),
+    (True, r"^gamma\(3\): expected a number, got True$"),
+    (np.True_, r"^gamma\(3\): expected a number, got np.True_$"),
+    (math.nan, r"^gamma\(3\) must be finite, got nan$"),
+    (-math.inf, r"^gamma\(3\) must be finite, got -inf$"),
+])
+def test_a_gamma_value_that_is_not_a_finite_number_is_refused_by_its_lag(value, message):
+    # the tabulated series once read None as NaN, so the "bound" was NaN,
+    # and parsed "0.5" and True
+    def fn(k):
+        return value if k == 3 else 0.5**k
+
+    with pytest.raises(ValueError, match=message):
+        Autocovariance(fn).gamma(-3)
+    with pytest.raises(ValueError, match=message):
+        tracking_bound(0.1, Autocovariance(fn), 0.1)
+    with pytest.raises(ValueError, match=message):
+        optimize_alpha(Autocovariance(fn), 0.1)
+
+
+def test_a_numpy_gamma_value_is_tabulated_as_a_python_float():
+    gamma = Autocovariance(lambda k: np.float32(0.5) ** k)
+    assert type(gamma.gamma(2)) is float
+    plain = Autocovariance(lambda k: float(np.float32(0.5) ** k))
+    assert tracking_bound(0.1, gamma, 0.1) == tracking_bound(0.1, plain, 0.1)
 
 
 def test_autocovariance_takes_a_numpy_integer_lag():
@@ -276,7 +305,7 @@ def test_every_start_reaches_the_same_limit():
 
 @pytest.mark.parametrize("word", ["variance", "paper", "zero"])
 def test_exact_recursion_refuses_a_start_that_is_not_an_init(word):
-    with pytest.raises(ValueError, match=f"init must be {INIT_WORDING}, got {word!r}"):
+    with pytest.raises(ValueError, match=f"^init: expected {INIT_WORDING}, got {word!r}$"):
         exact_mse_sequence(0.2, WHITE, Constant(0.0), 10, word)
 
 

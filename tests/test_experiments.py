@@ -69,37 +69,37 @@ def test_config_refuses_an_out_of_range_seed(seed):
 
 def test_workers_must_be_an_integer_at_least_one():
     config = ExperimentConfig(WhiteGaussian(1.0), Constant(0.0), 0.1, 10, 10, seed=1)
-    for workers in (0, 2.5):
-        with pytest.raises(ValueError, match="workers must be an integer >= 1"):
+    for workers, message in ((0, "^workers must be an integer >= 1, got 0$"),
+                             (2.5, "^workers: expected an integer, got 2.5$")):
+        with pytest.raises(ValueError, match=message):
             monte_carlo_mse(config, workers=workers)
-        with pytest.raises(ValueError, match="workers must be an integer >= 1"):
+        with pytest.raises(ValueError, match=message):
             verify_bound(config, workers=workers)
 
 
 _W, _C = WhiteGaussian(1.0), Constant(0.0)
+# each entry point and the name its count goes by in the message
 COUNT_ENTRY_POINTS = {
-    "config.horizon": lambda n: ExperimentConfig(_W, _C, 0.1, n, 10, seed=1),
-    "config.replications": lambda n: ExperimentConfig(_W, _C, 0.1, 10, n, seed=1),
-    "config.seed": lambda n: ExperimentConfig(_W, _C, 0.1, 10, 10, seed=n),
-    "sample_path": lambda n: sample_path(_W, _C, n, seed=1),
-    "exact_mse_sequence": lambda n: exact_mse_sequence(0.1, _W, _C, n),
-    "closed_form_mse": lambda n: closed_form_mse(0.1, _W, _C, n),
-    "trend_sequence": lambda n: trend_sequence(_C, n),
-    "workers": lambda n: monte_carlo_mse(
+    "config.horizon": ("horizon", lambda n: ExperimentConfig(_W, _C, 0.1, n, 10, seed=1)),
+    "config.replications": ("replications", lambda n: ExperimentConfig(_W, _C, 0.1, 10, n, seed=1)),
+    "config.seed": ("seed", lambda n: ExperimentConfig(_W, _C, 0.1, 10, 10, seed=n)),
+    "sample_path": ("horizon", lambda n: sample_path(_W, _C, n, seed=1)),
+    "exact_mse_sequence": ("horizon", lambda n: exact_mse_sequence(0.1, _W, _C, n)),
+    "closed_form_mse": ("step", lambda n: closed_form_mse(0.1, _W, _C, n)),
+    "trend_sequence": ("horizon", lambda n: trend_sequence(_C, n)),
+    "workers": ("workers", lambda n: monte_carlo_mse(
         ExperimentConfig(_W, _C, 0.1, 10, 10, seed=1), workers=n
-    ).mean,
+    ).mean),
 }
 
 
 @pytest.mark.parametrize("entry", sorted(COUNT_ENTRY_POINTS))
 def test_counts_are_integers_never_coerced(entry):
     # once 2.7 was truncated to 2 and True ran as 1
-    call = COUNT_ENTRY_POINTS[entry]
+    name, call = COUNT_ENTRY_POINTS[entry]
     for value in (2.7, 3.0, True):
-        # the config's fields are typed by its declaration, which words the key
-        message = (f"^{entry[len('config.'):]}: expected an integer, got {value!r}$"
-                   if entry.startswith("config.") else "must be an integer")
-        with pytest.raises(ValueError, match=message):
+        # every count is typed by the one scalar rule, which words its name
+        with pytest.raises(ValueError, match=f"^{name}: expected an integer, got {value!r}$"):
             call(value)
     accepted = call(np.int64(3))
     if isinstance(accepted, ExperimentConfig):

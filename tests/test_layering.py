@@ -73,3 +73,34 @@ def test_only_the_numpy_shim_imports_numpy():
                 continue
             eager += [f"{path.name}:{node.lineno}" for n in names if n.split(".")[0] == "numpy"]
     assert eager == []
+
+
+
+def _number_tests(tree: ast.AST) -> list[int]:
+    """Lines below ``tree`` that import ``numbers`` or call ``isinstance``
+    on a bool or a ``numbers`` ABC."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = {alias.name for alias in node.names}
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
+            names = {getattr(n, "id", None) or getattr(n, "attr", None) for n in ast.walk(node.args[1])}
+        else:
+            continue
+        if names & {"numbers", "bool", "bool_", "Real", "Integral"}:
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_only_the_scalar_rule_asks_what_a_number_is():
+    # "is this a real number, or an integer?" is answered once, by
+    # seeding._number, which alone needs the ``numbers`` import
+    found = {path.stem: _number_tests(ast.parse(path.read_text(encoding="utf-8")))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    seeding = _tree("seeding")
+    rule = next(node for node in seeding.body
+                if isinstance(node, ast.FunctionDef) and node.name == "_number")
+    imports = [node for node in seeding.body if isinstance(node, ast.Import)]
+    assert {module: lines for module, lines in found.items() if lines} == {
+        "seeding": sorted(_number_tests(rule) + [line for node in imports for line in _number_tests(node)])
+    }

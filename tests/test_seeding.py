@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -59,11 +61,12 @@ def test_seed_range_edges_accepted():
 )
 def test_non_integer_seed_rejected(seed):
     # never coerced: 1.5 and True would otherwise both name stream 1
-    with pytest.raises(ValueError, match="seed must be an integer"):
+    with pytest.raises(ValueError, match=f"^master: expected an integer, got {re.escape(repr(seed))}$"):
         child_seed(seed, 0)
-    with pytest.raises(ValueError, match="seed must be an integer"):
+    message = f"^seed: expected an integer, got {re.escape(repr(seed))}$"
+    with pytest.raises(ValueError, match=message):
         make_generator(seed)
-    with pytest.raises(ValueError, match="seed must be an integer"):
+    with pytest.raises(ValueError, match=message):
         sample_path(WhiteGaussian(1.0), Constant(0.0), 5, seed)
 
 
@@ -82,7 +85,11 @@ def test_numpy_integer_seed_names_the_same_stream(seed):
                          ids=repr)
 def test_child_seed_refuses_an_index_that_would_share_a_stream(index):
     # never wrapped or coerced: 2**64 would name stream 0, and True stream 1
-    with pytest.raises(ValueError, match=r"replication index must be an integer in \[0, 2\*\*64\)"):
+    if type(index) is int:
+        message = rf"^replication index must be an integer in \[0, 2\*\*64\), got {index}$"
+    else:
+        message = f"^index: expected an integer, got {re.escape(repr(index))}$"
+    with pytest.raises(ValueError, match=message):
         child_seed(7, index)
 
 

@@ -1,5 +1,6 @@
 import math
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -57,16 +58,45 @@ def test_step_rejects_bad_inputs():
 
 @pytest.mark.parametrize("step", [2.5, True, 0, np.float64(2.0)], ids=repr)
 def test_state_refuses_a_step_that_is_not_a_count(step):
-    with pytest.raises(ValueError, match="step must be an integer >= 1"):
+    message = ("^step must be an integer >= 1, got 0$" if step == 0 and type(step) is int
+               else f"^step: expected an integer, got {re.escape(repr(step))}$")
+    with pytest.raises(ValueError, match=message):
         SmootherState(1.0, 0.1, step)
 
 
 @pytest.mark.parametrize("estimate", ["1", True, None, math.inf, math.nan])
 def test_state_refuses_an_estimate_that_is_not_a_finite_number(estimate):
     # "1" was a bare TypeError and True was accepted
-    message = f"^estimate must be a finite number, got {re.escape(repr(estimate))}$"
+    message = (f"^estimate must be a finite number, got {estimate!r}$" if type(estimate) is float
+               else f"^estimate: expected a number, got {re.escape(repr(estimate))}$")
     with pytest.raises(ValueError, match=message):
         SmootherState(estimate, 0.1)
+
+
+def test_a_numpy_state_computes_in_python_floats():
+    # a float32 alpha was kept, and every step computed in float32
+    state = SmootherState(np.float32(1.0), np.float32(0.1), np.int64(1))
+    python = SmootherState(1.0, float(np.float32(0.1)), 1)
+    assert state == python
+    assert [type(v) for v in (state.estimate, state.alpha, state.step)] == [float, float, int]
+    stepped, expected = ses_step(state, 2.0).estimate, ses_step(python, 2.0).estimate
+    assert type(stepped) is float and struct.pack("<d", stepped) == struct.pack("<d", expected)
+
+
+@pytest.mark.parametrize("step_size", [True, np.True_, "0.1", None], ids=repr)
+def test_a_step_size_is_a_number_never_coerced(step_size):
+    # True was stored as the step size, and "0.1" was a bare TypeError
+    message = f"^step_size: expected a number, got {re.escape(repr(step_size))}$"
+    with pytest.raises(ValueError, match=message):
+        LogDensityModel(lambda x, m: x - m, step_size)
+    assert type(LogDensityModel(lambda x, m: x - m, np.float32(0.5)).step_size) is float
+
+
+@pytest.mark.parametrize("score", ["1", True, None], ids=repr)
+def test_a_score_is_a_number_never_coerced(score):
+    model = LogDensityModel(lambda x, m: score, 0.1)
+    with pytest.raises(ValueError, match=f"^score: expected a number, got {score!r}$"):
+        sga_step(SmootherState(0.0, 0.5), model, 1.0)
 
 
 def test_contraction_exact_for_dyadic_alpha():
@@ -160,13 +190,31 @@ def test_closed_form_boundaries():
 
 @pytest.mark.parametrize("step", [2.7, True])
 def test_closed_form_refuses_a_step_that_is_not_an_integer(step):
-    with pytest.raises(ValueError, match="step must be an integer"):
+    with pytest.raises(ValueError, match=f"^step: expected an integer, got {step!r}$"):
         ses_closed_form([3.0, 1.0, 4.0], 0.3, 9.5, step)
 
 
 def test_closed_form_takes_a_numpy_integer_step():
     x = [3.0, 1.0, 4.0]
     assert ses_closed_form(x, 0.3, 9.5, np.int64(2)) == ses_closed_form(x, 0.3, 9.5, 2)
+
+
+@pytest.mark.parametrize("observations, dtype", [
+    (["1", "2"], "<U1"), ([True, False], "bool"), ([1.0, None], "object"), ([1j, 2.0], "complex128"),
+])
+def test_observations_are_numbers_never_coerced(observations, dtype):
+    # ["1", "2"] was parsed and [True, False] smoothed as 0/1
+    message = f"^observations must be numbers, got dtype {dtype}$"
+    with pytest.raises(ValueError, match=message):
+        ses_run(observations, 0.1)
+    with pytest.raises(ValueError, match=message):
+        ses_closed_form(observations, 0.1, 0.0, 2)
+
+
+def test_integer_and_float32_observations_are_smoothed_as_doubles():
+    reference = ses_run([1.0, 2.0, 4.0], 0.3)
+    for x in ([1, 2, 4], np.array([1, 2, 4], dtype=np.uint8), np.array([1, 2, 4], np.float32)):
+        assert ses_run(x, 0.3).tobytes() == reference.tobytes()
 
 
 def test_run_input_validation():
@@ -180,18 +228,20 @@ def test_run_input_validation():
 
 @pytest.mark.parametrize("init", [True, False, np.True_, "median", math.inf, math.nan])
 def test_init_is_first_or_a_finite_number(init):
-    with pytest.raises(ValueError, match="init must be"):
+    message = (f"^init must be finite, got {init}$" if type(init) is float
+               else f"^init: expected {INIT_WORDING}, got {init!r}$")
+    with pytest.raises(ValueError, match=message):
         check_init(init)
-    with pytest.raises(ValueError, match="init must be"):
+    with pytest.raises(ValueError, match=message):
         ses_run([1.0, 2.0], 0.5, init=init)
-    with pytest.raises(ValueError, match="init must be"):
+    with pytest.raises(ValueError, match=message):
         _initial_estimates(init, np.zeros(2))
     assert check_init("first") == "first"
     assert check_init(np.float32(0.5)) == 0.5 and type(check_init(1)) is float
 
 
 def test_init_error_states_the_init_grammar():
-    with pytest.raises(ValueError, match=f"init must be {INIT_WORDING}, got True"):
+    with pytest.raises(ValueError, match=f"^init: expected {INIT_WORDING}, got True$"):
         check_init(True)
 
 
