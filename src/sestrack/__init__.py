@@ -4,8 +4,13 @@ Simulation of trend-stationary processes, the smoothing recursion and its
 gradient-step relatives, the asymptotic tracking-error bound with its
 three-term decomposition, exact finite-time error recursions, and seeded
 Monte Carlo experiments that verify the bound empirically.
+
+Importing the package loads the modules every command needs; the CSV/SVG
+writers (``dataio``) and the Monte Carlo engine (``experiments``) load on
+the first access to one of their names.
 """
 
+import importlib
 import types
 
 from .bounds import (
@@ -16,24 +21,8 @@ from .bounds import (
     optimize_alpha,
     tracking_bound,
 )
-from .dataio import (
-    load_experiment_config,
-    read_csv_column,
-    reproduce_figure,
-    save_experiment_config,
-    write_csv,
-    write_results,
-)
-from .experiments import (
-    DEFAULT_FIGURE_SEED,
-    FIGURE_CONFIGS,
-    BoundCheck,
-    ExperimentConfig,
-    MseCurve,
-    SmoothedPath,
-    monte_carlo_mse,
-    simulate_smoothed,
-    verify_bound,
+from .config import (
+    DEFAULT_FIGURE_SEED, ExperimentConfig, load_experiment_config, save_experiment_config,
 )
 from .processes import (
     AR1,
@@ -64,8 +53,30 @@ from .smoothing import (
 
 __version__ = "0.1.0"
 
-# the public names are the ones imported above, stated there once
+# the public names of the modules loaded on first use, by module
+_LAZY = {
+    "dataio": ("read_csv_column", "reproduce_figure", "write_csv", "write_results"),
+    "experiments": ("FIGURE_CONFIGS", "BoundCheck", "MseCurve", "SmoothedPath",
+                    "monte_carlo_mse", "simulate_smoothed", "verify_bound"),
+}
+
+# the public names are the ones imported above and those of _LAZY, stated there once
 __all__ = sorted(
-    name for name, value in globals().items()
-    if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    [name for name, value in globals().items()
+     if not name.startswith("_") and not isinstance(value, types.ModuleType)]
+    + [name for names in _LAZY.values() for name in names]
 )
+
+
+def __getattr__(name: str):
+    """A lazy module, or a name of one, looked up in its module on every
+    access, so a name patched there (as by a tracer) is the name seen here."""
+    for module, names in _LAZY.items():
+        if name == module or name in names:
+            loaded = importlib.import_module(f"{__name__}.{module}")
+            return loaded if name == module else getattr(loaded, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY, *__all__})

@@ -20,26 +20,18 @@ import math
 import sys
 from dataclasses import MISSING
 
-from ._numpy import np
+from ._numpy import lazy_module, np
 from .bounds import exact_mse_sequence, optimize_alpha, tracking_bound
-from .dataio import (
-    SchemaError,
-    load_experiment_config,
-    model_from_dict,
-    read_csv_column,
-    reproduce_figure,
-    write_csv,
-    write_results,
+from .config import DEFAULT_FIGURE_SEED, ExperimentConfig, load_experiment_config, model_from_dict
+from .processes import (
+    NOISE_KINDS, TREND_KINDS, NoiseModel, Numbers, SchemaError, TrendSpec, model_fields,
 )
-from .experiments import (
-    DEFAULT_FIGURE_SEED,
-    ExperimentConfig,
-    monte_carlo_mse,
-    simulate_smoothed,
-    verify_bound,
-)
-from .processes import NOISE_KINDS, TREND_KINDS, NoiseModel, Numbers, TrendSpec, model_fields
 from .smoothing import INIT_WORDING, InitPolicy, ses_run
+
+# the CSV/SVG writers and the Monte Carlo engine, loaded by the first command
+# that runs them, so bound and optimize-alpha start without either
+dataio = lazy_module("sestrack.dataio")
+experiments = lazy_module("sestrack.experiments")
 
 
 def _grammar() -> str:
@@ -188,22 +180,23 @@ def _run_values(args) -> dict:
 
 
 def _cmd_smooth(args) -> int:
-    observations = read_csv_column(args.input, args.column)
+    observations = dataio.read_csv_column(args.input, args.column)
     trajectory = ses_run(observations, **_run_values(args))
     steps = np.arange(1, len(observations) + 1)
-    write_csv(args.out or sys.stdout, ["t", "x", "m_hat"], [steps, observations, trajectory[1:]])
+    dataio.write_csv(args.out or sys.stdout, ["t", "x", "m_hat"],
+                     [steps, observations, trajectory[1:]])
     if args.out:
         print(args.out)
     return 0
 
 
 def _cmd_simulate(args) -> int:
-    smoothed = simulate_smoothed(**_run_values(args))
-    write_results(smoothed, args.out or sys.stdout, "csv")
+    smoothed = experiments.simulate_smoothed(**_run_values(args))
+    dataio.write_results(smoothed, args.out or sys.stdout, "csv")
     if args.out:
         print(args.out)
     if args.svg:
-        write_results(smoothed, args.svg, "svg")
+        dataio.write_results(smoothed, args.svg, "svg")
         print(args.svg)
     return 0
 
@@ -256,10 +249,10 @@ def _cmd_mse(args) -> int:
         )
         summary = _finite({"final_mse": float(sequence[-1])})
         if args.out:
-            write_csv(args.out, ["t", "mse"], [np.arange(1, len(sequence) + 1), sequence])
+            dataio.write_csv(args.out, ["t", "mse"], [np.arange(1, len(sequence) + 1), sequence])
             print(args.out)
     else:
-        curve = monte_carlo_mse(ExperimentConfig(**run), **_given(args, "workers"))
+        curve = experiments.monte_carlo_mse(ExperimentConfig(**run), **_given(args, "workers"))
         summary = _finite({
             "tail_mean": curve.tail_mean,
             "tail_se": curve.tail_se,
@@ -268,7 +261,7 @@ def _cmd_mse(args) -> int:
             "replications": curve.replications,
         })
         if args.out:
-            write_results(curve, args.out, "csv")
+            dataio.write_results(curve, args.out, "csv")
             print(args.out)
     if args.json:
         print(json.dumps(summary))
@@ -280,7 +273,7 @@ def _cmd_mse(args) -> int:
 def _cmd_verify(args) -> int:
     config, output = load_experiment_config(args.config)
     config = dataclasses.replace(config, **_run_values(args))
-    check = verify_bound(config, **_given(args, "workers"))
+    check = experiments.verify_bound(config, **_given(args, "workers"))
     verdict, code = (
         ("INCONCLUSIVE", 4) if check.inconclusive else ("PASS", 0) if check.passed else ("FAIL", 3)
     )
@@ -294,9 +287,9 @@ def _cmd_verify(args) -> int:
         "bound": dataclasses.asdict(check.bound),
     })
     if output.get("csv"):
-        write_results(check.curve, output["csv"], "csv")
+        dataio.write_results(check.curve, output["csv"], "csv")
     if output.get("svg"):
-        write_results(check.curve, output["svg"], "svg")
+        dataio.write_results(check.curve, output["svg"], "svg")
     if args.json:
         print(json.dumps(payload))
     else:
@@ -313,7 +306,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_reproduce(args) -> int:
-    for path in reproduce_figure(args.figure, args.outdir, args.seed):
+    for path in dataio.reproduce_figure(args.figure, args.outdir, args.seed):
         print(path)
     return 0
 

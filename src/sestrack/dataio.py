@@ -1,5 +1,4 @@
-"""CSV, SVG and JSON-config input/output, and the figure reproduction
-that writes both.
+"""CSV and SVG input/output, and the figure reproduction that writes both.
 
 CSV files are UTF-8 with a header row, comma-delimited fields, ``\\n`` newlines
 and floats printed at 17 significant digits, which round-trips IEEE
@@ -27,15 +26,14 @@ more than 4 points per column, whatever the length of the series.
 A column that is not real-valued or holds a non-finite float is rejected,
 naming the column and row, and an empty plot or one whose value range
 overflows a double is refused, before anything is written; a write that
-fails part-way deletes the regular file it was writing.  Config documents
-are strict JSON (schema_version 1, unknown keys and wrong JSON types
-rejected with the failing key path, such as ``config.noise.a``).  Their
-codec is one loop over the declared fields (``processes.model_fields``) of
-a model or of ``ExperimentConfig``, keys in field order; the constructors
-check the types, and the codec prefixes the key path to their SchemaError.
+fails part-way deletes the regular file it was writing.
 
-This module sits above ``experiments``: it imports the result types it
-writes, and nothing in the numerical modules imports it.
+The JSON config codec lives in ``config``, which loads none of this
+module's dependencies; its names are re-exported here.  This module sits
+above ``experiments``: it imports the result types it writes, and nothing
+in the numerical modules imports it, so only a command that writes or
+reads a CSV or SVG file loads it (``cli`` reaches it through
+``_numpy.lazy_module``).
 """
 
 from __future__ import annotations
@@ -43,28 +41,20 @@ from __future__ import annotations
 import contextlib
 import csv
 import functools
-import json
 import math
 import warnings
-from dataclasses import MISSING
 from pathlib import Path
 
 from ._numpy import np
-from .experiments import (
-    DEFAULT_FIGURE_SEED,
-    FIGURE_ALPHA,
-    FIGURE_CONFIGS,
-    FIGURE_HORIZON,
-    FIGURE_INIT,
-    ExperimentConfig,
-    MseCurve,
-    SmoothedPath,
-    _fork_map,
-    simulate_smoothed,
+from .config import (  # noqa: F401 (the codec, re-exported)
+    CONFIG_SCHEMA_VERSION, DEFAULT_FIGURE_SEED, ExperimentConfig, SchemaError,
+    experiment_config_from_dict, experiment_config_to_dict, load_experiment_config,
+    model_from_dict, model_to_dict, save_experiment_config,
 )
-from .processes import KINDS_OF, SchemaError, _number, model_fields
-
-CONFIG_SCHEMA_VERSION = 1
+from .experiments import (
+    FIGURE_ALPHA, FIGURE_CONFIGS, FIGURE_HORIZON, FIGURE_INIT, MseCurve, SmoothedPath,
+    _fork_map, simulate_smoothed,
+)
 
 _CHUNK_ROWS = 4096  # rows (or plotted points) formatted per write
 _SAMPLE_STRIDE = 16  # every 16th value of a CSV float chunk samples its repeats
@@ -469,116 +459,3 @@ def reproduce_figure(
     csv_path = write_results(smoothed, outdir / f"fig{figure}.csv", "csv")
     svg_path = write_results(smoothed, outdir / f"fig{figure}.svg", "svg")
     return [csv_path, svg_path]
-
-
-# ---------------------------------------------------------------------------
-# JSON experiment configs
-# ---------------------------------------------------------------------------
-
-def _check_keys(mapping, required: set[str], optional: set[str], where: str, cls=None) -> None:
-    """Check the keys of the object ``mapping``, adding those ``cls`` declares."""
-    if not isinstance(mapping, dict):
-        raise SchemaError(f"{where}: expected an object, got {mapping!r}")
-    declared = model_fields(cls) if cls else []
-    required = required | {key for _, key, default, _ in declared if default is MISSING}
-    optional = optional | {key for _, key, _, _ in declared}
-    keys = set(mapping)
-    unknown = keys - required - optional
-    if unknown:
-        allowed = ", ".join(sorted(required | optional))
-        raise SchemaError(
-            f"{where}: unknown key(s) {sorted(unknown)}; allowed keys: {allowed}"
-        )
-    missing = required - keys
-    if missing:
-        raise SchemaError(f"{where}: missing required key(s) {sorted(missing)}")
-
-
-def _encode(obj, document: dict) -> dict:
-    """``document`` with each declared field of ``obj`` added, in field order."""
-    for attr, key, _, _ in model_fields(type(obj)):
-        value = getattr(obj, attr)
-        document[key] = (
-            list(value) if isinstance(value, tuple)
-            else model_to_dict(value) if hasattr(value, "kind") else value
-        )
-    return document
-
-
-def _build(cls, data: dict, where: str):
-    """``cls`` from the keys of ``data`` it declares, each model object decoded
-    first; the constructor's SchemaError is prefixed with the path ``where``."""
-    args = {
-        attr: model_from_dict(data[key], KINDS_OF[hint], f"{where}.{key}")
-        if hint in KINDS_OF else data[key]
-        for attr, key, _, hint in model_fields(cls) if key in data
-    }
-    try:
-        return cls(**args)
-    except SchemaError as exc:
-        raise SchemaError(f"{where}.{exc}") from None
-
-
-def model_to_dict(model) -> dict:
-    """The JSON object of a registered noise or trend model."""
-    return _encode(model, {"kind": model.kind})
-
-
-def model_from_dict(data, kinds: dict[str, type], where: str):
-    """Build the model a ``{"kind": ..., key: value, ...}`` object describes.
-
-    ``kinds`` is NOISE_KINDS or TREND_KINDS.  Wrong keys and JSON types raise
-    SchemaError naming the failing path below ``where``.
-    """
-    if not isinstance(data, dict):
-        raise SchemaError(f"{where}: expected an object, got {data!r}")
-    kind = data.get("kind")
-    cls = kinds.get(kind) if isinstance(kind, str) else None
-    if cls is None:
-        *head, last = kinds
-        raise SchemaError(f"{where}: unknown kind {kind!r}; expected {', '.join(head)} or {last}")
-    _check_keys(data, {"kind"}, set(), where, cls)
-    return _build(cls, data, where)
-
-
-def experiment_config_to_dict(config, output: dict | None = None) -> dict:
-    document = _encode(config, {"schema_version": CONFIG_SCHEMA_VERSION})
-    if output:
-        document["output"] = dict(output)
-    return document
-
-
-def experiment_config_from_dict(document):
-    """Decode a schema-1 config document; returns (ExperimentConfig, output
-    options).  Every key and JSON type is checked: numbers must be JSON
-    numbers, counts and the seed JSON integers, never bools or strings."""
-    _check_keys(document, {"schema_version"}, {"output"}, "config", ExperimentConfig)
-    version = _number(document["schema_version"], int, "config.schema_version")
-    if version != CONFIG_SCHEMA_VERSION:
-        raise SchemaError(
-            f"config: schema_version {version!r} not supported; expected {CONFIG_SCHEMA_VERSION}"
-        )
-    output = document.get("output", {})
-    _check_keys(output, set(), {"csv", "svg"}, "config.output")
-    for key, value in output.items():
-        if not isinstance(value, str):
-            raise SchemaError(f"config.output.{key}: expected a path string, got {value!r}")
-    return _build(ExperimentConfig, document, "config"), dict(output)
-
-
-def load_experiment_config(path):
-    """Read a strict JSON config; returns (ExperimentConfig, output options)."""
-    path = Path(path)
-    with open(path, encoding="utf-8") as handle:
-        try:
-            document = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: invalid JSON: {exc}") from None
-    return experiment_config_from_dict(document)
-
-
-def save_experiment_config(config, path, output: dict | None = None) -> Path:
-    path = Path(path)
-    document = experiment_config_to_dict(config, output)
-    path.write_text(json.dumps(document, indent=2) + "\n", encoding="utf-8")
-    return path

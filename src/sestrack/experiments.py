@@ -13,7 +13,10 @@ never on the worker count.  Squared errors follow the delayed pairing of
 the tracking analysis: the error at step t is ``m_{t+1} - m*_t``.
 
 This module computes results and writes no files; ``dataio`` writes them
-(and holds ``reproduce_figure``), and nothing here imports it.
+(and holds ``reproduce_figure``), and nothing here imports it.  The
+description of a run, ``ExperimentConfig``, lives in ``config`` with its
+codec (re-exported here), so a command that only reads run flags, such as
+``bound``, never loads this module.
 """
 
 from __future__ import annotations
@@ -28,34 +31,17 @@ from dataclasses import dataclass
 
 from ._numpy import np
 from .bounds import BoundReport, tracking_bound
+from .config import DEFAULT_FIGURE_SEED, ExperimentConfig  # noqa: F401 (re-exported)
 from .processes import (
-    AR1,
-    MA1,
-    Linear,
-    NoiseModel,
-    Sinusoid,
-    TrendSpec,
-    _check_fields,
-    _key,
-    _path,
-    _slabs,
-    trend_sequence,
+    AR1, MA1, Linear, NoiseModel, Sinusoid, TrendSpec, _path, _slabs, trend_sequence,
 )
-from .seeding import check_count, check_seed, child_seeds
-from .smoothing import (
-    INIT_WORDING,
-    InitPolicy,
-    _initial_estimates,
-    _recursion,
-    check_alpha,
-    ses_run,
-)
+from .seeding import check_count, child_seeds
+from .smoothing import InitPolicy, _initial_estimates, _recursion, check_alpha, ses_run
 
 BLOCK_SIZE = 1024
 MAX_CELLS = 2 * 10**7  # cells of one block, horizon x min(reps, BLOCK_SIZE); ~8 B each at peak
 _SIGKILL = 9  # fixed by POSIX; spares importing the signal module
 
-DEFAULT_FIGURE_SEED = 1729
 FIGURE_ALPHA = 0.1
 FIGURE_HORIZON = 1000
 FIGURE_INIT = 8.0
@@ -71,34 +57,6 @@ FIGURE_CONFIGS: dict[str, tuple[NoiseModel, TrendSpec]] = {
     "3a": (AR1(0.2), Linear(0.1, 0.01)),
     "3b": (AR1(0.2), _FIGURE_SINUSOID),
 }
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Everything a replicated tracking experiment needs.
-
-    Each field states its config key and, if it has one, its CLI flag and
-    help once, in its ``_key`` metadata; the config codec and the CLI's run
-    flags derive from it, and take their defaults from here."""
-
-    noise: NoiseModel = _key("noise", flag=("--noise", "noise spec (see grammar)"))
-    trend: TrendSpec = _key("trend", flag=("--trend", "trend spec (see grammar)"))
-    alpha: float = _key("alpha", flag=("--alpha", "smoothing parameter in (0,1)"))
-    horizon: int = _key("horizon", flag=("--steps", "horizon T"))
-    replications: int = _key("replications", flag=("--reps", "replications"))
-    seed: int = _key("seed", flag=("--seed", "64-bit seed"))
-    init: InitPolicy = _key("init", "first",
-                            flag=("--init", f"initial estimate: {INIT_WORDING}"))
-    tail_fraction: float = _key("tail_fraction", 0.1)
-
-    def __post_init__(self) -> None:
-        _check_fields(self)
-        check_alpha(self.alpha)
-        check_count(self.horizon, "horizon", 2)
-        check_count(self.replications, "replications", 1)
-        check_seed(self.seed)
-        if not (0.0 < self.tail_fraction <= 1.0):
-            raise ValueError(f"tail fraction must lie in (0, 1], got {self.tail_fraction}")
 
 
 @dataclass(frozen=True)

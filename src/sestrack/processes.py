@@ -91,9 +91,11 @@ class Autocovariance(_Covariance):
     """A user-supplied even autocovariance ``fn(lag)``, by integer lag.
 
     Its support is unknown and it has no closed-form tail, so the bound
-    always sums its series.  ``gamma(k)`` refuses a non-integer lag and a
-    value that is not a finite number (>= 0 at lag 0).  ``gammas(n)`` keeps a
-    table of gamma(1) .. gamma(n): the alpha search sums it at many alphas.
+    always sums its series.  ``gamma(k)`` refuses a non-integer lag, a value
+    that is not a finite number, a negative gamma(0) and, at k >= 1, one
+    above gamma(0) in magnitude, which no autocovariance has and the series'
+    truncation rule assumes away.  ``gammas(n)`` keeps a table of gamma(1)
+    .. gamma(n): the alpha search sums it at many alphas.
     """
 
     fn: Callable[[int], float]
@@ -104,12 +106,18 @@ class Autocovariance(_Covariance):
 
     def gamma(self, lag: int) -> float:
         lag = abs(_number(lag, int, "lag"))
-        value = _number(self.fn(lag), float, f"gamma({lag})")
         if lag == 0:
-            return _finite_nonnegative(value, "gamma(0)")
+            return self._variance
+        value = _number(self.fn(lag), float, f"gamma({lag})")
         if not math.isfinite(value):
             raise ValueError(f"gamma({lag}) must be finite, got {value}")
+        if abs(value) > self._variance:
+            raise ValueError(f"|gamma({lag})| must be <= gamma(0) = {self._variance}, got {value}")
         return value
+
+    @functools.cached_property
+    def _variance(self) -> float:  # gamma(0), asked of fn once
+        return _finite_nonnegative(_number(self.fn(0), float, "gamma(0)"), "gamma(0)")
 
     def gammas(self, n: int) -> np.ndarray:
         known = self._table[0]

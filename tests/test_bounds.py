@@ -219,6 +219,28 @@ def test_autocovariance_takes_a_numpy_integer_lag():
     assert gamma.gamma(np.int64(2)) == gamma.gamma(-2) == 1.0 / 3.0
 
 
+@pytest.mark.parametrize("value, shown", [(2.0, "2.0"), (-1e308, "-1e+308")])
+def test_a_gamma_above_gamma0_in_magnitude_is_refused_by_its_lag(value, shown):
+    # the truncation residual bounds each dropped term by gamma(0): at 2.0
+    # the bound reported a residual of 8.8e-15 against a dropped 1.77e-14,
+    # and at -1e308 it summed to a total of -inf
+    noise = Autocovariance(lambda k: 1.0 if k == 0 else value)
+    message = rf"^\|gamma\(LAG\)\| must be <= gamma\(0\) = 1.0, got {re.escape(shown)}$"
+    with pytest.raises(ValueError, match=message.replace("LAG", "1")):
+        tracking_bound(0.1, noise, 0.0)
+    with pytest.raises(ValueError, match=message.replace("LAG", "1")):
+        optimize_alpha(noise, 0.1)
+    with pytest.raises(ValueError, match=message.replace("LAG", "2")):
+        Autocovariance(lambda k: {0: 1.0, 1: 1.0}.get(k, value)).gamma(-2)
+
+
+def test_autocovariance_asks_for_gamma0_once():
+    lags = []
+    noise = Autocovariance(lambda k: lags.append(k) or AR1(0.5).gamma(k))
+    assert tracking_bound(0.1, noise, 0.1) == tracking_bound(0.1, noise, 0.1)
+    assert lags.count(0) == 1
+
+
 def test_bound_validation():
     with pytest.raises(ValueError):
         tracking_bound(0.0, WHITE, 0.0)

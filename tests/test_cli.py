@@ -624,6 +624,25 @@ def test_float_commands_never_load_numpy():
     assert not loaded
 
 
+def test_float_commands_never_load_the_writers_or_the_monte_carlo_engine():
+    # the config codec they read their flags through lives apart from the
+    # CSV/SVG writers and the Monte Carlo engine, which cli loads on first use;
+    # type() of a module not yet loaded does not load it
+    listing = """
+import types
+print(json.dumps({name: type(module) is types.ModuleType for name, module in sys.modules.items()
+                  if name in ("csv", "pickle", "sestrack.dataio", "sestrack.experiments")}))
+"""
+    done = subprocess.run(
+        [sys.executable, "-c", _RUN_MODULE_PROBE + listing, json.dumps(_FLOAT_COMMANDS)],
+        env=_child_env(), capture_output=True, text=True, check=True,
+    )
+    (codes, _), loaded = map(json.loads, done.stdout.splitlines())
+    assert codes == [0] * (len(_FLOAT_COMMANDS) - 3) + [1, 0, 2]
+    assert "csv" not in loaded and "pickle" not in loaded
+    assert not any(loaded.values()), loaded
+
+
 def test_numpy_imported_first_is_the_module_the_package_uses():
     probe = ("import types, numpy, sestrack; "
              "print(sestrack._numpy.np is numpy and type(numpy) is types.ModuleType)")

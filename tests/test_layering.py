@@ -1,8 +1,11 @@
-"""Import structure of the package, read from the source with ``ast``.
+"""Import structure of the package, read from the source with ``ast``, and
+the package namespace built on it.
 
 The numerical modules sit below the file and command layers: none of them
 imports ``dataio`` or ``cli``, at module level or inside a function, and
-no module of the package imports anything inside a function.
+no module of the package imports anything inside a function.  ``config``,
+which every command reads its flags through, loads neither the writers nor
+the Monte Carlo engine.
 """
 
 import ast
@@ -21,10 +24,15 @@ def _tree(module: str) -> ast.Module:
 
 
 def _package_imports(tree: ast.Module) -> set[str]:
-    """Names of the sestrack modules a module imports anywhere in its body."""
+    """Names of the sestrack modules a module imports anywhere in its body,
+    by an import statement or a ``lazy_module("sestrack.<name>")`` call."""
     names = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "lazy_module":
+            parts = getattr(node.args[0], "value", "").split(".")
+            if parts[0] == "sestrack" and len(parts) > 1:
+                names.add(parts[1])
+        elif isinstance(node, ast.ImportFrom):
             absolute = node.level == 0
             parts = node.module.split(".") if node.module else []
             if absolute and parts[:1] != ["sestrack"]:
@@ -42,6 +50,12 @@ def _package_imports(tree: ast.Module) -> set[str]:
 @pytest.mark.parametrize("module", NUMERICAL)
 def test_numerical_modules_import_neither_dataio_nor_cli(module):
     assert not _package_imports(_tree(module)) & {"dataio", "cli"}
+
+
+def test_config_imports_neither_the_writers_nor_the_monte_carlo_engine():
+    # every command reads its flags through config, so what it imports is
+    # what bound and optimize-alpha load
+    assert _package_imports(_tree("config")) <= {"processes", "smoothing", "seeding"}
 
 
 def test_package_imports_only_at_module_level():
@@ -104,3 +118,45 @@ def test_only_the_scalar_rule_asks_what_a_number_is():
     assert {module: lines for module, lines in found.items() if lines} == {
         "seeding": sorted(_number_tests(rule) + [line for node in imports for line in _number_tests(node)])
     }
+
+
+# ---------------------------------------------------------------------------
+# the package namespace
+# ---------------------------------------------------------------------------
+
+PUBLIC_NAMES = [
+    "AR1", "AlphaSearchResult", "Autocovariance", "BoundCheck", "BoundReport", "Constant",
+    "DEFAULT_FIGURE_SEED", "ExperimentConfig", "FIGURE_CONFIGS", "Linear", "LogDensityModel",
+    "MA1", "MAq", "MseCurve", "NoiseModel", "Sinusoid", "SmoothedPath", "SmootherState",
+    "Table", "TrendSpec", "WhiteGaussian", "child_seed", "closed_form_mse",
+    "exact_mse_sequence", "gaussian_model", "load_experiment_config", "make_generator",
+    "monte_carlo_mse", "optimize_alpha", "quadratic_loss_model", "read_csv_column",
+    "reproduce_figure", "sample_path", "save_experiment_config", "ses_closed_form", "ses_run",
+    "ses_step", "sga_step", "simulate_smoothed", "splitmix64", "tracking_bound",
+    "trend_sequence", "verify_bound", "write_csv", "write_results",
+]
+
+
+def test_public_names_are_pinned():
+    assert sestrack.__all__ == PUBLIC_NAMES
+
+
+def test_every_public_name_is_listed_and_star_imported():
+    assert set(PUBLIC_NAMES) <= set(dir(sestrack))
+    namespace = {}
+    exec("from sestrack import *", namespace)
+    assert all(namespace[name] is getattr(sestrack, name) for name in PUBLIC_NAMES)
+
+
+def test_a_lazily_resolved_name_follows_its_home_module(monkeypatch):
+    # resolved on every access, never cached, so a tracer's wrapper is seen
+    # while it is installed and the original once it is removed
+    original = sestrack.write_csv
+
+    def replacement(*args):
+        return None
+
+    monkeypatch.setattr(sestrack.dataio, "write_csv", replacement)
+    assert sestrack.write_csv is replacement
+    monkeypatch.undo()
+    assert sestrack.write_csv is original is sestrack.dataio.write_csv
