@@ -143,8 +143,9 @@ def exact_mse_sequence(
     a = check_alpha(alpha)
     horizon = check_count(horizon, "horizon", 1)
     levels = trend_sequence(trend, horizon)
-    first = init is not None and check_init(init) == "first"
-    error = 0.0 if init is None or first else check_init(init) - float(levels[0])
+    init = init if init is None else check_init(init)
+    first = init == "first"
+    error = 0.0 if init is None or first else init - float(levels[0])
     levels[1:], levels[0] = np.diff(levels), 0.0  # into K_1 = 0, K_2 .. K_T, in place
     # a memoryview yields Python floats without materializing them all
     increments = memoryview(levels)

@@ -7,8 +7,9 @@ is inconclusive (three standard errors reach the bound itself).
 
 Numbers are printed with 10 significant digits in text mode; ``--json``
 output keeps full double precision.  A reported number that is not finite
-(an overflow in the model or the experiment) is an error naming it, exit 1,
-in place of numpy's warnings.
+(an overflow in the model or the experiment) is an error naming it, exit 1;
+every command runs with RuntimeWarnings ignored, so numpy's overflow
+warnings never reach stderr.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import dataclasses
 import json
 import math
 import sys
+import warnings
 from dataclasses import MISSING
 
 from ._numpy import lazy_module, np
@@ -63,10 +65,6 @@ class UsageError(ValueError):
 
 class SpecError(UsageError):
     """A malformed model spec; exits with code 2 and echoes the grammar."""
-
-
-def _fmt(value: float) -> str:
-    return f"{float(value):.10g}"
 
 
 def parse_spec(text: str, kinds: dict[str, type], what: str):
@@ -144,11 +142,18 @@ def _finite(payload: dict) -> dict:
     return payload
 
 
-def _print_pairs(pairs: list[tuple[str, object]]) -> None:
-    width = max(len(k) for k, _ in pairs)
-    for key, value in pairs:
-        rendered = _fmt(value) if isinstance(value, float) else str(value)
-        print(f"{key.ljust(width)}  {rendered}")
+def _report(args, payload: dict, *blocks) -> None:
+    """Print ``payload`` as one JSON line with ``--json``; else print each
+    block of (key, value) pairs, ``payload``'s own items if none is given,
+    keys padded to the block's longest and floats to 10 significant digits."""
+    if args.json:
+        print(json.dumps(payload))
+        return
+    for pairs in blocks or [payload.items()]:
+        width = max(len(key) for key, _ in pairs)
+        for key, value in pairs:
+            value = f"{value:.10g}" if isinstance(value, float) else value
+            print(f"{key.ljust(width)}  {value}")
 
 
 # field name -> (flag, help, type, default) of each ExperimentConfig field with a run flag
@@ -204,11 +209,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_bound(args) -> int:
     run = _run_values(args)
     report = tracking_bound(run["alpha"], run["noise"], args.k)
-    payload = _finite(dataclasses.asdict(report))
-    if args.json:
-        print(json.dumps(payload))
-    else:
-        _print_pairs(list(payload.items()))
+    _report(args, _finite(dataclasses.asdict(report)))
     return 0
 
 
@@ -219,11 +220,8 @@ def _cmd_optimize_alpha(args) -> int:
         "degenerate": result.degenerate,
         "report": dataclasses.asdict(result.report),
     })
-    if args.json:
-        print(json.dumps(payload))
-    else:
-        _print_pairs([("alpha_star", result.alpha), ("degenerate", result.degenerate)])
-        _print_pairs(list(payload["report"].items()))
+    _report(args, payload, [("alpha_star", result.alpha), ("degenerate", result.degenerate)],
+            payload["report"].items())
     return 0
 
 
@@ -263,10 +261,7 @@ def _cmd_mse(args) -> int:
         if args.out:
             dataio.write_results(curve, args.out, "csv")
             print(args.out)
-    if args.json:
-        print(json.dumps(summary))
-    else:
-        _print_pairs(list(summary.items()))
+    _report(args, summary)
     return 0
 
 
@@ -290,18 +285,9 @@ def _cmd_verify(args) -> int:
         dataio.write_results(check.curve, output["csv"], "csv")
     if output.get("svg"):
         dataio.write_results(check.curve, output["svg"], "svg")
-    if args.json:
-        print(json.dumps(payload))
-    else:
-        _print_pairs(
-            [
-                ("empirical_tail", check.empirical_tail),
-                ("tail_se", check.tail_se),
-                ("bound_total", check.bound.total),
-                ("margin", check.margin),
-                ("result", verdict),
-            ]
-        )
+    _report(args, payload, [("empirical_tail", check.empirical_tail), ("tail_se", check.tail_se),
+                            ("bound_total", check.bound.total), ("margin", check.margin),
+                            ("result", verdict)])
     return code
 
 
@@ -335,7 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
         epilog=SPEC_GRAMMAR,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    parser.set_defaults(numeric=True)  # False on the commands that compute no arrays
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("smooth", help="smooth a CSV column")
@@ -355,13 +340,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_run_flags(p, "noise alpha")
     p.add_argument("--k", type=float, required=True, help="trend one-step increment bound")
     p.add_argument("--json", action="store_true", help="machine-readable output")
-    p.set_defaults(handler=_cmd_bound, numeric=False)
+    p.set_defaults(handler=_cmd_bound)
 
     p = sub.add_parser("optimize-alpha", help="minimize the bound total over alpha")
     _add_run_flags(p, "noise")
     p.add_argument("--k", type=float, required=True, help="trend one-step increment bound")
     p.add_argument("--json", action="store_true", help="machine-readable output")
-    p.set_defaults(handler=_cmd_optimize_alpha, numeric=False)
+    p.set_defaults(handler=_cmd_optimize_alpha)
 
     p = sub.add_parser("mse", help="exact or Monte Carlo mean squared tracking error")
     p.add_argument("--mode", choices=("exact", "mc"), required=True, help="evaluation mode")
@@ -398,10 +383,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        if not args.numeric:  # computes on Python floats, so runs without loading numpy
-            return args.handler(args)
-        # overflow is reported by the finiteness check, not by numpy warnings
-        with np.errstate(over="ignore", invalid="ignore"):
+        # an overflow is reported by the finiteness check, not by numpy's
+        # warnings; warnings is loaded at start-up, so this loads no numpy
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
             return args.handler(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

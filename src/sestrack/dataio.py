@@ -144,12 +144,18 @@ def _csv_text(header: list[str], columns: list[np.ndarray]):
 
 
 def _checked(header: list[str], columns) -> list[np.ndarray]:
-    """The columns as arrays, once they are known to be writable: as many
-    as the header names, of equal length, real-valued and finite.  Runs
-    before any output is opened, so a rejected table writes nothing."""
+    """The columns as arrays, once they are known to be writable: at least
+    one, as many as the header names, one-dimensional, of equal length,
+    real-valued and finite.  Runs before any output is opened, so a
+    rejected table writes nothing."""
     if len(header) != len(columns):
         raise ValueError("header and column counts differ")
+    if not columns:
+        raise ValueError("a table needs at least one column")
     columns = [np.asarray(col) for col in columns]
+    for name, col in zip(header, columns):
+        if col.ndim != 1:
+            raise ValueError(f"column {name!r} is not one-dimensional (shape {col.shape})")
     if len({len(col) for col in columns}) != 1:
         raise ValueError("columns must have equal lengths")
     for name, col in zip(header, columns):
@@ -187,11 +193,12 @@ def _undecodable(path: Path) -> str:
 
 
 def read_csv_column(path, column: str) -> np.ndarray:
-    """Read one numeric column; any unparsable or non-finite entry, malformed
-    CSV line or non-UTF-8 byte is an error citing its data row (row 1 is the
-    first row after the header).  numpy's streaming C reader parses a plain
-    file of finite values; any other file, exception or numpy warning goes
-    to the ``csv`` reader, which gives the same array and every message."""
+    """Read one numeric column; a header naming it more than once is an
+    error, and any unparsable or non-finite entry, malformed CSV line or
+    non-UTF-8 byte is an error citing its data row (row 1 is the first row
+    after the header).  numpy's streaming C reader parses a plain file of
+    finite values; any other file, exception or numpy warning goes to the
+    ``csv`` reader, which gives the same array and every message."""
     path = Path(path)
     try:
         with warnings.catch_warnings():
@@ -204,14 +211,14 @@ def read_csv_column(path, column: str) -> np.ndarray:
 
 def _read_plain_column(path: Path, column: str) -> np.ndarray | None:
     """The column by ``np.loadtxt``, or None unless the file is a regular one
-    (a pipe could not be read again), its header names the column and a
+    (a pipe could not be read again), its header names the column once and a
     streamed scan finds data rows, none of ``_NOT_PLAIN`` and no block
     without a newline (so no line reaches the csv field limit)."""
     if not path.is_file() or csv.field_size_limit() < 2 * _SCAN_BYTES:
         return None
     with open(path, newline="", encoding="utf-8") as handle:
         header = next(csv.reader(handle), [])
-    if column not in header:
+    if header.count(column) != 1:
         return None
     rows, block = -1, b"\n"  # the header line is no data row
     with open(path, "rb") as handle:
@@ -240,6 +247,10 @@ def _read_column_by_rows(path: Path, column: str) -> np.ndarray:
             if column not in header:
                 raise ValueError(
                     f"{path}: no column {column!r}; available columns: {', '.join(header)}"
+                )
+            if header.count(column) > 1:
+                raise ValueError(
+                    f"{path}: column {column!r} is named {header.count(column)} times in the header"
                 )
             index = header.index(column)
             values = []

@@ -36,7 +36,7 @@ from .processes import (
     AR1, MA1, Linear, NoiseModel, Sinusoid, TrendSpec, _path, _slabs, trend_sequence,
 )
 from .seeding import check_count, child_seeds
-from .smoothing import InitPolicy, _initial_estimates, _recursion, check_alpha, ses_run
+from .smoothing import InitPolicy, _initial_estimates, _recursion, ses_run
 
 BLOCK_SIZE = 1024
 MAX_CELLS = 2 * 10**7  # cells of one block, horizon x min(reps, BLOCK_SIZE); ~8 B each at peak
@@ -125,7 +125,7 @@ def _run_block(config: ExperimentConfig, block: range) -> _BlockMoments:
     slab by slab; each slab is smoothed from the estimate row carried over
     from the last, squared, and transposed back into the columns it came
     from.  The first T columns then hold the (B, T) squared errors."""
-    horizon, alpha = config.horizon, check_alpha(config.alpha)
+    horizon, alpha = config.horizon, config.alpha
     trend = trend_sequence(config.trend, horizon)
     draws = np.empty((len(block), horizon + config.noise._extra_draws))
     estimate = None

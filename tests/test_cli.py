@@ -585,6 +585,26 @@ def _child_env() -> dict:
     return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
 
 
+# an overflow in each command, under the interpreter's own warning filters:
+# the default shows a RuntimeWarning on stderr, and "error" raises it
+_OVERFLOWS = [
+    ("default", ["mse", "--mode", "exact", "--alpha", "0.1", "--noise", "white:var=1", "--steps",
+                 "5", "--trend", "linear:start=1e308,slope=1e308", "--json"],
+     "error: final_mse is not finite (nan)\n"),
+    ("error", ["simulate", "--alpha", "0.1", "--noise", "white:var=1", "--steps", "5", "--seed",
+               "1", "--trend", "linear:start=1e308,slope=1e308"],
+     "error: observations must all be finite\n"),
+]
+
+
+@pytest.mark.parametrize("filter_,argv,err", _OVERFLOWS, ids=["mse-default", "simulate-error"])
+def test_an_overflow_prints_its_error_line_and_no_warning(filter_, argv, err):
+    # outside pytest's own warning filters, as a terminal sees the command
+    done = subprocess.run([sys.executable, "-W", filter_, "-m", "sestrack", *argv],
+                          env=_child_env(), capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (1, "", err)
+
+
 # runs each argv as ``python -m sestrack`` in this one process; prints the
 # exit codes and whether numpy was loaded
 _RUN_MODULE_PROBE = """

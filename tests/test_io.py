@@ -2,6 +2,7 @@ import dataclasses
 import io
 import json
 import os
+import re
 import signal
 import stat
 import threading
@@ -58,6 +59,21 @@ def test_missing_column_names_available(tmp_path):
     p.write_text("t,x\n1,2.5\n")
     with pytest.raises(ValueError, match="available columns: t, x"):
         read_csv_column(p, "y")
+
+
+@pytest.mark.parametrize("text", ["t,x,x\n1,2,3\n", '"t","x","x"\n"1","2","3"\n'],
+                         ids=["plain", "quoted"])
+def test_a_column_named_twice_is_refused_by_both_readers(tmp_path, capsys, text):
+    # the plain file reaches numpy's reader, the quoted one only the csv reader
+    p = tmp_path / "data.csv"
+    p.write_text(text)
+    message = "column 'x' is named 2 times in the header"
+    with pytest.raises(ValueError, match=message):
+        read_csv_column(p, "x")
+    assert np.array_equal(read_csv_column(p, "t"), [1.0])
+    code = main(["smooth", "--input", str(p), "--column", "x", "--alpha", "0.5"])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (1, "", f"error: {p}: {message}\n")
 
 
 def test_bad_cell_cites_row(tmp_path):
@@ -216,6 +232,21 @@ def test_write_csv_shape_checks(tmp_path):
         write_csv(tmp_path / "a.csv", ["a", "b"], [np.arange(3)])
     with pytest.raises(ValueError):
         write_csv(tmp_path / "b.csv", ["a", "b"], [np.arange(3), np.arange(4)])
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("header,columns,message", [
+    (["t", "v"], [np.arange(3), np.ones((3, 2))], "column 'v' is not one-dimensional (shape (3, 2))"),
+    (["t", "v"], [np.arange(3), [[1.0]] * 3], "column 'v' is not one-dimensional (shape (3, 1))"),
+    (["t", "v"], [np.arange(3), np.float64(1.0)], "column 'v' is not one-dimensional (shape ())"),
+    ([], [], "a table needs at least one column"),
+], ids=["2-d", "nested-list", "0-d", "no-columns"])
+def test_write_csv_refuses_a_table_it_cannot_lay_out(tmp_path, header, columns, message):
+    stream = io.StringIO()
+    for target in (tmp_path / "a.csv", stream):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            write_csv(target, header, columns)
+    assert stream.getvalue() == ""
     assert list(tmp_path.iterdir()) == []
 
 
