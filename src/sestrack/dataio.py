@@ -3,17 +3,12 @@
 CSV files are UTF-8 with a header row, comma-delimited fields, ``\\n`` newlines
 and floats printed at 17 significant digits, which round-trips IEEE
 doubles exactly; integer columns are printed as integers.  A CSV is
-formatted in chunks of ``_CHUNK_ROWS`` rows, each by one ``%`` operation
-on a repeated row template over the chunk's interleaved cells, and
-streamed to a path or to an open text stream, so no whole table is held
-in memory.  In a chunk, the repeated values of a float column are
-formatted once each, with the same bytes: each distinct value (keyed by
-the bits of the double it prints as) is printed by ``"%.17g"`` once, and
-the chunk's ``%`` takes those texts through ``"%s"``; a chunk whose
-strided sample shows few repeats is formatted per cell.  A table of more
-than one chunk is formatted on every usable CPU by
-``experiments._fork_map``, which hands the chunks back in order, so the
-bytes do not depend on the CPU count.
+formatted in chunks of ``_CHUNK_ROWS`` rows and streamed to a path or to
+an open text stream, so no whole table is held in memory.  Each column
+chunk becomes a byte matrix by a vectorized kernel that prints exactly
+what ``"%d"`` or ``"%.17g"`` would, handing the few cells it cannot prove
+to ``"%.17g"`` itself.  Every chunk is formatted in the calling process:
+with this kernel, forking the chunks over CPUs cost more than it saved.
 
 SVG output is a self-contained 800x500 document, built whole; each of its
 elements is one ``%`` on a repeated point template.  Each plotted line is
@@ -23,10 +18,10 @@ lowest and highest vertex, and every vertex of a column of at most ``_M4``
 observations as one vertical min-max band per column, so no element holds
 more than 4 points per column, whatever the length of the series.
 
-A column that is not real-valued or holds a non-finite float is rejected,
-naming the column and row, and an empty plot or one whose value range
-overflows a double is refused, before anything is written; a write that
-fails part-way deletes the regular file it was writing.
+A column that is not real-valued or holds a float not finite as a double
+is rejected, naming the column and row, and an empty plot or one whose
+value range overflows a double is refused, before anything is written; a
+write that fails part-way deletes the regular file it was writing.
 
 The JSON config codec lives in ``config``, which loads none of this
 module's dependencies; its names are re-exported here.  This module sits
@@ -40,7 +35,6 @@ from __future__ import annotations
 
 import contextlib
 import csv
-import functools
 import math
 import warnings
 from pathlib import Path
@@ -53,11 +47,12 @@ from .config import (  # noqa: F401 (the codec, re-exported)
 )
 from .experiments import (
     FIGURE_ALPHA, FIGURE_CONFIGS, FIGURE_HORIZON, FIGURE_INIT, MseCurve, SmoothedPath,
-    _fork_map, simulate_smoothed,
+    simulate_smoothed,
 )
 
-_CHUNK_ROWS = 4096  # rows (or plotted points) formatted per write
-_SAMPLE_STRIDE = 16  # every 16th value of a CSV float chunk samples its repeats
+_CHUNK_ROWS = 8192  # rows (or plotted points) formatted per write
+_K_MIN, _K_MAX = -291, 290  # decimal exponents of |x| in [1e-290, 1e290]
+_TIE = 2.0**-44  # distance from a half-integer below which a cell falls back
 _SCAN_BYTES = 1 << 16  # block size of the plain-file scan
 # what csv and np.loadtxt read differently: a quote, CR, NUL, \x1c-\x1f
 # (whitespace to numpy, not to float() of ASCII text) and a blank line
@@ -90,57 +85,150 @@ def _write(target, parts) -> Path | None:
     return path
 
 
-def _interleave(columns: list[list]) -> list:
-    """The cells of the rows whose columns are ``columns``, row by row."""
-    width = len(columns)
-    cells = [None] * (width * len(columns[0]))
-    for j, values in enumerate(columns):
-        cells[j::width] = values
-    return cells
-
-
 # ---------------------------------------------------------------------------
 # CSV
 # ---------------------------------------------------------------------------
 
-def _format_chunk(formats: list[str], columns: list[np.ndarray], lo: int) -> str:
-    """The ``_CHUNK_ROWS`` rows of ``columns`` from row ``lo``, by one ``%``
-    on a repeated row template, once ``_column_cells`` has chosen each
-    column's format (from ``formats``) and cells."""
-    chunk = [col[lo : lo + _CHUNK_ROWS] for col in columns]
-    row, cells = zip(*map(_column_cells, formats, chunk))
-    return (",".join(row) + "\n") * len(chunk[0]) % tuple(_interleave(cells))
+def _pow10_table() -> np.ndarray:
+    """Rows hi, hh, hl, lo over q = 16 - k, k from ``_K_MAX`` down to
+    ``_K_MIN``: 10**q = hi + lo as a double-double, correctly rounded by int
+    division, and hi = hh + hl split in halves of at most 26 bits (Dekker's
+    split, in integers, so that nothing overflows near 10**308)."""
+    rows = []
+    for q in range(16 - _K_MAX, 17 - _K_MIN):
+        num, den = (10**q, 1) if q >= 0 else (1, 10**-q)
+        hi = num / den
+        a, b = hi.as_integer_ratio()
+        mantissa, exp = math.frexp(hi)
+        m = int(math.ldexp(mantissa, 53))
+        h = (m + (1 << 26)) >> 27 << 27
+        rows.append((hi, math.ldexp(h, exp - 53), math.ldexp(m - h, exp - 53),
+                     (num * b - a * den) / (den * b)))
+    return np.array(rows).T.copy()
 
 
-def _column_cells(fmt: str, part: np.ndarray) -> tuple[str, list]:
-    """The format and cells of one CSV column's chunk: ``fmt`` and its
-    values, or for a float chunk whose values repeat, ``"%s"`` and their
-    texts, each distinct value formatted by ``fmt`` once.  A value is keyed
-    by the bits of the double it prints as, so 0.0 and -0.0 stay apart; a
-    strided sample of the keys with more than half distinct ones keeps the
-    per-cell ``fmt``, which is then the cheaper."""
-    if part.dtype.kind != "f":
-        return fmt, part.tolist()
-    if part.itemsize > 8:  # a longdouble prints as the double it rounds to
-        part = part.astype(np.float64)
-    bits = f"u{part.itemsize}"
-    sample = part[::_SAMPLE_STRIDE].view(bits).tolist()
-    if 2 * len(set(sample)) > len(sample):
-        return fmt, part.tolist()
-    keys = part.view(bits).tolist()
-    texts = {key: fmt % value for key, value in dict(zip(keys, part.tolist())).items()}
-    return "%s", list(map(texts.__getitem__, keys))
+_POW10 = _pow10_table()
+_ROW = np.arange(24, dtype=np.uint8)[:, None]  # row numbers of a (bytes, cells) matrix
+
+
+def _digits(v: np.ndarray, width: int) -> np.ndarray:
+    """The ASCII digits of ``v`` (integers below 10**width, width <= 20),
+    one row per position, zero-padded; both halves of each number are
+    divided down side by side, in uint32 where they fit."""
+    half = (width + 1) // 2
+    q = v // 10**half
+    v = np.stack([q, v - q * 10**half]).astype(np.uint32 if half <= 9 else np.uint64)
+    out = np.empty((2, half, len(q)), np.uint8)
+    for j in range(half - 1, -1, -1):
+        q = v // 10
+        out[:, j] = v - q * 10 + 48
+        v = q
+    return out.reshape(2 * half, -1)[2 * half - width :]
+
+
+def _int_cells(part: np.ndarray) -> np.ndarray:
+    """``"%d"`` of an integer or bool column chunk as a (bytes, cells)
+    matrix padded with NULs: a sign row, then the digits of the uint64
+    magnitude (exact for int64's minimum and for all of uint64)."""
+    negative = part < 0
+    magnitude = part.astype(np.uint64)
+    magnitude[negative] = np.uint64(0) - magnitude[negative]
+    digits = _digits(magnitude, len(str(magnitude.max())))
+    shown = np.logical_or.accumulate(digits != 48, axis=0)  # from the first nonzero digit
+    shown[-1] = True
+    return np.concatenate([np.uint8(45) * negative[None], digits * shown])
+
+
+def _float_cells(part: np.ndarray) -> np.ndarray:
+    """``"%.17g"`` of a float column chunk, cast to float64, as a (bytes,
+    cells) matrix padded with NULs.  For 1e-290 <= |x| <= 1e290, k =
+    floor(log10 |x|) is estimated by ``np.log10`` and y = |x| * 10**(16 - k)
+    formed as p + t: p + e = |x| * hi exactly (Dekker's two-product), t = e
+    + |x| * lo.  As y < 2**57, p + t is within 2**-47 of y: |x| * |10**q -
+    hi - lo| <= 2**-106 * y, rounding |x| * lo (at most 16) costs 2**-49 and
+    rounding e + |x| * lo (below 32) 2**-48.  So y rounds to the right
+    17-digit N unless its fraction is within ``_TIE`` (2**-44) of 1/2, as at
+    exact ties such as 1049 * 2**-20, or floor(y) or N leaves [10**16,
+    10**17), as when k is one off (a y within 2**-47 below 10**16 prints
+    the same either way).  Those cells and any other nonzero |x|,
+    subnormals too, go to ``_fallback``.  N is laid out by ``%g``'s rules:
+    fixed notation for -4 <= k < 17, else an exponent of two digits at
+    least; trailing zeros stripped; "-0" for -0.0.  Nothing overflows, so
+    numpy warns of nothing."""
+    x = part.astype(np.float64)
+    a = np.abs(x)
+    zero = a == 0
+    fast = (a >= 1e-290) & (a <= 1e290)
+    a[~fast] = 1.0
+    k = np.floor(np.log10(a)).astype(np.int64)
+    hi, hh, hl, lo = np.take(_POW10, _K_MAX - k, axis=1)
+    p = a * hi
+    c = a * 134217729.0  # Dekker's split of a into halves of at most 26 bits
+    ah = c - (c - a)
+    al = a - ah
+    t = (((ah * hh - p) + ah * hl + al * hh) + al * hl) + a * lo
+    t_floor = np.floor(t)
+    below = p.astype(np.int64) + t_floor.astype(np.int64)  # floor(y), as p >= 2**53 is whole
+    frac = t - t_floor
+    n = below + (frac > 0.5)
+    fast &= (below >= 10**16) & (n < 10**17) & (np.abs(frac - 0.5) > _TIE)
+    n[zero] = k[zero] = 0
+    fast |= zero
+    digits = _digits(n, 17)
+    last = (_ROW[:17] * (digits != 48)).max(axis=0)  # the last nonzero digit
+    expo = (k < -4) | (k > 16)
+    small = (k < 0) & ~expo
+    whole = np.where(expo | small, 0, k).astype(np.uint8)  # digits kept before the point
+    digits *= _ROW[:17] <= np.maximum(last, whole)
+    point = np.where(expo, 1, np.where(small, 17, k + 1)).astype(np.uint8)
+    body = np.zeros((18, len(x)), np.uint8)
+    body[:17] = digits * (_ROW[:17] < point)
+    body[1:] += digits * (_ROW[1:18] > point)
+    body += np.uint8(46) * ((_ROW[:18] == point) & (last > whole) & ~small)
+    rows = [np.uint8(45) * np.signbit(x)[None]]
+    if small.any():  # "0." and the zeros after it
+        lead = np.where(small, 1 - k, 0)
+        rows.append(np.frombuffer(b"0.000", np.uint8)[:, None] * (_ROW[:5] < lead))
+    rows.append(body)
+    if expo.any() or not fast.all():  # also room for a fallback text of up to 24 bytes
+        e = np.abs(k)
+        suffix = np.concatenate([np.full((1, len(x)), 101, np.uint8),
+                                 np.where(k < 0, 45, 43).astype(np.uint8)[None], _digits(e, 3)])
+        suffix[2] *= e >= 100
+        rows.append(suffix * expo)
+    cells = np.concatenate(rows)
+    _fallback(cells, x, np.flatnonzero(~fast))
+    return cells
+
+
+def _fallback(cells: np.ndarray, x: np.ndarray, rows: np.ndarray) -> None:
+    """Overwrite the cells of ``rows`` with ``"%.17g"`` of their values."""
+    for i in rows.tolist():
+        text = np.frombuffer(b"%.17g" % x[i], np.uint8)
+        cells[:, i] = 0
+        cells[: len(text), i] = text
+
+
+def _format_chunk(formats: list, columns: list[np.ndarray], lo: int) -> str:
+    """The ``_CHUNK_ROWS`` rows of ``columns`` from row ``lo``: each
+    column's cells by its kernel in ``formats``, joined with the separators
+    by one concatenate, put in row order and stripped of their NULs."""
+    parts = []
+    for cells, col in zip(formats, columns):
+        part = cells(col[lo : lo + _CHUNK_ROWS])
+        parts += [part, np.full((1, part.shape[1]), 44, np.uint8)]
+    parts[-1][:] = 10  # the last column ends its row
+    table = np.concatenate(parts).T.copy()
+    return table[table != 0].tobytes().decode("ascii")
 
 
 def _csv_text(header: list[str], columns: list[np.ndarray]):
-    """Yield the header line, then the rows chunk by chunk, formatted by
-    ``_format_chunk``; a table of two or more chunks is formatted on up to
-    one process per chunk, capped at the usable CPUs."""
+    """Yield the header line, then the rows chunk by chunk, each formatted
+    by ``_format_chunk`` in this process."""
     yield ",".join(header) + "\n"
-    formats = ["%d" if col.dtype.kind in "iu" else "%.17g" for col in columns]
-    starts = range(0, len(columns[0]), _CHUNK_ROWS)
-    format_chunk = functools.partial(_format_chunk, formats, columns)
-    yield from _fork_map(format_chunk, starts, len(starts), "CSV formatting")
+    formats = [_float_cells if col.dtype.kind == "f" else _int_cells for col in columns]
+    for lo in range(0, len(columns[0]), _CHUNK_ROWS):
+        yield _format_chunk(formats, columns, lo)
 
 
 def _checked(header: list[str], columns) -> list[np.ndarray]:
@@ -161,19 +249,19 @@ def _checked(header: list[str], columns) -> list[np.ndarray]:
     for name, col in zip(header, columns):
         if col.dtype.kind not in "buif":
             raise ValueError(f"column {name!r} is not real-valued (dtype {col.dtype})")
-        if col.dtype.kind == "f" and not np.isfinite(col).all():
-            row = int(np.argmin(np.isfinite(col)))
-            raise ValueError(f"column {name!r} row {row + 1} is not finite ({col[row]})")
+        if col.dtype.kind == "f":
+            with np.errstate(over="ignore"):  # a longdouble past the doubles casts to inf
+                finite = np.isfinite(col.astype(np.float64))
+            if not finite.all():
+                row = int(np.argmin(finite))
+                raise ValueError(f"column {name!r} row {row + 1} is not finite ({col[row]!s})")
     return columns
 
 
 def write_csv(path, header: list[str], columns: list[np.ndarray]) -> Path | None:
     """Write equal-length columns as CSV to ``path``, a file path (returned
-    as a Path) or an open text stream (None is returned).  The rows are
-    closed on the way out, which ends the formatting workers of a failed
-    write."""
-    with contextlib.closing(_csv_text(header, _checked(header, columns))) as rows:
-        return _write(path, rows)
+    as a Path) or an open text stream (None is returned)."""
+    return _write(path, _csv_text(header, _checked(header, columns)))
 
 
 def _row_name(row_number: int) -> str:
@@ -351,7 +439,7 @@ def _legend(entries: list[tuple[str, str]]) -> list[str]:
 def _points(opening: str, template: str, columns: list[np.ndarray], closing: str) -> str:
     """One element whose body is ``template`` formatted at each row of
     ``columns``, space-separated, by one ``%``."""
-    cells = _interleave([col.tolist() for col in columns])
+    cells = np.column_stack(columns).ravel().tolist()  # row by row
     return opening + " ".join([template] * len(columns[0])) % tuple(cells) + closing
 
 

@@ -6,11 +6,10 @@ in fixed blocks of ``BLOCK_SIZE``.  Each block lives in one stream-major
 array, one row per replication, and is sampled, smoothed and squared in
 cache-sized time slabs.  Blocks share nothing, so ``monte_carlo_mse`` may
 run them on forked worker processes through ``_fork_map``, the package's one
-parallel path (``dataio`` formats a CSV's chunks through it too),
-which hands results back in item order; block summaries are thus always
-combined in index order, so every statistic depends on the config alone,
-never on the worker count.  Squared errors follow the delayed pairing of
-the tracking analysis: the error at step t is ``m_{t+1} - m*_t``.
+parallel path, which hands results back in item order; block summaries are
+thus always combined in index order, so every statistic depends on the
+config alone, never on the worker count.  Squared errors follow the delayed
+pairing of the tracking analysis: the error at step t is ``m_{t+1} - m*_t``.
 
 This module computes results and writes no files; ``dataio`` writes them
 (and holds ``reproduce_figure``), and nothing here imports it.  The
@@ -33,13 +32,13 @@ from ._numpy import np
 from .bounds import BoundReport, tracking_bound
 from .config import DEFAULT_FIGURE_SEED, ExperimentConfig  # noqa: F401 (re-exported)
 from .processes import (
-    AR1, MA1, Linear, NoiseModel, Sinusoid, TrendSpec, _path, _slabs, trend_sequence,
+    AR1, MA1, MAX_CELLS, Linear, NoiseModel, Sinusoid, TrendSpec, _path, _slabs,
+    trend_sequence,
 )
 from .seeding import check_count, child_seeds
 from .smoothing import InitPolicy, _initial_estimates, _recursion, ses_run
 
 BLOCK_SIZE = 1024
-MAX_CELLS = 2 * 10**7  # cells of one block, horizon x min(reps, BLOCK_SIZE); ~8 B each at peak
 _SIGKILL = 9  # fixed by POSIX; spares importing the signal module
 
 FIGURE_ALPHA = 0.1

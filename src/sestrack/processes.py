@@ -54,6 +54,7 @@ from .seeding import SchemaError, _number, check_count, fill_standard_normals
 from .smoothing import InitPolicy, check_init
 
 _SLAB_CELLS = 32 * 1024  # time steps x paths in one slab of a block: 256 KB, which fits L2
+MAX_CELLS = 2 * 10**7  # doubles in one series or Monte Carlo block; ~8 B each at peak
 
 
 def _key(key: str, default=MISSING, flag: tuple[str, str] | None = None):
@@ -446,8 +447,13 @@ def _check_fields(obj) -> None:
 
 
 def trend_sequence(trend: TrendSpec, horizon: int) -> np.ndarray:
-    """Vector of m*_1 .. m*_horizon."""
-    return np.asarray(trend.sequence(check_count(horizon, "horizon", 1)), dtype=float)
+    """Vector of m*_1 .. m*_horizon.  A horizon over ``MAX_CELLS`` steps is
+    refused before anything is allocated; every series starts here."""
+    horizon = check_count(horizon, "horizon", 1)
+    if horizon > MAX_CELLS:
+        raise ValueError(f"horizon {horizon} is over the cap of {MAX_CELLS} steps "
+                         f"(about {8 * horizon / 1e6:.0f} MB for each series)")
+    return np.asarray(trend.sequence(horizon), dtype=float)
 
 
 def sample_path(noise: NoiseModel, trend: TrendSpec, horizon: int, seed: int) -> np.ndarray:

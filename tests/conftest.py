@@ -7,9 +7,9 @@ from sestrack import experiments
 
 @pytest.fixture
 def forks(monkeypatch):
-    """The pids ``experiments._fork_map`` forks (for Monte Carlo blocks or
-    for CSV chunks), with as many workers granted as a caller asks for
-    whatever the CPU count of the machine running the test."""
+    """The pids ``experiments._fork_map`` forks for Monte Carlo blocks, with
+    as many workers granted as a caller asks for whatever the CPU count of
+    the machine running the test."""
     pids = []
     fork = os.fork
 

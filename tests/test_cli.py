@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from datetime import timedelta
 from pathlib import Path
 
@@ -27,6 +28,7 @@ from sestrack import (
     write_results,
 )
 from sestrack.cli import main, parse_init
+from sestrack.processes import MAX_CELLS
 from sestrack.smoothing import INIT_WORDING
 
 
@@ -430,6 +432,29 @@ def test_non_finite_result_exit_one(tmp_path, capsys, argv, quantity):
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""
     assert f"error: {quantity} is not finite" in err
+    assert not (tmp_path / "o.csv").exists()
+
+
+_SERIES_COMMANDS = [["mse", "--mode", "exact"], ["simulate", "--seed", "1"]]
+
+
+@pytest.mark.parametrize("command", _SERIES_COMMANDS)
+@pytest.mark.parametrize("steps", ["100000000000", str(MAX_CELLS + 1)])
+def test_oversized_horizon_exits_one_before_allocating(tmp_path, capsys, command, steps):
+    # one step over the cap would take 160 MB a series, so a refusal that
+    # came after any series was allocated would show in the traced peak
+    argv = [*command, "--alpha", "0.1", "--noise", "white", "--trend", "linear:start=0,slope=1",
+            "--steps", steps, "--out", str(tmp_path / "o.csv")]
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, *argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1 and out == ""
+    assert err == (f"error: horizon {steps} is over the cap of {MAX_CELLS} steps "
+                   f"(about {8 * int(steps) / 1e6:.0f} MB for each series)\n")
+    assert peak < 10**6
     assert not (tmp_path / "o.csv").exists()
 
 

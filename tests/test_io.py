@@ -3,7 +3,6 @@ import io
 import json
 import os
 import re
-import signal
 import stat
 import threading
 import tracemalloc
@@ -266,6 +265,17 @@ def test_writers_reject_non_finite_cells(tmp_path, bad, shown):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.skipif(np.finfo(np.longdouble).max <= np.finfo(np.float64).max,
+                    reason="longdouble is a double on this platform")
+def test_writers_reject_a_longdouble_past_the_doubles(tmp_path):
+    # it would print as "inf", which the reader refuses
+    values = np.array([1.0, 2.0, 1e300, 4.0], dtype=np.longdouble)
+    values[2] *= 1e100
+    with pytest.raises(ValueError, match=r"column 'v' row 3 is not finite \(1\.0\d*e\+400\)"):
+        write_csv(tmp_path / "a.csv", ["t", "v"], [np.arange(1, 5), values])
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_writers_reject_non_real_columns(tmp_path):
     for column in (np.array([1 + 2j]), np.array([1.0], dtype=object), np.array(["1"])):
         with pytest.raises(ValueError, match=rf"column 'c' is not real-valued \(dtype {column.dtype}\)"):
@@ -415,7 +425,7 @@ def test_dense_plot_keeps_each_pixel_columns_extremes(n, pool, run, seed):
 
 
 # ---------------------------------------------------------------------------
-# CSV formatting on forked workers; a plot is built whole
+# CSV and SVG formatting in the calling process
 # ---------------------------------------------------------------------------
 
 def _table(rows: int) -> SmoothedPath:
@@ -443,7 +453,7 @@ def _assert_no_child_left():
 @given(rows=st.sampled_from([1, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1,
                              2 * _CHUNK_ROWS + 1, 5 * _CHUNK_ROWS + 3]))
 def test_written_bytes_do_not_depend_on_the_worker_count(forks, tmp_path, rows):
-    table, chunks, written = _table(rows), -(-rows // _CHUNK_ROWS), {}
+    table, written = _table(rows), {}
     for workers in (1, 2, 3):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(experiments, "_usable_cpus", lambda: workers)
@@ -451,8 +461,8 @@ def test_written_bytes_do_not_depend_on_the_worker_count(forks, tmp_path, rows):
                 for target in (tmp_path / f"out.{fmt}", io.StringIO()):
                     before = len(forks)
                     written.setdefault(fmt, set()).add(_written(table, target, fmt))
-                    # a CSV forks one child per chunk beyond the first, up to the CPUs; a plot none
-                    assert len(forks) - before == (min(workers, chunks) - 1 if fmt == "csv" else 0)
+                    # a CSV's chunks and a plot are formatted in this process
+                    assert len(forks) == before
     assert {fmt: len(texts) for fmt, texts in written.items()} == {"csv": 1, "svg": 1}
     _assert_no_child_left()
 
@@ -471,9 +481,8 @@ def test_writers_stay_serial_beside_another_thread(forks, monkeypatch, tmp_path)
     assert not thread.is_alive()
     assert forks == []
     assert threaded == [_written(table, tmp_path / f"f.{fmt}", fmt) for fmt in ("csv", "svg")]
-    assert len(forks) == 2  # once the thread is gone: 3 CPUs, so 2 children for the 3-chunk CSV
     _written(_table(10**5), tmp_path / "long.svg", "svg")
-    assert len(forks) == 2  # a 10^5-step plot is built whole, on no child
+    assert forks == []  # with the thread gone too, and for a 10^5-step plot
 
 
 class _StreamFailingPartway(io.StringIO):
@@ -507,53 +516,50 @@ def _open_on_a_full_disk(*args, **kwargs):
     [
         ("stream", "stream closed", "csv"),
         ("stream", "stream closed", "svg"),
-        ("exception", r"CSV formatting worker 1 \(pid \d+\) exited with code 1; wait status", "csv"),
-        ("signal", r"CSV formatting worker 1 \(pid \d+\) was killed by signal 9; wait status", "csv"),
+        ("exception", "chunk failed", "csv"),
+        ("disk", "No space left on device", "csv"),
         ("disk", "No space left on device", "svg"),
     ],
 )
-def test_failed_write_leaves_no_child_and_no_file(forks, monkeypatch, tmp_path, capfd, fmt, how, error):
-    parent, format_chunk = os.getpid(), dataio._format_chunk
+def test_failed_write_leaves_no_child_and_no_file(forks, monkeypatch, tmp_path, fmt, how, error):
+    format_chunk = dataio._format_chunk
 
-    def format_chunk_failing_in_child(*args):
-        if os.getpid() != parent:
-            if how == "signal":
-                os.kill(os.getpid(), signal.SIGKILL)
+    def format_chunk_failing_on_the_second(formats, columns, lo):
+        if lo:
             raise RuntimeError("chunk failed")
-        return format_chunk(*args)
+        return format_chunk(formats, columns, lo)
 
     target = _StreamFailingPartway() if how == "stream" else tmp_path / f"out.{fmt}"
-    if how in ("exception", "signal"):
-        monkeypatch.setattr(dataio, "_format_chunk", format_chunk_failing_in_child)
-    elif how == "disk":  # an earlier plot at the path keeps no partial bytes either
-        target.write_text("an earlier plot\n")
+    if how == "exception":
+        monkeypatch.setattr(dataio, "_format_chunk", format_chunk_failing_on_the_second)
+    elif how == "disk":  # an earlier file at the path keeps no partial bytes either
+        target.write_text("an earlier file\n")
         monkeypatch.setattr(dataio, "open", _open_on_a_full_disk, raising=False)
-    with pytest.raises(OSError, match=error) as caught:
+    with pytest.raises((OSError, RuntimeError), match=error) as caught:
         write_results(_table(3 * _CHUNK_ROWS), target, fmt)
-    assert bool(forks) == (fmt == "csv")
-    _assert_no_child_left()  # reaped by the writer, not by freeing the traceback's frames
+    assert forks == []
+    _assert_no_child_left()
     assert caught.tb is not None
     assert list(tmp_path.iterdir()) == []
-    assert ("RuntimeError('chunk failed')" in capfd.readouterr().err) == (how == "exception")
 
 
 def test_failed_cli_write_exits_1_and_leaves_no_file(forks, monkeypatch, tmp_path, capfd):
-    parent, format_chunk = os.getpid(), dataio._format_chunk
+    format_chunk = dataio._format_chunk
 
-    def format_chunk_failing_in_child(*args):
-        if os.getpid() != parent:
-            raise RuntimeError("chunk failed")
-        return format_chunk(*args)
+    def format_chunk_failing_on_the_second(formats, columns, lo):
+        if lo:
+            raise OSError(28, "No space left on device")
+        return format_chunk(formats, columns, lo)
 
-    monkeypatch.setattr(dataio, "_format_chunk", format_chunk_failing_in_child)
+    monkeypatch.setattr(dataio, "_format_chunk", format_chunk_failing_on_the_second)
     out = tmp_path / "sim.csv"
     out.write_text("an earlier run\n")
     code = main(["simulate", "--alpha", "0.1", "--trend", "const:level=0", "--noise", "white:var=1",
                  "--steps", str(2 * _CHUNK_ROWS), "--seed", "1", "--out", str(out)])
     assert code == 1
-    assert "error: CSV formatting worker 1 (pid " in capfd.readouterr().err
+    assert "error: [Errno 28] No space left on device" in capfd.readouterr().err
     assert not out.exists()
-    _assert_no_child_left()
+    assert forks == []
 
 
 def test_failed_serial_write_deletes_the_truncated_file(monkeypatch, tmp_path):

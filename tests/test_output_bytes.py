@@ -11,13 +11,16 @@ import contextlib
 import hashlib
 import io
 import json
+import math
+import struct
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from sestrack import read_csv_column, write_csv, write_results
+from sestrack import dataio, read_csv_column, write_csv, write_results
 from sestrack.cli import main
 from sestrack.dataio import _CHUNK_ROWS, _points
 
@@ -186,14 +189,11 @@ def _f32_values(n: int) -> np.ndarray:
 
 
 def _reference_csv(header, columns) -> str:
-    """The per-cell formatting the CSV format is defined by."""
-    rows = [",".join(header)]
-    for i in range(len(columns[0])):
-        rows.append(",".join(
-            str(int(col[i])) if isinstance(col[i], (int, np.integer)) else f"{float(col[i]):.17g}"
-            for col in columns
-        ))
-    return "\n".join(rows) + "\n"
+    """The per-cell formatting the CSV format is defined by: ``str`` of each
+    integer, ``"%.17g"`` of the double each other value rounds to."""
+    texts = [map(str, col.tolist()) if col.dtype.kind in "iu"
+             else map("%.17g".__mod__, col.astype(np.float64).tolist()) for col in columns]
+    return "".join(",".join(row) + "\n" for row in [header, *zip(*texts)])
 
 
 @pytest.mark.parametrize("n", CHUNK_LENGTHS)
@@ -261,6 +261,161 @@ def test_csv_of_repeated_values_matches_the_per_cell_reference(table):
     write_csv(stream, header, columns)
     same = stream.getvalue() == _reference_csv(header, columns)
     assert same
+
+
+def _tie(e: int, r: int) -> float:
+    """m * 2**-e for an odd m (picked by ``r``) whose m * 5**e has 18
+    digits, 2 <= e <= 25: the exact decimal value of the double then has 18
+    significant digits ending in 5, halfway between two 17-digit decimals."""
+    lo, hi = -(-10**17 // 5**e), min((10**18 - 1) // 5**e, 2**53 - 1)
+    m = (lo + r % (hi - lo + 1)) | 1
+    return math.ldexp(m if m <= hi else m - 2, -e)
+
+
+def _ties() -> np.ndarray:
+    """3001 exact ties: 1049 * 2**-20 and 125 for each e in [2, 25]."""
+    rng = np.random.default_rng(17)
+    return np.array([1049 * 2.0**-20] + [_tie(e, int(r)) for e in range(2, 26)
+                                         for r in rng.integers(0, 2**53, 125)])
+
+
+_SWITCHES = [1e-4, 1e16, 1e17]  # where %g changes notation, or the digits reach 17
+
+
+@st.composite
+def _doubles(draw):
+    """A double of any binary exponent (subnormals and both zeros among
+    them), a power of ten, a ``%g`` switch point or an exact tie, moved by
+    up to two ulps, of either sign."""
+    source = draw(st.sampled_from(["bits", "ten", "switch", "tie"]))
+    if source == "bits":
+        bits = draw(st.integers(0, 2046)) << 52 | draw(st.integers(0, 2**52 - 1))
+        x = struct.unpack("<d", struct.pack("<Q", bits))[0]
+    elif source == "ten":
+        x = float(f"1e{draw(st.integers(-323, 308))}")
+    elif source == "switch":
+        x = draw(st.sampled_from(_SWITCHES))
+    else:
+        x = _tie(draw(st.integers(2, 25)), draw(st.integers(0, 2**53)))
+    for _ in range(draw(st.integers(0, 2))):
+        x = math.nextafter(x, draw(st.sampled_from([-math.inf, math.inf])))
+    assume(math.isfinite(x))
+    return -x if draw(st.booleans()) else x
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(_doubles(), min_size=1, max_size=40))
+def test_float_cells_match_the_reference_on_drawn_doubles(values):
+    column = np.array(values)
+    stream = io.StringIO()
+    write_csv(stream, ["x"], [column])
+    assert stream.getvalue() == _reference_csv(["x"], [column])
+
+
+def test_float_cells_match_the_reference_on_a_sweep():
+    # random bit patterns, every power of ten, the switch points and the
+    # ties, each with its neighbours two ulps either way, in both signs
+    bits = np.random.default_rng(26).integers(0, 2**64 - 1, 10**5, np.uint64, endpoint=True)
+    edges = np.concatenate([[float(f"1e{k}") for k in range(-323, 309)], _SWITCHES, _ties()])
+    near = [np.nextafter(edges, towards) for towards in (-np.inf, np.inf)]
+    near += [np.nextafter(x, towards) for x, towards in zip(near, (-np.inf, np.inf))]
+    values = np.concatenate([bits.view(np.float64), edges, *near,
+                             [0.0, 5e-324, 2.2250738585072014e-308]])
+    values = values[np.isfinite(values)]
+    values = np.concatenate([values, -values])
+    stream = io.StringIO()
+    write_csv(stream, ["x"], [values])
+    same = stream.getvalue() == _reference_csv(["x"], [values])
+    assert same
+
+
+def test_exact_ties_take_the_fallback(monkeypatch):
+    # the fast path would round a tie down; %.17g rounds it to even
+    ties = _ties()
+    ordinary = np.random.default_rng(3).standard_normal(10**4) * 1e3
+    fallback, taken = dataio._fallback, []
+
+    def recording(cells, x, rows):
+        taken.extend(x[rows].tolist())
+        fallback(cells, x, rows)
+
+    monkeypatch.setattr(dataio, "_fallback", recording)
+    values = np.concatenate([ties, -ties, ordinary])
+    stream = io.StringIO()
+    write_csv(stream, ["x"], [values])
+    assert sorted(taken) == sorted(np.concatenate([ties, -ties]).tolist())
+    same = stream.getvalue() == _reference_csv(["x"], [values])
+    assert same
+
+
+@pytest.mark.parametrize("off", [-1, 1])
+def test_an_exponent_estimate_off_by_one_falls_back(monkeypatch, off):
+    # np.log10 is trusted only to be within one of floor(log10 |x|): with
+    # every estimate one off, each cell must still print exactly
+    values = np.concatenate([np.random.default_rng(5).standard_normal(1000) * 1e3,
+                             [1e-4, 1e16, 1e17, 9.999999999999999e16, 1.0, 0.0]])
+    log10 = np.log10
+    monkeypatch.setattr(np, "log10", lambda a: log10(a) + off)
+    stream = io.StringIO()
+    write_csv(stream, ["x"], [values])
+    monkeypatch.undo()
+    assert stream.getvalue() == _reference_csv(["x"], [values])
+
+
+def _int_extremes(dtype) -> np.ndarray:
+    """The type's extremes and their neighbours, and every power of ten it
+    holds with its neighbours, in both signs where it has them."""
+    info = np.iinfo(dtype)
+    tens = [10**k + d for k in range(20) for d in (-1, 0, 1)]
+    values = {info.min, info.min + 1, info.max - 1, info.max, 0, 1}
+    values |= {v * sign for v in tens for sign in (1, -1)}
+    return np.array(sorted(v for v in values if info.min <= v <= info.max), dtype=dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16,
+                                   np.uint32, np.uint64, ">i8", ">u8", bool])
+def test_integer_extremes_match_the_reference(dtype):
+    column = np.array([True, False, True]) if dtype is bool else _int_extremes(dtype)
+    header, columns = ["t", "v"], [np.arange(1, len(column) + 1), column]
+    stream = io.StringIO()
+    write_csv(stream, header, columns)
+    assert stream.getvalue() == _reference_csv(header, columns)
+
+
+_BIT_TYPES = {"float16": np.uint16, "float32": np.uint32, ">f4": np.uint32, ">f8": np.uint64,
+              "longdouble": np.uint64}
+
+
+@settings(max_examples=40, deadline=None)
+@given(dtype=st.sampled_from(sorted(_BIT_TYPES)), seed=st.integers(0, 2**32 - 1))
+def test_narrow_wide_and_big_endian_floats_match_the_reference(dtype, seed):
+    # each prints the double it rounds to; a longdouble column is moved off
+    # the doubles, so that rounding shows
+    bits = np.random.default_rng(seed).integers(0, np.iinfo(_BIT_TYPES[dtype]).max, 512,
+                                                _BIT_TYPES[dtype], endpoint=True)
+    native = bits.view(np.dtype(dtype).newbyteorder("=") if dtype != "longdouble" else np.float64)
+    column = native[np.isfinite(native)].astype(dtype)
+    if dtype == "longdouble":
+        column = column[np.abs(column) < 1e300] * np.longdouble(1 + 2.0**-60)
+    stream = io.StringIO()
+    write_csv(stream, ["x"], [column])
+    assert stream.getvalue() == _reference_csv(["x"], [column])
+
+
+def test_float_cells_raise_no_numpy_warning():
+    info = np.finfo(np.float64)
+    doubles = np.array([info.max, info.tiny, info.smallest_subnormal, 0.0, 1e308, 1e-308,
+                        1e290, 1e-290, 1e291, 1e-291, 1e300, 1e-300, 1.0, 1e17, 1e-4])
+    doubles = np.concatenate([doubles, -doubles, np.nextafter(doubles, 0.0)])
+    halves = np.array([np.finfo(np.float16).max, np.finfo(np.float16).smallest_subnormal, 0.0],
+                      dtype=np.float16)
+    columns = [doubles, np.resize(halves, len(doubles)),
+               np.resize(_int_extremes(np.int64), len(doubles))]
+    stream = io.StringIO()
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        write_csv(stream, ["x", "h", "i"], columns)
+    assert stream.getvalue() == _reference_csv(["x", "h", "i"], columns)
 
 
 @pytest.mark.parametrize("n", LENGTHS)
