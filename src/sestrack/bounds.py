@@ -152,13 +152,14 @@ def exact_mse_sequence(
     gamma = noise.gamma
     g0 = _finite_nonnegative(gamma(0), "gamma(0)")
     b, two_a2, a2_g0, lead = 1.0 - a, 2.0 * a * a, a * a * g0, 2.0 * a * first
+    bb = b * b  # b * b * x multiplies (b * b) first, so bb * x is the same float
     varying = horizon if noise.support is None else min(noise.support + first, horizon)
 
     def steps(mse, mean_error, weighted, lagged):  # lagged: gamma(t - 1)
         yield mse
         for t in range(1, varying + 1):
             k, decay = increments[t - 1], b**t
-            mse = b * b * (mse + k * k - 2.0 * k * mean_error) + two_a2 * weighted - a2_g0
+            mse = bb * (mse + k * k - 2.0 * k * mean_error) + two_a2 * weighted - a2_g0
             mse += lead * decay * lagged
             yield mse
             mean_error = b * (mean_error - k)
@@ -166,7 +167,7 @@ def exact_mse_sequence(
             weighted += decay * lagged
         noise_part = two_a2 * weighted
         for k in increments[varying:]:
-            mse = b * b * (mse + k * k - 2.0 * k * mean_error) + noise_part - a2_g0
+            mse = bb * (mse + k * k - 2.0 * k * mean_error) + noise_part - a2_g0
             yield mse
             mean_error = b * (mean_error - k)
 

@@ -7,8 +7,11 @@ formatted in chunks of ``_CHUNK_ROWS`` rows and streamed to a path or to
 an open text stream, so no whole table is held in memory.  Each column
 chunk becomes a byte matrix by a vectorized kernel that prints exactly
 what ``"%d"`` or ``"%.17g"`` would, handing the few cells it cannot prove
-to ``"%.17g"`` itself.  Every chunk is formatted in the calling process:
-with this kernel, forking the chunks over CPUs cost more than it saved.
+to ``"%.17g"`` itself.  The matrices are copied once into one row matrix,
+whose bytes less the NUL padding are the chunk's rows; a file is written
+those bytes in binary mode, a text stream gets them decoded.  Every chunk
+is formatted in the calling process: with this kernel, forking the chunks
+over CPUs cost more than it saved.
 
 SVG output is a self-contained 800x500 document, built whole; each of its
 elements is one ``%`` on a repeated point template.  Each plotted line is
@@ -54,9 +57,10 @@ _CHUNK_ROWS = 8192  # rows (or plotted points) formatted per write
 _K_MIN, _K_MAX = -291, 290  # decimal exponents of |x| in [1e-290, 1e290]
 _TIE = 2.0**-44  # distance from a half-integer below which a cell falls back
 _SCAN_BYTES = 1 << 16  # block size of the plain-file scan
-# what csv and np.loadtxt read differently: a quote, CR, NUL, \x1c-\x1f
-# (whitespace to numpy, not to float() of ASCII text) and a blank line
-_NOT_PLAIN = (b'"', b"\r", b"\0", b"\x1c", b"\x1d", b"\x1e", b"\x1f", b"\n\n")
+# what csv and np.loadtxt read differently: a quote, CR, NUL and \x1c-\x1f
+# (whitespace to numpy, not to float() of ASCII text); a blank line, which
+# np.loadtxt skips, leaves it a value short of the newline count
+_NOT_PLAIN = (b'"', b"\r", b"\0", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 
 _SVG_WIDTH = 800
 _SVG_HEIGHT = 500
@@ -66,14 +70,15 @@ _M4 = 4  # points per pixel column up to which a plot draws every point
 
 
 def _write(target, parts) -> Path | None:
-    """Write the text ``parts``, an iterable of strings, to an open text
-    stream, or to a new UTF-8 file at a path, which is returned.  A write
-    that fails after opening the path deletes it if it is a regular file."""
+    """Write ``parts``, an iterable of UTF-8 bytes, to a new file at a path,
+    in binary mode, which is returned, or decoded to an open text stream.  A
+    write that fails after opening the path deletes it if it is a regular
+    file."""
     if hasattr(target, "write"):
-        target.writelines(parts)
+        target.writelines(part.decode("utf-8") for part in parts)
         return None
     path = Path(target)
-    handle = open(path, "w", encoding="utf-8", newline="")
+    handle = open(path, "wb")
     try:
         with handle:
             handle.writelines(parts)
@@ -109,34 +114,47 @@ def _pow10_table() -> np.ndarray:
 
 _POW10 = _pow10_table()
 _ROW = np.arange(24, dtype=np.uint8)[:, None]  # row numbers of a (bytes, cells) matrix
+_TENS = (10 ** np.arange(20, dtype=np.uint64))[:, None]  # 10**i in row i
 
 
 def _digits(v: np.ndarray, width: int) -> np.ndarray:
     """The ASCII digits of ``v`` (integers below 10**width, width <= 20),
-    one row per position, zero-padded; both halves of each number are
-    divided down side by side, in uint32 where they fit."""
-    half = (width + 1) // 2
-    q = v // 10**half
-    v = np.stack([q, v - q * 10**half]).astype(np.uint32 if half <= 9 else np.uint64)
-    out = np.empty((2, half, len(q)), np.uint8)
-    for j in range(half - 1, -1, -1):
-        q = v // 10
-        out[:, j] = v - q * 10 + 48
-        v = q
-    return out.reshape(2 * half, -1)[2 * half - width :]
+    one row per position, zero-padded.  Int division cuts each number into
+    uint32 lanes of 8 digits, dividing in uint32 once the rest fits; then
+    every lane halves at once, into uint16 lanes of 4 digits, uint8 lanes of
+    2 and single digits."""
+    lanes = np.empty(((width + 7) // 8, len(v)), np.uint32)
+    rest = width  # digits left in v
+    for i in range(len(lanes) - 1, 0, -1):  # the lowest 8 digits first
+        if rest <= 9:
+            v = v.astype(np.uint32)
+        q = v // 10**8
+        np.subtract(v, q * 10**8, out=lanes[i], casting="unsafe")
+        v, rest = q, rest - 8
+    lanes[0] = v
+    for unit, dtype in ((10**4, np.uint16), (100, np.uint8), (10, np.uint8)):
+        q = lanes // unit
+        halves = np.empty((len(lanes), 2, len(v)), dtype)
+        halves[:, 0] = q
+        np.subtract(lanes, q * unit, out=halves[:, 1], casting="unsafe")
+        lanes = halves.reshape(-1, len(v))
+    digits = lanes[len(lanes) - width :]
+    digits += 48
+    return digits
 
 
 def _int_cells(part: np.ndarray) -> np.ndarray:
     """``"%d"`` of an integer or bool column chunk as a (bytes, cells)
-    matrix padded with NULs: a sign row, then the digits of the uint64
-    magnitude (exact for int64's minimum and for all of uint64)."""
+    matrix padded with NULs: a sign row if any cell is negative, then the
+    digits of the uint64 magnitude (exact for int64's minimum and for all of
+    uint64)."""
     negative = part < 0
     magnitude = part.astype(np.uint64)
     magnitude[negative] = np.uint64(0) - magnitude[negative]
-    digits = _digits(magnitude, len(str(magnitude.max())))
-    shown = np.logical_or.accumulate(digits != 48, axis=0)  # from the first nonzero digit
-    shown[-1] = True
-    return np.concatenate([np.uint8(45) * negative[None], digits * shown])
+    width = len(str(magnitude.max()))
+    digits = _digits(magnitude, width)
+    digits[:-1] *= magnitude >= _TENS[width - 1 : 0 : -1]  # digit i shows if magnitude >= 10**i
+    return np.concatenate([np.uint8(45) * negative[None], digits]) if negative.any() else digits
 
 
 def _float_cells(part: np.ndarray) -> np.ndarray:
@@ -153,14 +171,17 @@ def _float_cells(part: np.ndarray) -> np.ndarray:
     the same either way).  Those cells and any other nonzero |x|,
     subnormals too, go to ``_fallback``.  N is laid out by ``%g``'s rules:
     fixed notation for -4 <= k < 17, else an exponent of two digits at
-    least; trailing zeros stripped; "-0" for -0.0.  Nothing overflows, so
+    least; trailing zeros stripped; "-0" for -0.0.  The matrix holds only
+    rows some cell uses: a sign row if a cell is negative, the "0.000" rows
+    of the widest small cell, the body rows of the longest digits, and the
+    exponent rows if a cell has one or falls back.  Nothing overflows, so
     numpy warns of nothing."""
-    x = part.astype(np.float64)
+    x = part.astype(np.float64, copy=False)
     a = np.abs(x)
     zero = a == 0
     fast = (a >= 1e-290) & (a <= 1e290)
     a[~fast] = 1.0
-    k = np.floor(np.log10(a)).astype(np.int64)
+    k = np.floor(np.log10(a)).astype(np.int16)
     hi, hh, hl, lo = np.take(_POW10, _K_MAX - k, axis=1)
     p = a * hi
     c = a * 134217729.0  # Dekker's split of a into halves of at most 26 bits
@@ -175,28 +196,38 @@ def _float_cells(part: np.ndarray) -> np.ndarray:
     n[zero] = k[zero] = 0
     fast |= zero
     digits = _digits(n, 17)
-    last = (_ROW[:17] * (digits != 48)).max(axis=0)  # the last nonzero digit
     expo = (k < -4) | (k > 16)
     small = (k < 0) & ~expo
-    whole = np.where(expo | small, 0, k).astype(np.uint8)  # digits kept before the point
-    digits *= _ROW[:17] <= np.maximum(last, whole)
-    point = np.where(expo, 1, np.where(small, 17, k + 1)).astype(np.uint8)
-    body = np.zeros((18, len(x)), np.uint8)
-    body[:17] = digits * (_ROW[:17] < point)
-    body[1:] += digits * (_ROW[1:18] > point)
-    body += np.uint8(46) * ((_ROW[:18] == point) & (last > whole) & ~small)
-    rows = [np.uint8(45) * np.signbit(x)[None]]
-    if small.any():  # "0." and the zeros after it
-        lead = np.where(small, 1 - k, 0)
-        rows.append(np.frombuffer(b"0.000", np.uint8)[:, None] * (_ROW[:5] < lead))
-    rows.append(body)
-    if expo.any() or not fast.all():  # also room for a fallback text of up to 24 bytes
+    whole = np.where(expo | small, 0, k).astype(np.uint8)  # digits before the point, less one
+    point = np.where(small, 17, whole + 1)  # the body row of the point
+    # digits kept: to the last nonzero one, and every one before the point
+    end = np.maximum((_ROW[1:18] * (digits != 48)).max(axis=0), whole + 1)
+    sign = np.signbit(x)
+    zeros = np.where(small, 1 - k, 0)  # the bytes of "0.000" before a small cell's digits
+    # body rows in use, digits kept and the point; all 18 where a fallback text needs room
+    size = int((end + (end > point)).max()) if fast.all() else 18
+    signed, lead = int(sign.any()), int(zeros.max())
+    top = signed + lead + size
+    cells = np.empty((top + 5 * (expo.any() or not fast.all()), len(x)), np.uint8)
+    if signed:
+        np.multiply(np.uint8(45), sign, out=cells[0])
+    np.multiply(np.frombuffer(b"0.000", np.uint8)[:lead, None], _ROW[:lead] < zeros,
+                out=cells[signed : signed + lead])
+    body = cells[signed + lead : top]  # digit i in row i before the point, in row i + 1 after it
+    before = min(size, 17)
+    np.multiply(digits[:before], _ROW[:before] < np.minimum(point, end), out=body[:before])
+    body[before:] = 0
+    after = _ROW[: size - 1]
+    body[1:] += digits[: size - 1] * ((after >= point) & (after < end))
+    body += np.uint8(46) * ((_ROW[:size] == point) & (end > point))
+    if len(cells) > top:  # an exponent, or room for a fallback text (24 bytes if signed)
         e = np.abs(k)
-        suffix = np.concatenate([np.full((1, len(x)), 101, np.uint8),
-                                 np.where(k < 0, 45, 43).astype(np.uint8)[None], _digits(e, 3)])
+        suffix = cells[top:]
+        suffix[0] = 101
+        suffix[1] = np.where(k < 0, 45, 43)
+        suffix[2:] = _digits(e, 3)
         suffix[2] *= e >= 100
-        rows.append(suffix * expo)
-    cells = np.concatenate(rows)
+        suffix *= expo
     _fallback(cells, x, np.flatnonzero(~fast))
     return cells
 
@@ -209,23 +240,26 @@ def _fallback(cells: np.ndarray, x: np.ndarray, rows: np.ndarray) -> None:
         cells[: len(text), i] = text
 
 
-def _format_chunk(formats: list, columns: list[np.ndarray], lo: int) -> str:
-    """The ``_CHUNK_ROWS`` rows of ``columns`` from row ``lo``: each
-    column's cells by its kernel in ``formats``, joined with the separators
-    by one concatenate, put in row order and stripped of their NULs."""
-    parts = []
-    for cells, col in zip(formats, columns):
-        part = cells(col[lo : lo + _CHUNK_ROWS])
-        parts += [part, np.full((1, part.shape[1]), 44, np.uint8)]
-    parts[-1][:] = 10  # the last column ends its row
-    table = np.concatenate(parts).T.copy()
-    return table[table != 0].tobytes().decode("ascii")
+def _format_chunk(formats: list, columns: list[np.ndarray], lo: int) -> bytes:
+    """The ``_CHUNK_ROWS`` rows of ``columns`` from row ``lo`` as ASCII
+    bytes.  Each column's cells, by its kernel in ``formats``, are copied
+    once into their slot of one (rows, width) row matrix, each slot followed
+    by its separator column; its bytes in row order, less the NULs, are the
+    rows."""
+    parts = [cells(col[lo : lo + _CHUNK_ROWS]) for cells, col in zip(formats, columns)]
+    ends = np.cumsum([len(part) + 1 for part in parts])
+    table = np.empty((parts[0].shape[1], ends[-1]), np.uint8)
+    for part, end in zip(parts, ends):
+        table[:, end - 1 - len(part) : end - 1] = part.T
+    table[:, ends - 1] = 44
+    table[:, -1] = 10  # the last column ends its row
+    return table[table != 0].tobytes()
 
 
 def _csv_text(header: list[str], columns: list[np.ndarray]):
-    """Yield the header line, then the rows chunk by chunk, each formatted
-    by ``_format_chunk`` in this process."""
-    yield ",".join(header) + "\n"
+    """Yield the header line, UTF-8 encoded, then the rows chunk by chunk,
+    each formatted by ``_format_chunk`` in this process."""
+    yield (",".join(header) + "\n").encode("utf-8")
     formats = [_float_cells if col.dtype.kind == "f" else _int_cells for col in columns]
     for lo in range(0, len(columns[0]), _CHUNK_ROWS):
         yield _format_chunk(formats, columns, lo)
@@ -299,23 +333,25 @@ def read_csv_column(path, column: str) -> np.ndarray:
 
 def _read_plain_column(path: Path, column: str) -> np.ndarray | None:
     """The column by ``np.loadtxt``, or None unless the file is a regular one
-    (a pipe could not be read again), its header names the column once and a
+    (a pipe could not be read again), its header names the column once, a
     streamed scan finds data rows, none of ``_NOT_PLAIN`` and no block
-    without a newline (so no line reaches the csv field limit)."""
+    without a newline (so no line reaches the csv field limit), and
+    ``np.loadtxt`` returns one finite value per line.  A blank line needs no
+    search: ``np.loadtxt`` skips it, so the values fall one short of the
+    lines counted and the csv reader words the error."""
     if not path.is_file() or csv.field_size_limit() < 2 * _SCAN_BYTES:
         return None
     with open(path, newline="", encoding="utf-8") as handle:
         header = next(csv.reader(handle), [])
     if header.count(column) != 1:
         return None
-    rows, block = -1, b"\n"  # the header line is no data row
+    rows, end = -1, b"\n"  # the header line is no data row
     with open(path, "rb") as handle:
-        while more := handle.read(_SCAN_BYTES):
-            block = block[-1:] + more  # so a blank line across two blocks shows
-            if b"\n" not in more or any(mark in block for mark in _NOT_PLAIN):
+        while block := handle.read(_SCAN_BYTES):
+            if b"\n" not in block or any(mark in block for mark in _NOT_PLAIN):
                 return None
-            rows += more.count(b"\n")
-    rows += not block.endswith(b"\n")  # a last line without its newline
+            rows, end = rows + block.count(b"\n"), block[-1:]
+    rows += end != b"\n"  # a last line without its newline
     if rows < 1:
         return None
     values = np.loadtxt(path, delimiter=",", comments=None, skiprows=1,
@@ -533,7 +569,7 @@ def write_results(result, path, fmt: str = "csv") -> Path | None:
         raise TypeError(f"cannot write results of type {type(result).__name__}")
     if fmt == "csv":
         return write_csv(path, header, columns)
-    return _write(path, [_svg_text(_checked(header, columns)[0], lines, dots)])
+    return _write(path, [_svg_text(_checked(header, columns)[0], lines, dots).encode("utf-8")])
 
 
 def reproduce_figure(

@@ -34,6 +34,7 @@ from sestrack.cli import main
 from sestrack.dataio import (
     _CHUNK_ROWS,
     _PLOT_W,
+    _SCAN_BYTES,
     _read_column_by_rows,
     experiment_config_from_dict,
     experiment_config_to_dict,
@@ -177,6 +178,11 @@ def csv_path(tmp_path_factory):
 @example(case=(b"t,x\n", "x"))  # header only
 @example(case=(b"t,x\n1,2\n2,3", "x"))  # no final newline
 @example(case=(b"t,x\n1,2\n\n2,3\n", "x"))  # a blank line inside
+# a blank line across a scan block boundary: one block ends with "\n", the next starts with it
+@example(case=(b"t,x\n" + b"1,2\n" * (_SCAN_BYTES // 4 - 1) + b"\n3,4\n", "x"))
+@example(case=(b"t,x\n1,2\n\n", "x"))  # a trailing blank line
+@example(case=(b"t,x\n1,2\n \n3,4\n", "x"))  # a whitespace-only line
+@example(case=(b"t,x\r\n1,2\r\n3,4\r\n", "x"))  # \r\n line ends
 @example(case=(b"t,x\n1,\x1c2\n", "x"))  # whitespace to numpy, not to float()
 @example(case=(b't,x,y\n"1,5",2,3\n', "y"))  # a comma inside quotes
 @example(case=(b"t,x\n" + b"1" * 200_000 + b",2\n", "x"))  # over the csv field limit

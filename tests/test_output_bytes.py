@@ -20,7 +20,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from sestrack import dataio, read_csv_column, write_csv, write_results
+from sestrack import (
+    AR1, Linear, dataio, read_csv_column, simulate_smoothed, write_csv, write_results,
+)
 from sestrack.cli import main
 from sestrack.dataio import _CHUNK_ROWS, _points
 
@@ -427,6 +429,32 @@ def test_stream_target_gets_the_file_bytes(tmp_path, n):
         path = write_results(values, tmp_path / f"a.{fmt}", fmt)
         same = stream.getvalue().encode("utf-8") == path.read_bytes()
         assert same, fmt
+
+
+def test_files_and_text_streams_get_the_same_bytes(tmp_path):
+    # a file is written as bytes, a text stream gets them decoded: a path,
+    # an io.StringIO and stdout get the same bytes, across chunk joins and
+    # for a non-ASCII header
+    n = 2 * _CHUNK_ROWS + 5
+    simulate = ["simulate", "--trend", TREND, "--noise", "ar1:theta=0.3",
+                "--alpha", "0.1", "--steps", str(n), "--seed", "7"]
+    _stdout(simulate + ["--out", str(tmp_path / "sim.csv"), "--svg", str(tmp_path / "sim.svg")])
+    smoothed = simulate_smoothed(AR1(0.3), Linear(1.0, 0.05), 0.1, n, 7)
+    written = {}
+    for fmt in ("csv", "svg"):
+        stream = io.StringIO()
+        write_results(smoothed, stream, fmt)
+        written[fmt] = [(tmp_path / f"sim.{fmt}").read_bytes(), stream.getvalue().encode("utf-8")]
+    written["csv"].append(_stdout(simulate))
+    header, values = ["t", "größe", "Δx"], _edge_values(n)
+    columns = [np.arange(1, n + 1), values, -values]
+    stream = io.StringIO()
+    write_csv(stream, header, columns)
+    written["header"] = [write_csv(tmp_path / "h.csv", header, columns).read_bytes(),
+                         stream.getvalue().encode("utf-8")]
+    assert written["header"][0].startswith("t,größe,Δx\n".encode("utf-8"))
+    for name, outputs in written.items():
+        assert all(data == outputs[0] for data in outputs), name
 
 
 @pytest.mark.parametrize("template", ["{:.2f},{:.2f}", '<circle cx="{:.2f}" cy="{:.2f}" r="1.4"/>'])
