@@ -7,7 +7,9 @@ Monte Carlo experiments that verify the bound empirically.
 
 Importing the package loads the modules every command needs; the CSV/SVG
 writers (``dataio``) and the Monte Carlo engine (``experiments``) load on
-the first access to one of their names.
+the first access to one of their names here.  This namespace is the one
+late loader of the package's own modules: ``cli`` calls the writers and
+the engine by these names too.
 """
 
 import importlib

@@ -22,18 +22,17 @@ import sys
 import warnings
 from dataclasses import MISSING
 
-from ._numpy import lazy_module, np
+# the CSV/SVG writers and the Monte Carlo engine are called by their package
+# names, which load their module on first use, so bound and optimize-alpha
+# start without either
+import sestrack
+
+from ._numpy import np
 from .bounds import exact_mse_sequence, optimize_alpha, tracking_bound
 from .config import DEFAULT_FIGURE_SEED, ExperimentConfig, load_experiment_config, model_from_dict
-from .processes import (
-    NOISE_KINDS, TREND_KINDS, NoiseModel, Numbers, SchemaError, TrendSpec, model_fields,
-)
+from .processes import NOISE_KINDS, TREND_KINDS, NoiseModel, Numbers, TrendSpec, model_fields
+from .seeding import SchemaError
 from .smoothing import INIT_WORDING, InitPolicy, ses_run
-
-# the CSV/SVG writers and the Monte Carlo engine, loaded by the first command
-# that runs them, so bound and optimize-alpha start without either
-dataio = lazy_module("sestrack.dataio")
-experiments = lazy_module("sestrack.experiments")
 
 
 def _grammar() -> str:
@@ -185,23 +184,23 @@ def _run_values(args) -> dict:
 
 
 def _cmd_smooth(args) -> int:
-    observations = dataio.read_csv_column(args.input, args.column)
+    observations = sestrack.read_csv_column(args.input, args.column)
     trajectory = ses_run(observations, **_run_values(args))
     steps = np.arange(1, len(observations) + 1)
-    dataio.write_csv(args.out or sys.stdout, ["t", "x", "m_hat"],
-                     [steps, observations, trajectory[1:]])
+    sestrack.write_csv(args.out or sys.stdout, ["t", "x", "m_hat"],
+                       [steps, observations, trajectory[1:]])
     if args.out:
         print(args.out)
     return 0
 
 
 def _cmd_simulate(args) -> int:
-    smoothed = experiments.simulate_smoothed(**_run_values(args))
-    dataio.write_results(smoothed, args.out or sys.stdout, "csv")
+    smoothed = sestrack.simulate_smoothed(**_run_values(args))
+    sestrack.write_results(smoothed, args.out or sys.stdout, "csv")
     if args.out:
         print(args.out)
     if args.svg:
-        dataio.write_results(smoothed, args.svg, "svg")
+        sestrack.write_results(smoothed, args.svg, "svg")
         print(args.svg)
     return 0
 
@@ -247,10 +246,10 @@ def _cmd_mse(args) -> int:
         )
         summary = _finite({"final_mse": float(sequence[-1])})
         if args.out:
-            dataio.write_csv(args.out, ["t", "mse"], [np.arange(1, len(sequence) + 1), sequence])
+            sestrack.write_csv(args.out, ["t", "mse"], [np.arange(1, len(sequence) + 1), sequence])
             print(args.out)
     else:
-        curve = experiments.monte_carlo_mse(ExperimentConfig(**run), **_given(args, "workers"))
+        curve = sestrack.monte_carlo_mse(ExperimentConfig(**run), **_given(args, "workers"))
         summary = _finite({
             "tail_mean": curve.tail_mean,
             "tail_se": curve.tail_se,
@@ -259,7 +258,7 @@ def _cmd_mse(args) -> int:
             "replications": curve.replications,
         })
         if args.out:
-            dataio.write_results(curve, args.out, "csv")
+            sestrack.write_results(curve, args.out, "csv")
             print(args.out)
     _report(args, summary)
     return 0
@@ -268,7 +267,7 @@ def _cmd_mse(args) -> int:
 def _cmd_verify(args) -> int:
     config, output = load_experiment_config(args.config)
     config = dataclasses.replace(config, **_run_values(args))
-    check = experiments.verify_bound(config, **_given(args, "workers"))
+    check = sestrack.verify_bound(config, **_given(args, "workers"))
     verdict, code = (
         ("INCONCLUSIVE", 4) if check.inconclusive else ("PASS", 0) if check.passed else ("FAIL", 3)
     )
@@ -282,9 +281,9 @@ def _cmd_verify(args) -> int:
         "bound": dataclasses.asdict(check.bound),
     })
     if output.get("csv"):
-        dataio.write_results(check.curve, output["csv"], "csv")
+        sestrack.write_results(check.curve, output["csv"], "csv")
     if output.get("svg"):
-        dataio.write_results(check.curve, output["svg"], "svg")
+        sestrack.write_results(check.curve, output["svg"], "svg")
     _report(args, payload, [("empirical_tail", check.empirical_tail), ("tail_se", check.tail_se),
                             ("bound_total", check.bound.total), ("margin", check.margin),
                             ("result", verdict)])
@@ -292,7 +291,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_reproduce(args) -> int:
-    for path in dataio.reproduce_figure(args.figure, args.outdir, args.seed):
+    for path in sestrack.reproduce_figure(args.figure, args.outdir, args.seed):
         print(path)
     return 0
 

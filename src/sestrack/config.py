@@ -8,7 +8,7 @@ constructors check the types, and the codec prefixes the key path to their
 SchemaError.  This module imports only ``processes``, ``smoothing`` and
 ``seeding``, so ``bound`` and ``optimize-alpha`` read their flags without
 loading the writers (``dataio``) or the Monte Carlo engine
-(``experiments``), which re-export what moved here.
+(``experiments``); each name of the codec is defined here alone.
 """
 
 from __future__ import annotations
@@ -17,10 +17,8 @@ import json
 from dataclasses import MISSING, dataclass
 from pathlib import Path
 
-from .processes import (
-    KINDS_OF, NoiseModel, SchemaError, TrendSpec, _check_fields, _key, model_fields,
-)
-from .seeding import _number, check_count, check_seed
+from .processes import KINDS_OF, NoiseModel, TrendSpec, _check_fields, _key, model_fields
+from .seeding import SchemaError, _number, check_count, check_seed
 from .smoothing import INIT_WORDING, InitPolicy, check_alpha
 
 CONFIG_SCHEMA_VERSION = 1

@@ -27,11 +27,11 @@ value range overflows a double is refused, before anything is written; a
 write that fails part-way deletes the regular file it was writing.
 
 The JSON config codec lives in ``config``, which loads none of this
-module's dependencies; its names are re-exported here.  This module sits
-above ``experiments``: it imports the result types it writes, and nothing
-in the numerical modules imports it, so only a command that writes or
-reads a CSV or SVG file loads it (``cli`` reaches it through
-``_numpy.lazy_module``).
+module's dependencies.  This module sits above ``experiments``: it imports
+the result types it writes, and nothing in the numerical modules imports
+it, so only a command that writes or reads a CSV or SVG file loads it
+(``cli`` calls its functions by their names in the package namespace,
+which loads it on first use).
 """
 
 from __future__ import annotations
@@ -43,17 +43,13 @@ import warnings
 from pathlib import Path
 
 from ._numpy import np
-from .config import (  # noqa: F401 (the codec, re-exported)
-    CONFIG_SCHEMA_VERSION, DEFAULT_FIGURE_SEED, ExperimentConfig, SchemaError,
-    experiment_config_from_dict, experiment_config_to_dict, load_experiment_config,
-    model_from_dict, model_to_dict, save_experiment_config,
-)
+from .config import DEFAULT_FIGURE_SEED
 from .experiments import (
     FIGURE_ALPHA, FIGURE_CONFIGS, FIGURE_HORIZON, FIGURE_INIT, MseCurve, SmoothedPath,
     simulate_smoothed,
 )
 
-_CHUNK_ROWS = 8192  # rows (or plotted points) formatted per write
+_CHUNK_ROWS = 8192  # CSV rows formatted per write
 _K_MIN, _K_MAX = -291, 290  # decimal exponents of |x| in [1e-290, 1e290]
 _TIE = 2.0**-44  # distance from a half-integer below which a cell falls back
 _SCAN_BYTES = 1 << 16  # block size of the plain-file scan

@@ -14,8 +14,8 @@ pairing of the tracking analysis: the error at step t is ``m_{t+1} - m*_t``.
 This module computes results and writes no files; ``dataio`` writes them
 (and holds ``reproduce_figure``), and nothing here imports it.  The
 description of a run, ``ExperimentConfig``, lives in ``config`` with its
-codec (re-exported here), so a command that only reads run flags, such as
-``bound``, never loads this module.
+codec, so a command that only reads run flags, such as ``bound``, never
+loads this module.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 from ._numpy import np
 from .bounds import BoundReport, tracking_bound
-from .config import DEFAULT_FIGURE_SEED, ExperimentConfig  # noqa: F401 (re-exported)
+from .config import ExperimentConfig
 from .processes import (
     AR1, MA1, MAX_CELLS, Linear, NoiseModel, Sinusoid, TrendSpec, _path, _slabs,
     trend_sequence,

@@ -669,23 +669,39 @@ def test_float_commands_never_load_numpy():
     assert not loaded
 
 
+# the modules a cold bound or optimize-alpha call never imports
+_WRITER_MODULES = ["csv", "pickle", "sestrack.dataio", "sestrack.experiments"]
+
+
 def test_float_commands_never_load_the_writers_or_the_monte_carlo_engine():
     # the config codec they read their flags through lives apart from the
-    # CSV/SVG writers and the Monte Carlo engine, which cli loads on first use;
-    # type() of a module not yet loaded does not load it
-    listing = """
-import types
-print(json.dumps({name: type(module) is types.ModuleType for name, module in sys.modules.items()
-                  if name in ("csv", "pickle", "sestrack.dataio", "sestrack.experiments")}))
-"""
+    # CSV/SVG writers and the Monte Carlo engine, which the package namespace
+    # loads on first use, so none of them is even in sys.modules
+    listing = f"print(json.dumps([n for n in {_WRITER_MODULES!r} if n in sys.modules]))"
     done = subprocess.run(
         [sys.executable, "-c", _RUN_MODULE_PROBE + listing, json.dumps(_FLOAT_COMMANDS)],
         env=_child_env(), capture_output=True, text=True, check=True,
     )
-    (codes, _), loaded = map(json.loads, done.stdout.splitlines())
+    (codes, _), present = map(json.loads, done.stdout.splitlines())
     assert codes == [0] * (len(_FLOAT_COMMANDS) - 3) + [1, 0, 2]
-    assert "csv" not in loaded and "pickle" not in loaded
-    assert not any(loaded.values()), loaded
+    assert present == []
+
+
+def test_walking_the_cli_modules_loads_no_writer():
+    # every sestrack module in sys.modules after importing cli is a loaded
+    # module, so a walk over their vars() (as a tracer makes) imports nothing
+    probe = f"""
+import json, sys, types
+import sestrack.cli
+package = [m for n, m in list(sys.modules.items()) if n.split(".")[0] == "sestrack"]
+half = [m.__name__ for m in package if type(m) is not types.ModuleType]
+for module in package:
+    vars(module)
+print(json.dumps([half, [n for n in {_WRITER_MODULES!r} if n in sys.modules]]))
+"""
+    done = subprocess.run([sys.executable, "-c", probe], env=_child_env(),
+                          capture_output=True, text=True, check=True)
+    assert json.loads(done.stdout) == [[], []]
 
 
 def test_numpy_imported_first_is_the_module_the_package_uses():

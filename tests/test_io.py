@@ -31,14 +31,8 @@ from sestrack import (
 )
 from sestrack import dataio
 from sestrack.cli import main
-from sestrack.dataio import (
-    _CHUNK_ROWS,
-    _PLOT_W,
-    _SCAN_BYTES,
-    _read_column_by_rows,
-    experiment_config_from_dict,
-    experiment_config_to_dict,
-)
+from sestrack.config import experiment_config_from_dict, experiment_config_to_dict
+from sestrack.dataio import _CHUNK_ROWS, _PLOT_W, _SCAN_BYTES, _read_column_by_rows
 from sestrack.experiments import SmoothedPath
 from sestrack.processes import WhiteGaussian, Constant
 from sestrack.smoothing import INIT_WORDING

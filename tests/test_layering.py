@@ -3,9 +3,10 @@ the package namespace built on it.
 
 The numerical modules sit below the file and command layers: none of them
 imports ``dataio`` or ``cli``, at module level or inside a function, and
-no module of the package imports anything inside a function.  ``config``,
-which every command reads its flags through, loads neither the writers nor
-the Monte Carlo engine.
+no module of the package imports anything inside a function; a bare
+``import sestrack`` counts as importing ``dataio`` and ``experiments``,
+which its namespace serves.  ``config``, which every command reads its
+flags through, loads neither the writers nor the Monte Carlo engine.
 """
 
 import ast
@@ -24,15 +25,12 @@ def _tree(module: str) -> ast.Module:
 
 
 def _package_imports(tree: ast.Module) -> set[str]:
-    """Names of the sestrack modules a module imports anywhere in its body,
-    by an import statement or a ``lazy_module("sestrack.<name>")`` call."""
+    """Names of the sestrack modules a module imports anywhere in its body.
+    A bare ``import sestrack`` counts as reaching the modules the package
+    namespace loads on first use, whose names it serves."""
     names = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "lazy_module":
-            parts = getattr(node.args[0], "value", "").split(".")
-            if parts[0] == "sestrack" and len(parts) > 1:
-                names.add(parts[1])
-        elif isinstance(node, ast.ImportFrom):
+        if isinstance(node, ast.ImportFrom):
             absolute = node.level == 0
             parts = node.module.split(".") if node.module else []
             if absolute and parts[:1] != ["sestrack"]:
@@ -42,7 +40,9 @@ def _package_imports(tree: ast.Module) -> set[str]:
         elif isinstance(node, ast.Import):
             for alias in node.names:
                 parts = alias.name.split(".")
-                if parts[0] == "sestrack" and len(parts) > 1:
+                if parts == ["sestrack"]:
+                    names.update(sestrack._LAZY)
+                elif parts[0] == "sestrack":
                     names.add(parts[1])
     return names
 

@@ -28,7 +28,7 @@ from sestrack import (
     WhiteGaussian,
 )
 from sestrack.cli import SPEC_GRAMMAR, build_parser, main, parse_spec
-from sestrack.dataio import (
+from sestrack.config import (
     experiment_config_from_dict,
     experiment_config_to_dict,
     model_from_dict,
