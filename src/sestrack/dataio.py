@@ -8,10 +8,11 @@ an open text stream, so no whole table is held in memory.  Each column
 chunk becomes a byte matrix by a vectorized kernel that prints exactly
 what ``"%d"`` or ``"%.17g"`` would, handing the few cells it cannot prove
 to ``"%.17g"`` itself.  The matrices are copied once into one row matrix,
-whose bytes less the NUL padding are the chunk's rows; a file is written
-those bytes in binary mode, a text stream gets them decoded.  Every chunk
-is formatted in the calling process: with this kernel, forking the chunks
-over CPUs cost more than it saved.
+whose bytes, less the NUL padding that one ``bytes.replace`` takes out,
+are the chunk's rows.  A file is written those bytes in binary mode, a
+text stream gets them decoded.  Every chunk is formatted in the calling
+process: with this kernel, forking the chunks over CPUs cost more than it
+saved.
 
 SVG output is a self-contained 800x500 document, built whole; each of its
 elements is one ``%`` on a repeated point template.  Each plotted line is
@@ -240,8 +241,8 @@ def _format_chunk(formats: list, columns: list[np.ndarray], lo: int) -> bytes:
     """The ``_CHUNK_ROWS`` rows of ``columns`` from row ``lo`` as ASCII
     bytes.  Each column's cells, by its kernel in ``formats``, are copied
     once into their slot of one (rows, width) row matrix, each slot followed
-    by its separator column; its bytes in row order, less the NULs, are the
-    rows."""
+    by its separator column; its bytes in row order, less the NULs that one
+    ``bytes.replace`` takes out, are the rows."""
     parts = [cells(col[lo : lo + _CHUNK_ROWS]) for cells, col in zip(formats, columns)]
     ends = np.cumsum([len(part) + 1 for part in parts])
     table = np.empty((parts[0].shape[1], ends[-1]), np.uint8)
@@ -249,7 +250,7 @@ def _format_chunk(formats: list, columns: list[np.ndarray], lo: int) -> bytes:
         table[:, end - 1 - len(part) : end - 1] = part.T
     table[:, ends - 1] = 44
     table[:, -1] = 10  # the last column ends its row
-    return table[table != 0].tobytes()
+    return table.tobytes().replace(b"\0", b"")
 
 
 def _csv_text(header: list[str], columns: list[np.ndarray]):
@@ -281,7 +282,7 @@ def _checked(header: list[str], columns) -> list[np.ndarray]:
             raise ValueError(f"column {name!r} is not real-valued (dtype {col.dtype})")
         if col.dtype.kind == "f":
             with np.errstate(over="ignore"):  # a longdouble past the doubles casts to inf
-                finite = np.isfinite(col.astype(np.float64))
+                finite = np.isfinite(col.astype(np.float64, copy=False))
             if not finite.all():
                 row = int(np.argmin(finite))
                 raise ValueError(f"column {name!r} row {row + 1} is not finite ({col[row]!s})")

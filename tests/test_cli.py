@@ -27,7 +27,7 @@ from sestrack import (
     write_csv,
     write_results,
 )
-from sestrack.cli import main, parse_init
+from sestrack.cli import SPEC_GRAMMAR, build_parser, main, parse_init
 from sestrack.processes import MAX_CELLS
 from sestrack.smoothing import INIT_WORDING
 
@@ -710,6 +710,27 @@ def test_numpy_imported_first_is_the_module_the_package_uses():
     done = subprocess.run([sys.executable, "-c", probe], env=_child_env(),
                           capture_output=True, text=True, check=True)
     assert done.stdout.strip() == "True"
+
+
+def test_main_keeps_one_parser_that_answers_as_a_fresh_interpreter(capsys, monkeypatch):
+    # main parses with one parser per process: a usage error and --help, each
+    # asked twice in this process, read as they do from a new interpreter
+    monkeypatch.setenv("COLUMNS", "80")  # the --help text wraps at this width
+    env = dict(_child_env(), COLUMNS="80")
+    answers = []
+    for argv in (["bound", "--alpha", "0.1", "--k", "0", "--noise", "bogus:var=1"], ["--help"]):
+        fresh = subprocess.run([sys.executable, "-m", "sestrack", *argv], env=env,
+                               capture_output=True, text=True, timeout=60)
+        answers.append((fresh.returncode, fresh.stdout, fresh.stderr))
+        assert run(capsys, *argv) == answers[-1] and run(capsys, *argv) == answers[-1]
+    (error_code, _, error), (help_code, help_text, _) = answers
+    assert error_code == 2 and error.endswith(SPEC_GRAMMAR)
+    assert help_code == 0 and help_text.startswith("usage: sestrack")
+    # build_parser hands out a new parser each call, so changing one leaves main's alone
+    parser = build_parser()
+    assert parser is not build_parser()
+    parser.prog, parser.epilog = "mutated", ""
+    assert run(capsys, "--help") == answers[1]
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin")

@@ -198,13 +198,46 @@ def _reference_csv(header, columns) -> str:
     return "".join(",".join(row) + "\n" for row in [header, *zip(*texts)])
 
 
-@pytest.mark.parametrize("n", CHUNK_LENGTHS)
-def test_csv_matches_the_per_cell_reference(tmp_path, n):
+def _padding_shares(columns) -> list[float]:
+    """The share of NUL bytes in each column's cell matrix, chunk by chunk."""
+    shares = []
+    for col in columns:
+        cells = dataio._float_cells if col.dtype.kind == "f" else dataio._int_cells
+        shares += [float(np.mean(cells(col[lo : lo + _CHUNK_ROWS]) == 0))
+                   for lo in range(0, len(col), _CHUNK_ROWS)]
+    return shares
+
+
+def _reference_table(case):
+    """The columns of the per-cell reference test: at a length in
+    ``CHUNK_LENGTHS``, edge values of every column type; "unpadded", cells
+    each printed at one length, so no chunk holds a NUL; "padded", a ramp of
+    short decimals and small counts with one wide cell per chunk, so most of
+    each chunk's bytes are NUL."""
+    n = case if isinstance(case, int) else _CHUNK_ROWS + 100
+    if case == "unpadded":
+        draws = np.random.default_rng(5).uniform(1.0, 2.0, 2 * n)
+        values = draws[[len("%.17g" % v) == 18 for v in draws.tolist()]][:n]
+        columns = [np.arange(10**4, 10**4 + n), values, -values]
+        assert max(_padding_shares(columns)) == 0
+        return ["t", "x", "neg"], columns
+    if case == "padded":
+        values, count = np.arange(n) / 8, np.arange(n) % 10
+        values[::_CHUNK_ROWS], count[::_CHUNK_ROWS] = -math.pi * 1e20, 10**18
+        columns = [np.arange(1, n + 1), values, count]
+        assert min(_padding_shares(columns[1:])) > 0.5
+        return ["t", "x", "count"], columns
     values = _edge_values(n)
-    header = ["t", "x", "neg", "count", "big", "flag", "u64", "f32"]
-    columns = [np.arange(1, n + 1), values, -values, np.arange(n, dtype=np.int32) - 5,
-               np.arange(n, dtype=np.int64) * 10**14 + 1,  # past 17 digits at n = 10^4
-               np.arange(n) % 3 == 0, _u64_values(n), _f32_values(n)]
+    return ["t", "x", "neg", "count", "big", "flag", "u64", "f32"], [
+        np.arange(1, n + 1), values, -values, np.arange(n, dtype=np.int32) - 5,
+        np.arange(n, dtype=np.int64) * 10**14 + 1,  # past 17 digits at n = 10^4
+        np.arange(n) % 3 == 0, _u64_values(n), _f32_values(n)]
+
+
+@pytest.mark.parametrize("case", [*CHUNK_LENGTHS, "unpadded", "padded"])
+def test_csv_matches_the_per_cell_reference(tmp_path, case):
+    header, columns = _reference_table(case)
+    values = columns[1]
     path = write_csv(tmp_path / "e.csv", header, columns)
     # compared outside the assert: pytest's diff of two large texts is very slow
     same = path.read_text(encoding="utf-8") == _reference_csv(header, columns)
