@@ -277,6 +277,7 @@ def _cmd_verify(args) -> int:
         "inconclusive": check.inconclusive,
         "empirical_tail": check.empirical_tail,
         "tail_se": check.tail_se,
+        "k": check.k,
         "bound_total": check.bound.total,
         "margin": check.margin,
         "bound": dataclasses.asdict(check.bound),
@@ -286,8 +287,8 @@ def _cmd_verify(args) -> int:
     if output.get("svg"):
         sestrack.write_results(check.curve, output["svg"], "svg")
     _report(args, payload, [("empirical_tail", check.empirical_tail), ("tail_se", check.tail_se),
-                            ("bound_total", check.bound.total), ("margin", check.margin),
-                            ("result", verdict)])
+                            ("k", check.k), ("bound_total", check.bound.total),
+                            ("margin", check.margin), ("result", verdict)])
     return code
 
 

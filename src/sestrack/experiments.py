@@ -286,7 +286,8 @@ def monte_carlo_mse(config: ExperimentConfig, workers: int = 1) -> MseCurve:
 
 @dataclass(frozen=True)
 class BoundCheck:
-    """Empirical tail estimate against the asymptotic bound.
+    """Empirical tail estimate against the asymptotic bound, evaluated at
+    ``k``, the trend increment bound ``verify_bound`` measured.
 
     Passing means empirical_tail <= bound.total + 3 * tail_se, i.e.
     ``margin`` >= 0, unless the check is ``inconclusive``: it would pass,
@@ -300,15 +301,24 @@ class BoundCheck:
     passed: bool
     empirical_tail: float
     tail_se: float
+    k: float
     bound: BoundReport
     margin: float
     curve: MseCurve
     inconclusive: bool
 
 
+def _increment_bound(levels: np.ndarray) -> float:
+    """The largest one-step increment of the float trend ``levels``, rounded
+    up one ulp: a float difference is correctly rounded, so it can land up
+    to half an ulp below the real increment it stands for."""
+    return math.nextafter(float(np.abs(np.diff(levels)).max()), math.inf)
+
+
 def verify_bound(config: ExperimentConfig, *, workers: int = 1) -> BoundCheck:
-    """Run the experiment and compare its tail MSE against the bound at the
-    trend's certified increment constant.  ``workers`` is passed to
+    """Run the experiment and compare its tail MSE against the bound at K,
+    the increment bound of the trend the replications run on, measured
+    before any replication runs.  ``workers`` is passed to
     ``monte_carlo_mse``.  At least 2 replications are needed: one has no
     spread, so its tail_se of 0 is no estimate and the check would have no
     allowance to judge by."""
@@ -317,8 +327,9 @@ def verify_bound(config: ExperimentConfig, *, workers: int = 1) -> BoundCheck:
             f"verify needs at least 2 replications to estimate the tail's standard "
             f"error, got {config.replications}"
         )
+    k = _increment_bound(trend_sequence(config.trend, config.horizon))
+    report = tracking_bound(config.alpha, config.noise, k)
     curve = monte_carlo_mse(config, workers=workers)
-    report = tracking_bound(config.alpha, config.noise, config.trend.lipschitz_constant)
     allowance = 3.0 * curve.tail_se
     margin = report.total + allowance - curve.tail_mean
     inconclusive = margin >= 0.0 and curve.tail_se > 0.0 and allowance >= report.total
@@ -326,6 +337,7 @@ def verify_bound(config: ExperimentConfig, *, workers: int = 1) -> BoundCheck:
         margin >= 0.0 and not inconclusive,
         curve.tail_mean,
         curve.tail_se,
+        k,
         report,
         margin,
         curve,

@@ -312,7 +312,7 @@ def _check_finite(trend) -> None:
 
 @dataclass(frozen=True)
 class Constant:
-    """Flat trend; one-step increments are all zero."""
+    """Flat trend at ``level``."""
 
     kind: ClassVar[str] = "const"
     level: float = _key("level")
@@ -320,17 +320,13 @@ class Constant:
     def __post_init__(self) -> None:
         _check_finite(self)
 
-    @property
-    def lipschitz_constant(self) -> float:
-        return 0.0
-
     def sequence(self, horizon: int) -> np.ndarray:
         return np.full(horizon, float(self.level))
 
 
 @dataclass(frozen=True)
 class Linear:
-    """Ramp ``start + slope * (t - 1)``; the increment bound is |slope|."""
+    """Ramp ``start + slope * (t - 1)``."""
 
     kind: ClassVar[str] = "linear"
     start: float = _key("start")
@@ -339,21 +335,13 @@ class Linear:
     def __post_init__(self) -> None:
         _check_finite(self)
 
-    @property
-    def lipschitz_constant(self) -> float:
-        return abs(self.slope)
-
     def sequence(self, horizon: int) -> np.ndarray:
         return self.start + self.slope * np.arange(horizon, dtype=float)
 
 
 @dataclass(frozen=True)
 class Sinusoid:
-    """``amplitude * sin(rate * (t - 1) + phase)``.
-
-    |sin x - sin y| <= |x - y| certifies |amplitude * rate| as the
-    one-step increment bound.
-    """
+    """``amplitude * sin(rate * (t - 1) + phase)``."""
 
     kind: ClassVar[str] = "sin"
     amplitude: float = _key("amp")
@@ -363,10 +351,6 @@ class Sinusoid:
     def __post_init__(self) -> None:
         _check_finite(self)
 
-    @property
-    def lipschitz_constant(self) -> float:
-        return abs(self.amplitude * self.rate)
-
     def sequence(self, horizon: int) -> np.ndarray:
         return self.amplitude * np.sin(
             self.rate * np.arange(horizon, dtype=float) + self.phase
@@ -375,8 +359,7 @@ class Sinusoid:
 
 @dataclass(frozen=True)
 class Table:
-    """Explicit 1-indexed trend values; the increment bound is the largest
-    consecutive difference."""
+    """Explicit 1-indexed trend values."""
 
     kind: ClassVar[str] = "table"
     values: Numbers = _key("values")
@@ -385,12 +368,6 @@ class Table:
         _check_finite(self)
         if not self.values:
             raise ValueError("Table trend needs at least one value")
-
-    @property
-    def lipschitz_constant(self) -> float:
-        if len(self.values) == 1:
-            return 0.0
-        return max(abs(b - a) for a, b in zip(self.values, self.values[1:]))
 
     def sequence(self, horizon: int) -> np.ndarray:
         if horizon > len(self.values):

@@ -28,6 +28,7 @@ from sestrack import (
 )
 from sestrack import bounds
 from sestrack.bounds import GRID_POINTS, SERIES_LAG_CAP, SERIES_TOL, _golden_section_min
+from sestrack.experiments import _increment_bound
 from sestrack.smoothing import INIT_WORDING
 
 WHITE = WhiteGaussian(1.0)
@@ -571,7 +572,8 @@ def test_limit_never_exceeds_bound(noise, alpha):
     for trend in (Linear(1.0, k), Sinusoid(k / 0.01, 0.01, 0.2)):
         sequence = exact_mse_sequence(alpha, noise, trend, horizon)
         tail_max = sequence[-horizon // 10 :].max()
-        total = tracking_bound(alpha, noise, trend.lipschitz_constant).total
+        k_measured = _increment_bound(trend_sequence(trend, horizon))
+        total = tracking_bound(alpha, noise, k_measured).total
         assert tail_max <= total + 1e-9
         if isinstance(trend, Linear):
             # constant one-step increments attain the bound in the limit

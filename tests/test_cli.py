@@ -513,7 +513,43 @@ def test_verify_pass(tmp_path, capsys):
     config = _write_config(tmp_path / "ok.json")
     code, out, _ = run(capsys, "verify", "--config", str(config))
     assert code == 0
+    assert [line.split()[0] for line in out.splitlines()] == [
+        "empirical_tail", "tail_se", "k", "bound_total", "margin", "result"]
     assert "PASS" in out
+
+
+def test_verify_passes_a_zero_noise_ramp(tmp_path, capsys):
+    config = _write_config(tmp_path / "ramp.json", noise=WhiteGaussian(0.0),
+                           trend=Linear(2.0, 0.1), horizon=2000, replications=2, seed=5)
+    code, out, _ = run(capsys, "verify", "--config", str(config), "--json")
+    payload = json.loads(out)
+    assert code == 0 and payload["bound_total"] >= payload["empirical_tail"]
+
+
+def test_verify_reports_the_k_that_bound_reproduces(tmp_path, capsys):
+    config = _write_config(tmp_path / "fig1a.json", noise=MA1(2.0), trend=Linear(2.0, 0.1),
+                           horizon=1000, replications=64, init=8.0)
+    code, out, _ = run(capsys, "verify", "--config", str(config), "--json")
+    assert code == 0
+    verified = json.loads(out)
+    assert verified["k"] == 0.10000000000000854
+    code, out, _ = run(capsys, "bound", "--alpha", "0.1", "--noise", "ma1:a=2",
+                       "--k", repr(verified["k"]), "--json")
+    assert code == 0
+    assert json.loads(out) == verified["bound"]
+    assert verified["bound"]["total"] == verified["bound_total"] == 0.9005263157896121
+
+
+def test_verify_measures_k_before_any_replication(tmp_path, capsys, monkeypatch):
+    def engine(*args, **kwargs):
+        raise AssertionError("the Monte Carlo engine ran")
+
+    monkeypatch.setattr(sestrack.experiments, "monte_carlo_mse", engine)
+    config = _write_config(tmp_path / "overflow.json", noise=WhiteGaussian(0.0),
+                           trend=Linear(1e308, 1e308), horizon=1000, replications=10_000)
+    code, out, err = run(capsys, "verify", "--config", str(config), "--json")
+    assert (code, out) == (1, "")
+    assert err == "error: trend increment bound must be finite and >= 0, got nan\n"
 
 
 def test_verify_violation_exit_three(tmp_path, capsys):

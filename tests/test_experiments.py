@@ -7,6 +7,7 @@ import struct
 import threading
 import time
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from sestrack import (
     ExperimentConfig,
     Linear,
     Sinusoid,
+    Table,
     WhiteGaussian,
     closed_form_mse,
     exact_mse_sequence,
@@ -547,22 +549,56 @@ def test_verify_refuses_one_replication():
     assert monte_carlo_mse(config).tail_se == 0.0  # the estimate alone is still allowed
 
 
-class _UnderstatedLinear(Linear):
-    """A ramp that certifies a tenth of its true increment bound."""
-
-    lipschitz_constant = 0.01
-
-
-def test_understated_k_fails():
+def test_understated_k_fails(monkeypatch):
     # deterministic ramp: the true lag error is (beta/alpha) * K
     config = ExperimentConfig(
         WhiteGaussian(0.0), Linear(0.0, 0.1), 0.1, 400, 2, seed=9, init="first"
     )
     honest = verify_bound(config)
     assert honest.passed
-    lied = verify_bound(dataclasses.replace(config, trend=_UnderstatedLinear(0.0, 0.1)))
+    measured = experiments._increment_bound
+    monkeypatch.setattr(experiments, "_increment_bound", lambda levels: measured(levels) / 10.0)
+    lied = verify_bound(config)
     assert not lied.passed
     assert lied.margin < 0.0
+
+
+@pytest.mark.parametrize("start", [2.0, 1e6])
+def test_verify_passes_a_zero_noise_ramp(start):
+    # the float ramp's increments round above its slope (0.10000000000002274
+    # from 2.0), so a bound at K = slope lies below its exact tail
+    config = ExperimentConfig(
+        WhiteGaussian(0.0), Linear(start, 0.1), 0.1, 2000, 2, seed=5, init="first"
+    )
+    check = verify_bound(config)
+    assert check.passed and check.margin >= 0.0
+
+
+def _exact_increment_bound(levels: np.ndarray) -> Fraction:
+    exact = [Fraction(v) for v in levels.tolist()]
+    return max(abs(b - a) for a, b in zip(exact, exact[1:]))
+
+
+_ANY_FLOAT = st.floats(-1e300, 1e300)
+_TRENDS = st.one_of(
+    st.builds(Constant, _ANY_FLOAT),
+    st.builds(Linear, st.floats(-1e9, 1e9), st.floats(-1e3, 1e3)),
+    st.builds(Sinusoid, st.floats(-1e3, 1e3), st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)),
+    st.builds(Table, st.lists(_ANY_FLOAT, min_size=2, max_size=60).map(tuple)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_TRENDS, st.integers(2, 60))
+def test_increment_bound_bounds_every_exact_increment(trend, horizon):
+    if isinstance(trend, Table):
+        horizon = min(horizon, len(trend.values))
+    levels = trend_sequence(trend, horizon)
+    exact = _exact_increment_bound(levels)
+    k = Fraction(experiments._increment_bound(levels))
+    # at most one rounding of the difference and one ulp up; a subnormal
+    # difference is exact, and one ulp there is 5e-324
+    assert exact <= k <= exact * (1 + Fraction(2) ** -50) + Fraction(5e-324)
 
 
 # ---------------------------------------------------------------------------

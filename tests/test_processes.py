@@ -151,14 +151,6 @@ def test_trends_reject_non_finite_parameters(key, value):
         NON_FINITE_TRENDS[key](value)
 
 
-def test_lipschitz_constants():
-    assert Constant(9.0).lipschitz_constant == 0.0
-    assert Linear(0.0, -0.25).lipschitz_constant == 0.25
-    assert Sinusoid(2.0, 0.01).lipschitz_constant == pytest.approx(0.02)
-    assert Table((0.0, 1.0, 0.4)).lipschitz_constant == pytest.approx(1.0)
-    assert Table((3.0,)).lipschitz_constant == 0.0
-
-
 def test_sequence_matches_pointwise():
     laws = [
         (Linear(2.0, 0.1), lambda t: 2.0 + 0.1 * (t - 1)),
