@@ -269,27 +269,25 @@ def _cmd_verify(args) -> int:
     config, output = load_experiment_config(args.config)
     config = dataclasses.replace(config, **_run_values(args))
     check = sestrack.verify_bound(config, **_given(args, "workers"))
-    verdict, code = (
-        ("INCONCLUSIVE", 4) if check.inconclusive else ("PASS", 0) if check.passed else ("FAIL", 3)
-    )
+    curve = check.curve
     payload = _finite({
-        "passed": check.passed,
-        "inconclusive": check.inconclusive,
-        "empirical_tail": check.empirical_tail,
-        "tail_se": check.tail_se,
+        "passed": check.verdict == "PASS",
+        "inconclusive": check.verdict == "INCONCLUSIVE",
+        "empirical_tail": curve.tail_mean,
+        "tail_se": curve.tail_se,
         "k": check.k,
         "bound_total": check.bound.total,
         "margin": check.margin,
         "bound": dataclasses.asdict(check.bound),
     })
     if output.get("csv"):
-        sestrack.write_results(check.curve, output["csv"], "csv")
+        sestrack.write_results(curve, output["csv"], "csv")
     if output.get("svg"):
-        sestrack.write_results(check.curve, output["svg"], "svg")
-    _report(args, payload, [("empirical_tail", check.empirical_tail), ("tail_se", check.tail_se),
+        sestrack.write_results(curve, output["svg"], "svg")
+    _report(args, payload, [("empirical_tail", curve.tail_mean), ("tail_se", curve.tail_se),
                             ("k", check.k), ("bound_total", check.bound.total),
-                            ("margin", check.margin), ("result", verdict)])
-    return code
+                            ("margin", check.margin), ("result", check.verdict)])
+    return {"PASS": 0, "FAIL": 3, "INCONCLUSIVE": 4}[check.verdict]
 
 
 def _cmd_reproduce(args) -> int:

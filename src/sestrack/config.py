@@ -144,13 +144,26 @@ def experiment_config_from_dict(document):
     return _build(ExperimentConfig, document, "config"), dict(output)
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object as a dict, refusing a key it gives twice rather than
+    letting the last value win."""
+    document = {}
+    for key, value in pairs:
+        if key in document:
+            raise ValueError(f"repeated key {key!r}")
+        document[key] = value
+    return document
+
+
 def load_experiment_config(path):
-    """Read a strict JSON config; returns (ExperimentConfig, output options)."""
+    """Read a strict JSON config; returns (ExperimentConfig, output options).
+    Bytes that are not UTF-8, nesting too deep to decode and a key repeated
+    in one object are invalid JSON here, a ValueError naming the file."""
     path = Path(path)
     with open(path, encoding="utf-8") as handle:
         try:
-            document = json.load(handle)
-        except json.JSONDecodeError as exc:
+            document = json.load(handle, object_pairs_hook=_unique_keys)
+        except (ValueError, RecursionError) as exc:
             raise ValueError(f"{path}: invalid JSON: {exc}") from None
     return experiment_config_from_dict(document)
 

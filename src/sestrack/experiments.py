@@ -286,26 +286,15 @@ def monte_carlo_mse(config: ExperimentConfig, workers: int = 1) -> MseCurve:
 
 @dataclass(frozen=True)
 class BoundCheck:
-    """Empirical tail estimate against the asymptotic bound, evaluated at
-    ``k``, the trend increment bound ``verify_bound`` measured.
+    """The curve's tail against the bound at ``k``, the trend increment bound
+    ``verify_bound`` measured: ``margin`` is bound.total + 3 * tail_se -
+    tail_mean, and ``verdict`` is "PASS", "FAIL" or "INCONCLUSIVE"."""
 
-    Passing means empirical_tail <= bound.total + 3 * tail_se, i.e.
-    ``margin`` >= 0, unless the check is ``inconclusive``: it would pass,
-    but 3 * tail_se >= bound.total with tail_se > 0, so that a tail of twice
-    the bound would have passed too.  An inconclusive check does not pass.
-    A tail above bound.total + 3 * tail_se is a violation however wide the
-    allowance, and a zero tail_se (every replication identical) leaves no
-    allowance, so neither is inconclusive.
-    """
-
-    passed: bool
-    empirical_tail: float
-    tail_se: float
+    verdict: str
     k: float
     bound: BoundReport
     margin: float
     curve: MseCurve
-    inconclusive: bool
 
 
 def _increment_bound(levels: np.ndarray) -> float:
@@ -321,7 +310,10 @@ def verify_bound(config: ExperimentConfig, *, workers: int = 1) -> BoundCheck:
     before any replication runs.  ``workers`` is passed to
     ``monte_carlo_mse``.  At least 2 replications are needed: one has no
     spread, so its tail_se of 0 is no estimate and the check would have no
-    allowance to judge by."""
+    allowance to judge by.  The verdict is FAIL unless margin >= 0 (a NaN
+    margin fails); else INCONCLUSIVE when tail_se > 0 and 3 * tail_se >=
+    bound.total, as a tail of twice the bound would have passed too; else
+    PASS.  A zero tail_se (identical replications) leaves no allowance."""
     if config.replications < 2:
         raise ValueError(
             f"verify needs at least 2 replications to estimate the tail's standard "
@@ -332,17 +324,13 @@ def verify_bound(config: ExperimentConfig, *, workers: int = 1) -> BoundCheck:
     curve = monte_carlo_mse(config, workers=workers)
     allowance = 3.0 * curve.tail_se
     margin = report.total + allowance - curve.tail_mean
-    inconclusive = margin >= 0.0 and curve.tail_se > 0.0 and allowance >= report.total
-    return BoundCheck(
-        margin >= 0.0 and not inconclusive,
-        curve.tail_mean,
-        curve.tail_se,
-        k,
-        report,
-        margin,
-        curve,
-        inconclusive,
-    )
+    if not margin >= 0.0:
+        verdict = "FAIL"
+    elif curve.tail_se > 0.0 and allowance >= report.total:
+        verdict = "INCONCLUSIVE"
+    else:
+        verdict = "PASS"
+    return BoundCheck(verdict, k, report, margin, curve)
 
 
 @dataclass(frozen=True)

@@ -100,9 +100,9 @@ def test_criterion_04_theorem_holds_at_paper_configs():
             init=8.0,
         )
         check = verify_bound(config)
-        assert check.passed, (
-            f"figure {figure}: tail {check.empirical_tail} exceeds "
-            f"{check.bound.total} + 3*{check.tail_se}"
+        assert check.verdict == "PASS", (
+            f"figure {figure}: {check.verdict}, tail {check.curve.tail_mean} against "
+            f"{check.bound.total} + 3*{check.curve.tail_se}"
         )
 
 

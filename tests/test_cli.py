@@ -605,6 +605,45 @@ def test_verify_bad_config_exit_one(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("tail_mean, tail_se, verdict, code", [
+    (0.05, 0.001, "PASS", 0),
+    (0.06, 0.001, "FAIL", 3),
+    (0.05, 0.02, "INCONCLUSIVE", 4),  # 3 * tail_se reaches the bound
+    (0.2, 0.02, "FAIL", 3),  # above the allowance however wide it is
+    (0.05, 0.0, "PASS", 0),  # no spread, so no allowance to be inconclusive about
+    (math.nan, 0.001, "FAIL", 1),  # main's finiteness check exits 1
+])
+def test_verify_verdict_and_exit_code(tmp_path, capsys, monkeypatch, tail_mean, tail_se,
+                                      verdict, code):
+    # white noise of var 1 at alpha 0.1 under a constant trend: bound.total = 0.1 / 1.9
+    def engine(config, workers=1):
+        flat = np.zeros(config.horizon)
+        return sestrack.MseCurve(flat, flat, tail_mean, tail_se, tail_mean, 1, config.replications)
+
+    monkeypatch.setattr(sestrack.experiments, "monte_carlo_mse", engine)
+    path = _write_config(tmp_path / "cfg.json", horizon=10, replications=2)
+    check = sestrack.verify_bound(sestrack.load_experiment_config(path)[0])
+    assert check.bound.total == pytest.approx(0.1 / 1.9, rel=1e-12)
+    assert check.verdict == verdict
+    assert run(capsys, "verify", "--config", str(path), "--json")[0] == code
+
+
+@pytest.mark.parametrize("document, reason", [
+    (b"[" * 200_000 + b"]" * 200_000, "maximum recursion depth exceeded"),
+    (b'{"schema_version": 1, "bogus": "\xff"}', "can't decode byte 0xff"),
+    (b'{"schema_version": 1, "alpha": 0.1, "alpha": 0.5}', "repeated key 'alpha'"),
+    (b'{"schema_version": 1, "noise": {"kind": "white", "var": 1, "var": 2}}',
+     "repeated key 'var'"),
+], ids=["deep", "not-utf-8", "repeated", "repeated-nested"])
+def test_verify_malformed_config_exit_one_naming_the_file(tmp_path, capsys, document, reason):
+    path = tmp_path / "bad.json"
+    path.write_bytes(document)
+    code, out, err = run(capsys, "verify", "--config", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {path}: invalid JSON: ") and reason in err
+    assert "Traceback" not in err
+
+
 def test_verify_non_finite_trend_config_exit_one(tmp_path, capsys):
     path = _write_config(tmp_path / "trend.json", trend=Linear(2.0, 0.1), horizon=10, replications=3)
     document = json.loads(path.read_text())

@@ -517,15 +517,15 @@ def test_verify_zero_noise_constant_trend_passes():
         WhiteGaussian(0.0), Constant(1.0), 0.2, 100, 4, seed=3, init=1.0
     )
     check = verify_bound(config)
-    assert check.passed
-    assert check.empirical_tail == 0.0
+    assert check.verdict == "PASS"
+    assert check.curve.tail_mean == 0.0
 
 
 def test_verify_fig1a_config_passes():
     noise, trend = FIGURE_CONFIGS["1a"]
     config = ExperimentConfig(noise, trend, 0.1, 1000, 2000, seed=2024, init=8.0)
     check = verify_bound(config)
-    assert check.passed
+    assert check.verdict == "PASS"
     assert check.bound.trend_term == pytest.approx(81.0 * 0.01, rel=1e-12)
 
 
@@ -534,10 +534,10 @@ def test_verify_inconclusive_when_three_se_reach_the_bound():
     # the bound would have passed
     config = ExperimentConfig(WhiteGaussian(1.0), Constant(0.0), 0.1, 400, 2, seed=11)
     check = verify_bound(config)
-    assert 3.0 * check.tail_se >= check.bound.total and check.margin >= 0.0
-    assert check.inconclusive and not check.passed
+    assert 3.0 * check.curve.tail_se >= check.bound.total and check.margin >= 0.0
+    assert check.verdict == "INCONCLUSIVE"
     powered = verify_bound(dataclasses.replace(config, replications=400))
-    assert powered.passed and not powered.inconclusive
+    assert powered.verdict == "PASS"
 
 
 def test_verify_refuses_one_replication():
@@ -555,11 +555,11 @@ def test_understated_k_fails(monkeypatch):
         WhiteGaussian(0.0), Linear(0.0, 0.1), 0.1, 400, 2, seed=9, init="first"
     )
     honest = verify_bound(config)
-    assert honest.passed
+    assert honest.verdict == "PASS"
     measured = experiments._increment_bound
     monkeypatch.setattr(experiments, "_increment_bound", lambda levels: measured(levels) / 10.0)
     lied = verify_bound(config)
-    assert not lied.passed
+    assert lied.verdict == "FAIL"
     assert lied.margin < 0.0
 
 
@@ -571,7 +571,7 @@ def test_verify_passes_a_zero_noise_ramp(start):
         WhiteGaussian(0.0), Linear(start, 0.1), 0.1, 2000, 2, seed=5, init="first"
     )
     check = verify_bound(config)
-    assert check.passed and check.margin >= 0.0
+    assert check.verdict == "PASS" and check.margin >= 0.0
 
 
 def _exact_increment_bound(levels: np.ndarray) -> Fraction:
@@ -664,3 +664,9 @@ def test_simulate_smoothed_alignment():
     assert np.array_equal(smoothed.trend, smoothed.observations)
     # estimates are the post-update values m_{t+1}
     assert smoothed.estimates[0] == pytest.approx(8.0 + 0.1 * (2.0 - 8.0), rel=1e-12)
+
+
+@pytest.mark.parametrize("lengths", [(3, 3, 2), (3, 2, 3), (2, 3, 3), (0, 1, 1)])
+def test_smoothed_path_refuses_unequal_lengths(lengths):
+    with pytest.raises(ValueError, match="^smoothed path series must have equal lengths$"):
+        experiments.SmoothedPath(*(np.zeros(n) for n in lengths))

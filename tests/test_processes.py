@@ -98,6 +98,9 @@ def test_validation():
         WhiteGaussian(-1.0)
     with pytest.raises(ValueError):
         MAq(())
+    for coefficients in [(math.inf,), (0.5, -math.inf), (math.nan, 0.3)]:
+        with pytest.raises(ValueError, match="^MAq coefficients must be finite$"):
+            MAq(coefficients)
     # the sampler normalizes by sqrt(1 + a^2), so a^2 must not overflow
     with pytest.raises(ValueError, match="MA1 coefficient must be finite, with a finite square"):
         MA1(-1e200)
@@ -131,6 +134,8 @@ def test_table_lookup_and_errors():
         trend_sequence(table, 4)
     with pytest.raises(ValueError):
         trend_sequence(table, 0)
+    with pytest.raises(ValueError, match="^Table trend needs at least one value$"):
+        Table(())
 
 
 NON_FINITE_TRENDS = {

@@ -132,8 +132,8 @@ def test_readme_library_tour_runs(capsys):
     tour = readme.split("```python\n", 1)[1].split("```", 1)[0]
     namespace = {}
     exec(compile(tour, "README.md", "exec"), namespace)
-    assert namespace["check"].passed
-    assert capsys.readouterr().out.splitlines()[-1].startswith("True ")
+    assert namespace["check"].verdict == "PASS"
+    assert capsys.readouterr().out.splitlines()[-1].startswith("PASS ")
 
 
 def test_cli_accepts_table_trend(capsys):

@@ -99,6 +99,24 @@ def test_a_score_is_a_number_never_coerced(score):
         sga_step(SmootherState(0.0, 0.5), model, 1.0)
 
 
+@pytest.mark.parametrize("step_size", [0.0, -0.1, math.inf, math.nan])
+def test_a_step_size_is_finite_and_positive(step_size):
+    with pytest.raises(ValueError, match=f"^step size must be finite and > 0, got {step_size}$"):
+        LogDensityModel(lambda x, m: x - m, step_size)
+
+
+@pytest.mark.parametrize("variance", [0.0, math.inf, math.nan])
+def test_a_gaussian_variance_is_finite_and_positive(variance):
+    with pytest.raises(ValueError, match=f"^variance must be finite and > 0, got {variance}$"):
+        gaussian_model(variance, 0.1)
+
+
+@pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+def test_an_ascent_step_refuses_a_non_finite_observation(x):
+    with pytest.raises(ValueError, match=f"^observation must be finite, got {x}$"):
+        sga_step(SmootherState(0.0, 0.5), quadratic_loss_model(0.5), x)
+
+
 def test_contraction_exact_for_dyadic_alpha():
     # with power-of-two alpha and integer states every product is exact
     for alpha in (0.5, 0.25, 0.75, 0.125):
