@@ -51,7 +51,9 @@ class BoundReport:
     ``truncation_lag`` is the last lag summed when the correlation tail was
     truncated numerically (0 when a finite sum or closed form was used), and
     ``truncation_residual_bound`` bounds the dropped remainder by
-    gamma(0) * beta^(lag+1) / alpha.
+    gamma(0) * beta^(lag+1) / alpha.  ``total`` is the three terms plus
+    2 * alpha/(2-alpha) * truncation_residual_bound, so a truncated series
+    never leaves the dropped remainder out of the bound.
     """
 
     alpha: float
@@ -100,7 +102,10 @@ def tracking_bound(
     bound gamma(0) beta^(k+1) / alpha is <= SERIES_TOL * gamma(0).  When
     that takes more than SERIES_LAG_CAP lags it raises ValueError, before
     summing any.  ``Autocovariance(model.gamma)`` therefore sums any model's
-    series.  A trend term that overflows is +inf, as is then the total.
+    series.  The total adds the correlation term's share of that remainder
+    bound, 2 * alpha/(2-alpha) * residual, to the three terms; it is 0.0 for
+    a finite sum or a closed form.  A trend term that overflows is +inf, as
+    is then the total.
     """
     alpha = check_alpha(alpha)
     lipschitz = _finite_nonnegative(_number(lipschitz, float, "lipschitz"), "trend increment bound")
@@ -116,7 +121,7 @@ def tracking_bound(
         trend_term = (beta / alpha) ** 2 * lipschitz**2
     except OverflowError:  # a float power raises where a float product gives inf
         trend_term = math.inf
-    total = variance_term + correlation_term + trend_term
+    total = variance_term + correlation_term + trend_term + 2.0 * front * residual
     return BoundReport(alpha, variance_term, correlation_term, trend_term, total, lag, residual)
 
 

@@ -19,6 +19,7 @@ import dataclasses
 import functools
 import json
 import math
+import os
 import sys
 import warnings
 from dataclasses import MISSING
@@ -195,7 +196,15 @@ def _cmd_smooth(args) -> int:
     return 0
 
 
+def _same_file(first, second) -> bool:
+    """Whether two output paths name one file, symbolic links followed:
+    the second write would replace the first."""
+    return os.path.realpath(first) == os.path.realpath(second)
+
+
 def _cmd_simulate(args) -> int:
+    if args.out and args.svg and _same_file(args.out, args.svg):
+        raise UsageError(f"--out and --svg name the same file {args.out!r}")
     smoothed = sestrack.simulate_smoothed(**_run_values(args))
     sestrack.write_results(smoothed, args.out or sys.stdout, "csv")
     if args.out:
@@ -267,6 +276,8 @@ def _cmd_mse(args) -> int:
 
 def _cmd_verify(args) -> int:
     config, output = load_experiment_config(args.config)
+    if len(output) == 2 and _same_file(output["csv"], output["svg"]):
+        raise ValueError(f"config.output: csv and svg name the same file {output['csv']!r}")
     config = dataclasses.replace(config, **_run_values(args))
     check = sestrack.verify_bound(config, **_given(args, "workers"))
     curve = check.curve

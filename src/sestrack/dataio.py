@@ -22,10 +22,12 @@ lowest and highest vertex, and every vertex of a column of at most ``_M4``
 observations as one vertical min-max band per column, so no element holds
 more than 4 points per column, whatever the length of the series.
 
-A column that is not real-valued or holds a float not finite as a double
-is rejected, naming the column and row, and an empty plot or one whose
-value range overflows a double is refused, before anything is written; a
-write that fails part-way deletes the regular file it was writing.
+A column name holding a comma, quote, CR or LF, which the unquoted header
+cannot carry, is rejected, naming it; a column that is not real-valued or
+holds a float not finite as a double is rejected, naming the column and
+row; and an empty plot or one whose value range overflows a double is
+refused, before anything is written; a write that fails part-way deletes
+the regular file it was writing.
 
 The JSON config codec lives in ``config``, which loads none of this
 module's dependencies.  This module sits above ``experiments``: it imports
@@ -263,10 +265,15 @@ def _csv_text(header: list[str], columns: list[np.ndarray]):
 
 
 def _checked(header: list[str], columns) -> list[np.ndarray]:
-    """The columns as arrays, once they are known to be writable: at least
-    one, as many as the header names, one-dimensional, of equal length,
-    real-valued and finite.  Runs before any output is opened, so a
+    """The columns as arrays, once they are known to be writable: named by a
+    header field the unquoted CSV can carry (no comma, quote, CR or LF), at
+    least one, as many as the header names, one-dimensional, of equal
+    length, real-valued and finite.  Runs before any output is opened, so a
     rejected table writes nothing."""
+    for name in header:
+        if any(c in name for c in ',"\r\n'):
+            raise ValueError(f"column name {name!r} holds a comma, quote or line break, "
+                             "which an unquoted CSV header cannot carry")
     if len(header) != len(columns):
         raise ValueError("header and column counts differ")
     if not columns:

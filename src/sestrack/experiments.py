@@ -2,9 +2,10 @@
 
 Replication ``r`` of an experiment with master seed ``s`` simulates its
 path from the child seed ``child_seed(s, r)``.  Replications are processed
-in fixed blocks of ``BLOCK_SIZE``.  Each block lives in one stream-major
-array, one row per replication, and is sampled, smoothed and squared in
-cache-sized time slabs.  Blocks share nothing, so ``monte_carlo_mse`` may
+in fixed blocks of ``BLOCK_SIZE``.  Each block is sampled by
+``processes._sample``, which owns its one stream-major array, one row per
+replication; this module only hands it the step that smooths and squares
+each cache-sized time slab.  Blocks share nothing, so ``monte_carlo_mse`` may
 run them on forked worker processes through ``_fork_map``, the package's one
 parallel path, which hands results back in item order; block summaries are
 thus always combined in index order, so every statistic depends on the
@@ -32,8 +33,7 @@ from ._numpy import np
 from .bounds import BoundReport, tracking_bound
 from .config import ExperimentConfig
 from .processes import (
-    AR1, MA1, MAX_CELLS, Linear, NoiseModel, Sinusoid, TrendSpec, _path, _slabs,
-    trend_sequence,
+    AR1, MA1, MAX_CELLS, Linear, NoiseModel, Sinusoid, TrendSpec, _sample, trend_sequence,
 )
 from .seeding import check_count, child_seeds
 from .smoothing import InitPolicy, _initial_estimates, _recursion, ses_run
@@ -119,24 +119,25 @@ def _tail_index(config: ExperimentConfig) -> int:
 def _run_block(config: ExperimentConfig, block: range) -> _BlockMoments:
     """Moments of the squared tracking errors of the replications in ``block``.
 
-    The block is one stream-major (B, T + extra draws) array: ``_slabs``
-    draws replication i's normals into row i and hands back the observations
-    slab by slab; each slab is smoothed from the estimate row carried over
-    from the last, squared, and transposed back into the columns it came
-    from.  The first T columns then hold the (B, T) squared errors."""
+    ``_sample`` draws replication i's path into row i of one stream-major
+    block and hands each time slab to ``smooth_and_square``, which smooths
+    it from the estimate row carried over from the last slab and squares
+    its errors in place; the returned (B, T) rows then hold the squared
+    errors."""
     horizon, alpha = config.horizon, config.alpha
     trend = trend_sequence(config.trend, horizon)
-    draws = np.empty((len(block), horizon + config.noise._extra_draws))
     estimate = None
-    for t0, x in _slabs(config.noise, trend, child_seeds(config.seed, block), draws):
-        if estimate is None:
+
+    def smooth_and_square(t0: int, x: np.ndarray) -> None:
+        nonlocal estimate
+        if t0 == 0:
             estimate = _initial_estimates(config.init, x[0])
         _recursion(x, estimate, alpha)
         estimate[...] = x[-1]
         x -= trend[t0 : t0 + len(x), None]
         np.square(x, out=x)
-        draws[:, t0 : t0 + len(x)] = x.T
-    squared = draws[:, :horizon]
+
+    squared = _sample(config.noise, trend, child_seeds(config.seed, block), smooth_and_square)
     tails = squared[:, _tail_index(config) :].mean(axis=1)
     mean, m2 = _moments(squared)
     return _BlockMoments(
@@ -364,6 +365,6 @@ def simulate_smoothed(
 ) -> SmoothedPath:
     """Simulate one path and smooth it, returning the aligned view."""
     m_star = trend_sequence(trend, horizon)
-    observations = _path(noise, m_star, seed)
+    observations = _sample(noise, m_star, [seed])[0]
     return SmoothedPath(observations, m_star, ses_run(observations, alpha, init)[1:])
 

@@ -30,12 +30,14 @@ of shape (h + ``_extra_draws``, B), which it may overwrite, into the noise
 ``out`` of shape (h, B) of the slab's h steps.  ``last`` is the noise row of
 the step before the slab, None on a path's first slab: AR(1) reads it,
 while the moving averages take their history from the lead rows of ``z``.
-Each stream draws its normals into its own row of a stream-major block,
-which one slab loop turns, slab by slab, into time-major observations;
-the Monte Carlo blocks sample that way, and ``sample_path`` is the one-row
-case.  Its autocovariance is stated once as well, as ``gamma(lag)`` with
-``support``, the lag beyond which it vanishes (AR(1) has none, but a
-closed-form correlation tail); the bound functions take the model itself, and
+``_sample`` alone sizes, fills and filters a block: each stream draws its
+normals into its own row of a stream-major array, which one slab loop turns,
+slab by slab, into time-major observations, hands each slab to an optional
+step and writes it back.  The Monte Carlo blocks sample that way, with a
+smoothing step, and ``sample_path`` is the one-row case.  Its
+autocovariance is stated once as well, as ``gamma(lag)`` with ``support``,
+the lag beyond which it vanishes (AR(1) has none, but a closed-form
+correlation tail); the bound functions take the model itself, and
 ``Autocovariance`` carries a user-supplied gamma to them.  Each trend
 states its law once too, as ``sequence(horizon)``, the vector of m*_1 ..
 m*_horizon that ``trend_sequence`` checks and returns.
@@ -268,11 +270,7 @@ class MAq(_Covariance):
     def order(self) -> int:
         return len(self.coefficients)
 
-    support = order
-
-    @property
-    def _extra_draws(self) -> int:
-        return self.order
+    support = _extra_draws = order
 
     def gamma(self, lag: int) -> float:
         lag = abs(lag)
@@ -435,34 +433,26 @@ def trend_sequence(trend: TrendSpec, horizon: int) -> np.ndarray:
 
 def sample_path(noise: NoiseModel, trend: TrendSpec, horizon: int, seed: int) -> np.ndarray:
     """Simulate x_1..x_horizon = m*_t + eps_t, deterministically in ``seed``."""
-    return _path(noise, trend_sequence(trend, horizon), seed)
+    return _sample(noise, trend_sequence(trend, horizon), [seed])[0]
 
 
-def _path(noise: NoiseModel, m_star: np.ndarray, seed: int) -> np.ndarray:
-    """Observations of one path over the trend vector ``m_star``: one row of
-    ``_slabs``, each slab written back into the columns it was drawn from."""
-    draws = np.empty((1, len(m_star) + noise._extra_draws))
-    for t0, x in _slabs(noise, m_star, [seed], draws):
-        draws[0, t0 : t0 + len(x)] = x[:, 0]
-    return draws[0, : len(m_star)]
+def _sample(noise: NoiseModel, trend: np.ndarray, seeds, step=None) -> np.ndarray:
+    """Sample a block of paths over the trend vector m*_1 .. m*_n: row i of
+    the (B, n) result holds the observations of the stream keyed
+    ``seeds[i]``, or what ``step`` made of them.
 
-
-def _slabs(noise: NoiseModel, trend: np.ndarray, seeds, draws: np.ndarray):
-    """Sample a block of paths in time slabs, yielding ``(t0, x)`` per slab:
-    ``x`` holds the observations x_{t0+1} .. x_{t0+h} of every path, time-major
-    (h, B), in a scratch array the next slab reuses.
-
-    Row i of ``draws``, the stream-major (B, n + ``noise._extra_draws``)
-    array, gets the standard normals of the stream keyed ``seeds[i]``;
-    ``trend`` holds m*_1 .. m*_n.  A slab transposes the columns
-    [t0, t0 + h + extra) of ``draws`` into a time-major scratch, filters them
-    with the noise row carried from the previous slab and adds the trend.
-    No later slab reads the columns [t0, t0 + h), so the caller may write
-    its results there.  A slab holds about ``_SLAB_CELLS`` cells, so a wide
-    block takes short slabs and a single path long ones.
+    The block is one stream-major (B, n + ``noise._extra_draws``) array of
+    the streams' standard normals, sampled in time slabs.  A slab transposes
+    the columns [t0, t0 + h + extra) into a time-major scratch, filters them
+    with the noise row carried from the previous slab and adds the trend,
+    giving x_{t0+1} .. x_{t0+h} of every path as an (h, B) array;
+    ``step(t0, x)``, when given, may rewrite it in place.  The slab is then
+    written back over the columns [t0, t0 + h), which no later slab reads.
+    A slab holds about ``_SLAB_CELLS`` cells, so a wide block takes short
+    slabs and a single path long ones.
     """
     width, n, extra = len(seeds), len(trend), noise._extra_draws
-    fill_standard_normals(draws, seeds)
+    draws = fill_standard_normals(np.empty((width, n + extra)), seeds)
     height = min(n, max(1, _SLAB_CELLS // max(width, 1)))
     z = np.empty((height + extra, width))
     x = np.empty((height, width))
@@ -474,4 +464,7 @@ def _slabs(noise: NoiseModel, trend: np.ndarray, seeds, draws: np.ndarray):
         noise._filter(z_slab, x_slab, last)
         last = x_slab[-1].copy()
         x_slab += trend[t0 : t0 + h, None]
-        yield t0, x_slab
+        if step is not None:
+            step(t0, x_slab)
+        draws[:, t0 : t0 + h] = x_slab.T
+    return draws[:, :n]

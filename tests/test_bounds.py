@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 import time
 import tracemalloc
 from fractions import Fraction
@@ -138,6 +139,29 @@ def test_series_agrees_within_its_residual_or_raises(case, exponent):
     rounding = 1e-10 * front * g0 / alpha
     gap = abs(series.correlation_term - exact.correlation_term)
     assert gap <= front * series.truncation_residual_bound + rounding
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    theta=st.floats(0.05, 0.95),
+    alpha=st.floats(0.01, 0.9),
+    k=st.floats(0.0, 0.5),
+)
+def test_series_total_counts_its_truncated_remainder(theta, alpha, k):
+    # the series drops the tail past its last lag; the total adds the
+    # correlation term's share of that remainder's bound to the three terms,
+    # which keep their values.  Against the closed form it is then equal up
+    # to the rounding of either evaluation, and above it by at most the
+    # share: rounding, not a dropped remainder, is all that can put it below
+    closed = tracking_bound(alpha, AR1(theta), k)
+    series = tracking_bound(alpha, Autocovariance(AR1(theta).gamma), k)
+    front = alpha / (2.0 - alpha)
+    share = 2.0 * front * series.truncation_residual_bound
+    assert share > 0.0 == closed.truncation_residual_bound
+    terms = series.variance_term + series.correlation_term + series.trend_term
+    assert abs(series.total - terms - share) <= math.ulp(series.total) / 2
+    rounding = 8 * sys.float_info.epsilon * closed.total
+    assert closed.total - rounding <= series.total <= closed.total + share + rounding
 
 
 def test_series_raises_at_the_cap_before_summing():

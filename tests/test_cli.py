@@ -261,6 +261,22 @@ def test_simulate_zero_noise(tmp_path, capsys):
     assert svg.read_text().startswith("<svg")
 
 
+@pytest.mark.parametrize("spelling", ["same", "dotted", "link"])
+def test_simulate_refuses_one_file_named_twice(tmp_path, capsys, monkeypatch, spelling):
+    # the SVG would replace the CSV: refused as a usage error before simulating
+    monkeypatch.setattr(sestrack.experiments, "simulate_smoothed", None)
+    target = tmp_path / "p.out"
+    other = {"same": target, "dotted": tmp_path / "." / "p.out", "link": tmp_path / "alias"}
+    if spelling == "link":
+        other["link"].symlink_to(target)
+    code, out, err = run(capsys, "simulate", "--trend", "const:level=0", "--noise", "white:var=1",
+                         "--alpha", "0.1", "--steps", "10", "--seed", "7",
+                         "--out", str(target), "--svg", str(other[spelling]))
+    assert code == 2 and out == ""
+    assert err == f"error: --out and --svg name the same file {str(target)!r}\n"
+    assert not target.exists()
+
+
 def test_smooth_overflow_exit_one_writes_nothing(tmp_path, capsys):
     data = tmp_path / "hi.csv"
     data.write_text("t,x\n1,1e308\n2,1e308\n")
@@ -596,6 +612,18 @@ def test_verify_reps_override_and_output(tmp_path, capsys):
     assert (tmp_path / "curve.csv").exists()
     curve = read_csv_column(tmp_path / "curve.csv", "mse")
     assert len(curve) == 100
+
+
+def test_verify_refuses_one_output_file_named_twice(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(sestrack.experiments, "verify_bound", None)  # never reached
+    path = tmp_path / "cfg.json"
+    config = ExperimentConfig(WhiteGaussian(1.0), Constant(0.0), 0.1, 100, 50, seed=3)
+    curve = str(tmp_path / "curve.out")
+    save_experiment_config(config, path, output={"csv": curve, "svg": str(tmp_path / "." / "curve.out")})
+    code, out, err = run(capsys, "verify", "--config", str(path), "--json")
+    assert code == 1 and out == ""
+    assert err == f"error: config.output: csv and svg name the same file {curve!r}\n"
+    assert sorted(tmp_path.iterdir()) == [path]
 
 
 def test_verify_bad_config_exit_one(tmp_path, capsys):

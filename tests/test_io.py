@@ -249,6 +249,18 @@ def test_write_csv_refuses_a_table_it_cannot_lay_out(tmp_path, header, columns, 
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("name", ["a,b", 'say "x"', "two\nlines", "cr\r"])
+def test_write_csv_refuses_a_header_name_it_cannot_write_unquoted(tmp_path, name):
+    # the writer does no quoting: "a,b" would give the header a third field
+    # over two-field rows, and a line break would split it into two lines
+    stream = io.StringIO()
+    for target in (tmp_path / "a.csv", stream):
+        with pytest.raises(ValueError, match=re.escape(f"column name {name!r}")):
+            write_csv(target, ["t", name], [np.arange(1, 3), np.array([0.5, 1.5])])
+    assert stream.getvalue() == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("bad,shown", [(np.inf, "inf"), (-np.inf, "-inf"), (np.nan, "nan")])
 def test_writers_reject_non_finite_cells(tmp_path, bad, shown):
     values = np.array([1.0, 2.0, bad, 4.0])

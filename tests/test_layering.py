@@ -90,6 +90,28 @@ def test_only_the_numpy_shim_imports_numpy():
 
 
 
+def _sampler_internals(tree: ast.AST) -> list[int]:
+    """Lines below ``tree`` that read ``._extra_draws``, call ``._filter``
+    or call ``fill_standard_normals``."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "_extra_draws":
+            lines.append(node.lineno)
+        elif isinstance(node, ast.Call):
+            name = getattr(node.func, "attr", None) or getattr(node.func, "id", None)
+            if name in ("_filter", "fill_standard_normals"):
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_only_the_sampler_sizes_fills_and_filters_a_block():
+    # how many draws a block holds and how they become noise is decided in
+    # ``processes`` alone, so a new sampler edits no other module
+    found = {path.stem: _sampler_internals(ast.parse(path.read_text(encoding="utf-8")))
+             for path in sorted(PACKAGE.glob("*.py")) if path.stem != "processes"}
+    assert {module: lines for module, lines in found.items() if lines} == {}
+
+
 def _number_tests(tree: ast.AST) -> list[int]:
     """Lines below ``tree`` that import ``numbers`` or call ``isinstance``
     on a bool or a ``numbers`` ABC."""

@@ -22,7 +22,7 @@ from sestrack import (
     tracking_bound,
     trend_sequence,
 )
-from sestrack.processes import _SLAB_CELLS, _slabs
+from sestrack.processes import _SLAB_CELLS, _sample
 from sestrack.seeding import child_seed, child_seeds
 
 MODELS = [
@@ -326,13 +326,9 @@ BLOCK_NOISES = [
 
 
 def _block(noise, trend, seeds, horizon):
-    """The (horizon, len(seeds)) observations ``_slabs`` samples, one
+    """The (horizon, len(seeds)) observations ``_sample`` samples, one
     column per seed."""
-    out = np.empty((horizon, len(seeds)))
-    draws = np.empty((len(seeds), horizon + noise._extra_draws))
-    for t0, x in _slabs(noise, trend_sequence(trend, horizon), seeds, draws):
-        out[t0 : t0 + len(x)] = x
-    return out
+    return _sample(noise, trend_sequence(trend, horizon), seeds).T
 
 
 @pytest.mark.parametrize("noise", BLOCK_NOISES, ids=lambda m: m.kind)
