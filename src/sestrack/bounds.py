@@ -91,6 +91,24 @@ def _correlation_tail(noise, alpha: float, beta: float, g0: float) -> tuple[floa
     return tail, lags, g0 * beta ** (lags + 1) / alpha
 
 
+def _trend_term(ratio: float, lipschitz: float) -> float:
+    """(beta/alpha)^2 K^2 for ``ratio`` = beta/alpha: 0.0 for K = 0, never
+    0.0 for K > 0, and finite whenever the real value is.  Where both
+    squares are normal doubles (x^2 is one just for x in [2^-511, 2^512))
+    it is their product; else a square would leave the double range and
+    decide the term, so the ratio is scaled by K before squaring."""
+    if lipschitz == 0.0:
+        return 0.0
+    if 2.0**-511 <= ratio < 2.0**512 and 2.0**-511 <= lipschitz < 2.0**512:
+        term = ratio**2 * lipschitz**2
+    else:
+        try:
+            term = (ratio * lipschitz) ** 2
+        except OverflowError:  # a float power raises where a float product gives inf
+            return math.inf
+    return term or math.nextafter(0.0, 1.0)
+
+
 def tracking_bound(
     alpha: float, noise: NoiseModel | Autocovariance, lipschitz: float
 ) -> BoundReport:
@@ -104,8 +122,9 @@ def tracking_bound(
     summing any.  ``Autocovariance(model.gamma)`` therefore sums any model's
     series.  The total adds the correlation term's share of that remainder
     bound, 2 * alpha/(2-alpha) * residual, to the three terms; it is 0.0 for
-    a finite sum or a closed form.  A trend term that overflows is +inf, as
-    is then the total.
+    a finite sum or a closed form.  The trend term is 0.0 only for K = 0;
+    it is finite whenever its real value is, and +inf, as is then the total,
+    when that overflows.
     """
     alpha = check_alpha(alpha)
     lipschitz = _finite_nonnegative(_number(lipschitz, float, "lipschitz"), "trend increment bound")
@@ -117,10 +136,7 @@ def tracking_bound(
     front = alpha / (2.0 - alpha)
     variance_term = front * g0
     correlation_term = 2.0 * front * tail
-    try:
-        trend_term = (beta / alpha) ** 2 * lipschitz**2
-    except OverflowError:  # a float power raises where a float product gives inf
-        trend_term = math.inf
+    trend_term = _trend_term(beta / alpha, lipschitz)
     total = variance_term + correlation_term + trend_term + 2.0 * front * residual
     return BoundReport(alpha, variance_term, correlation_term, trend_term, total, lag, residual)
 

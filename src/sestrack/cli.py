@@ -52,8 +52,7 @@ def _grammar() -> str:
                     parts.append(f"{key}={default:g}")
             lines.append(f"  {label:7}{cls.kind}:{','.join(parts)}")
             label = ""
-    lines.append("keys shown with a value may be left out and default to it;")
-    lines.append("sigma=S may replace var=V to give the standard deviation")
+    lines.append("keys shown with a value may be left out and default to it")
     return "\n".join(lines) + "\n"
 
 
@@ -71,11 +70,11 @@ class SpecError(UsageError):
 def parse_spec(text: str, kinds: dict[str, type], what: str):
     """Parse a ``name:key=value,...`` model spec, e.g. ``ar1:theta=0.2,var=1``.
 
-    The spec is tokenized into the object a config file would hold, and
-    built by the same codec as a config.  Indexed keys ``b1..bq`` fill the
-    list field ``b``, and ``sigma=S`` stands for ``var=S*S`` (an S below 0, or
-    with an infinite square, is a ValueError, not coerced); any other key,
-    ``kind`` and a bare ``b`` included, is unknown.  ``kinds`` is
+    The spec is the config object written flat: it is tokenized into the
+    object a config file would hold and built by the same codec, so it takes
+    exactly the kinds and keys a config object takes, kind names matched as
+    written.  Indexed keys ``b1..bq`` fill the list field ``b``; any other
+    key, ``kind`` and a bare ``b`` included, is unknown.  ``kinds`` is
     NOISE_KINDS or TREND_KINDS; ``what`` names the spec in messages.
     """
     name, _, body = text.partition(":")
@@ -91,29 +90,21 @@ def parse_spec(text: str, kinds: dict[str, type], what: str):
             pairs[key] = float(value)
         except ValueError:
             raise SpecError(f"{where}: {key}={value!r} is not a number") from None
-    kind = name.strip().lower()
+    kind = name.strip()
     cls = kinds.get(kind)
     values: dict[str, object] = {}
     if cls is not None:  # an unknown kind is reported by the decoder
         declared = model_fields(cls)
-        plain = [key for _, key, _, hint in declared if hint != Numbers]
-        if "var" in plain and "sigma" in pairs:
-            if "var" in pairs:
-                raise SpecError(f"{where}: give either var or sigma, not both")
-            sigma = pairs.pop("sigma")
-            if not (sigma >= 0.0 and math.isfinite(sigma * sigma)):
-                raise ValueError(f"sigma must be >= 0, with a finite square, got {sigma}")
-            pairs["var"] = sigma * sigma
-        values = {key: pairs.pop(key) for key in plain if key in pairs}
         for _, key, _, hint in declared:
             items = []
             while hint == Numbers and f"{key}{len(items) + 1}" in pairs:
                 items.append(pairs.pop(f"{key}{len(items) + 1}"))
             if items:
                 values[key] = items
+            elif hint != Numbers and key in pairs:
+                values[key] = pairs.pop(key)
         if pairs:
             allowed = [f"{k}1, {k}2, ..." if h == Numbers else k for _, k, _, h in declared]
-            allowed += ["sigma"] if "var" in plain else []
             raise SpecError(
                 f"{where}: unknown key(s) {sorted(pairs)}; allowed keys: {', '.join(allowed)}"
             )

@@ -301,8 +301,11 @@ class BoundCheck:
 def _increment_bound(levels: np.ndarray) -> float:
     """The largest one-step increment of the float trend ``levels``, rounded
     up one ulp: a float difference is correctly rounded, so it can land up
-    to half an ulp below the real increment it stands for."""
-    return math.nextafter(float(np.abs(np.diff(levels)).max()), math.inf)
+    to half an ulp below the real increment it stands for.  A difference of
+    0.0 is exact, since two doubles differ only if their difference is
+    nonzero, so a constant trend gives 0.0."""
+    largest = float(np.abs(np.diff(levels)).max())
+    return math.nextafter(largest, math.inf) if largest else 0.0
 
 
 def verify_bound(config: ExperimentConfig, *, workers: int = 1) -> BoundCheck:

@@ -281,6 +281,37 @@ def test_overflowing_trend_term_is_infinite(alpha, k):
     assert report.trend_term == math.inf and report.total == math.inf
 
 
+# alphas and Ks spread over their orders of magnitude, with hypothesis's own
+# float draws (edges and near-edges) beside them
+_TINY_ALPHAS = st.one_of(
+    st.floats(1e-300, 1.0, exclude_max=True),
+    st.floats(-300.0, -1e-9).map(lambda e: 10.0**e),
+)
+_TREND_KS = st.one_of(
+    st.just(0.0),
+    st.floats(1e-320, 1e300),
+    st.floats(-320.0, 300.0).map(lambda e: min(max(10.0**e, 1e-320), 1e300)),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(alpha=_TINY_ALPHAS, k=_TREND_KS)
+@example(alpha=1e-200, k=0.0)
+@example(alpha=1e-200, k=1e-150)
+@example(alpha=7.458340731200208e-155, k=1e-170)
+@example(alpha=1.0 - 2.0**-53, k=1.5e-154)
+def test_trend_term_is_the_real_term_at_any_alpha_and_k(alpha, k):
+    # a square leaving the double range once decided the term: inf for K = 0
+    # at alpha 1e-200, and 0.0 for K = 1e-170 at alpha 7.5e-155
+    term = tracking_bound(alpha, WHITE, k).trend_term
+    real = ((1 - Fraction(alpha)) / Fraction(alpha)) ** 2 * Fraction(k) ** 2
+    assert (term == 0.0) == (k == 0.0)
+    if real < sys.float_info.max / 2:
+        assert math.isfinite(term)
+    if sys.float_info.min <= real <= sys.float_info.max:
+        assert abs(Fraction(term) - real) <= 8 * Fraction(math.ulp(float(real)))
+
+
 def test_search_skips_alphas_whose_trend_term_overflows():
     # (beta/alpha)^2 K^2 overflows on the small-alpha end of the grid only
     result = optimize_alpha(WHITE, 1e153)

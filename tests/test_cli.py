@@ -5,6 +5,7 @@ import subprocess
 import sys
 import tracemalloc
 from datetime import timedelta
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,7 @@ from sestrack import (
     Constant,
     ExperimentConfig,
     Linear,
+    Table,
     WhiteGaussian,
     exact_mse_sequence,
     monte_carlo_mse,
@@ -86,27 +88,6 @@ def test_bound_json_matches_text(capsys):
     assert payload["trend_term"] == pytest.approx(0.81, rel=1e-12)
 
 
-def test_bound_sigma_alias(capsys):
-    # --json prints each float in full, so equal output means equal bits
-    for sigma, var in (("1", "1"), ("2", "4")):
-        code, out, _ = run(capsys, "bound", "--alpha", "0.1", "--k", "0", "--json",
-                           "--noise", f"ar1:theta=0.2,sigma={sigma}")
-        code2, out2, _ = run(capsys, "bound", "--alpha", "0.1", "--k", "0", "--json",
-                             "--noise", f"ar1:theta=0.2,var={var}")
-        assert code == 0 and code2 == 0
-        assert out == out2
-
-
-@pytest.mark.parametrize("sigma", ["-2", "-1e-300", "-inf", "inf", "nan", "1e200"])
-def test_sigma_negative_or_with_an_infinite_square_exits_one(capsys, sigma):
-    # -2 once ran as var=4, and 1e200 was reported as an infinite variance
-    code, out, err = run(
-        capsys, "bound", "--alpha", "0.1", "--k", "0", "--noise", f"white:sigma={sigma}"
-    )
-    assert code == 1 and out == ""
-    assert err.startswith("error: sigma must be") and "model specs are written" not in err
-
-
 # ---------------------------------------------------------------------------
 # exit codes
 # ---------------------------------------------------------------------------
@@ -119,19 +100,31 @@ def test_unknown_spec_is_usage_error(capsys):
 
 def test_unknown_key_is_usage_error(capsys):
     # the allowed keys are the ones a spec takes: never kind, never a bare b
-    for spec, allowed in (("ar1:thetax=0.2", "allowed keys: theta, var, sigma"),
-                          ("maq:c1=0.2", "allowed keys: b1, b2, ..., var, sigma"),
-                          ("maq:b=0.2", "allowed keys: b1, b2, ..., var, sigma"),
-                          ("ar1:kind=1,theta=0.2", "allowed keys: theta, var, sigma")):
+    for spec, allowed in (("ar1:thetax=0.2", "allowed keys: theta, var"),
+                          ("maq:c1=0.2", "allowed keys: b1, b2, ..., var"),
+                          ("maq:b=0.2", "allowed keys: b1, b2, ..., var"),
+                          ("ar1:kind=1,theta=0.2", "allowed keys: theta, var")):
         code, _, err = run(capsys, "bound", "--alpha", "0.1", "--k", "0", "--noise", spec)
         assert code == 2, spec
         message = err.splitlines()[0]
         assert message.endswith(allowed), message
 
 
+@pytest.mark.parametrize("spec, offender", [
+    ("white:sigma=1", "unknown key(s) ['sigma']; allowed keys: var"),
+    ("MA1:a=2", "unknown kind 'MA1'; expected white, ma1, ar1 or maq"),
+])
+def test_a_spec_takes_only_a_config_objects_keys_and_kinds(capsys, spec, offender):
+    # the sigma alias and case-folded kind names once parsed here, while a
+    # config file refused both
+    code, out, err = run(capsys, "bound", "--alpha", "0.1", "--k", "0", "--noise", spec)
+    assert code == 2 and out == ""
+    assert err == f"error: noise spec {spec!r}: {offender}\n{SPEC_GRAMMAR}"
+
+
 def test_malformed_specs_exit_two_with_grammar(capsys):
     for spec in ("ar1", "ar1:theta", "ar1:theta=x", "maq:var=1", "maq:b1=1,b3=2",
-                 "ar1:theta=0.2,sigma=1,var=1", "ma1:a=1,a=2"):
+                 "ar1:theta=0.2,sigma=1", "ma1:a=1,a=2"):
         code, _, err = run(capsys, "bound", "--alpha", "0.1", "--k", "0", "--noise", spec)
         assert code == 2, spec
         assert "model specs are written" in err
@@ -401,6 +394,21 @@ MSE_ARGV = ["mse", "--alpha", "0.1", "--noise", "white:var=1", "--trend", "const
             "--steps", "5"]
 
 
+def test_exact_row_t_plus_one_pairs_with_monte_carlo_row_t(tmp_path, capsys):
+    # without noise every replication is the mean, so the curves agree up to
+    # rounding: exact row t holds D_t (from D_1), Monte Carlo row t D_{t+1}
+    common = ["--alpha", "0.3", "--noise", "white:var=0", "--trend",
+              "linear:start=2,slope=0.1", "--steps", "6", "--init", "8"]
+    assert run(capsys, "mse", "--mode", "exact", *common, "--out", str(tmp_path / "e.csv"))[0] == 0
+    assert run(capsys, "mse", "--mode", "mc", *common, "--reps", "2", "--seed", "1",
+               "--out", str(tmp_path / "m.csv"))[0] == 0
+    exact = np.loadtxt(tmp_path / "e.csv", delimiter=",", skiprows=1)
+    mc = np.loadtxt(tmp_path / "m.csv", delimiter=",", skiprows=1)
+    assert exact.shape == (7, 2) and mc.shape == (6, 3)
+    np.testing.assert_allclose(exact[1:, 1], mc[:, 1], rtol=1e-12)
+    assert exact[0, 1] == (8 - 2) ** 2
+
+
 @pytest.mark.parametrize("mode,flags", [
     ("exact", ["--reps", "7", "--seed", "3", "--workers", "2"]),
     ("exact", ["--seed", "0"]),
@@ -481,6 +489,30 @@ def test_overflowing_k_exit_one(capsys, command):
     assert "trend_term" in err and "is not finite" in err
 
 
+@pytest.mark.parametrize("k, trend_term", [("0", 0.0), ("1e-150", 1e100)])
+def test_bound_at_a_tiny_alpha_reports_the_real_trend_term(capsys, k, trend_term):
+    # (beta/alpha)^2 overflowed and decided the term: inf, and exit 1, for both
+    code, out, err = run(capsys, "bound", "--alpha", "1e-200", "--k", k,
+                         "--noise", "white:var=1", "--json")
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["trend_term"] == pytest.approx(trend_term, rel=1e-15, abs=0.0)
+    assert report["total"] == report["variance_term"] + report["trend_term"]
+
+
+def test_optimize_alpha_at_a_tiny_k_reports_a_positive_total(capsys):
+    # K^2 underflowed to 0.0: alpha 7.5e-155 was reported with total 0.0,
+    # where the real total is 1.8e-32
+    code, out, err = run(capsys, "optimize-alpha", "--k", "1e-170",
+                         "--noise", "white:var=0", "--json")
+    assert (code, err) == (0, "")
+    result = json.loads(out)
+    alpha, total = result["alpha"], result["report"]["total"]
+    real = ((1 - Fraction(alpha)) / Fraction(alpha)) ** 2 * Fraction(1e-170) ** 2
+    assert result["degenerate"] is False and total > 0.0
+    assert abs(Fraction(total) - real) <= Fraction(math.ulp(0.0))
+
+
 def test_optimize_alpha_tiny_tol_returns(capsys):
     code, out, _ = run(capsys, "optimize-alpha", "--k", "0.1", "--noise", "white:var=1", "--json")
     assert code == 0
@@ -554,6 +586,20 @@ def test_verify_reports_the_k_that_bound_reproduces(tmp_path, capsys):
     assert code == 0
     assert json.loads(out) == verified["bound"]
     assert verified["bound"]["total"] == verified["bound_total"] == 0.9005263157896121
+
+
+@pytest.mark.parametrize("trend", [Constant(3.0), Table((-2.5,) * 400)], ids=["const", "table"])
+def test_verify_reports_k_zero_for_a_constant_trend(tmp_path, capsys, trend):
+    # the largest increment 0.0 is exact and was once stepped up to 5e-324
+    config = _write_config(tmp_path / "flat.json", trend=trend)
+    code, out, _ = run(capsys, "verify", "--config", str(config), "--json")
+    verified = json.loads(out)
+    assert code == 0 and verified["k"] == 0.0
+    code, out, _ = run(capsys, "bound", "--alpha", "0.1", "--noise", "white:var=1",
+                       "--k", "0", "--json")
+    assert code == 0
+    assert json.loads(out) == verified["bound"]
+    assert json.loads(out)["total"] == verified["bound_total"]
 
 
 def test_verify_measures_k_before_any_replication(tmp_path, capsys, monkeypatch):
@@ -864,7 +910,7 @@ _noise = st.one_of(
     st.builds("ma1:a={},var={}".format, _number, _number),
     st.builds("ar1:theta={},var={}".format, _number, _number),
     st.builds("maq:b1={},b2={},var={}".format, _number, _number, _number),
-    st.builds("ma1:a={},sigma={}".format, _number, _number),
+    st.builds("{}:a={},var={}".format, st.sampled_from(["ma1", "MA1"]), _number, _number),
 )
 _trend = st.one_of(
     st.builds("const:level={}".format, _number),

@@ -3,7 +3,9 @@ codec, the CLI specs, the run flags and the grammar text all derive from
 NOISE_KINDS / TREND_KINDS and the ExperimentConfig field metadata."""
 
 import argparse
+import contextlib
 import copy
+import io
 import dataclasses
 import json
 import re
@@ -13,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from sestrack import (
@@ -72,13 +74,75 @@ def test_every_kind_round_trips_through_dict_and_spec(model):
     assert decoded == model
     assert model_to_dict(decoded) == document
     # the same model as a CLI spec: list fields become indexed keys
+    assert parse_spec(_flat_spec(document), _kinds(model), "model") == model
+
+
+def _flat_spec(document: dict, kind: str | None = None, extra: tuple = ()) -> str:
+    """The config object ``document`` written flat as a spec, list fields as
+    indexed keys, under ``kind`` if given and with the ``extra`` items added."""
     parts = []
     for key, value in document.items():
         if isinstance(value, list):
             parts += [f"{key}{i}={v!r}" for i, v in enumerate(value, start=1)]
         elif key != "kind":
             parts.append(f"{key}={value!r}")
-    assert parse_spec(f"{model.kind}:{','.join(parts)}", _kinds(model), "model") == model
+    return f"{kind or document['kind']}:{','.join([*parts, *extra])}"
+
+
+_PARAMETERS = st.one_of(
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    st.floats(0.0, 1e6),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def _models(draw):
+    """A model of any registered kind, each declared field drawn, a field
+    with a default sometimes left to it; parameters its kind refuses are
+    rejected."""
+    cls = draw(st.sampled_from([*NOISE_KINDS.values(), *TREND_KINDS.values()]))
+    args = {}
+    for attr, _, default, hint in model_fields(cls):
+        if hint == Numbers:
+            args[attr] = tuple(draw(st.lists(_PARAMETERS, min_size=1, max_size=4)))
+        elif default is MISSING or draw(st.booleans()):
+            args[attr] = draw(_PARAMETERS)
+    try:
+        return cls(**args)
+    except ValueError:
+        reject()
+
+
+def _spec_exit(spec: str, kinds: dict) -> tuple[int, str]:
+    """The exit code and stderr of a command that parses ``spec`` as the
+    noise (``bound``) or the trend (``mse --mode exact``)."""
+    if kinds is NOISE_KINDS:
+        argv = ["bound", "--alpha", "0.1", "--k", "0", "--noise", spec]
+    else:
+        argv = ["mse", "--mode", "exact", "--alpha", "0.1", "--steps", "2",
+                "--noise", "white:var=1", "--trend", spec]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        return main(argv), err.getvalue()
+
+
+@settings(max_examples=150, deadline=None)
+@given(model=_models())
+def test_a_spec_is_the_config_object_written_flat(model):
+    # a spec takes exactly the keys and kinds the config codec takes: any
+    # model of any kind, written flat from its config object, parses back
+    # equal, and a key the codec refuses or a kind in another case exits 2
+    kinds = _kinds(model)
+    document = model_to_dict(model)
+    assert parse_spec(_flat_spec(document), kinds, "model") == model
+    lists = [key for _, key, _, hint in model_fields(type(model)) if hint == Numbers]
+    for key in {"sigma", "kind", "b", *lists}:
+        code, err = _spec_exit(_flat_spec(document, extra=[f"{key}=1"]), kinds)
+        assert code == 2 and f"unknown key(s) ['{key}']" in err and SPEC_GRAMMAR in err
+    for kind in {model.kind.upper(), model.kind.capitalize()}:
+        code, err = _spec_exit(_flat_spec(document, kind), kinds)
+        assert code == 2 and f"unknown kind {kind!r}" in err and SPEC_GRAMMAR in err
 
 
 def test_readme_shows_the_generated_grammar():
