@@ -230,8 +230,8 @@ _MC_FLAGS = ["replications", "seed", "workers"]
 
 
 def _cmd_mse(args) -> int:
-    # exit 2 naming each required flag left out, or else each mc mode flag exact mode is given
-    required = ["alpha", "horizon"] + (["replications", "seed"] if args.mode == "mc" else [])
+    # exit 2 naming each flag mc mode needs left out, or else each mc mode flag exact mode is given
+    required = ["replications", "seed"] if args.mode == "mc" else []
     stray = _MC_FLAGS if args.mode == "exact" else []
     for problem, flags in (
         ("requires", [n for n in required if getattr(args, n) is None]),
@@ -351,8 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mse", help="exact or Monte Carlo mean squared tracking error")
     p.add_argument("--mode", choices=("exact", "mc"), required=True, help="evaluation mode")
-    _add_run_flags(p, "noise trend")
-    _add_run_flags(p, "alpha horizon", required=False)
+    _add_run_flags(p, "noise trend alpha horizon")
     _add_run_flags(p, "init", required=False, note=(
         " (default: \"first\" in mc mode, the paper's m_1 = m*_1 in exact mode)"))
     _add_run_flags(p, "replications seed", required=False, note=" (mc mode)")

@@ -7,10 +7,13 @@ in fixed blocks of ``BLOCK_SIZE``.  Each block is sampled by
 replication; this module only hands it the step that smooths and squares
 each cache-sized time slab.  Blocks share nothing, so ``monte_carlo_mse`` may
 run them on forked worker processes through ``_fork_map``, the package's one
-parallel path, which hands results back in item order; block summaries are
-thus always combined in index order, so every statistic depends on the
-config alone, never on the worker count.  Squared errors follow the delayed
-pairing of the tracking analysis: the error at step t is ``m_{t+1} - m*_t``.
+parallel path, which hands results back in item order.  A block's summary is
+(count, per-step means, per-step M2), the mean and M2 of the
+per-replication tail means riding as one more entry of each array, and one
+Chan update folds the summaries in block order, so every statistic depends
+on the config alone, never on the worker count.  Squared errors follow the
+delayed pairing of the tracking analysis: the error at step t is
+``m_{t+1} - m*_t``.
 
 This module computes results and writes no files; ``dataio`` writes them
 (and holds ``reproduce_figure``), and nothing here imports it.  The
@@ -82,15 +85,6 @@ class MseCurve:
         self.stderr.flags.writeable = False
 
 
-@dataclass(frozen=True)
-class _BlockMoments:
-    count: int
-    mean: np.ndarray  # per-step mean of squared errors
-    m2: np.ndarray  # per-step sum of squared deviations
-    tail_mean: float
-    tail_m2: float
-
-
 def _moments(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Column means and sums of squared deviations; overwrites ``values``."""
     mean = values.mean(axis=0)
@@ -99,16 +93,12 @@ def _moments(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mean, values.sum(axis=0)
 
 
-def _combine(total: _BlockMoments, block: _BlockMoments) -> _BlockMoments:
-    n1, n2 = total.count, block.count
+def _combine(total: tuple, block: tuple) -> tuple:
+    """Chan's pairwise update of two (count, mean, M2) summaries."""
+    (n1, mean1, m2_1), (n2, mean2, m2_2) = total, block
     n = n1 + n2
-    delta = block.mean - total.mean
-    mean = total.mean + delta * (n2 / n)
-    m2 = total.m2 + block.m2 + np.square(delta) * (n1 * n2 / n)
-    tdelta = block.tail_mean - total.tail_mean
-    tail_mean = total.tail_mean + tdelta * (n2 / n)
-    tail_m2 = total.tail_m2 + block.tail_m2 + tdelta * tdelta * (n1 * n2 / n)
-    return _BlockMoments(n, mean, m2, tail_mean, tail_m2)
+    delta = mean2 - mean1
+    return n, mean1 + delta * (n2 / n), m2_1 + m2_2 + np.square(delta) * (n1 * n2 / n)
 
 
 def _tail_index(config: ExperimentConfig) -> int:
@@ -116,8 +106,11 @@ def _tail_index(config: ExperimentConfig) -> int:
     return config.horizon - max(1, math.ceil(config.tail_fraction * config.horizon))
 
 
-def _run_block(config: ExperimentConfig, block: range) -> _BlockMoments:
-    """Moments of the squared tracking errors of the replications in ``block``.
+def _run_block(config: ExperimentConfig, block: range) -> tuple:
+    """The (count, mean, M2) summary of the squared tracking errors of the
+    replications in ``block``: entries 0..T-1 of the two arrays are the
+    per-step means and sums of squared deviations, and entry T is those of
+    the per-replication tail means.
 
     ``_sample`` draws replication i's path into row i of one stream-major
     block and hands each time slab to ``smooth_and_square``, which smooths
@@ -139,10 +132,9 @@ def _run_block(config: ExperimentConfig, block: range) -> _BlockMoments:
 
     squared = _sample(config.noise, trend, child_seeds(config.seed, block), smooth_and_square)
     tails = squared[:, _tail_index(config) :].mean(axis=1)
+    tail = tails.mean()
     mean, m2 = _moments(squared)
-    return _BlockMoments(
-        len(block), mean, m2, float(tails.mean()), float(np.square(tails - tails.mean()).sum())
-    )
+    return len(block), np.append(mean, tail), np.append(m2, np.square(tails - tail).sum())
 
 
 def _usable_cpus() -> int:
@@ -152,7 +144,7 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _child(func, items, label: str, write: int):
+def _child(func, items, write: int):
     """Body of a forked worker: pickle ``func(item)`` for each of ``items``
     into the pipe's ``write`` end, flushed one by one, and leave without
     returning to the caller's code (exit 0 on success, 1 after printing the
@@ -165,12 +157,12 @@ def _child(func, items, label: str, write: int):
                 pipe.flush()
         status = 0
     except BaseException as exc:
-        os.write(2, f"{label} worker (pid {os.getpid()}) failed: {exc!r}\n".encode())
+        os.write(2, f"Monte Carlo worker (pid {os.getpid()}) failed: {exc!r}\n".encode())
     finally:
         os._exit(status)
 
 
-def _fork_map(func, items, workers: int, label: str):
+def _fork_map(func, items, workers: int):
     """Yield ``func(item)`` for each of the sequence ``items``, in order,
     computed by n = min(workers, len(items), usable CPUs) processes: worker
     w computes items w, w + n, ...  Worker 0 is this process, computing
@@ -178,8 +170,8 @@ def _fork_map(func, items, workers: int, label: str):
     the others are forked children, each pickling its results into a pipe
     as it computes them, so it runs at most a pipe buffer ahead.  Without
     ``os.fork`` or beside other threads n is 1.  A child that fails or ends
-    early raises ChildProcessError naming ``label``, the worker, its pid and
-    wait status; one that the embedding program reaps is done if it has
+    early raises ChildProcessError naming the Monte Carlo worker, its pid
+    and wait status; one that the embedding program reaps is done if it has
     delivered every result, and failed if not.  However iteration ends
     (exhausted, failed or closed early), every child still running is
     killed and all are reaped."""
@@ -190,6 +182,7 @@ def _fork_map(func, items, workers: int, label: str):
 
     def reap(worker: int, ended: bool) -> None:
         pid, pipe = children[worker]
+        name = f"Monte Carlo worker {worker} (pid {pid})"
         pipe.close()
         try:
             status = os.waitpid(pid, 0)[1]
@@ -199,12 +192,11 @@ def _fork_map(func, items, workers: int, label: str):
         if status is None:
             if ended:  # every result arrived
                 return
-            raise ChildProcessError(f"{label} worker {worker} (pid {pid}) ended early "
-                                    "and was reaped outside the map")
+            raise ChildProcessError(f"{name} ended early and was reaped outside the map")
         code = os.waitstatus_to_exitcode(status)
         if code or not ended:  # a child that ends early failed, whatever its code
             how = f"was killed by signal {-code}" if code < 0 else f"exited with code {code}"
-            raise ChildProcessError(f"{label} worker {worker} (pid {pid}) {how}; wait status {status}")
+            raise ChildProcessError(f"{name} {how}; wait status {status}")
 
     try:
         for worker in range(1, n):
@@ -212,7 +204,7 @@ def _fork_map(func, items, workers: int, label: str):
             pid = os.fork()
             if pid == 0:
                 os.close(read)
-                _child(func, items[worker::n], label, write)
+                _child(func, items[worker::n], write)
             os.close(write)
             children[worker] = (pid, open(read, "rb"))
         own = map(func, items[::n])
@@ -241,7 +233,10 @@ def monte_carlo_mse(config: ExperimentConfig, workers: int = 1) -> MseCurve:
 
     Each block of up to ``BLOCK_SIZE`` replications is sampled, smoothed
     and squared in one stream-major array by ``_run_block``; replication r
-    still draws from its own ``child_seed`` stream.
+    still draws from its own ``child_seed`` stream.  A block's summary is
+    (count, per-step means, per-step M2) with the tail mean as one more
+    entry, and one Chan update folds the summaries in block order: the
+    curve is the first T entries, ``tail_mean`` and ``tail_se`` the last.
 
     ``workers`` must be an integer >= 1.  ``_fork_map`` splits the blocks
     over n = min(workers, blocks, usable CPUs) processes: this one and n - 1
@@ -262,27 +257,13 @@ def monte_carlo_mse(config: ExperimentConfig, workers: int = 1) -> MseCurve:
             f"{8 * cells / 1e6:.0f} MB at peak), over the cap of {MAX_CELLS} cells"
         )
     blocks = [range(s, min(s + BLOCK_SIZE, reps)) for s in range(0, reps, BLOCK_SIZE)]
-    total = functools.reduce(
-        _combine, _fork_map(functools.partial(_run_block, config), blocks, workers, "Monte Carlo")
+    _, mean, m2 = functools.reduce(
+        _combine, _fork_map(functools.partial(_run_block, config), blocks, workers)
     )
-
+    stderr = np.sqrt(m2 / (reps - 1) / reps) if reps > 1 else np.zeros(horizon + 1)
     tail_idx = _tail_index(config)
-    if reps > 1:
-        variance = np.maximum(total.m2 / (reps - 1), 0.0)
-        stderr = np.sqrt(variance / reps)
-        tail_se = math.sqrt(max(total.tail_m2 / (reps - 1), 0.0) / reps)
-    else:
-        stderr = np.zeros(horizon)
-        tail_se = 0.0
-    return MseCurve(
-        total.mean,
-        stderr,
-        float(total.tail_mean),
-        tail_se,
-        float(total.mean[tail_idx:].max()),
-        tail_idx + 1,
-        reps,
-    )
+    return MseCurve(mean[:-1], stderr[:-1], float(mean[-1]), float(stderr[-1]),
+                    float(mean[tail_idx:-1].max()), tail_idx + 1, reps)
 
 
 @dataclass(frozen=True)

@@ -528,6 +528,22 @@ def test_mse_mc_missing_flags_usage_error(capsys):
     assert "--reps" in err and "--seed" in err
 
 
+@pytest.mark.parametrize("mode", ["exact", "mc"])
+@pytest.mark.parametrize("flag", ["--alpha", "--steps"])
+def test_mse_requires_alpha_and_steps_in_both_modes(capsys, mode, flag):
+    # argparse refuses the call before any mode check, so the usage line shows
+    # both flags as required
+    argv = ["mse", "--mode", mode, "--alpha", "0.1", "--noise", "white:var=1",
+            "--trend", "const:level=0", "--steps", "5"]
+    if mode == "mc":
+        argv += ["--reps", "3", "--seed", "1"]
+    at = argv.index(flag)
+    code, out, err = run(capsys, *argv[:at], *argv[at + 2:])
+    assert code == 2 and out == ""
+    assert f"the following arguments are required: {flag}" in err
+    assert "--alpha ALPHA --steps HORIZON" in " ".join(err.split())
+
+
 def test_optimize_alpha_json(capsys):
     code, out, _ = run(capsys, "optimize-alpha", "--k", "0.1", "--noise", "white:var=1", "--json")
     assert code == 0

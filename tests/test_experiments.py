@@ -247,7 +247,8 @@ def test_ar1_one_column_blocks_pinned(forks, replications, expected):
 
 def _reference_block(config, block):
     """``_run_block`` one replication at a time: ``sample_path`` and
-    ``ses_run`` per child seed, the squared errors stacked (B, T)."""
+    ``ses_run`` per child seed, the squared errors stacked (B, T), summarized
+    as (count, mean, M2) with the tail mean as the arrays' last entry."""
     rows = []
     m_star = trend_sequence(config.trend, config.horizon)
     for r in block:
@@ -257,8 +258,10 @@ def _reference_block(config, block):
     squared = np.stack(rows)
     tails = squared[:, experiments._tail_index(config) :].mean(axis=1)
     mean, m2 = experiments._moments(squared)
-    return experiments._BlockMoments(
-        len(block), mean, m2, float(tails.mean()), float(np.square(tails - tails.mean()).sum())
+    return (
+        len(block),
+        np.append(mean, tails.mean()),
+        np.append(m2, np.square(tails - tails.mean()).sum()),
     )
 
 
@@ -289,6 +292,31 @@ def test_monte_carlo_equals_per_replication_reference(noise, init, reps, where, 
     assert (curve.tail_mean, curve.tail_se, curve.tail_max) == (
         reference.tail_mean, reference.tail_se, reference.tail_max
     )
+
+
+@pytest.mark.parametrize("noise", [MA1(-0.4, 1.7), AR1(0.9, 0.3)], ids=["ma1", "ar1"])
+@pytest.mark.parametrize("reps", [2, 7, BLOCK_SIZE + 1, 2 * BLOCK_SIZE + 7])
+def test_combined_curve_matches_a_one_pass_oracle(noise, reps):
+    # the block summaries and their pairwise combine against numpy's one-pass
+    # mean and ddof=1 standard deviation of every squared error at once
+    config = ExperimentConfig(noise, Sinusoid(1.5, 0.1, 0.3), 0.2, 40, reps, seed=99, init=-1.5)
+    m_star = trend_sequence(config.trend, config.horizon)
+
+    def squared_errors(r):
+        x = sample_path(noise, config.trend, 40, child_seed(99, r))
+        return np.square(ses_run(x, 0.2, -1.5)[1:] - m_star)
+
+    squared = np.stack([squared_errors(r) for r in range(reps)])
+    tails = squared[:, 36:].mean(axis=1)  # the last tenth of 40 steps: steps 37 to 40
+    for workers in (1, 2):
+        curve = monte_carlo_mse(config, workers=workers)
+        assert curve.tail_start == 37
+        np.testing.assert_allclose(curve.mean, squared.mean(axis=0), rtol=1e-12, atol=0)
+        np.testing.assert_allclose(
+            curve.stderr, squared.std(axis=0, ddof=1) / math.sqrt(reps), rtol=1e-12, atol=0
+        )
+        assert curve.tail_mean == pytest.approx(tails.mean(), rel=1e-12, abs=0)
+        assert curve.tail_se == pytest.approx(tails.std(ddof=1) / math.sqrt(reps), rel=1e-12, abs=0)
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +420,7 @@ def test_fork_map_cleanup_skips_a_child_reaped_elsewhere(forks, end):
             time.sleep(60)  # still running when the map ends: only a kill ends it
         return item
 
-    mapped = experiments._fork_map(compute, range(3), 3, "test")
+    mapped = experiments._fork_map(compute, range(3), 3)
     start = time.monotonic()
     assert next(mapped) == 0
     assert os.waitpid(-1, 0)[0] == forks[0]
@@ -407,7 +435,7 @@ def test_fork_map_cleanup_skips_a_child_reaped_elsewhere(forks, end):
 
 
 def test_fork_map_end_takes_a_child_reaped_elsewhere_once_its_results_arrived(forks):
-    mapped = experiments._fork_map(lambda i: i, range(2), 2, "demo")
+    mapped = experiments._fork_map(lambda i: i, range(2), 2)
     assert next(mapped) == 0
     assert os.waitpid(-1, 0)[0] == forks[0]  # worker 1 has written its one result
     assert list(mapped) == [1]
@@ -422,10 +450,10 @@ def test_fork_map_names_a_failed_child_reaped_elsewhere(forks, capfd):
             raise RuntimeError("child failed")
         return item
 
-    mapped = experiments._fork_map(compute, range(2), 2, "demo")
+    mapped = experiments._fork_map(compute, range(2), 2)
     assert next(mapped) == 0
     assert os.waitpid(-1, 0)[0] == forks[0]
-    message = rf"demo worker 1 \(pid {forks[0]}\) ended early and was reaped outside the map"
+    message = rf"Monte Carlo worker 1 \(pid {forks[0]}\) ended early and was reaped outside the map"
     with pytest.raises(ChildProcessError, match=message):
         list(mapped)
     assert "child failed" in capfd.readouterr().err
@@ -670,3 +698,15 @@ def test_simulate_smoothed_alignment():
 def test_smoothed_path_refuses_unequal_lengths(lengths):
     with pytest.raises(ValueError, match="^smoothed path series must have equal lengths$"):
         experiments.SmoothedPath(*(np.zeros(n) for n in lengths))
+
+
+def test_result_arrays_are_read_only():
+    # the curve's arrays are views of the combined (T + 1)-entry summary;
+    # the freeze holds on the views
+    config = ExperimentConfig(MA1(0.6), Constant(0.0), 0.2, 12, 5, seed=4)
+    curve = monte_carlo_mse(config)
+    smoothed = simulate_smoothed(WhiteGaussian(1.0), Linear(2.0, 0.1), 0.1, 5, seed=1)
+    for array in (curve.mean, curve.stderr, smoothed.observations, smoothed.trend,
+                  smoothed.estimates):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1.0
