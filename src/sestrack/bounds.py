@@ -289,8 +289,7 @@ def _golden_section_min(f, lo: float, hi: float) -> float:
     # of the original endpoints inside (0, 1) and the interior candidate is
     # best, the smaller alpha winning ties
     candidates = [x for x in (lo, mid, hi) if 0.0 < x < 1.0]
-    best = min(((f(x), x) for x in candidates), key=lambda p: (p[0], p[1]))
-    return best[1]
+    return min((f(x), x) for x in candidates)[1]
 
 
 def optimize_alpha(noise: NoiseModel | Autocovariance, lipschitz: float) -> AlphaSearchResult:
@@ -303,9 +302,9 @@ def optimize_alpha(noise: NoiseModel | Autocovariance, lipschitz: float) -> Alph
     lipschitz > 0 a best grid point at either end opens its bracket to that
     end of (0, 1), never evaluated itself; with lipschitz = 0 it stays on
     the grid.  With no noise and a static trend the objective is
-    identically zero: the smallest grid point is returned with
-    ``degenerate`` set.  An alpha whose correlation series would exceed
-    SERIES_LAG_CAP counts as +inf, so it is never returned.
+    identically zero; the search itself returns its smallest grid point
+    (ties go to smaller alpha) and sets ``degenerate``.  An alpha whose
+    correlation series would exceed SERIES_LAG_CAP counts as +inf.
     """
     def objective(a: float) -> float:
         try:
@@ -318,14 +317,9 @@ def optimize_alpha(noise: NoiseModel | Autocovariance, lipschitz: float) -> Alph
     step = 1.0 / (GRID_POINTS + 1)
     grid = [i * step for i in range(1, GRID_POINTS + 1)]
     best = _first_min([objective(a) for a in grid])  # smaller alpha on ties
-
-    if noise.gamma(0) == 0.0 and lipschitz == 0.0:
-        return AlphaSearchResult(grid[0], tracking_bound(grid[0], noise, lipschitz), True)
-
     open_ends = lipschitz > 0.0
     lo = grid[best - 1] if best > 0 else 0.0 if open_ends else grid[0]
     hi = grid[best + 1] if best + 1 < len(grid) else 1.0 if open_ends else grid[-1]
     alpha_star = _golden_section_min(objective, lo, hi)
-    return AlphaSearchResult(
-        alpha_star, tracking_bound(alpha_star, noise, lipschitz), False
-    )
+    degenerate = noise.gamma(0) == 0.0 and lipschitz == 0.0
+    return AlphaSearchResult(alpha_star, tracking_bound(alpha_star, noise, lipschitz), degenerate)

@@ -188,8 +188,11 @@ def _cmd_smooth(args) -> int:
 
 
 def _same_file(first, second) -> bool:
-    """Whether two output paths name one file, symbolic links followed:
-    the second write would replace the first."""
+    """Whether two output paths name one file, symbolic links followed and a
+    hard link counted as the file it links: the second write would replace
+    the first."""
+    if os.path.exists(first) and os.path.exists(second):
+        return os.path.samefile(first, second)
     return os.path.realpath(first) == os.path.realpath(second)
 
 

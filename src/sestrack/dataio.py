@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import io
 import math
 import warnings
 from pathlib import Path
@@ -306,10 +307,9 @@ def _row_name(row_number: int) -> str:
     return f"row {row_number}" if row_number else "header"
 
 
-def _undecodable(path: Path) -> str:
-    """Where and why ``path`` is not UTF-8.  The text reader decodes in
-    blocks, so the offending line is found again from the raw bytes."""
-    data = path.read_bytes()
+def _undecodable(data: bytes) -> str:
+    """Where and why ``data`` is not UTF-8.  The text reader decodes in
+    blocks, so the offending line is found again in the whole input."""
     try:
         data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -337,26 +337,25 @@ def read_csv_column(path, column: str) -> np.ndarray:
 
 def _read_plain_column(path: Path, column: str) -> np.ndarray | None:
     """The column by ``np.loadtxt``, or None unless the file is a regular one
-    (a pipe could not be read again), its header names the column once, a
-    streamed scan finds data rows, none of ``_NOT_PLAIN`` and no block
-    without a newline (so no line reaches the csv field limit), and
-    ``np.loadtxt`` returns one finite value per line.  A blank line needs no
-    search: ``np.loadtxt`` skips it, so the values fall one short of the
-    lines counted and the csv reader words the error."""
+    (a pipe could not be read again), a streamed scan finds data rows, none
+    of ``_NOT_PLAIN`` and no block without a newline (so no line reaches the
+    csv field limit), the first line's comma-split fields (csv's row for a
+    line free of quotes) name the column once, and ``np.loadtxt`` returns
+    one finite value per line.  A blank line, which ``np.loadtxt`` skips,
+    leaves the values one short of the lines counted; csv words the error."""
     if not path.is_file() or csv.field_size_limit() < 2 * _SCAN_BYTES:
-        return None
-    with open(path, newline="", encoding="utf-8") as handle:
-        header = next(csv.reader(handle), [])
-    if header.count(column) != 1:
         return None
     rows, end = -1, b"\n"  # the header line is no data row
     with open(path, "rb") as handle:
         while block := handle.read(_SCAN_BYTES):
             if b"\n" not in block or any(mark in block for mark in _NOT_PLAIN):
                 return None
+            if rows < 0:
+                line = block[: block.index(b"\n")].decode("utf-8")
+                header = line.split(",") if line else []  # csv reads a blank line as []
             rows, end = rows + block.count(b"\n"), block[-1:]
     rows += end != b"\n"  # a last line without its newline
-    if rows < 1:
+    if rows < 1 or header.count(column) != 1:
         return None
     values = np.loadtxt(path, delimiter=",", comments=None, skiprows=1,
                         usecols=header.index(column), encoding="utf-8", ndmin=1)
@@ -364,10 +363,11 @@ def _read_plain_column(path: Path, column: str) -> np.ndarray | None:
 
 
 def _read_column_by_rows(path: Path, column: str) -> np.ndarray:
-    """``read_csv_column`` by the ``csv`` reader, one row at a time."""
+    """``read_csv_column`` by the ``csv`` reader, over the input read once."""
+    data = path.read_bytes()
     header, row_number = None, 0
     try:
-        with open(path, newline="", encoding="utf-8") as handle:
+        with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="") as handle:
             reader = csv.reader(handle)
             header = next(reader, None)
             if header is None:
@@ -401,7 +401,7 @@ def _read_column_by_rows(path: Path, column: str) -> np.ndarray:
         failed = row_number + 1 if header is not None else 0
         raise ValueError(f"{path}: {_row_name(failed)}: {exc}") from None
     except UnicodeDecodeError:
-        raise ValueError(f"{path}: {_undecodable(path)}") from None
+        raise ValueError(f"{path}: {_undecodable(data)}") from None
     return np.array(values)
 
 

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from datetime import timedelta
 from fractions import Fraction
@@ -254,20 +255,27 @@ def test_simulate_zero_noise(tmp_path, capsys):
     assert svg.read_text().startswith("<svg")
 
 
-@pytest.mark.parametrize("spelling", ["same", "dotted", "link"])
+@pytest.mark.parametrize("spelling", ["same", "dotted", "link", "hardlink"])
 def test_simulate_refuses_one_file_named_twice(tmp_path, capsys, monkeypatch, spelling):
     # the SVG would replace the CSV: refused as a usage error before simulating
     monkeypatch.setattr(sestrack.experiments, "simulate_smoothed", None)
     target = tmp_path / "p.out"
-    other = {"same": target, "dotted": tmp_path / "." / "p.out", "link": tmp_path / "alias"}
+    other = {"same": target, "dotted": tmp_path / "." / "p.out", "link": tmp_path / "alias",
+             "hardlink": tmp_path / "alias"}
     if spelling == "link":
         other["link"].symlink_to(target)
+    if spelling == "hardlink":  # a hard link needs its file to exist
+        target.write_bytes(b"sentinel")
+        os.link(target, other["hardlink"])
     code, out, err = run(capsys, "simulate", "--trend", "const:level=0", "--noise", "white:var=1",
                          "--alpha", "0.1", "--steps", "10", "--seed", "7",
                          "--out", str(target), "--svg", str(other[spelling]))
     assert code == 2 and out == ""
     assert err == f"error: --out and --svg name the same file {str(target)!r}\n"
-    assert not target.exists()
+    if spelling == "hardlink":
+        assert target.read_bytes() == b"sentinel"
+    else:
+        assert not target.exists()
 
 
 def test_smooth_overflow_exit_one_writes_nothing(tmp_path, capsys):
@@ -688,6 +696,21 @@ def test_verify_refuses_one_output_file_named_twice(tmp_path, capsys, monkeypatc
     assert sorted(tmp_path.iterdir()) == [path]
 
 
+def test_verify_refuses_a_hard_linked_output_pair(tmp_path, capsys, monkeypatch):
+    # a hard link resolves to no other path, yet the SVG would replace the CSV
+    monkeypatch.setattr(sestrack.experiments, "verify_bound", None)  # never reached
+    path = tmp_path / "cfg.json"
+    config = ExperimentConfig(WhiteGaussian(1.0), Constant(0.0), 0.1, 100, 50, seed=3)
+    curve, alias = tmp_path / "curve.out", tmp_path / "alias.out"
+    curve.write_bytes(b"sentinel")
+    os.link(curve, alias)
+    save_experiment_config(config, path, output={"csv": str(curve), "svg": str(alias)})
+    code, out, err = run(capsys, "verify", "--config", str(path), "--json")
+    assert code == 1 and out == ""
+    assert err == f"error: config.output: csv and svg name the same file {str(curve)!r}\n"
+    assert curve.read_bytes() == b"sentinel"
+
+
 def test_verify_bad_config_exit_one(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text('{"schema_version": 1, "bogus": true}')
@@ -899,14 +922,44 @@ def test_main_keeps_one_parser_that_answers_as_a_fresh_interpreter(capsys, monke
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin")
-def test_smooth_reads_a_pipe():
+@pytest.mark.parametrize("data, code, stdout, stderr", [
+    (b"t,x\n1,2\n2,3\n", 0, b"t,x,m_hat\n1,2,2\n2,3,2.5\n", b""),
+    # past the text reader's first decoded block, so the row is placed in the bytes read
+    (b"t,x\n" + b"1,2\n" * 5000 + b"5001,\xff\n", 1, b"",
+     b"error: /dev/stdin: row 5001: not UTF-8 text"),
+], ids=["utf8", "not_utf8"])
+def test_smooth_reads_a_pipe(data, code, stdout, stderr):
     # a pipe can be read only once, so the reader must not scan it first
     result = subprocess.run(
         [sys.executable, "-m", "sestrack", "smooth", "--input", "/dev/stdin",
          "--column", "x", "--alpha", "0.5"],
-        input="t,x\n1,2\n2,3\n", capture_output=True, text=True, timeout=60,
+        input=data, capture_output=True, timeout=60,
     )
-    assert (result.returncode, result.stdout) == (0, "t,x,m_hat\n1,2,2\n2,3,2.5\n")
+    assert (result.returncode, result.stdout) == (code, stdout)
+    assert result.stderr.startswith(stderr), result.stderr
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+def test_smooth_reads_a_fifo_once(tmp_path):
+    # a FIFO's bytes are gone once read: opening it again to place the bad
+    # byte would wait for a writer that never comes
+    fifo = tmp_path / "in.fifo"
+    os.mkfifo(fifo)
+
+    def write():
+        with open(fifo, "wb") as handle:
+            handle.write(b"x\n1.0\n\xff\n")
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    result = subprocess.run(
+        [sys.executable, "-m", "sestrack", "smooth", "--input", str(fifo),
+         "--column", "x", "--alpha", "0.1"],
+        capture_output=True, text=True, timeout=30,
+    )
+    writer.join(timeout=30)
+    assert (result.returncode, result.stdout) == (1, "")
+    assert "row 2: not UTF-8 text" in result.stderr, result.stderr
 
 
 # ---------------------------------------------------------------------------

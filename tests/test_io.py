@@ -180,6 +180,7 @@ def csv_path(tmp_path_factory):
 @example(case=(b"t,x\n1,\x1c2\n", "x"))  # whitespace to numpy, not to float()
 @example(case=(b't,x,y\n"1,5",2,3\n', "y"))  # a comma inside quotes
 @example(case=(b"t,x\n" + b"1" * 200_000 + b",2\n", "x"))  # over the csv field limit
+@example(case=(b"\n1\n2\n", ""))  # a blank header line is csv's [], not [""]
 def test_reader_fast_path_agrees_with_the_csv_reader(csv_path, case):
     data, column = case
     csv_path.write_bytes(data)

@@ -170,6 +170,18 @@ def test_bound_and_optimize_alpha_json_match_pinned_digests(kind):
     assert _sha(search) == BOUND_DIGESTS[f"optimize-alpha[{kind}]"]
 
 
+def test_degenerate_search_json_is_pinned():
+    # no noise and K = 0: the objective is identically zero, and the search's
+    # ties to smaller alpha return the first grid point, 1 / (GRID_POINTS + 1)
+    out = _stdout(["optimize-alpha", "--k", "0", "--noise", "white:var=0", "--json"])
+    assert out == (
+        b'{"alpha": 0.000975609756097561, "degenerate": true, "report": '
+        b'{"alpha": 0.000975609756097561, "variance_term": 0.0, "correlation_term": 0.0, '
+        b'"trend_term": 0.0, "total": 0.0, "truncation_lag": 0, '
+        b'"truncation_residual_bound": 0.0}}\n'
+    )
+
+
 def test_outputs_match_pinned_digests(tmp_path):
     outputs = all_outputs(tmp_path)
     assert sorted(outputs) == sorted(DIGESTS)
